@@ -17,7 +17,10 @@
 // ping-pong root slots, every mutating command is appended to a CRC-framed
 // write-ahead log before it returns, and a background goroutine checkpoints
 // off the write path with shadow-paged writes, so recovery attaches to
-// existing pages and replays only the dirty WAL tail (DESIGN.md
+// existing pages and replays only the dirty WAL tail. Index leaves are
+// pages too: a checkpoint writes only the leaves that changed, and an open
+// reads none of them — a leaf's entries are read the first time a query
+// reaches it, so open time does not grow with the table (DESIGN.md
 // §Durability). A workbook file admits a single writing process
 // (ErrConflict otherwise).
 //

@@ -7,10 +7,13 @@
 //
 // The protocol is shadow-paged end to end, in four stages:
 //
-//	capture  (under cmdMu) flush the buffer pool — copy-on-write relocates
-//	         every dirty page that the durable root references to a fresh
-//	         page — then serialize the page catalog, the sheet snapshot and
-//	         the watermark. Nothing the old root references was touched.
+//	capture  (under cmdMu) write the index leaves changed since the last
+//	         checkpoint into the buffer pool and flush it — copy-on-write
+//	         relocates every dirty page that the durable root references to
+//	         a fresh page — then serialize the page catalog, the sheet
+//	         snapshot and the watermark. Nothing the old root references
+//	         was touched, and the work follows the dirty set: the catalog
+//	         lists pages, not rows.
 //	write    (off-lock)    write the two blobs to fresh pages and sync.
 //	flip     (off-lock)    write the next root — generation+1, watermark,
 //	         blob pages — into the ping-pong slot the previous root does
@@ -187,25 +190,25 @@ func (ds *DataSpread) checkpointOnce() error {
 	return ds.ckptAdopt(st)
 }
 
-// ckptCapture is the only stage that excludes writers: it flushes the pool
-// (copy-on-write keeps the durable image intact), serializes the catalog and
-// sheet snapshot, and records the watermark. No fsync happens here.
+// ckptCapture is the only stage that excludes writers: it flushes dirty index
+// leaves and the pool (copy-on-write keeps the durable image intact),
+// serializes the catalog and sheet snapshot, and records the watermark. No
+// fsync happens here.
 func (ds *DataSpread) ckptCapture() (*ckptState, error) {
 	ds.cmdMu.Lock()
 	defer ds.cmdMu.Unlock()
 	if ds.wal == nil {
 		return nil, fmt.Errorf("core: checkpoint requires a durable workbook: %w", dberr.ErrUnsupported)
 	}
-	pool := ds.db.Pool()
-	if err := pool.FlushAll(); err != nil {
+	st := &ckptState{watermark: ds.wal.LastLSN()}
+	var err error
+	if st.metaBlob, err = ds.db.MarshalPages(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint flush: %w", err)
 	}
-	st := &ckptState{watermark: ds.wal.LastLSN()}
-	st.metaBlob = ds.db.MarshalPages()
 	st.zoneBlob = ds.db.MarshalZones()
 	st.snapBlob = txn.EncodeRecords([]txn.Record{{LSN: st.watermark, Ops: ds.snapshotOps()}})
 	st.dataPages = ds.db.DurablePageIDs()
-	pool.BeginCheckpoint(st.dataPages)
+	ds.db.Pool().BeginCheckpoint(st.dataPages)
 	return st, nil
 }
 

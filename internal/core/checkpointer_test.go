@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,6 +36,76 @@ func copyWorkbook(t *testing.T, src, dir string) string {
 	return dst
 }
 
+// The durability suites fill one table: seq, row i = (i, i%3), with a
+// primary key and a secondary index, so every checkpoint they freeze, tear,
+// corrupt or fault has leaf pages of both kinds of index in flight.
+const seqSchema = `
+	CREATE TABLE seq (n INT PRIMARY KEY, g INT);
+	CREATE INDEX seq_g ON seq (g);`
+
+func createSeq(t *testing.T, ds *DataSpread) {
+	t.Helper()
+	if _, err := ds.QueryScript(seqSchema); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func insertSeq(t *testing.T, ds *DataSpread, i int) {
+	t.Helper()
+	if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d, %d)", i, i%3)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// errSeqContent marks a seqRows failure that is wrong data, as opposed to a
+// query that failed.
+var errSeqContent = errors.New("seq holds wrong rows")
+
+// seqRows returns how many rows seq holds after checking that they are
+// exactly 1..k — read by full scan, through the primary-key leaves and
+// through the secondary-index leaves, which must all agree (errSeqContent
+// otherwise). A query's own error is returned as it is: the corruption fuzz
+// accepts a detected failure.
+func seqRows(ds *DataSpread) (int, error) {
+	scan, err := ds.Query("SELECT n, g FROM seq ORDER BY n")
+	if err != nil {
+		return 0, err
+	}
+	k := len(scan.Rows)
+	for i, row := range scan.Rows {
+		if int(row[0].Num) != i+1 || int(row[1].Num) != (i+1)%3 {
+			return 0, fmt.Errorf("%w: row %d = (%v, %v), want (%d, %d): not a committed prefix", errSeqContent, i, row[0], row[1], i+1, (i+1)%3)
+		}
+	}
+	for _, q := range []struct {
+		sql  string
+		want func(i int) bool
+	}{
+		{"SELECT n FROM seq WHERE n >= 1", func(int) bool { return true }},
+		{"SELECT n FROM seq WHERE g = 1", func(i int) bool { return i%3 == 1 }},
+		{"SELECT n FROM seq WHERE g >= 0", func(int) bool { return true }},
+	} {
+		res, err := ds.Query(q.sql)
+		if err != nil {
+			return 0, err
+		}
+		next := 0
+		for i := 1; i <= k; i++ {
+			if !q.want(i) {
+				continue
+			}
+			if next >= len(res.Rows) || int(res.Rows[next][0].Num) != i {
+				return 0, fmt.Errorf("%w: %s: row %d missing or misplaced among %d rows (table holds 1..%d)", errSeqContent, q.sql, i, len(res.Rows), k)
+			}
+			next++
+		}
+		if next != len(res.Rows) {
+			return 0, fmt.Errorf("%w: %s: %d rows, want %d (table holds 1..%d)", errSeqContent, q.sql, len(res.Rows), next, k)
+		}
+	}
+	return k, nil
+}
+
 // expectSeq opens a workbook and asserts table seq holds exactly 1..n.
 func expectSeq(t *testing.T, path string, n int, desc string) {
 	t.Helper()
@@ -46,17 +117,8 @@ func expectSeq(t *testing.T, path string, n int, desc string) {
 	if errs := re.RecoveryErrors(); len(errs) != 0 {
 		t.Fatalf("%s: recovery errors: %v", desc, errs)
 	}
-	res, err := re.Query("SELECT n FROM seq ORDER BY n")
-	if err != nil {
-		t.Fatalf("%s: %v", desc, err)
-	}
-	if len(res.Rows) != n {
-		t.Fatalf("%s: %d rows, want %d", desc, len(res.Rows), n)
-	}
-	for i, row := range res.Rows {
-		if int(row[0].Num) != i+1 {
-			t.Fatalf("%s: row %d = %v, want %d", desc, i, row[0], i+1)
-		}
+	if k, err := seqRows(re); err != nil || k != n {
+		t.Fatalf("%s: %d rows (%v), want %d", desc, k, err, n)
 	}
 }
 
@@ -208,21 +270,15 @@ func TestRootFlipAtomicKillPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Query("CREATE TABLE seq (n INT PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
+	createSeq(t, ds)
 	for i := 1; i <= n1; i++ {
-		if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d)", i)); err != nil {
-			t.Fatal(err)
-		}
+		insertSeq(t, ds, i)
 	}
 	if err := ds.Checkpoint(); err != nil { // generation 1, both slots mirrored
 		t.Fatal(err)
 	}
 	for i := n1 + 1; i <= n1+n2; i++ {
-		if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d)", i)); err != nil {
-			t.Fatal(err)
-		}
+		insertSeq(t, ds, i)
 	}
 	ds.Wait()
 
@@ -299,18 +355,15 @@ func TestMmapWorkbookRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.QueryScript(`
-		CREATE TABLE seq (n INT PRIMARY KEY);
-		INSERT INTO seq VALUES (1), (2), (3);`); err != nil {
-		t.Fatal(err)
+	createSeq(t, ds)
+	for i := 1; i <= 3; i++ {
+		insertSeq(t, ds, i)
 	}
 	if err := ds.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 4; i <= 13; i++ {
-		if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d)", i)); err != nil {
-			t.Fatal(err)
-		}
+		insertSeq(t, ds, i)
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)

@@ -167,14 +167,8 @@ func TestCheckpointCrashFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.Query("CREATE TABLE seq (n INT PRIMARY KEY)"); err != nil {
-			t.Fatal(err)
-		}
-		insert := func(i int) {
-			if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d)", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		createSeq(t, ds)
+		insert := func(i int) { insertSeq(t, ds, i) }
 		for i := 1; i <= n1; i++ {
 			insert(i)
 		}
@@ -228,18 +222,12 @@ func TestCheckpointCrashFuzz(t *testing.T) {
 			if errs := re.RecoveryErrors(); len(errs) != 0 {
 				t.Fatalf("trial %d %s: recovery errors (duplicated or broken replay): %v", trial, desc, errs)
 			}
-			res, err := re.Query("SELECT n FROM seq ORDER BY n")
+			k, err := seqRows(re)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, desc, err)
 			}
-			k := len(res.Rows)
 			if k < wantMin || k > wantMax {
 				t.Fatalf("trial %d %s: recovered %d rows, want %d..%d", trial, desc, k, wantMin, wantMax)
-			}
-			for i, row := range res.Rows {
-				if int(row[0].Num) != i+1 {
-					t.Fatalf("trial %d %s: row %d = %v, want %d (not a committed prefix)", trial, desc, i, row[0], i+1)
-				}
 			}
 		}
 
@@ -312,34 +300,36 @@ func TestIndexDDLSurvivesCheckpoint(t *testing.T) {
 // bytes of the page file are flipped and the workbook is reopened. Every
 // trial must end in one of three detectable states — the open fails with a
 // clear error, recovery reports per-command errors, or a query surfaces a
-// checksum/read error — or the recovered data is exactly correct. What can
-// never happen is a silent wrong row: every table page is CRC-sealed
-// (tablestore), the page catalog and sheet snapshot blobs are CRC-framed,
-// and the ping-pong root slots are CRC-protected with a mirrored sibling.
+// checksum/read error — or the recovered data is exactly correct, whether
+// it is read by full scan or through either index. What can never happen is
+// a silent wrong or missing row: every table page and every index leaf page
+// is CRC-sealed (tablestore, btree), the page catalog and sheet snapshot
+// blobs are CRC-framed, and the ping-pong root slots are CRC-protected with
+// a mirrored sibling.
 func TestHeapCorruptionFuzz(t *testing.T) {
-	const rows = 120
+	const rows = 1200 // several leaf pages per index
 	base := t.TempDir()
 	path := filepath.Join(base, "book.dsp")
-	ds, err := OpenFile(path, Options{})
+	ds, err := OpenFile(path, Options{CheckpointWALBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Query("CREATE TABLE seq (n INT PRIMARY KEY, label TEXT)"); err != nil {
+	createSeq(t, ds)
+	if _, err := ds.Query("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= rows; i++ {
-		if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d, 'row-%d')", i, i)); err != nil {
-			t.Fatal(err)
-		}
+		insertSeq(t, ds, i)
+	}
+	if _, err := ds.Query("COMMIT"); err != nil {
+		t.Fatal(err)
 	}
 	if err := ds.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// A WAL tail on top of the checkpoint, so both recovery routes run.
 	for i := rows + 1; i <= rows+10; i++ {
-		if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d, 'row-%d')", i, i)); err != nil {
-			t.Fatal(err)
-		}
+		insertSeq(t, ds, i)
 	}
 	ds.Wait()
 	if err := ds.Close(); err != nil {
@@ -356,6 +346,7 @@ func TestHeapCorruptionFuzz(t *testing.T) {
 	total := rows + 10
 
 	rng := rand.New(rand.NewSource(1337)) // fixed seed: CI replays these trials
+	detected := 0
 	for trial := 0; trial < 50; trial++ {
 		heap := append([]byte(nil), pristineHeap...)
 		flips := 1 + rng.Intn(3)
@@ -380,27 +371,27 @@ func TestHeapCorruptionFuzz(t *testing.T) {
 
 		re, err := OpenFile(p, Options{})
 		if err != nil {
+			detected++
 			continue // detected at open: acceptable
 		}
 		func() {
 			defer re.Close()
 			if len(re.RecoveryErrors()) != 0 {
+				detected++
 				return // detected during replay: acceptable
 			}
-			res, err := re.Query("SELECT n, label FROM seq ORDER BY n")
-			if err != nil {
+			k, err := seqRows(re)
+			if err != nil && !errors.Is(err, errSeqContent) {
+				detected++
 				return // detected at read time (checksum / page error): acceptable
 			}
 			// No error anywhere: the data must be EXACTLY right.
-			if len(res.Rows) != total {
-				t.Fatalf("%s: silently served %d rows, want %d", desc.String(), len(res.Rows), total)
-			}
-			for i, row := range res.Rows {
-				wantLabel := fmt.Sprintf("row-%d", i+1)
-				if int(row[0].Num) != i+1 || row[1].String() != wantLabel {
-					t.Fatalf("%s: silently corrupt row %d = (%v, %q)", desc.String(), i, row[0], row[1].String())
-				}
+			if err != nil || k != total {
+				t.Fatalf("%s: silently served %d rows (%v), want %d", desc.String(), k, err, total)
 			}
 		}()
+	}
+	if detected == 0 {
+		t.Error("no trial detected its corruption: the flips are not reaching live pages")
 	}
 }

@@ -25,18 +25,14 @@ func buildMirroredWorkbook(t *testing.T) string {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := ds.Query("CREATE TABLE seq (n INT PRIMARY KEY, v NUMERIC)"); err != nil {
-		t.Fatalf("create: %v", err)
-	}
+	createSeq(t, ds)
 	for i := 1; i <= 5; i++ {
 		if i == 4 {
 			if err := ds.Checkpoint(); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
 		}
-		if _, err := ds.Query(fmt.Sprintf("INSERT INTO seq VALUES (%d, %d)", i, i)); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
+		insertSeq(t, ds, i)
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -153,9 +149,7 @@ func TestBackgroundCheckpointSyncFailureSurfaces(t *testing.T) {
 	// checkpoint whose blob sync hits it. The WAL (different suffix) stays
 	// healthy.
 	ffs.SetFault(vfs.Fault{Kind: vfs.OpSync, PathSuffix: ".dsp", Err: syscall.EIO})
-	if _, err := ds.Query("CREATE TABLE seq (n INT PRIMARY KEY, v NUMERIC)"); err != nil {
-		t.Fatalf("create: %v", err)
-	}
+	createSeq(t, ds)
 	deadline := time.Now().Add(5 * time.Second)
 	var health error
 	for {
@@ -172,9 +166,7 @@ func TestBackgroundCheckpointSyncFailureSurfaces(t *testing.T) {
 	}
 	// A failed checkpoint is not a failed commit: the workbook is not
 	// poisoned and the WAL still accepts and protects writes.
-	if _, err := ds.Query("INSERT INTO seq VALUES (1, 1)"); err != nil {
-		t.Fatalf("insert after background checkpoint failure: %v", err)
-	}
+	insertSeq(t, ds, 1)
 	// The explicit Checkpoint consumes the recorded failure and fails itself
 	// on the latched heap fsync (fsync-gate) — never a silent success.
 	if err := ds.Checkpoint(); err == nil || !errors.Is(err, dberr.ErrIO) {
@@ -202,12 +194,8 @@ func TestBackgroundCheckpointTransientRetry(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	ds.ckptRetryBase = time.Millisecond
-	if _, err := ds.Query("CREATE TABLE seq (n INT PRIMARY KEY, v NUMERIC)"); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if _, err := ds.Query("INSERT INTO seq VALUES (1, 1)"); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
+	createSeq(t, ds)
+	insertSeq(t, ds, 1)
 	// The checkpoint's first write to the heap fails; the retried attempt
 	// succeeds.
 	ffs.SetFault(vfs.Fault{Kind: vfs.OpWrite, PathSuffix: ".dsp", Err: syscall.EIO})
@@ -221,9 +209,7 @@ func TestBackgroundCheckpointTransientRetry(t *testing.T) {
 	if err := ds.Health(); err != nil {
 		t.Fatalf("Health after successful retry = %v, want nil", err)
 	}
-	if _, err := ds.Query("INSERT INTO seq VALUES (2, 2)"); err != nil {
-		t.Fatalf("insert after retry: %v", err)
-	}
+	insertSeq(t, ds, 2)
 	if err := ds.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

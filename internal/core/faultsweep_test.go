@@ -22,10 +22,11 @@ type sweepOutcome struct {
 }
 
 // runSweepWorkload executes the fixed workload against fsys: open, create a
-// table, insert rows 1..6, checkpoint, insert rows 7..10, close. It stops
-// issuing commands at the first error; while the workbook is still open it
-// checks the degraded-mode contract (writes rejected, reads served) before
-// closing.
+// table with a primary key and a secondary index, insert rows 1..6,
+// checkpoint (table pages, leaf pages of both indexes, catalog, root),
+// insert rows 7..10, close. It stops issuing commands at the first error;
+// while the workbook is still open it checks the degraded-mode contract
+// (writes rejected, reads served) before closing.
 func runSweepWorkload(t *testing.T, path string, fsys vfs.FS, label string) sweepOutcome {
 	t.Helper()
 	var out sweepOutcome
@@ -43,16 +44,19 @@ func runSweepWorkload(t *testing.T, path string, fsys vfs.FS, label string) swee
 		}
 		return true
 	}
-	_, err = ds.Query("CREATE TABLE t (id NUMERIC PRIMARY KEY, v TEXT)")
+	_, err = ds.Query("CREATE TABLE t (id NUMERIC PRIMARY KEY, g NUMERIC, v TEXT)")
 	if !fail("create", err) {
 		out.created = true
+		_, err = ds.Query("CREATE INDEX t_g ON t (g)")
+	}
+	if !fail("create-index", err) {
 		for i := 1; i <= sweepRows; i++ {
 			if i == 7 {
 				if fail("checkpoint", ds.Checkpoint()) {
 					break
 				}
 			}
-			_, err := ds.Query(fmt.Sprintf("INSERT INTO t VALUES (%d, 'v%d')", i, i))
+			_, err := ds.Query(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 'v%d')", i, i%2, i))
 			if fail(fmt.Sprintf("insert-%d", i), err) {
 				break
 			}
@@ -89,7 +93,7 @@ func probeDegraded(t *testing.T, ds *DataSpread, out sweepOutcome, label string)
 	// never created, so it creates a fresh table instead of inserting.
 	probe := "CREATE TABLE probe_t (x NUMERIC)"
 	if out.created {
-		probe = "INSERT INTO t VALUES (99, 'probe')"
+		probe = "INSERT INTO t VALUES (99, 1, 'probe')"
 	}
 	if _, err := ds.Query(probe); err == nil || !errors.Is(err, dberr.ErrReadOnly) {
 		t.Errorf("%s: write on poisoned workbook = %v, want ErrReadOnly", label, err)
@@ -109,9 +113,11 @@ func probeDegraded(t *testing.T, ds *DataSpread, out sweepOutcome, label string)
 // verifySweepReopen reopens the workbook on the real filesystem (the fault is
 // gone — the "disk" recovered) and asserts the recovery contract: the open
 // succeeds, and table t holds exactly a contiguous committed prefix 1..m with
-// m >= every acknowledged insert. m may exceed the acknowledged count: a
-// commit whose WAL frame reached the file before the failure was never
-// acknowledged, but recovering it keeps the prefix property.
+// m >= every acknowledged insert — by full scan, through the primary-key
+// leaves and, when the index made it, through the secondary-index leaves. m
+// may exceed the acknowledged count: a commit whose WAL frame reached the
+// file before the failure was never acknowledged, but recovering it keeps
+// the prefix property.
 func verifySweepReopen(t *testing.T, path string, out sweepOutcome, label string) {
 	t.Helper()
 	re, err := OpenFile(path, Options{})
@@ -136,6 +142,13 @@ func verifySweepReopen(t *testing.T, path string, out sweepOutcome, label string
 		for i, row := range res.Rows {
 			if int(row[0].Num) != i+1 {
 				t.Fatalf("%s: reopen row %d = %v, want %d (recovered set is not a contiguous prefix)", label, i, row[0], i+1)
+			}
+		}
+		for _, q := range []string{"SELECT id FROM t WHERE id >= 1", "SELECT id FROM t WHERE g >= 0"} {
+			if via, err := re.Query(q); err != nil {
+				t.Fatalf("%s: reopen %s: %v", label, q, err)
+			} else if len(via.Rows) != m {
+				t.Fatalf("%s: reopen %s = %d rows, full scan has %d", label, q, len(via.Rows), m)
 			}
 		}
 	}

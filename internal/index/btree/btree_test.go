@@ -7,21 +7,65 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/dataspread/dataspread/internal/storage/pager"
 )
+
+// Error-checking shorthands: an in-memory tree never fails, and a paged one
+// only on a damaged page, which the tests that damage pages check themselves.
+
+func set(t testing.TB, tr *Tree, key []byte, val uint64) {
+	t.Helper()
+	if err := tr.Set(key, val); err != nil {
+		t.Fatalf("Set(%x): %v", key, err)
+	}
+}
+
+func get(t testing.TB, tr *Tree, key []byte) (uint64, bool) {
+	t.Helper()
+	v, ok, err := tr.Get(key)
+	if err != nil {
+		t.Fatalf("Get(%x): %v", key, err)
+	}
+	return v, ok
+}
+
+func del(t testing.TB, tr *Tree, key []byte) bool {
+	t.Helper()
+	ok, err := tr.Delete(key)
+	if err != nil {
+		t.Fatalf("Delete(%x): %v", key, err)
+	}
+	return ok
+}
+
+func ascend(t testing.TB, tr *Tree, lo, hi []byte, fn func(k []byte, v uint64) bool) {
+	t.Helper()
+	if err := tr.AscendRange(lo, hi, fn); err != nil {
+		t.Fatalf("AscendRange: %v", err)
+	}
+}
+
+func descend(t testing.TB, tr *Tree, lo, hi []byte, fn func(k []byte, v uint64) bool) {
+	t.Helper()
+	if err := tr.DescendRange(lo, hi, fn); err != nil {
+		t.Fatalf("DescendRange: %v", err)
+	}
+}
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
 	if tr.Len() != 0 {
 		t.Fatal("new tree should be empty")
 	}
-	if _, ok := tr.Get([]byte("x")); ok {
+	if _, ok := get(t, tr, []byte("x")); ok {
 		t.Fatal("Get on empty tree should miss")
 	}
-	if tr.Delete([]byte("x")) {
+	if del(t, tr, []byte("x")) {
 		t.Fatal("Delete on empty tree should return false")
 	}
 	count := 0
-	tr.All(func([]byte, uint64) bool { count++; return true })
+	ascend(t, tr, nil, nil, func([]byte, uint64) bool { count++; return true })
 	if count != 0 {
 		t.Fatal("All on empty tree should not call fn")
 	}
@@ -29,16 +73,16 @@ func TestEmptyTree(t *testing.T) {
 
 func TestSetGetReplace(t *testing.T) {
 	tr := New()
-	tr.Set([]byte("a"), 1)
-	tr.Set([]byte("b"), 2)
-	tr.Set([]byte("a"), 10)
+	set(t, tr, []byte("a"), 1)
+	set(t, tr, []byte("b"), 2)
+	set(t, tr, []byte("a"), 10)
 	if tr.Len() != 2 {
 		t.Errorf("Len = %d, want 2 (replace must not grow)", tr.Len())
 	}
-	if v, ok := tr.Get([]byte("a")); !ok || v != 10 {
+	if v, ok := get(t, tr, []byte("a")); !ok || v != 10 {
 		t.Errorf("Get(a) = %d,%v", v, ok)
 	}
-	if v, ok := tr.Get([]byte("b")); !ok || v != 2 {
+	if v, ok := get(t, tr, []byte("b")); !ok || v != 2 {
 		t.Errorf("Get(b) = %d,%v", v, ok)
 	}
 }
@@ -46,9 +90,9 @@ func TestSetGetReplace(t *testing.T) {
 func TestKeyIsolation(t *testing.T) {
 	tr := New()
 	k := []byte("key")
-	tr.Set(k, 1)
+	set(t, tr, k, 1)
 	k[0] = 'X' // mutating the caller's slice must not corrupt the tree
-	if _, ok := tr.Get([]byte("key")); !ok {
+	if _, ok := get(t, tr, []byte("key")); !ok {
 		t.Error("tree should have copied the key")
 	}
 }
@@ -58,14 +102,14 @@ func TestLargeInsertAndScanOrder(t *testing.T) {
 	const n = 10000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, i := range perm {
-		tr.Set(EncodeUint64(uint64(i)), uint64(i*2))
+		set(t, tr, EncodeUint64(uint64(i)), uint64(i*2))
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
 	// Every key retrievable.
 	for i := 0; i < n; i += 97 {
-		v, ok := tr.Get(EncodeUint64(uint64(i)))
+		v, ok := get(t, tr, EncodeUint64(uint64(i)))
 		if !ok || v != uint64(i*2) {
 			t.Fatalf("Get(%d) = %d,%v", i, v, ok)
 		}
@@ -73,7 +117,7 @@ func TestLargeInsertAndScanOrder(t *testing.T) {
 	// Full scan yields sorted order.
 	prev := []byte(nil)
 	count := 0
-	tr.All(func(k []byte, v uint64) bool {
+	ascend(t, tr, nil, nil, func(k []byte, v uint64) bool {
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			t.Fatalf("scan out of order at %d", count)
 		}
@@ -89,10 +133,10 @@ func TestLargeInsertAndScanOrder(t *testing.T) {
 func TestScanRange(t *testing.T) {
 	tr := New()
 	for i := 0; i < 100; i++ {
-		tr.Set(EncodeUint64(uint64(i)), uint64(i))
+		set(t, tr, EncodeUint64(uint64(i)), uint64(i))
 	}
 	var got []uint64
-	tr.Scan(EncodeUint64(10), EncodeUint64(20), func(_ []byte, v uint64) bool {
+	ascend(t, tr, EncodeUint64(10), EncodeUint64(20), func(_ []byte, v uint64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -101,19 +145,19 @@ func TestScanRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tr.Scan(nil, nil, func([]byte, uint64) bool { n++; return n < 5 })
+	ascend(t, tr, nil, nil, func([]byte, uint64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("early stop visited %d", n)
 	}
 	// Open-ended lower bound.
 	got = got[:0]
-	tr.Scan(nil, EncodeUint64(3), func(_ []byte, v uint64) bool { got = append(got, v); return true })
+	ascend(t, tr, nil, EncodeUint64(3), func(_ []byte, v uint64) bool { got = append(got, v); return true })
 	if len(got) != 3 {
 		t.Errorf("Scan[nil,3) = %v", got)
 	}
 	// Open-ended upper bound.
 	got = got[:0]
-	tr.Scan(EncodeUint64(97), nil, func(_ []byte, v uint64) bool { got = append(got, v); return true })
+	ascend(t, tr, EncodeUint64(97), nil, func(_ []byte, v uint64) bool { got = append(got, v); return true })
 	if len(got) != 3 {
 		t.Errorf("Scan[97,nil) = %v", got)
 	}
@@ -123,10 +167,10 @@ func TestDelete(t *testing.T) {
 	tr := New()
 	const n = 2000
 	for i := 0; i < n; i++ {
-		tr.Set(EncodeUint64(uint64(i)), uint64(i))
+		set(t, tr, EncodeUint64(uint64(i)), uint64(i))
 	}
 	for i := 0; i < n; i += 2 {
-		if !tr.Delete(EncodeUint64(uint64(i))) {
+		if !del(t, tr, EncodeUint64(uint64(i))) {
 			t.Fatalf("Delete(%d) returned false", i)
 		}
 	}
@@ -134,30 +178,51 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n/2)
 	}
 	for i := 0; i < n; i++ {
-		_, ok := tr.Get(EncodeUint64(uint64(i)))
+		_, ok := get(t, tr, EncodeUint64(uint64(i)))
 		if (i%2 == 0) == ok {
 			t.Fatalf("key %d presence wrong after delete", i)
 		}
 	}
-	if tr.Delete(EncodeUint64(0)) {
+	if del(t, tr, EncodeUint64(0)) {
 		t.Error("double delete should return false")
 	}
 }
 
+// TestTreeAgainstMapProperty: randomised operations mirrored against a Go
+// map must always agree — on a tree that stays in memory, and on one that
+// is flushed to pages and swapped for a lazily attached twin every 2500
+// operations, so inserts, deletes and scans land on unloaded leaves, on
+// leaves dirtied again after a flush, and on leaves emptied and dropped.
 func TestTreeAgainstMapProperty(t *testing.T) {
-	// Randomised operations mirrored against a Go map must always agree.
+	t.Run("memory", func(t *testing.T) { treeAgainstMap(t, nil) })
+	t.Run("paged", func(t *testing.T) { treeAgainstMap(t, newTestPool()) })
+}
+
+func treeAgainstMap(t *testing.T, pool *pager.BufferPool) {
 	tr := New()
 	ref := make(map[string]uint64)
 	rng := rand.New(rand.NewSource(42))
+	// 48-byte keys: some 70 to a leaf, so 3000 keys spread over dozens.
+	pad := bytes.Repeat([]byte{'p'}, 40)
+	keyOf := func(i int) []byte { return Composite(EncodeUint64(uint64(i)), pad) }
 	for i := 0; i < 20000; i++ {
-		key := EncodeUint64(uint64(rng.Intn(3000)))
-		switch rng.Intn(3) {
+		if pool != nil && i%2500 == 2499 {
+			tr = reattach(t, tr, pool)
+		}
+		key := keyOf(rng.Intn(3000))
+		op := rng.Intn(3)
+		// Every 5000 operations a sweep deletes 1000 consecutive keys,
+		// emptying whole leaves.
+		if sweep := i%5000 - 4000; sweep >= 0 {
+			key, op = keyOf(1000+sweep), 2
+		}
+		switch op {
 		case 0, 1:
-			v := uint64(rng.Intn(1e6))
-			tr.Set(key, v)
+			v := uint64(1 + rng.Intn(1e6))
+			set(t, tr, key, v)
 			ref[string(key)] = v
 		case 2:
-			got := tr.Delete(key)
+			got := del(t, tr, key)
 			_, want := ref[string(key)]
 			if got != want {
 				t.Fatalf("Delete mismatch at op %d", i)
@@ -169,7 +234,7 @@ func TestTreeAgainstMapProperty(t *testing.T) {
 		t.Fatalf("Len = %d, map = %d", tr.Len(), len(ref))
 	}
 	for k, want := range ref {
-		got, ok := tr.Get([]byte(k))
+		got, ok := get(t, tr, []byte(k))
 		if !ok || got != want {
 			t.Fatalf("Get(%x) = %d,%v want %d", k, got, ok, want)
 		}
@@ -181,7 +246,7 @@ func TestTreeAgainstMapProperty(t *testing.T) {
 	}
 	sort.Strings(keys)
 	i := 0
-	tr.All(func(k []byte, v uint64) bool {
+	ascend(t, tr, nil, nil, func(k []byte, v uint64) bool {
 		if string(k) != keys[i] || v != ref[keys[i]] {
 			t.Fatalf("scan mismatch at %d", i)
 		}
@@ -284,13 +349,13 @@ func TestCompositeKeys(t *testing.T) {
 	for g := 0; g < 5; g++ {
 		for s := 0; s < 10; s++ {
 			key := Composite(EncodeString(fmt.Sprintf("g%d", g)), EncodeUint64(uint64(s)))
-			tr.Set(key, uint64(g*100+s))
+			set(t, tr, key, uint64(g*100+s))
 		}
 	}
 	lo := Composite(EncodeString("g2"), EncodeUint64(0))
 	hi := Composite(EncodeString("g2"), EncodeUint64(1<<62))
 	var got []uint64
-	tr.Scan(lo, hi, func(_ []byte, v uint64) bool { got = append(got, v); return true })
+	ascend(t, tr, lo, hi, func(_ []byte, v uint64) bool { got = append(got, v); return true })
 	if len(got) != 10 || got[0] != 200 || got[9] != 209 {
 		t.Errorf("composite scan = %v", got)
 	}
@@ -302,8 +367,16 @@ func TestAscendDescendRange(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Shuffled insertion order.
 		k := (i*7919 + 13) % n
-		tr.Set(EncodeUint64(uint64(k)), uint64(k))
+		set(t, tr, EncodeUint64(uint64(k)), uint64(k))
 	}
+	t.Run("memory", func(t *testing.T) { ascendDescendRange(t, func() *Tree { return tr }, n) })
+	// Every check starts from a freshly attached tree, so each range is the
+	// first to touch the leaves it needs.
+	pool := newTestPool()
+	t.Run("paged", func(t *testing.T) { ascendDescendRange(t, func() *Tree { return reattach(t, tr, pool) }, n) })
+}
+
+func ascendDescendRange(t *testing.T, tree func() *Tree, n int) {
 	check := func(lo, hi int, wantFirst, wantLast uint64, wantLen int) {
 		t.Helper()
 		var loK, hiK []byte
@@ -314,9 +387,9 @@ func TestAscendDescendRange(t *testing.T) {
 			hiK = EncodeUint64(uint64(hi))
 		}
 		var asc []uint64
-		tr.AscendRange(loK, hiK, func(_ []byte, v uint64) bool { asc = append(asc, v); return true })
+		ascend(t, tree(), loK, hiK, func(_ []byte, v uint64) bool { asc = append(asc, v); return true })
 		var desc []uint64
-		tr.DescendRange(loK, hiK, func(_ []byte, v uint64) bool { desc = append(desc, v); return true })
+		descend(t, tree(), loK, hiK, func(_ []byte, v uint64) bool { desc = append(desc, v); return true })
 		if len(asc) != wantLen || len(desc) != wantLen {
 			t.Fatalf("[%d,%d): len asc=%d desc=%d want %d", lo, hi, len(asc), len(desc), wantLen)
 		}
@@ -341,7 +414,7 @@ func TestAscendDescendRange(t *testing.T) {
 
 	// Early termination.
 	var got []uint64
-	tr.DescendRange(nil, nil, func(_ []byte, v uint64) bool {
+	descend(t, tree(), nil, nil, func(_ []byte, v uint64) bool {
 		got = append(got, v)
 		return len(got) < 5
 	})
@@ -362,14 +435,14 @@ func TestPrefixEnd(t *testing.T) {
 	}
 	// [p, PrefixEnd(p)) must capture exactly the keys extending p.
 	tr := New()
-	tr.Set([]byte{1, 2}, 1)
-	tr.Set([]byte{1, 2, 0}, 2)
-	tr.Set([]byte{1, 2, 0xFF}, 3)
-	tr.Set([]byte{1, 3}, 4)
-	tr.Set([]byte{1, 1, 9}, 5)
+	set(t, tr, []byte{1, 2}, 1)
+	set(t, tr, []byte{1, 2, 0}, 2)
+	set(t, tr, []byte{1, 2, 0xFF}, 3)
+	set(t, tr, []byte{1, 3}, 4)
+	set(t, tr, []byte{1, 1, 9}, 5)
 	var got []uint64
 	p := []byte{1, 2}
-	tr.AscendRange(p, PrefixEnd(p), func(_ []byte, v uint64) bool { got = append(got, v); return true })
+	ascend(t, tr, p, PrefixEnd(p), func(_ []byte, v uint64) bool { got = append(got, v); return true })
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("prefix range = %v", got)
 	}

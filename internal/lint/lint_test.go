@@ -82,9 +82,23 @@ func TestAnnotationsPoseOnlyDirectiveLines(t *testing.T) {
 		"github.com/dataspread/dataspread/internal/sqlexec",
 		"github.com/dataspread/dataspread/internal/core",
 		"github.com/dataspread/dataspread/internal/txn",
+		"github.com/dataspread/dataspread/internal/index/btree",
 	} {
 		if !mod.Ann.PkgHas(pkg, "errdomain") {
 			t.Errorf("%s should carry dslint:errdomain", pkg)
+		}
+	}
+	// Everything that reads or writes workbook pages stays under the
+	// fault-injectable vfs: the pager, the WAL, the durability layer and —
+	// since its leaves are pages — the B-tree.
+	for _, pkg := range []string{
+		"github.com/dataspread/dataspread/internal/storage/pager",
+		"github.com/dataspread/dataspread/internal/txn",
+		"github.com/dataspread/dataspread/internal/core",
+		"github.com/dataspread/dataspread/internal/index/btree",
+	} {
+		if !mod.Ann.PkgHas(pkg, "vfsonly") {
+			t.Errorf("%s should carry dslint:vfsonly", pkg)
 		}
 	}
 	if len(mod.Ann.Objects("lock", "engine")) != 1 {

@@ -505,7 +505,7 @@ var numberFloor = []byte{1}
 // collectPathIDs gathers the candidate RowIDs of a non-ordered path in
 // ascending RowID order, so downstream results keep the exact row order a
 // full scan would produce.
-func (db *Database) collectPathIDs(table string, path *accessPath) []tablestore.RowID {
+func (db *Database) collectPathIDs(table string, path *accessPath) ([]tablestore.RowID, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.collectPathIDsLocked(table, path)
@@ -513,48 +513,51 @@ func (db *Database) collectPathIDs(table string, path *accessPath) []tablestore.
 
 // collectPathIDsLocked is collectPathIDs for callers already holding the
 // database read lock (scan paths that keep the lock across the row fetch).
+// An index leaf that cannot be loaded fails the whole collection: a partial
+// candidate list would read as a silent miss.
 // dslint:requires(engine)
-func (db *Database) collectPathIDsLocked(table string, path *accessPath) []tablestore.RowID {
+func (db *Database) collectPathIDsLocked(table string, path *accessPath) ([]tablestore.RowID, error) {
+	tree := path.indexTree(db, table)
+	if tree == nil {
+		return nil, nil
+	}
 	var ids []tablestore.RowID
+	collect := func(_ []byte, val uint64) bool {
+		ids = append(ids, tablestore.RowID(val))
+		return true
+	}
+	var err error
 	switch {
-	case path.kind == pathInList:
-		if path.index == nil {
-			if idx := db.pkIndex[tkey(table)]; idx != nil {
-				for _, key := range path.probes {
-					if id, ok := idx.Get(key); ok {
-						ids = append(ids, tablestore.RowID(id))
-					}
-				}
+	case path.kind == pathInList && path.index == nil:
+		for _, key := range path.probes {
+			id, ok, gerr := tree.Get(key)
+			if gerr != nil {
+				return nil, gerr
 			}
-		} else {
-			for _, prefix := range path.probes {
-				path.index.tree.AscendRange(prefix, btree.PrefixEnd(prefix), func(_ []byte, val uint64) bool {
-					ids = append(ids, tablestore.RowID(val))
-					return true
-				})
-			}
-		}
-	case path.index == nil && path.kind == pathPoint:
-		if idx := db.pkIndex[tkey(table)]; idx != nil {
-			if id, ok := idx.Get(path.key); ok {
+			if ok {
 				ids = append(ids, tablestore.RowID(id))
 			}
 		}
-	case path.index == nil:
-		if idx := db.pkIndex[tkey(table)]; idx != nil {
-			idx.AscendRange(path.lo, path.hi, func(_ []byte, val uint64) bool {
-				ids = append(ids, tablestore.RowID(val))
-				return true
-			})
+	case path.kind == pathInList:
+		for _, prefix := range path.probes {
+			if err = tree.AscendRange(prefix, btree.PrefixEnd(prefix), collect); err != nil {
+				break
+			}
+		}
+	case path.index == nil && path.kind == pathPoint:
+		var id uint64
+		var ok bool
+		if id, ok, err = tree.Get(path.key); ok {
+			ids = append(ids, tablestore.RowID(id))
 		}
 	default:
-		path.index.tree.AscendRange(path.lo, path.hi, func(_ []byte, val uint64) bool {
-			ids = append(ids, tablestore.RowID(val))
-			return true
-		})
+		err = tree.AscendRange(path.lo, path.hi, collect)
+	}
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return ids, nil
 }
 
 // walkPathOrdered iterates the candidate RowIDs of an ordered path in index
@@ -562,57 +565,39 @@ func (db *Database) collectPathIDsLocked(table string, path *accessPath) []table
 // returns false to stop (the early exit of ORDER BY ... LIMIT k). The
 // caller must hold the database read lock.
 // dslint:requires(engine)
-func (db *Database) walkPathOrdered(table string, path *accessPath, fn func(id tablestore.RowID) bool) {
+func (db *Database) walkPathOrdered(table string, path *accessPath, fn func(id tablestore.RowID) bool) error {
 	tree := path.indexTree(db, table)
 	if tree == nil {
-		return
+		return nil
 	}
-	emit := func(_ []byte, val uint64) bool { return fn(tablestore.RowID(val)) }
-	if path.desc {
-		// Non-NULL keys descend; the NULL group sorts last in the
-		// executor's collation and — since NULLs are exempt from
-		// uniqueness — can hold several rows, whose stable-sort tie order
-		// is ascending RowID, i.e. ascending entry-key order.
-		lo, hi := path.lo, path.hi
-		if lo == nil {
-			done := false
-			tree.DescendRange(numberFloor, hi, func(k []byte, v uint64) bool {
-				if !emit(k, v) {
-					done = true
-					return false
-				}
-				return true
-			})
-			if !done {
-				tree.AscendRange(nil, numberFloor, emit)
-			}
-			return
-		}
-		tree.DescendRange(lo, hi, emit)
-		return
+	done := false
+	emit := func(_ []byte, val uint64) bool {
+		done = !fn(tablestore.RowID(val))
+		return !done
 	}
 	lo, hi := path.lo, path.hi
-	if lo == nil && hi == nil {
-		// Open ordered scan: numbers first, then the NULL group, which
-		// sorts last under compareOrderKeys regardless of direction.
-		done := false
-		tree.AscendRange(numberFloor, nil, func(k []byte, v uint64) bool {
-			if !emit(k, v) {
-				done = true
-				return false
-			}
-			return true
-		})
-		if !done {
-			tree.AscendRange(nil, numberFloor, emit)
-		}
-		return
+	// An open lower bound takes in the NULL group (keys below numberFloor).
+	// It sorts last under compareOrderKeys regardless of direction, so the
+	// non-NULL keys go first and the NULL group follows unless fn stopped
+	// the walk. NULLs are exempt from uniqueness, so the group can hold
+	// several rows; their stable-sort tie order is ascending RowID, i.e.
+	// ascending entry-key order, in both directions.
+	nullsLast := lo == nil && (path.desc || hi == nil)
+	if nullsLast {
+		lo = numberFloor
 	}
-	// Bounded ordered scan: NULL keys inside [lo, hi) can only occur with
-	// lo == nil, and such rows never satisfy the range conjunct that
-	// produced hi, so the predicate re-evaluation drops them before they
-	// count against the limit.
-	tree.AscendRange(lo, hi, emit)
+	// Otherwise the scan is bounded: NULL keys inside [lo, hi) can only
+	// occur with lo == nil, and such rows never satisfy the range conjunct
+	// that produced hi, so the predicate re-evaluation drops them before
+	// they count against the limit.
+	walk := tree.AscendRange
+	if path.desc {
+		walk = tree.DescendRange
+	}
+	if err := walk(lo, hi, emit); err != nil || done || !nullsLast {
+		return err
+	}
+	return tree.AscendRange(nil, numberFloor, emit)
 }
 
 // indexTree resolves the B-tree behind a path (caller holds db.mu).

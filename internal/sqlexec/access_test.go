@@ -3,22 +3,51 @@ package sqlexec
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/storage/pager"
 )
 
 // The golden access-path tests: for every query shape and every physical
 // layout, the result of the planner-chosen index path must be row-for-row
 // identical to the forced full scan, and EXPLAIN must report the expected
-// path.
+// path — on the database that built the indexes in memory, and on one that
+// attached them from a checkpoint and loads each leaf page on first touch.
+
+// accessDBs lists the two ways the suites obtain their test database.
+var accessDBs = []struct {
+	name string
+	open func(*testing.T, Layout) (*Database, *Session)
+}{
+	{"built", newAccessDB},
+	{"reopened", reopenedAccessDB},
+}
+
+// reopenedAccessDB is newAccessDB after a checkpoint and a reopen: the
+// catalog is captured and attached to a fresh Database over the same
+// backend, so every index is a tree of unloaded leaves.
+func reopenedAccessDB(t *testing.T, layout Layout) (*Database, *Session) {
+	t.Helper()
+	db, _ := newAccessDB(t, layout)
+	blob, err := db.MarshalPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := NewDatabase(Config{Layout: layout, Backend: db.pageStore})
+	if err := re.AttachPages(blob); err != nil {
+		t.Fatal(err)
+	}
+	return re, re.NewSession(newFakeSheets())
+}
 
 // newAccessDB builds a deterministic test table with a numeric primary key,
 // a non-unique secondary index and a text column, inserting rows in a
 // shuffled key order so RowID order and key order differ.
 func newAccessDB(t *testing.T, layout Layout) (*Database, *Session) {
 	t.Helper()
-	db := NewDatabase(Config{Layout: layout})
+	db := NewDatabase(Config{Layout: layout, Backend: pager.NewStore()})
 	s := db.NewSession(newFakeSheets())
 	mustExec(t, s, "CREATE TABLE items (id INT PRIMARY KEY, grp INT, v NUMERIC, name TEXT)")
 	const n = 400
@@ -102,27 +131,74 @@ var goldenQueries = []struct {
 	{"SELECT id FROM items WHERE id = 10 OR FALSE", ""},
 }
 
+// forEachAccessDB runs fn as a subtest per layout and per way of obtaining
+// the database.
+func forEachAccessDB(t *testing.T, fn func(t *testing.T, open func(*testing.T) (*Database, *Session))) {
+	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
+		for _, src := range accessDBs {
+			t.Run(string(layout)+"/"+src.name, func(t *testing.T) {
+				fn(t, func(t *testing.T) (*Database, *Session) { return src.open(t, layout) })
+			})
+		}
+	}
+}
+
 func TestAccessPathGoldenEquivalence(t *testing.T) {
+	forEachAccessDB(t, func(t *testing.T, open func(*testing.T) (*Database, *Session)) {
+		db, s := open(t)
+		for _, q := range goldenQueries {
+			db.SetForceFullScan(true)
+			want := mustExec(t, s, q.sql)
+			db.SetForceFullScan(false)
+			got := mustExec(t, s, q.sql)
+			if diff := resultsEqual(want, got); diff != "" {
+				t.Errorf("%s: index path diverges from full scan: %s", q.sql, diff)
+			}
+			if q.explain == "" {
+				continue
+			}
+			plan := mustExec(t, s, "EXPLAIN "+q.sql)
+			text := planText(plan)
+			if !strings.Contains(text, q.explain) {
+				t.Errorf("EXPLAIN %s = %q, want substring %q", q.sql, text, q.explain)
+			}
+		}
+	})
+}
+
+// TestConcurrentFirstTouchGolden: eight sessions open on a freshly reopened
+// database run the golden queries at once, so their first index probes load
+// the same leaves concurrently under the shared engine read lock. Every
+// result must equal the full-scan answer. Run under -race.
+func TestConcurrentFirstTouchGolden(t *testing.T) {
 	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
 		t.Run(string(layout), func(t *testing.T) {
-			db, s := newAccessDB(t, layout)
-			for _, q := range goldenQueries {
-				db.SetForceFullScan(true)
-				want := mustExec(t, s, q.sql)
-				db.SetForceFullScan(false)
-				got := mustExec(t, s, q.sql)
-				if diff := resultsEqual(want, got); diff != "" {
-					t.Errorf("%s: index path diverges from full scan: %s", q.sql, diff)
-				}
-				if q.explain == "" {
-					continue
-				}
-				plan := mustExec(t, s, "EXPLAIN "+q.sql)
-				text := planText(plan)
-				if !strings.Contains(text, q.explain) {
-					t.Errorf("EXPLAIN %s = %q, want substring %q", q.sql, text, q.explain)
-				}
+			built, bs := newAccessDB(t, layout)
+			built.SetForceFullScan(true)
+			want := make([]*Result, len(goldenQueries))
+			for i, q := range goldenQueries {
+				want[i] = mustExec(t, bs, q.sql)
 			}
+			db, _ := reopenedAccessDB(t, layout)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := db.NewSession(newFakeSheets())
+					for i, q := range goldenQueries {
+						got, err := s.Query(q.sql)
+						if err != nil {
+							t.Errorf("%s: %v", q.sql, err)
+							return
+						}
+						if diff := resultsEqual(want[i], got); diff != "" {
+							t.Errorf("%s: concurrent first touch diverges from full scan: %s", q.sql, diff)
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }
@@ -140,45 +216,49 @@ func planText(res *Result) string {
 // (including key-moving updates) and fresh inserts, proving the indexes are
 // maintained transactionally with the base table.
 func TestAccessPathAfterMutations(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db, s := newAccessDB(t, layout)
-			mustExec(t, s, "DELETE FROM items WHERE id BETWEEN 100 AND 140")
-			mustExec(t, s, "UPDATE items SET grp = 99 WHERE id >= 300 AND id < 320")
-			mustExec(t, s, "UPDATE items SET id = 1000 WHERE id = 7")
-			mustExec(t, s, "INSERT INTO items VALUES (2000, 3, 1.5, 'fresh')")
-			// A rolled-back transaction must leave the indexes untouched.
-			mustExec(t, s, "BEGIN")
-			mustExec(t, s, "INSERT INTO items VALUES (3000, 3, 9, 'ghost')")
-			mustExec(t, s, "DELETE FROM items WHERE id = 2000")
-			mustExec(t, s, "ROLLBACK")
-			for _, sql := range []string{
-				"SELECT id FROM items WHERE id = 7",
-				"SELECT id FROM items WHERE id = 1000",
-				"SELECT id FROM items WHERE id = 3000",
-				"SELECT id, name FROM items WHERE id = 2000",
-				"SELECT id FROM items WHERE id BETWEEN 90 AND 150",
-				"SELECT id FROM items WHERE grp = 99 ORDER BY id",
-				"SELECT id FROM items WHERE grp = 3 AND v > 1",
-				"SELECT id FROM items ORDER BY id DESC LIMIT 12",
-			} {
-				db.SetForceFullScan(true)
-				want := mustExec(t, s, sql)
-				db.SetForceFullScan(false)
-				got := mustExec(t, s, sql)
-				if diff := resultsEqual(want, got); diff != "" {
-					t.Errorf("%s after mutations: %s", sql, diff)
-				}
+	forEachAccessDB(t, func(t *testing.T, open func(*testing.T) (*Database, *Session)) {
+		db, s := open(t)
+		mustExec(t, s, "DELETE FROM items WHERE id BETWEEN 100 AND 140")
+		mustExec(t, s, "UPDATE items SET grp = 99 WHERE id >= 300 AND id < 320")
+		mustExec(t, s, "UPDATE items SET id = 1000 WHERE id = 7")
+		mustExec(t, s, "INSERT INTO items VALUES (2000, 3, 1.5, 'fresh')")
+		// A rolled-back transaction must leave the indexes untouched.
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, "INSERT INTO items VALUES (3000, 3, 9, 'ghost')")
+		mustExec(t, s, "DELETE FROM items WHERE id = 2000")
+		mustExec(t, s, "ROLLBACK")
+		for _, sql := range []string{
+			"SELECT id FROM items WHERE id = 7",
+			"SELECT id FROM items WHERE id = 1000",
+			"SELECT id FROM items WHERE id = 3000",
+			"SELECT id, name FROM items WHERE id = 2000",
+			"SELECT id FROM items WHERE id BETWEEN 90 AND 150",
+			"SELECT id FROM items WHERE grp = 99 ORDER BY id",
+			"SELECT id FROM items WHERE grp = 3 AND v > 1",
+			"SELECT id FROM items ORDER BY id DESC LIMIT 12",
+		} {
+			db.SetForceFullScan(true)
+			want := mustExec(t, s, sql)
+			db.SetForceFullScan(false)
+			got := mustExec(t, s, sql)
+			if diff := resultsEqual(want, got); diff != "" {
+				t.Errorf("%s after mutations: %s", sql, diff)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestDMLAccessPaths checks UPDATE/DELETE locate their targets through the
 // index and produce states identical to forced full scans.
 func TestDMLAccessPaths(t *testing.T) {
+	for _, src := range accessDBs {
+		t.Run(src.name, func(t *testing.T) { dmlAccessPaths(t, src.open) })
+	}
+}
+
+func dmlAccessPaths(t *testing.T, open func(*testing.T, Layout) (*Database, *Session)) {
 	run := func(force bool) *Result {
-		db, s := newAccessDB(t, LayoutHybrid)
+		db, s := open(t, LayoutHybrid)
 		db.SetForceFullScan(force)
 		mustExec(t, s, "UPDATE items SET v = -1 WHERE id = 42")
 		mustExec(t, s, "UPDATE items SET v = -2 WHERE id BETWEEN 200 AND 210")
@@ -191,7 +271,7 @@ func TestDMLAccessPaths(t *testing.T) {
 		t.Fatalf("DML via index path diverges: %s", diff)
 	}
 
-	_, s := newAccessDB(t, LayoutHybrid)
+	_, s := open(t, LayoutHybrid)
 	plan := mustExec(t, s, "EXPLAIN UPDATE items SET v = 0 WHERE id = 3")
 	if text := planText(plan); !strings.Contains(text, "pk point (id)") {
 		t.Fatalf("EXPLAIN UPDATE = %q, want pk point", text)

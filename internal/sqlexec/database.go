@@ -416,9 +416,13 @@ func (db *Database) insert(table string, row []sheet.Value, tx *txn.Txn) (tables
 	idx := db.pkIndex[tkey(table)]
 	key := pkKey(tbl, coerced)
 	if key != nil {
-		if _, dup := idx.Get(key); dup {
+		_, dup, err := idx.Get(key)
+		if err == nil && dup {
+			err = fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", table, dberr.ErrUniqueViolation)
+		}
+		if err != nil {
 			db.mu.Unlock()
-			return 0, fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", table, dberr.ErrUniqueViolation)
+			return 0, err
 		}
 	}
 	if err := db.secCheckInsertLocked(table, coerced); err != nil {
@@ -430,10 +434,24 @@ func (db *Database) insert(table string, row []sheet.Value, tx *txn.Txn) (tables
 		db.mu.Unlock()
 		return 0, err
 	}
+	// The RowID completes the secondary keys, so their leaves can only be
+	// reached now. One that fails to load takes the row back out: its
+	// entries (none under the failing leaf) and the tuple.
 	if key != nil {
-		idx.Set(key, uint64(id))
+		err = idx.Set(key, uint64(id))
 	}
-	db.secInsertLocked(table, coerced, id)
+	if err == nil {
+		err = db.secInsertLocked(table, coerced, id)
+	}
+	if err != nil {
+		if key != nil {
+			_, _ = idx.Delete(key) // best effort: the leaf loaded for the duplicate check above
+		}
+		_ = db.secDeleteLocked(table, coerced, id) // best effort: skips the leaf that failed
+		_ = s.Delete(id)                           // best effort: the row was just inserted
+		db.mu.Unlock()
+		return 0, err
+	}
 	db.dataVers[tkey(table)]++
 	db.mu.Unlock()
 	if tx != nil {
@@ -480,26 +498,41 @@ func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value,
 	idx := db.pkIndex[tkey(table)]
 	oldKey, newKey := pkKey(tbl, old), pkKey(tbl, coerced)
 	if newKey != nil && string(oldKey) != string(newKey) {
-		if existing, dup := idx.Get(newKey); dup && existing != uint64(id) {
+		existing, dup, err := idx.Get(newKey)
+		if err == nil && dup && existing != uint64(id) {
+			err = fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", table, dberr.ErrUniqueViolation)
+		}
+		if err != nil {
 			db.mu.Unlock()
-			return fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", table, dberr.ErrUniqueViolation)
+			return err
 		}
 	}
 	if err := db.secCheckUpdateLocked(table, old, coerced, id); err != nil {
 		db.mu.Unlock()
 		return err
 	}
-	if err := s.Update(id, coerced); err != nil {
+	// Every leaf the index maintenance below writes is loaded before the
+	// tuple changes, so that maintenance cannot fail half-way.
+	err = db.loadEntriesLocked(table, idx, oldKey, old, id)
+	if err == nil {
+		err = db.loadEntriesLocked(table, idx, newKey, coerced, id)
+	}
+	if err == nil {
+		err = s.Update(id, coerced)
+	}
+	if err == nil && oldKey != nil && string(oldKey) != string(newKey) {
+		_, err = idx.Delete(oldKey)
+	}
+	if err == nil && newKey != nil {
+		err = idx.Set(newKey, uint64(id))
+	}
+	if err == nil {
+		err = db.secUpdateLocked(table, old, coerced, id)
+	}
+	if err != nil {
 		db.mu.Unlock()
 		return err
 	}
-	if oldKey != nil && string(oldKey) != string(newKey) {
-		idx.Delete(oldKey)
-	}
-	if newKey != nil {
-		idx.Set(newKey, uint64(id))
-	}
-	db.secUpdateLocked(table, old, coerced, id)
 	db.dataVers[tkey(table)]++
 	db.mu.Unlock()
 	if tx != nil {
@@ -582,14 +615,22 @@ func (db *Database) delete(table string, id tablestore.RowID, tx *txn.Txn) error
 		return err
 	}
 	db.mu.Lock()
-	if err := s.Delete(id); err != nil {
+	idx, key := db.pkIndex[tkey(table)], pkKey(tbl, old)
+	// As in update: load the leaves first, then change the tuple.
+	err = db.loadEntriesLocked(table, idx, key, old, id)
+	if err == nil {
+		err = s.Delete(id)
+	}
+	if err == nil && key != nil {
+		_, err = idx.Delete(key)
+	}
+	if err == nil {
+		err = db.secDeleteLocked(table, old, id)
+	}
+	if err != nil {
 		db.mu.Unlock()
 		return err
 	}
-	if key := pkKey(tbl, old); key != nil {
-		db.pkIndex[tkey(table)].Delete(key)
-	}
-	db.secDeleteLocked(table, old, id)
 	db.dataVers[tkey(table)]++
 	db.mu.Unlock()
 	if tx != nil {
@@ -630,10 +671,9 @@ func (db *Database) FindByKey(table string, key []sheet.Value) (tablestore.RowID
 		parts[i] = encodeKeyValue(v)
 	}
 	db.mu.RLock()
-	idx := db.pkIndex[tkey(table)]
-	db.mu.RUnlock()
-	id, ok := idx.Get(btree.Composite(parts...))
-	return tablestore.RowID(id), ok, nil
+	defer db.mu.RUnlock()
+	id, ok, err := db.pkIndex[tkey(table)].Get(btree.Composite(parts...))
+	return tablestore.RowID(id), ok, err
 }
 
 // AddColumn evolves the schema: catalog first, then the storage backfill.

@@ -214,7 +214,11 @@ func (s *Session) scanDMLTargets(tbl *catalog.Table, where sqlparser.Expr, env *
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
 	if path != nil {
-		for _, id := range s.db.collectPathIDsLocked(tbl.Name, path) {
+		ids, err := s.db.collectPathIDsLocked(tbl.Name, path)
+		if err != nil {
+			return err
+		}
+		for _, id := range ids {
 			if err := env.check(); err != nil {
 				return err
 			}

@@ -102,14 +102,15 @@ func (db *Database) CreateIndex(name, table string, columns []string, unique, if
 	var buildErr error
 	err = s.Scan(func(id tablestore.RowID, row []sheet.Value) bool {
 		if unique && !si.hasNull(row) {
-			prefix := si.rowKeyPrefix(row)
-			if indexPrefixOccupied(si.tree, prefix, 0) {
+			var occupied bool
+			if occupied, buildErr = indexPrefixOccupied(si.tree, si.rowKeyPrefix(row), 0); buildErr == nil && occupied {
 				buildErr = fmt.Errorf("sqlexec: cannot create unique index %q: duplicate value in table %q: %w", name, table, dberr.ErrUniqueViolation)
-				return false
 			}
 		}
-		si.tree.Set(si.rowKey(row, id), uint64(id))
-		return true
+		if buildErr == nil {
+			buildErr = si.tree.Set(si.rowKey(row, id), uint64(id))
+		}
+		return buildErr == nil
 	})
 	if err == nil {
 		err = buildErr
@@ -186,16 +187,16 @@ func ikey(name string) string { return strings.ToLower(strings.TrimSpace(name)) 
 
 // indexPrefixOccupied reports whether any entry under the value prefix
 // belongs to a row other than exclude (0 excludes nothing).
-func indexPrefixOccupied(tree *btree.Tree, prefix []byte, exclude tablestore.RowID) bool {
+func indexPrefixOccupied(tree *btree.Tree, prefix []byte, exclude tablestore.RowID) (bool, error) {
 	occupied := false
-	tree.AscendRange(prefix, btree.PrefixEnd(prefix), func(_ []byte, val uint64) bool {
+	err := tree.AscendRange(prefix, btree.PrefixEnd(prefix), func(_ []byte, val uint64) bool {
 		if tablestore.RowID(val) != exclude {
 			occupied = true
 			return false
 		}
 		return true
 	})
-	return occupied
+	return occupied, err
 }
 
 // --- maintenance hooks (callers hold db.mu) ---
@@ -205,7 +206,11 @@ func indexPrefixOccupied(tree *btree.Tree, prefix []byte, exclude tablestore.Row
 func (db *Database) secCheckInsertLocked(table string, row []sheet.Value) error {
 	for _, si := range db.secIndexes[tkey(table)] {
 		if si.def.Unique && !si.hasNull(row) {
-			if indexPrefixOccupied(si.tree, si.rowKeyPrefix(row), 0) {
+			occupied, err := indexPrefixOccupied(si.tree, si.rowKeyPrefix(row), 0)
+			if err != nil {
+				return err
+			}
+			if occupied {
 				return fmt.Errorf("sqlexec: duplicate value for unique index %q in table %q: %w", si.def.Name, table, dberr.ErrUniqueViolation)
 			}
 		}
@@ -213,20 +218,48 @@ func (db *Database) secCheckInsertLocked(table string, row []sheet.Value) error 
 	return nil
 }
 
-// secInsertLocked adds a row's entries to every index of the table.
+// loadEntriesLocked loads the index leaves that hold (or would hold) the
+// entries of a row — primary key pkKey in idx, plus every secondary index —
+// so that the Set and Delete calls which follow find them resident and
+// cannot fail after the tuple has already changed.
 // dslint:requires(engine)
-func (db *Database) secInsertLocked(table string, row []sheet.Value, id tablestore.RowID) {
-	for _, si := range db.secIndexes[tkey(table)] {
-		si.tree.Set(si.rowKey(row, id), uint64(id))
+func (db *Database) loadEntriesLocked(table string, idx *btree.Tree, pkKey []byte, row []sheet.Value, id tablestore.RowID) error {
+	if pkKey != nil {
+		if _, _, err := idx.Get(pkKey); err != nil {
+			return err
+		}
 	}
+	for _, si := range db.secIndexes[tkey(table)] {
+		if _, _, err := si.tree.Get(si.rowKey(row, id)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// secDeleteLocked removes a row's entries from every index of the table.
+// secInsertLocked adds a row's entries to every index of the table.
 // dslint:requires(engine)
-func (db *Database) secDeleteLocked(table string, row []sheet.Value, id tablestore.RowID) {
+func (db *Database) secInsertLocked(table string, row []sheet.Value, id tablestore.RowID) error {
 	for _, si := range db.secIndexes[tkey(table)] {
-		si.tree.Delete(si.rowKey(row, id))
+		if err := si.tree.Set(si.rowKey(row, id), uint64(id)); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// secDeleteLocked removes a row's entries from every index of the table. It
+// keeps going past an index whose leaf fails to load and reports the first
+// such failure.
+// dslint:requires(engine)
+func (db *Database) secDeleteLocked(table string, row []sheet.Value, id tablestore.RowID) error {
+	var first error
+	for _, si := range db.secIndexes[tkey(table)] {
+		if _, err := si.tree.Delete(si.rowKey(row, id)); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // secCheckUpdateLocked verifies unique constraints for a row change.
@@ -240,7 +273,11 @@ func (db *Database) secCheckUpdateLocked(table string, old, new []sheet.Value, i
 		if string(newPrefix) == string(si.rowKeyPrefix(old)) {
 			continue
 		}
-		if indexPrefixOccupied(si.tree, newPrefix, id) {
+		occupied, err := indexPrefixOccupied(si.tree, newPrefix, id)
+		if err != nil {
+			return err
+		}
+		if occupied {
 			return fmt.Errorf("sqlexec: duplicate value for unique index %q in table %q: %w", si.def.Name, table, dberr.ErrUniqueViolation)
 		}
 	}
@@ -249,15 +286,20 @@ func (db *Database) secCheckUpdateLocked(table string, old, new []sheet.Value, i
 
 // secUpdateLocked rewrites a row's entries after an update.
 // dslint:requires(engine)
-func (db *Database) secUpdateLocked(table string, old, new []sheet.Value, id tablestore.RowID) {
+func (db *Database) secUpdateLocked(table string, old, new []sheet.Value, id tablestore.RowID) error {
 	for _, si := range db.secIndexes[tkey(table)] {
 		oldKey, newKey := si.rowKey(old, id), si.rowKey(new, id)
 		if string(oldKey) == string(newKey) {
 			continue
 		}
-		si.tree.Delete(oldKey)
-		si.tree.Set(newKey, uint64(id))
+		if _, err := si.tree.Delete(oldKey); err != nil {
+			return err
+		}
+		if err := si.tree.Set(newKey, uint64(id)); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // secColumnIndexedLocked reports whether column col of the table appears in

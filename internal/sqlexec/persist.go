@@ -1,34 +1,39 @@
 // Page-catalog persistence: the relational half of a durable workbook.
 //
 // MarshalPages serialises everything the engine needs to reattach to its
-// table pages after a reopen — the schema catalog, each table's storage
-// metadata (tablestore.MarshalMeta, physical page ids), the primary-key
-// B-tree entries, and every secondary index with its entries. AttachPages
-// reverses it: stores are opened over the existing pages (no DML replay) and
-// indexes are bulk-loaded from their serialized entries instead of being
-// rebuilt by scanning the tables. The blob is CRC-framed so a corrupted
-// checkpoint fails the open with a clear error.
+// pages after a reopen — the schema catalog, each table's storage metadata
+// (tablestore.MarshalMeta, physical page ids), and for the primary-key
+// B-tree and every secondary index the entry count plus a fence list: the
+// first key and physical page of each leaf. The entries themselves live in
+// the leaf pages (btree.Flush), so the blob grows with the number of pages,
+// not the number of rows. AttachPages reverses it: stores and indexes are
+// opened over the existing pages — no DML replay, no index rebuild, and no
+// leaf page is read until a query reaches it. The blob is CRC-framed so a
+// corrupted checkpoint fails the open with a clear error.
 package sqlexec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
 
 	"github.com/dataspread/dataspread/internal/catalog"
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/index/btree"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
-var pagesMagic = [8]byte{'D', 'S', 'P', 'G', 'C', 'A', 'T', '2'}
+// pagesMagic ends in the catalog format version. Version 2 embedded every
+// index entry in the blob; a file written that way is refused rather than
+// converted.
+var pagesMagic = [8]byte{'D', 'S', 'P', 'G', 'C', 'A', 'T', '3'}
 
-// ErrCorruptPages is returned when a page-catalog blob fails its checksum or
-// cannot be decoded.
-var ErrCorruptPages = errors.New("sqlexec: corrupt page catalog")
+// ErrCorruptPages is returned when a page-catalog blob fails its checksum,
+// cannot be decoded, or is in a format this build does not read.
+var ErrCorruptPages = fmt.Errorf("sqlexec: corrupt page catalog: %w", dberr.ErrCorrupt)
 
 type pagesWriter struct{ buf []byte }
 
@@ -95,24 +100,36 @@ func (r *pagesReader) val() sheet.Value {
 	return v
 }
 
-// treeEntries serialises a B-tree's entries in key order.
-func treeEntries(w *pagesWriter, tree *btree.Tree) {
+// tree serialises a flushed B-tree: its entry count and its fence list, leaf
+// pages resolved to the physical ids a reopen will find them under.
+func (w *pagesWriter) tree(pool *pager.BufferPool, tree *btree.Tree) error {
 	w.uint(uint64(tree.Len()))
-	tree.All(func(key []byte, val uint64) bool {
-		w.bytes(key)
-		w.uint(val)
-		return true
-	})
+	fences := tree.Leaves()
+	w.uint(uint64(len(fences)))
+	for _, f := range fences {
+		if f.Page == pager.InvalidPage {
+			return fmt.Errorf("sqlexec: index changed while the page catalog was captured: %w", dberr.ErrConflict)
+		}
+		w.bytes(f.First)
+		w.uint(uint64(pool.Resolve(f.Page)))
+	}
+	return nil
 }
 
-// readTree bulk-loads a B-tree from serialized entries (already in key
-// order, so inserts are sequential).
-func (r *pagesReader) readTree() *btree.Tree {
-	tree := btree.New()
-	n := r.count("index entry")
-	for i := 0; i < n && r.err == nil; i++ {
-		key := append([]byte(nil), r.bytes()...)
-		tree.Set(key, r.uint())
+// tree attaches a B-tree to its leaf pages from a serialised fence list. The
+// fence keys alias the blob, which the tree keeps alive.
+func (r *pagesReader) tree(pool *pager.BufferPool) *btree.Tree {
+	size := r.uint()
+	fences := make([]btree.Fence, r.count("index leaf"))
+	for i := range fences {
+		fences[i] = btree.Fence{First: r.bytes(), Page: pager.PageID(r.uint())}
+	}
+	if r.err != nil {
+		return nil
+	}
+	tree, err := btree.Attach(pool, int(size), fences)
+	if err != nil {
+		r.fail("%v", err)
 	}
 	return tree
 }
@@ -122,10 +139,45 @@ func (r *pagesReader) readTree() *btree.Tree {
 // BeginCheckpoint/CommitCheckpoint) through it.
 func (db *Database) Pool() *pager.BufferPool { return db.pool }
 
-// MarshalPages serialises the page catalog: schema, store metadata and index
-// contents. Callers must have flushed the pool first so the referenced pages
-// hold current bytes.
-func (db *Database) MarshalPages() []byte {
+// indexTreesLocked lists every B-tree of the database: primary keys and
+// secondary indexes.
+// dslint:requires(engine)
+func (db *Database) indexTreesLocked() []*btree.Tree {
+	trees := make([]*btree.Tree, 0, len(db.pkIndex)+len(db.indexByName))
+	for _, tree := range db.pkIndex {
+		trees = append(trees, tree)
+	}
+	for _, si := range db.indexByName {
+		trees = append(trees, si.tree)
+	}
+	return trees
+}
+
+// flushIndexes writes the index leaves changed since the last call to the
+// pool. It takes the engine lock exclusively — Flush restructures the trees
+// — for time proportional to those leaves.
+func (db *Database) flushIndexes() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, tree := range db.indexTreesLocked() {
+		if err := tree.Flush(db.pool); err != nil {
+			return fmt.Errorf("sqlexec: flush index leaves: %w", err)
+		}
+	}
+	return nil
+}
+
+// MarshalPages brings the backend pages up to date — index leaves changed
+// since the last call, then every dirty pool page — and serialises the page
+// catalog over them: schema, store metadata and index fence lists. Nothing
+// is synced; that is the caller's checkpoint protocol.
+func (db *Database) MarshalPages() ([]byte, error) {
+	if err := db.flushIndexes(); err != nil {
+		return nil, err
+	}
+	if err := db.pool.FlushAll(); err != nil {
+		return nil, fmt.Errorf("sqlexec: flush pool: %w", err)
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	w := &pagesWriter{}
@@ -152,7 +204,9 @@ func (db *Database) MarshalPages() []byte {
 			w.val(c.Default)
 		}
 		w.bytes(s.MarshalMeta())
-		treeEntries(w, db.pkIndex[tk])
+		if err := w.tree(db.pool, db.pkIndex[tk]); err != nil {
+			return nil, err
+		}
 	}
 	var indexes []*secIndex
 	for _, tbl := range tables {
@@ -171,13 +225,15 @@ func (db *Database) MarshalPages() []byte {
 		for _, c := range si.def.Columns {
 			w.str(c)
 		}
-		treeEntries(w, si.tree)
+		if err := w.tree(db.pool, si.tree); err != nil {
+			return nil, err
+		}
 	}
 
 	out := make([]byte, 12, 12+len(w.buf))
 	copy(out, pagesMagic[:])
 	binary.LittleEndian.PutUint32(out[8:12], crc32.ChecksumIEEE(w.buf))
-	return append(out, w.buf...)
+	return append(out, w.buf...), nil
 }
 
 // AttachPages rebuilds catalog, stores and indexes from a MarshalPages blob,
@@ -186,7 +242,7 @@ func (db *Database) MarshalPages() []byte {
 // Database (core.OpenFile), before any sessions run.
 func (db *Database) AttachPages(blob []byte) error {
 	if len(blob) < 12 || [8]byte(blob[0:8]) != pagesMagic {
-		return fmt.Errorf("%w: bad magic", ErrCorruptPages)
+		return fmt.Errorf("%w: bad magic or unsupported format version", ErrCorruptPages)
 	}
 	body := blob[12:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(blob[8:12]) {
@@ -220,7 +276,7 @@ func (db *Database) AttachPages(blob []byte) error {
 			})
 		}
 		meta := r.bytes()
-		tree := r.readTree()
+		tree := r.tree(db.pool)
 		if r.err != nil {
 			break
 		}
@@ -248,7 +304,7 @@ func (db *Database) AttachPages(blob []byte) error {
 		for j := 0; j < ncols && r.err == nil; j++ {
 			colNames = append(colNames, r.str())
 		}
-		tree := r.readTree()
+		tree := r.tree(db.pool)
 		if r.err != nil {
 			break
 		}
@@ -292,14 +348,21 @@ func (db *Database) AttachPages(blob []byte) error {
 }
 
 // DurablePageIDs returns the physical backend pages the relational state
-// currently references — every table's data pages — for checkpoint
-// reachability and the pool's protection set.
+// currently references — every table's data pages and every flushed index
+// leaf — for checkpoint reachability and the pool's protection set.
 func (db *Database) DurablePageIDs() []pager.PageID {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []pager.PageID
 	for _, s := range db.stores {
 		out = append(out, s.Pages()...)
+	}
+	for _, tree := range db.indexTreesLocked() {
+		for _, f := range tree.Leaves() {
+			if f.Page != pager.InvalidPage {
+				out = append(out, db.pool.Resolve(f.Page))
+			}
+		}
 	}
 	return out
 }

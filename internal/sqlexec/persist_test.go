@@ -32,10 +32,10 @@ func TestMarshalAttachPages(t *testing.T) {
 			mustExec(t, s, "DELETE FROM acct WHERE id = 7")
 			mustExec(t, s, "UPDATE acct SET bal = -1 WHERE id = 9")
 
-			if err := db.Pool().FlushAll(); err != nil {
+			blob, err := db.MarshalPages()
+			if err != nil {
 				t.Fatal(err)
 			}
-			blob := db.MarshalPages()
 
 			db2 := NewDatabase(Config{Layout: layout, Backend: backend})
 			if err := db2.AttachPages(blob); err != nil {
@@ -85,10 +85,10 @@ func TestAttachPagesRejectsCorrupt(t *testing.T) {
 	s := db.NewSession(newFakeSheets())
 	mustExec(t, s, "CREATE TABLE t (a INT PRIMARY KEY)")
 	mustExec(t, s, "INSERT INTO t VALUES (1), (2), (3)")
-	if err := db.Pool().FlushAll(); err != nil {
+	blob, err := db.MarshalPages()
+	if err != nil {
 		t.Fatal(err)
 	}
-	blob := db.MarshalPages()
 	for _, pos := range []int{0, 9, len(blob) / 2, len(blob) - 1} {
 		corrupt := append([]byte(nil), blob...)
 		corrupt[pos] ^= 0x40

@@ -714,18 +714,22 @@ func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, ctx *rowCtx, f
 		return true, nil
 	}
 	if !s.path.ordered {
-		for _, id := range db.collectPathIDsLocked(table, s.path) {
+		ids, err := db.collectPathIDsLocked(table, s.path)
+		if err != nil {
+			return err
+		}
+		for _, id := range ids {
 			if ok, err := keep(id); err != nil || !ok {
 				return err
 			}
 		}
 		return nil
 	}
-	var walkErr error
-	db.walkPathOrdered(table, s.path, func(id tablestore.RowID) bool {
+	var keepErr error
+	err := db.walkPathOrdered(table, s.path, func(id tablestore.RowID) bool {
 		ok, err := keep(id)
 		if err != nil {
-			walkErr = err
+			keepErr = err
 			return false
 		}
 		if !ok {
@@ -733,7 +737,10 @@ func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, ctx *rowCtx, f
 		}
 		return s.path.earlyLimit <= 0 || emitted < s.path.earlyLimit
 	})
-	return walkErr
+	if keepErr != nil {
+		return keepErr
+	}
+	return err
 }
 
 func compilePredicates(conjuncts []sqlparser.Expr, cols []colDesc, env *execEnv) ([]boundExpr, error) {

@@ -303,7 +303,9 @@ func (db *Database) streamSimpleSelect(stmt *sqlparser.SelectStmt, an *selectAna
 	// enumerate ids through a zero-column scan (no value decoding).
 	var ids []tablestore.RowID
 	if src.path != nil && src.path.kind != pathFull {
-		ids = db.collectPathIDs(src.tbl.Name, src.path)
+		if ids, err = db.collectPathIDs(src.tbl.Name, src.path); err != nil {
+			return err
+		}
 	} else {
 		var ctxErr error
 		db.mu.RLock()

@@ -177,10 +177,10 @@ func TestMarshalAttachZones(t *testing.T) {
 		t.Run(string(layout), func(t *testing.T) {
 			backend := pager.NewStore()
 			db, s := newZoneDB(t, layout, backend)
-			if err := db.Pool().FlushAll(); err != nil {
+			pagesBlob, err := db.MarshalPages()
+			if err != nil {
 				t.Fatal(err)
 			}
-			pagesBlob := db.MarshalPages()
 			zonesBlob := db.MarshalZones()
 
 			attach := func(t *testing.T) (*Database, *Session) {

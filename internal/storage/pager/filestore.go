@@ -72,7 +72,7 @@ type FileStore struct {
 
 const (
 	slotHeaderSize = 16
-	slotPayload    = PageSize - slotHeaderSize
+	slotPayload    = PagePayload
 	fileVersion    = 1
 
 	flagHead         = 0

@@ -21,6 +21,12 @@ import (
 // their data blocks around it.
 const PageSize = 4096
 
+// PagePayload is the largest page content a FileStore keeps in one PageSize
+// slot (the slot header takes the rest); longer content spills into
+// continuation slots. Writers that size their pages to the device — the
+// B-tree's leaf pages — split at this budget.
+const PagePayload = PageSize - slotHeaderSize
+
 // PageID identifies a page within a Store. Zero is never a valid page id.
 type PageID uint64
 
