@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt bench benchcheck fuzz faultcheck verify apicheck lint servecheck
+.PHONY: all build test race racecheck vet fmt bench benchcheck fuzz faultcheck verify apicheck lint servecheck
 
 all: build test
 
@@ -22,7 +22,14 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
-verify: fmt vet lint build test faultcheck apicheck benchcheck
+verify: fmt vet lint build test racecheck faultcheck apicheck benchcheck
+
+# racecheck runs the race detector over the two packages whose code runs
+# without the engine lock — the scan kernel's pullers (internal/sqlexec) and
+# the snapshot scans they drive (internal/storage/tablestore) — so `verify`
+# guards lock-freedom locally; CI (and `make race`) runs it over every package.
+racecheck:
+	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore
 
 # lint runs go vet plus dslint, the project-specific analyzer suite
 # (internal/lint): lockcheck (engine-lock discipline, no parking under the

@@ -74,7 +74,7 @@ func writeBenchJSON(path string) {
 	report := benchReport{
 		PR:            9,
 		Title:         "Zone maps, lightweight column compression, and page-level data skipping on the cold scan path",
-		GeneratedBy:   "cmd/dsbench -json (Zone*: baseline = SetForceNoSkip scan, after = zone-map pruned scan, shared 1M-row table with an unindexed clustered ts column, meta records pages read vs skipped and the worker count; DictVsPlainTextScan: baseline = plain-encoded high-NDV text column, after = dictionary-encoded low-NDV column, same shape; Par*: baseline = forced-serial executor, after = morsel pool at the named worker count; WriterInterference*: baseline = serial scans under the engine lock, after = snapshot reads, both against a churning writer; MmapVsFile*: baseline = FileStore pread, after = MmapStore)",
+		GeneratedBy:   "cmd/dsbench -json (Zone*: baseline = SetForceNoSkip scan, after = zone-map pruned scan, shared 1M-row table with an unindexed clustered ts column, meta records pages read vs skipped and the worker count; DictVsPlainTextScan: baseline = plain-encoded high-NDV text column, after = dictionary-encoded low-NDV column, same shape; Par*: baseline = forced-serial executor, after = morsel pool at the named worker count; WriterInterference*: baseline = one-puller snapshot scans, after = the morsel pool, both against a churning writer; MmapVsFile*: baseline = FileStore pread, after = MmapStore)",
 		MmapSupported: pager.MmapSupported,
 	}
 	addMeta := func(name string, baseline *benchNums, after benchNums, meta map[string]int64) {

@@ -15,7 +15,7 @@ import (
 // PR 8 workloads: paired serial-vs-parallel executions of the morsel-driven
 // executor over one shared 1M-row table, plus a writer-interference latency
 // probe for the snapshot-read path. The dataset is built once and reused;
-// SetForceSerial/SetWorkers flip the execution mode between timings, so both
+// SetWorkers flips the execution mode between timings, so both
 // sides of every pair see identical pages.
 
 const (
@@ -71,12 +71,8 @@ func parBenchDB() *sqlexec.Database {
 func benchParQuery(query string, wantRows, workers int) func(b *testing.B) {
 	return func(b *testing.B) {
 		db := parBenchDB()
-		db.SetForceSerial(workers == 1)
 		db.SetWorkers(workers)
-		defer func() {
-			db.SetForceSerial(false)
-			db.SetWorkers(0)
-		}()
+		defer db.SetWorkers(0)
 		sess := db.NewSession(nil)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -93,15 +89,17 @@ func benchParQuery(query string, wantRows, workers int) func(b *testing.B) {
 }
 
 // benchWriterInterference measures read latency percentiles while a writer
-// churns rows on the same table. In serial mode every scan holds the engine
-// read lock end to end, so reads queue behind each exclusive writer hold; in
-// snapshot mode the reader pins an epoch under a brief lock and scans frozen
-// pages, so the writer's lock holds stop landing in the read path. Returns
-// (p50, p99) in nanoseconds over `samples` aggregation queries.
+// churns rows on the same table. Every scan pins an epoch under a brief lock
+// and reads frozen pages, so the writer's lock holds never land in the read
+// path; serial mode runs the scan and the fold with one puller, the other
+// mode with the configured worker pool. Returns (p50, p99) in nanoseconds
+// over `samples` aggregation queries.
 func benchWriterInterference(serial bool, samples int) (p50, p99 float64) {
 	db := parBenchDB()
-	db.SetForceSerial(serial)
-	defer db.SetForceSerial(false)
+	if serial {
+		db.SetWorkers(1)
+		defer db.SetWorkers(0)
+	}
 
 	stop := make(chan struct{})
 	var writer sync.WaitGroup

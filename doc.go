@@ -50,9 +50,10 @@
 // state (BEGIN/COMMIT/ROLLBACK). Failures wrap a small sentinel taxonomy —
 // ErrTableNotFound, ErrUniqueViolation, ErrParamCount, … — for errors.Is.
 //
-// Reads are snapshot reads: a scan pins an immutable page epoch and runs
-// against frozen page versions without holding the engine lock, so readers
-// never block writers (and vice versa) and every query sees a single
+// Reads are snapshot reads: every table scan — materialised or streamed,
+// serial or parallel — pins an immutable page epoch and runs the same
+// kernel against frozen page versions without holding the engine lock, so
+// readers never block writers (and vice versa) and a scan sees a single
 // point-in-time state. Large scans, aggregations and joins additionally
 // fan out over a morsel-driven worker pool (Options.Workers; default
 // GOMAXPROCS, 1 = serial) with results identical to serial execution row

@@ -18,9 +18,13 @@ import (
 // internally coherent — the writer maintains qty == 2*id in every version it
 // ever writes, so a torn or mixed-version row surfaces as a violated
 // invariant — and the pool must end with no pinned epochs or retained
-// versions once the readers drain.
+// versions once the readers drain. The writer also grows a second table, g,
+// from just below the executor's parallel-scan floor (4096 rows) to well past
+// it while the readers scan it, so the serial-vs-parallel decision is taken
+// against a moving row count.
 func TestSnapshotReadersUnderWriterAndCheckpointChurn(t *testing.T) {
 	const rows = 6000
+	const growStart = 4000
 	path := filepath.Join(t.TempDir(), "stress.dsp")
 	ds, err := OpenFile(path, Options{Workers: 4, CheckpointWALBytes: -1})
 	if err != nil {
@@ -31,11 +35,25 @@ func TestSnapshotReadersUnderWriterAndCheckpointChurn(t *testing.T) {
 	if _, err := ds.Query(`CREATE TABLE t (id NUMBER PRIMARY KEY, qty NUMBER, tag STRING)`); err != nil {
 		t.Fatal(err)
 	}
+	// g has no key, so growing it changes no index while a checkpoint
+	// captures the page catalog (the writer bypasses the command path).
+	if _, err := ds.Query(`CREATE TABLE g (id NUMBER, qty NUMBER, tag STRING)`); err != nil {
+		t.Fatal(err)
+	}
 	db := ds.DB()
-	for i := 0; i < rows; i++ {
-		if _, err := db.Insert("t", []sheet.Value{
+	insert := func(table string, i int) error {
+		_, err := db.Insert(table, []sheet.Value{
 			sheet.Number(float64(i)), sheet.Number(float64(i * 2)), sheet.String_("x"),
-		}); err != nil {
+		})
+		return err
+	}
+	for i := 0; i < rows; i++ {
+		if err := insert("t", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < growStart; i++ {
+		if err := insert("g", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,6 +85,10 @@ func TestSnapshotReadersUnderWriterAndCheckpointChurn(t *testing.T) {
 				sheet.Number(float64(n)), sheet.Number(float64(n * 2)), sheet.String_(fmt.Sprintf("w%d", i)),
 			}); err != nil {
 				report(fmt.Errorf("writer: %w", err))
+				return
+			}
+			if err := insert("g", growStart+i); err != nil {
+				report(fmt.Errorf("writer: grow: %w", err))
 				return
 			}
 		}
@@ -114,6 +136,20 @@ func TestSnapshotReadersUnderWriterAndCheckpointChurn(t *testing.T) {
 				if _, err := sess.Query(`SELECT COUNT(*), SUM(qty) FROM t`); err != nil {
 					report(fmt.Errorf("reader agg: %w", err))
 					return
+				}
+				if res, err = sess.Query(`SELECT id, qty FROM g`); err != nil {
+					report(fmt.Errorf("reader: growing table: %w", err))
+					return
+				}
+				if len(res.Rows) < growStart {
+					report(fmt.Errorf("reader saw %d rows of the growing table, want >= %d", len(res.Rows), growStart))
+					return
+				}
+				for _, row := range res.Rows {
+					if row[1].Num != row[0].Num*2 {
+						report(fmt.Errorf("torn row in growing table: id=%v qty=%v", row[0], row[1]))
+						return
+					}
 				}
 			}
 		}()

@@ -16,7 +16,7 @@
 //     function must lexically contain a call to the poll method, to a
 //     `// dslint:polls` helper, or to a local closure that polls.
 //   - `// dslint:perrow` marks callbacks-per-row entry points (Store.Scan,
-//     Store.ScanCols, index Ascend/Descend). A func-literal callback
+//     TableSnap.ScanColsRange, index Ascend/Descend). A func-literal callback
 //     passed to one from a poll-capable function must poll the same way:
 //     the callback runs once per visited row, so it is the loop body.
 package ctxcancel

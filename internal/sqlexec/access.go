@@ -16,7 +16,7 @@ import (
 // filtered full scan, the planner inspects the sargable WHERE conjuncts
 // pushed into a source and chooses among:
 //
-//   - full scan            — stream every tuple through ScanCols;
+//   - full scan            — stream every tuple through the scan kernel;
 //   - pk / index point     — equality on every index column resolves to at
 //     most a handful of tuples through the B+-tree;
 //   - pk / index range     — an equality prefix plus bounds on the next

@@ -31,14 +31,7 @@ var accessDBs = []struct {
 func reopenedAccessDB(t *testing.T, layout Layout) (*Database, *Session) {
 	t.Helper()
 	db, _ := newAccessDB(t, layout)
-	blob, err := db.MarshalPages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := NewDatabase(Config{Layout: layout, Backend: db.pageStore})
-	if err := re.AttachPages(blob); err != nil {
-		t.Fatal(err)
-	}
+	re := reopenDB(t, db)
 	return re, re.NewSession(newFakeSheets())
 }
 

@@ -111,13 +111,9 @@ type Database struct {
 	// benchmark baseline compare against forced full scans).
 	forceFullScan atomic.Bool
 
-	// forceSerial disables morsel-driven parallel execution (golden tests
-	// and benchmark baselines compare parallel plans against the serial
-	// executor on identical data).
-	forceSerial atomic.Bool
-
 	// workersOverride, when non-zero, replaces cfg.Workers at plan time so
-	// benchmarks can sweep worker counts over one loaded dataset.
+	// benchmarks can sweep worker counts over one loaded dataset and golden
+	// tests can hold parallel plans to the serial executor (1).
 	workersOverride atomic.Int32
 
 	// forceNoSkip disables zone-map page skipping (golden tests and the
@@ -178,15 +174,11 @@ func (db *Database) TableDataVersion(name string) uint64 {
 // and benchmark baselines use it to compare plans on identical data.
 func (db *Database) SetForceFullScan(force bool) { db.forceFullScan.Store(force) }
 
-// SetForceSerial disables (true) or re-enables (false) morsel-driven
-// parallel execution: with the flag set every scan, aggregation and join
-// runs on the calling goroutine. Golden tests and benchmark baselines use it
-// to compare the parallel executor against serial output on identical data.
-func (db *Database) SetForceSerial(force bool) { db.forceSerial.Store(force) }
-
 // SetWorkers overrides the configured worker-pool width for subsequent
-// queries (0 restores Config.Workers). Benchmarks use it to sweep worker
-// counts over one loaded dataset.
+// queries (0 restores Config.Workers). With 1, every scan, aggregation and
+// join runs on the calling goroutine: golden tests and benchmark baselines
+// use it to compare the parallel executor against serial output on
+// identical data, and benchmarks sweep wider counts over one loaded dataset.
 func (db *Database) SetWorkers(n int) { db.workersOverride.Store(int32(n)) }
 
 // SetForceNoSkip disables (true) or re-enables (false) zone-map page

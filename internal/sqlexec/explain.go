@@ -5,7 +5,6 @@ import (
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlparser"
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // EXPLAIN. The statement is planned exactly as execution would plan it —
@@ -85,40 +84,25 @@ func (db *Database) explainSelect(stmt *sqlparser.SelectStmt, env *execEnv) ([]s
 }
 
 // explainScanExtras renders the physical-scan annotations of one named-table
-// source: zone-map page skipping (when sargable bounds reached a store with
-// summaries) and, for parallel-eligible full scans, the worker count and the
-// morsel partitions the pruned row space splits into.
+// source from the plan the scan kernel would run: zone-map page skipping
+// (when sargable bounds reached the store) and, for parallel-eligible full
+// scans, the worker count and the morsel partitions the pruned row space
+// splits into.
 func (db *Database) explainScanExtras(src *srcState) string {
 	if src.store == nil {
 		return ""
 	}
 	_, scanCols := src.scanSchema()
+	ts := db.planScan(src, scanCols, db.parWorkers())
+	defer ts.snap.Release()
 	out := ""
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if len(src.zoneBounds) > 0 {
-		if pruner, ok := src.store.(tablestore.Pruner); ok {
-			total, skipped := pruner.PruneStats(scanCols, src.zoneBounds)
-			out += fmt.Sprintf(", zone maps: %d/%d pages skipped", skipped, total)
-		}
+		out += fmt.Sprintf(", zone maps: %d/%d pages skipped", ts.skipped, ts.read+ts.skipped)
 	}
-	if src.path != nil && src.path.kind != pathFull {
-		return out
+	if src.fullScan() && ts.workers > 1 {
+		out += fmt.Sprintf(", parallel: %d workers, %d partitions", ts.workers, len(ts.parts))
 	}
-	workers := db.parWorkers()
-	snapper, ok := src.store.(tablestore.Snapshotter)
-	if workers <= 1 || !ok || src.store.RowCount() < parMinRows {
-		return out
-	}
-	snap := snapper.Snapshot()
-	defer snap.Release()
-	var parts []tablestore.Partition
-	if psnap, isPruned := snap.(tablestore.PrunedSnap); isPruned && len(src.zoneBounds) > 0 {
-		parts, _, _ = psnap.PartitionsPruned(workers*morselsPerWorker, scanCols, src.zoneBounds)
-	} else {
-		parts = snap.Partitions(workers * morselsPerWorker)
-	}
-	return out + fmt.Sprintf(", parallel: %d workers, %d partitions", workers, len(parts))
+	return out
 }
 
 // explainDML renders the access path UPDATE/DELETE would use to locate

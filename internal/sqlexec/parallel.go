@@ -4,11 +4,9 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlparser"
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // Morsel-driven parallel execution. Eligible pipeline fragments — the
@@ -22,16 +20,16 @@ import (
 //
 // Two invariants keep parallel plans exchangeable with serial ones:
 //
-//   - Readers never touch the engine lock. A parallel table scan pins a
-//     BufferPool epoch through tablestore.Snapshotter (the lock is held only
-//     for the Snapshot() call itself), and every morsel then reads frozen
-//     page versions with no lock at all — writers never block readers and
-//     readers never block writers.
+//   - Readers never touch the engine lock. A table scan pins a BufferPool
+//     epoch through Store.Snapshot (the lock is held only for that call),
+//     and every morsel then reads frozen page versions with no lock at all —
+//     writers never block readers and readers never block writers (the
+//     kernel is scan.go).
 //   - Output is row-for-row identical to the serial executor. Morsel results
 //     are concatenated in partition order (= serial scan order); merged
 //     GROUP BY groups keep first-appearance order; partitioned hash joins
 //     probe the per-partition build indexes in partition order so matches
-//     surface in build-row order. SetForceSerial golden tests hold the two
+//     surface in build-row order. SetWorkers(1) golden tests hold the two
 //     executors to byte equality.
 //
 // Compiled expression trees (boundExpr) carry per-tree scratch buffers, so
@@ -48,13 +46,10 @@ const parMinRows = 4096
 // workers keeps the pool balanced when partitions carry skewed row counts.
 const morselsPerWorker = 4
 
-// parWorkers returns the worker-pool size for parallel fragments: 1 when
-// parallel execution is disabled (SetForceSerial), else Config.Workers,
-// defaulting to GOMAXPROCS.
+// parWorkers returns the worker-pool size for parallel fragments: the
+// SetWorkers override, else Config.Workers, defaulting to GOMAXPROCS. A
+// width of 1 keeps every fragment on the calling goroutine.
 func (db *Database) parWorkers() int {
-	if db.forceSerial.Load() {
-		return 1
-	}
 	w := int(db.workersOverride.Load())
 	if w <= 0 {
 		w = db.cfg.Workers
@@ -93,9 +88,13 @@ func (p *parPoll) check() error {
 }
 
 // parRun fans fn out over workers goroutines and returns the first error in
-// worker order. fn must not touch the engine lock: the callers' fragments
-// run concurrently with writers that hold it.
+// worker order; a single worker runs on the calling goroutine. fn must not
+// touch the engine lock: the callers' fragments run concurrently with
+// writers that hold it.
 func parRun(workers int, fn func(w int) error) error {
+	if workers == 1 {
+		return fn(0)
+	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -130,131 +129,6 @@ func splitRows(total, n int) [][2]int {
 		}
 	}
 	return out
-}
-
-// --- parallel table scan ---
-
-// parScanSource scans one named-table FROM source through a pinned snapshot
-// with the worker pool: morsels are page-range partitions of the snapshot,
-// each worker filters its morsels with its own compiled predicate tree, and
-// the per-morsel outputs concatenate in partition order (= serial scan
-// order). It reports handled=false when the fragment is not eligible —
-// small table, index access path, serial mode, or a store without snapshot
-// support — and the caller falls back to the locked serial scan.
-func (db *Database) parScanSource(s *srcState, cols []colDesc, scanCols []int, env *execEnv) (rel *relation, handled bool, err error) {
-	workers := db.parWorkers()
-	if workers <= 1 || s.store == nil {
-		return nil, false, nil
-	}
-	if s.path != nil && s.path.kind != pathFull {
-		return nil, false, nil
-	}
-	snapper, ok := s.store.(tablestore.Snapshotter)
-	if !ok || s.store.RowCount() < parMinRows {
-		return nil, false, nil
-	}
-	// One predicate compile per worker, sequentially: compilation may fold
-	// RANGEVALUE through the shared sheet accessor, and the resulting trees
-	// carry per-tree scratch.
-	preds := make([][]boundExpr, workers)
-	for w := range preds {
-		if preds[w], err = compilePredicates(s.pushed, cols, env); err != nil {
-			return nil, false, err
-		}
-	}
-	// The engine lock is held only while the snapshot pins its epoch;
-	// every page read below runs lock-free against frozen versions.
-	db.mu.RLock()
-	snap := snapper.Snapshot()
-	db.mu.RUnlock()
-	defer snap.Release()
-
-	// Zone-map bounds drop provably matchless page ranges before morsel
-	// distribution, so skipped pages never reach a worker. usedPrune (not a
-	// nil check) gates the fallback: an empty pruned partition list is a
-	// valid result — every page was skipped.
-	var parts []tablestore.Partition
-	usedPrune := false
-	if len(s.zoneBounds) > 0 {
-		if psnap, ok := snap.(tablestore.PrunedSnap); ok {
-			var read, skip int
-			parts, read, skip = psnap.PartitionsPruned(workers*morselsPerWorker, scanCols, s.zoneBounds)
-			db.pagesRead.Add(int64(read))
-			db.pagesSkipped.Add(int64(skip))
-			usedPrune = true
-		}
-	}
-	if !usedPrune {
-		parts = snap.Partitions(workers * morselsPerWorker)
-	}
-	if len(parts) == 0 {
-		return &relation{cols: cols}, true, nil
-	}
-	stable := snap.ScanColsStable(scanCols)
-	results := make([][][]sheet.Value, len(parts))
-	var cursor atomic.Int64
-	err = parRun(workers, func(w int) error {
-		return scanMorsels(snap, parts, &cursor, scanCols, preds[w], stable, env, results)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	rel = &relation{cols: cols}
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	rel.rows = make([][]sheet.Value, 0, total)
-	for _, rs := range results {
-		rel.rows = append(rel.rows, rs...)
-	}
-	return rel, true, nil
-}
-
-// scanMorsels is one scan worker: it pulls morsel indexes from the shared
-// cursor until the queue drains, filtering each page-range partition into
-// its slot of results. It runs concurrently with writers and must never
-// acquire the engine lock — the snapshot serves frozen page versions
-// without it.
-//
-// dslint:nolock(engine)
-func scanMorsels(snap tablestore.TableSnap, parts []tablestore.Partition, cursor *atomic.Int64, scanCols []int, preds []boundExpr, stable bool, env *execEnv, results [][][]sheet.Value) error {
-	ctx := env.newRowCtx()
-	poll := parPoll{ctx: envCtx(env)}
-	var arena valueArena
-	for {
-		i := int(cursor.Add(1)) - 1
-		if i >= len(parts) {
-			return nil
-		}
-		var out [][]sheet.Value
-		var innerErr error
-		err := snap.ScanColsRange(parts[i], scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-			if innerErr = poll.check(); innerErr != nil {
-				return false
-			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if keep {
-				if !stable {
-					row = arena.clone(row)
-				}
-				out = append(out, row)
-			}
-			return true
-		})
-		if err == nil {
-			err = innerErr
-		}
-		if err != nil {
-			return err
-		}
-		results[i] = out
-	}
 }
 
 // envCtx returns the execution's context (nil-safe).

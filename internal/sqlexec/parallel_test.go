@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // The parallel executor must be output-equivalent to the serial one: every
-// query here runs once under SetForceSerial(true) (the golden) and once in
+// query here runs once under SetWorkers(1) (the golden) and once in
 // parallel mode, on identical data, and the results must match row for row.
 // Integer-valued data keeps SUM/AVG exact, so the reassociation a parallel
 // fold introduces cannot perturb float results.
@@ -98,12 +99,12 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 			db := newParDB(t, layout)
 			sess := db.NewSession(nil)
 			for _, q := range parGoldenQueries {
-				db.SetForceSerial(true)
+				db.SetWorkers(1)
 				want, err := sess.Query(q)
 				if err != nil {
 					t.Fatalf("serial %s: %v", q, err)
 				}
-				db.SetForceSerial(false)
+				db.SetWorkers(0)
 				got, err := sess.Query(q)
 				if err != nil {
 					t.Fatalf("parallel %s: %v", q, err)
@@ -120,38 +121,103 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelStreamGoldenEquivalence holds the lock-free snapshot streaming
-// path to the same standard against the materialising executor.
+// reopenDB captures db's page catalog and zone maps and attaches them to a
+// fresh Database over the same backend — the state a checkpointed workbook
+// reopens in: stores attached to their pages, every index a tree of unloaded
+// leaves, zone summaries read back from the blob.
+func reopenDB(t *testing.T, db *Database) *Database {
+	t.Helper()
+	blob, err := db.MarshalPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := db.cfg
+	cfg.Backend = db.pageStore
+	re := NewDatabase(cfg)
+	if err := re.AttachPages(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.AttachZones(db.MarshalZones()); err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
+
+// streamResult drains QueryStream into a Result.
+func streamResult(t *testing.T, s *Session, q string) *Result {
+	t.Helper()
+	rows, err := s.QueryStream(context.Background(), q)
+	if err != nil {
+		t.Fatalf("stream %s: %v", q, err)
+	}
+	res := &Result{Columns: rows.Columns()}
+	for rows.Next() {
+		res.Rows = append(res.Rows, rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("stream %s: %v", q, err)
+	}
+	return res
+}
+
+// TestParallelStreamGoldenEquivalence holds QueryStream — the kernel's
+// serial puller for full scans, read-committed batches for index paths, the
+// materialising fallback for blocking shapes — to the three golden suites:
+// streamed with the suite's switch on and off, every query must match the
+// materialised reference row for row, on every layout, on the database that
+// built the data and on one reopened from its checkpoint.
 func TestParallelStreamGoldenEquivalence(t *testing.T) {
-	db := newParDB(t, LayoutHybrid)
-	sess := db.NewSession(nil)
-	for _, q := range []string{
-		`SELECT id, qty FROM items WHERE qty > 30`,
-		`SELECT label FROM items WHERE grp = 11 LIMIT 17 OFFSET 3`,
-		`SELECT id FROM items`,
-	} {
-		db.SetForceSerial(true)
-		want, err := sess.Query(q)
-		if err != nil {
-			t.Fatalf("serial %s: %v", q, err)
-		}
-		db.SetForceSerial(false)
-		rows, err := sess.QueryStream(context.Background(), q)
-		if err != nil {
-			t.Fatalf("stream %s: %v", q, err)
-		}
-		var got [][]sheet.Value
-		for rows.Next() {
-			got = append(got, rows.Row())
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatalf("stream %s: %v", q, err)
-		}
-		if len(got) != len(want.Rows) {
-			t.Fatalf("%s: streamed %d rows, want %d", q, len(got), len(want.Rows))
-		}
-		if !reflect.DeepEqual(want.Rows, got) {
-			t.Fatalf("%s: streamed rows diverged from serial result", q)
+	var accessSQL []string
+	for _, q := range goldenQueries {
+		accessSQL = append(accessSQL, q.sql)
+	}
+	suites := []struct {
+		name    string
+		open    func(*testing.T, Layout) *Database
+		queries []string
+		// ref switches the suite's reference path on or off.
+		ref func(db *Database, on bool)
+	}{
+		{"parallel", newParDB, parGoldenQueries, func(db *Database, on bool) {
+			db.SetWorkers(0)
+			if on {
+				db.SetWorkers(1)
+			}
+		}},
+		{"zone", func(t *testing.T, l Layout) *Database {
+			db, _ := newZoneDB(t, l, pager.NewStore())
+			return db
+		}, zoneQueries, (*Database).SetForceNoSkip},
+		{"access", func(t *testing.T, l Layout) *Database {
+			db, _ := newAccessDB(t, l)
+			return db
+		}, accessSQL, (*Database).SetForceFullScan},
+	}
+	for _, suite := range suites {
+		for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
+			for _, reopened := range []bool{false, true} {
+				name := suite.name + "/" + string(layout) + "/built"
+				if reopened {
+					name = suite.name + "/" + string(layout) + "/reopened"
+				}
+				t.Run(name, func(t *testing.T) {
+					db := suite.open(t, layout)
+					if reopened {
+						db = reopenDB(t, db)
+					}
+					s := db.NewSession(newFakeSheets())
+					for _, q := range suite.queries {
+						suite.ref(db, true)
+						want := mustExec(t, s, q)
+						for _, on := range []bool{true, false} {
+							suite.ref(db, on)
+							if diff := resultsEqual(want, streamResult(t, s, q)); diff != "" {
+								t.Errorf("%s (reference path %v): streamed rows diverge from the materialised result: %s", q, on, diff)
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -162,11 +228,6 @@ func TestParallelWorkersConfig(t *testing.T) {
 	if got := db.parWorkers(); got != 3 {
 		t.Fatalf("parWorkers = %d, want 3", got)
 	}
-	db.SetForceSerial(true)
-	if got := db.parWorkers(); got != 1 {
-		t.Fatalf("parWorkers under SetForceSerial = %d, want 1", got)
-	}
-	db.SetForceSerial(false)
 	db.SetWorkers(7)
 	if got := db.parWorkers(); got != 7 {
 		t.Fatalf("parWorkers after SetWorkers(7) = %d, want 7", got)

@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,7 +22,7 @@ import (
 //     source are evaluated inside that source's scan, before rows are
 //     copied out of the storage manager (or, for RANGETABLE and sub-select
 //     sources, before rows flow into joins).
-//   - Projection pruning: named tables are scanned through ScanCols with
+//   - Projection pruning: named tables are scanned through ScanColsRange with
 //     only the referenced columns, so column and hybrid layouts never page
 //     in blocks of unreferenced attribute groups.
 //   - Bound evaluation: every expression is compiled once per execution
@@ -517,13 +516,15 @@ func (s *srcState) scanSchema() (cols []colDesc, scanCols []int) {
 	return cols, scanCols
 }
 
-// scanSource turns one FROM source into a relation: named tables stream
-// through ScanCols with only the needed columns and the pushed predicates
-// applied before rows are copied; materialised sources are filtered in
-// place. live=false short-circuits to an empty relation (a constant WHERE
-// conjunct was false). Named-table scans run under the database read lock,
-// so concurrent sessions' writes (serialised under the write lock) never
-// race the storage structures mid-scan.
+// fullScan reports whether a named-table source is read by scanning the
+// table rather than through an index access path.
+func (s *srcState) fullScan() bool { return s.path == nil || s.path.kind == pathFull }
+
+// scanSource turns one FROM source into a relation with only the needed
+// columns and the pushed predicates applied: named tables go through the
+// table-scan kernel (scanTable) or their index access path, materialised
+// sources are filtered in place. live=false short-circuits to an empty
+// relation (a constant WHERE conjunct was false).
 func (db *Database) scanSource(s *srcState, live bool, env *execEnv) (*relation, error) {
 	cols, scanCols := s.scanSchema()
 	rel := &relation{cols: cols}
@@ -535,183 +536,120 @@ func (db *Database) scanSource(s *srcState, live bool, env *execEnv) (*relation,
 		rel.rows = s.rows
 		return rel, nil
 	}
-	// Large full scans of snapshot-capable stores fan out over the worker
-	// pool against a pinned epoch instead of scanning under the read lock.
-	if prel, handled, err := db.parScanSource(s, cols, scanCols, env); handled || err != nil {
-		return prel, err
+	if s.store != nil && s.fullScan() {
+		return db.scanTable(s, cols, scanCols, env)
 	}
-	var arena valueArena
-	err := db.scanSourceEach(s, env, cols, scanCols, func(row []sheet.Value, stable bool) error {
-		// Stable rows (materialised sources, index point reads, decoded-page
-		// scans) can be retained as-is; scratch-based scan rows need a copy.
-		if !stable {
-			row = arena.clone(row)
-		}
+	// Predicates are compiled — RANGEVALUE folds included — before the
+	// engine lock is taken.
+	preds, err := compilePredicates(s.pushed, cols, env)
+	if err != nil {
+		return nil, err
+	}
+	// Materialised rows and index point reads both survive the callback.
+	keep := func(row []sheet.Value) error {
 		rel.rows = append(rel.rows, row)
 		return nil
-	})
+	}
+	if s.store == nil {
+		err = filterRows(s.rows, preds, env, keep)
+	} else {
+		// Materialising holds the read lock for the whole index walk, so
+		// the relation is one consistent image (the streaming path trades
+		// that for read-committed batches; see streamSimpleSelect).
+		db.mu.RLock()
+		err = db.scanIndexPath(s, preds, scanCols, env, keep)
+		db.mu.RUnlock()
+	}
 	if err != nil {
 		return nil, err
 	}
 	return rel, nil
 }
 
-// scanSourceEach streams the kept rows of one FROM source — pushed
-// predicates applied, pruning decided by (cols, scanCols) from scanSchema —
-// to emit. stable reports whether the row survives beyond the callback;
-// emit returning an error stops the scan and surfaces that error.
-// Named-table iteration runs under the database read lock (predicates are
-// compiled — RANGEVALUE folds included — before it is taken), so emit must
-// not block on other goroutines: the streaming fast path batches under the
-// lock and sends outside it instead of using this helper directly.
-func (db *Database) scanSourceEach(s *srcState, env *execEnv, cols []colDesc, scanCols []int, emit func(row []sheet.Value, stable bool) error) error {
-	preds, err := compilePredicates(s.pushed, cols, env)
-	if err != nil {
+// scanTable materialises a full table scan through the kernel (scan.go)
+// with the worker pool: each puller filters its morsels with its own
+// compiled predicate tree, and the per-morsel outputs concatenate in
+// partition order (= serial scan order), so the relation is row-for-row the
+// same at every worker count.
+func (db *Database) scanTable(s *srcState, cols []colDesc, scanCols []int, env *execEnv) (*relation, error) {
+	ts := db.openScan(s, scanCols, db.parWorkers())
+	defer ts.snap.Release()
+	// One predicate compile per puller, sequentially: compilation may fold
+	// RANGEVALUE through the shared sheet accessor, and the resulting trees
+	// carry per-tree scratch.
+	preds := make([][]boundExpr, ts.workers)
+	for w := range preds {
+		var err error
+		if preds[w], err = compilePredicates(s.pushed, cols, env); err != nil {
+			return nil, err
+		}
+	}
+	results := make([][][]sheet.Value, len(ts.parts))
+	err := parRun(ts.workers, func(w int) error {
+		// Kept rows collect in a puller-local slice, filed under their
+		// partition when the puller moves on: appending to results[part]
+		// row by row would bounce the cache lines of adjacent slice headers
+		// between pullers.
+		var arena valueArena
+		var out [][]sheet.Value
+		cur := -1
+		file := func() {
+			if cur >= 0 {
+				results[cur] = out
+			}
+		}
+		err := ts.pull(preds[w], env, func(part int, row []sheet.Value) error {
+			if part != cur {
+				file()
+				cur, out = part, nil
+			}
+			if !ts.stable {
+				row = arena.clone(row)
+			}
+			out = append(out, row)
+			return nil
+		})
+		file()
 		return err
-	}
-	ctx := env.newRowCtx()
-	if s.store == nil {
-		// RANGETABLE / sub-select: rows are already materialised.
-		for _, row := range s.rows {
-			if err := env.check(); err != nil {
-				return err
-			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
-			if err != nil {
-				return err
-			}
-			if keep {
-				if err := emit(row, true); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if s.path != nil && s.path.kind != pathFull {
-		return db.scanIndexPath(s, preds, ctx, scanCols, env, emit)
-	}
-	// Full scans with zone-map bounds walk a pruned snapshot of the store:
-	// the kept partitions cover exactly the pages a bound could match, and
-	// the pushed conjuncts still run on every surviving row, so the output
-	// equals the unpruned scan's row for row. (Still under the read lock —
-	// this is the serial path; the snapshot is only the pruning vehicle.)
-	if len(s.zoneBounds) > 0 {
-		if snapper, ok := s.store.(tablestore.Snapshotter); ok {
-			snap := snapper.Snapshot()
-			if psnap, ok := snap.(tablestore.PrunedSnap); ok {
-				defer snap.Release()
-				parts, read, skip := psnap.PartitionsPruned(1, scanCols, s.zoneBounds)
-				db.pagesRead.Add(int64(read))
-				db.pagesSkipped.Add(int64(skip))
-				stable := snap.ScanColsStable(scanCols)
-				var scanErr error
-				for _, part := range parts {
-					err := snap.ScanColsRange(part, scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-						if scanErr = env.check(); scanErr != nil {
-							return false
-						}
-						ctx.row = row
-						keep, err := allPredicates(preds, ctx)
-						if err != nil {
-							scanErr = err
-							return false
-						}
-						if keep {
-							if scanErr = emit(row, stable); scanErr != nil {
-								return false
-							}
-						}
-						return true
-					})
-					if err == nil {
-						err = scanErr
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			snap.Release()
-		}
-	}
-	stable := s.store.ScanColsStable(scanCols)
-	var scanErr error
-	err = s.store.ScanCols(scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-		if scanErr = env.check(); scanErr != nil {
-			return false
-		}
-		ctx.row = row
-		keep, err := allPredicates(preds, ctx)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if keep {
-			if scanErr = emit(row, stable); scanErr != nil {
-				return false
-			}
-		}
-		return true
 	})
-	if err == nil {
-		err = scanErr
+	if err != nil {
+		return nil, err
 	}
-	return err
+	rel := &relation{cols: cols}
+	if len(results) == 1 {
+		rel.rows = results[0]
+		return rel, nil
+	}
+	total := 0
+	for _, rs := range results {
+		total += len(rs)
+	}
+	rel.rows = make([][]sheet.Value, 0, total)
+	for _, rs := range results {
+		rel.rows = append(rel.rows, rs...)
+	}
+	return rel, nil
 }
 
 // scanIndexPath streams a source through its index access path: candidate
-// RowIDs come from the B-tree, candidate rows are point reads of only the
-// referenced columns (GetCols), and the pushed conjuncts are re-evaluated on
-// every candidate so the kept rows are exactly what the full scan would
-// keep. Non-ordered paths emit in RowID order (the full scan's order);
-// ordered paths emit in index order and may stop early.
+// RowIDs come from the B-tree and each is fetched and re-checked by
+// fetchCandidate. Non-ordered paths emit in RowID order (the full scan's
+// order); ordered paths emit in index order and may stop early.
 // dslint:requires(engine)
-func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, ctx *rowCtx, fetchCols []int, env *execEnv, emit func(row []sheet.Value, stable bool) error) error {
+func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, fetchCols []int, env *execEnv, emit func(row []sheet.Value) error) error {
 	table := s.tbl.Name
+	ctx := env.newRowCtx()
 	emitted := 0
-	pruner, _ := s.store.(tablestore.Pruner)
-	keep := func(id tablestore.RowID) (bool, error) {
+	keep := func(id tablestore.RowID) error {
 		if err := env.check(); err != nil {
-			return false, err
+			return err
 		}
-		var row []sheet.Value
-		var err error
-		if pruner != nil && len(s.zoneBounds) > 0 {
-			// The page(s) holding the candidate may already prove it cannot
-			// match; a skipped candidate is dropped without decoding.
-			var zskip bool
-			row, zskip, err = pruner.GetColsPruned(id, fetchCols, s.zoneBounds)
-			if err == nil && zskip {
-				return true, nil
-			}
-		} else {
-			row, err = s.store.GetCols(id, fetchCols)
+		row, ok, err := fetchCandidate(s, id, fetchCols, preds, ctx)
+		if err != nil || !ok {
+			return err
 		}
-		if err != nil {
-			// The candidate vanished between the index read and the fetch
-			// (no snapshot isolation at this level, as with full scans).
-			if errors.Is(err, tablestore.ErrRowNotFound) {
-				return true, nil
-			}
-			return false, err
-		}
-		ctx.row = row
-		ok, err := allPredicates(preds, ctx)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			if err := emit(row, true); err != nil {
-				return false, err
-			}
-			emitted++
-		}
-		return true, nil
+		emitted++
+		return emit(row)
 	}
 	if !s.path.ordered {
 		ids, err := db.collectPathIDsLocked(table, s.path)
@@ -719,7 +657,7 @@ func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, ctx *rowCtx, f
 			return err
 		}
 		for _, id := range ids {
-			if ok, err := keep(id); err != nil || !ok {
+			if err := keep(id); err != nil {
 				return err
 			}
 		}
@@ -727,12 +665,7 @@ func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, ctx *rowCtx, f
 	}
 	var keepErr error
 	err := db.walkPathOrdered(table, s.path, func(id tablestore.RowID) bool {
-		ok, err := keep(id)
-		if err != nil {
-			keepErr = err
-			return false
-		}
-		if !ok {
+		if keepErr = keep(id); keepErr != nil {
 			return false
 		}
 		return s.path.earlyLimit <= 0 || emitted < s.path.earlyLimit

@@ -196,7 +196,7 @@ func (db *Database) streamSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis,
 	return nil
 }
 
-// streamFetchBatch is how many candidate rows the streaming fast path
+// streamFetchBatch is how many index-path candidates the streaming fast path
 // fetches, filters and projects per database read-lock acquisition. Rows
 // are handed to the consumer between acquisitions, so the lock is never
 // held while the producer parks on the channel — concurrent writers
@@ -205,10 +205,14 @@ func (db *Database) streamSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis,
 const streamFetchBatch = 256
 
 // streamSimpleSelect streams scan → filter → project for a single-source
-// statement without materialising the result: candidate RowIDs are
-// collected first (cheap — ids only, no values), then rows are fetched,
-// filtered and projected in read-locked batches and yielded between
-// batches. A LIMIT stops after its quota of projected rows.
+// statement without materialising the result. A full table scan is the
+// kernel's serial puller (scan.go) over a pinned snapshot: no lock is held
+// while the consumer parks and the reader observes one point-in-time image.
+// An index access path collects its candidate RowIDs first (cheap — ids
+// only), then fetches, filters and projects them in read-locked batches and
+// yields between batches — read-committed, where the materialising executor
+// holds the lock for the whole walk. A LIMIT stops after its quota of
+// projected rows.
 // dslint:parks(yield)
 func (db *Database) streamSimpleSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis, env *execEnv, header func([]string), yield func([]sheet.Value) error) error {
 	plan, err := db.planInput(stmt, an, env)
@@ -249,222 +253,98 @@ func (db *Database) streamSimpleSelect(stmt *sqlparser.SelectStmt, an *selectAna
 		return nil
 	}
 
-	// Materialised sources (RANGETABLE / sub-select) need no locking: their
-	// rows are already private to this execution.
-	ctx := env.newRowCtx()
+	// The row sink in two halves: project applies OFFSET and the select
+	// list to a kept row and never parks, so the index path may run it
+	// under the engine lock; deliver hands the projected row to the
+	// consumer and counts it against LIMIT.
+	pctx := env.newRowCtx()
+	skipped, emitted := 0, 0
+	project := func(row []sheet.Value) (out []sheet.Value, ok bool, err error) {
+		if skipped < offset {
+			skipped++
+			return nil, false, nil
+		}
+		pctx.row = row
+		out = make([]sheet.Value, len(bound))
+		for i, be := range bound {
+			if out[i], err = be.eval(pctx); err != nil {
+				return nil, false, err
+			}
+		}
+		return out, true, nil
+	}
+	deliver := func(out []sheet.Value) error {
+		if err := yield(out); err != nil {
+			return err
+		}
+		if emitted++; limit >= 0 && emitted >= limit {
+			return errStreamDone
+		}
+		return nil
+	}
+	emit := func(row []sheet.Value) error {
+		out, ok, err := project(row)
+		if err != nil || !ok {
+			return err
+		}
+		return deliver(out)
+	}
+
 	if src.store == nil {
-		skipped, emitted := 0, 0
-		for _, row := range src.rows {
+		return filterRows(src.rows, preds, env, emit)
+	}
+	if src.fullScan() {
+		ts := db.openScan(src, scanCols, 1)
+		defer ts.snap.Release()
+		return ts.pull(preds, env, func(_ int, row []sheet.Value) error { return emit(row) })
+	}
+
+	ids, err := db.collectPathIDs(src.tbl.Name, src.path)
+	if err != nil {
+		return err
+	}
+	ctx := env.newRowCtx()
+	outBatch := make([][]sheet.Value, 0, streamFetchBatch)
+	fetchBatch := func(batch []tablestore.RowID) error {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		for _, id := range batch {
 			if err := env.check(); err != nil {
 				return err
 			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
+			row, ok, err := fetchCandidate(src, id, scanCols, preds, ctx)
+			if err == nil && ok {
+				row, ok, err = project(row)
+			}
 			if err != nil {
 				return err
 			}
-			if !keep {
+			if !ok {
 				continue
 			}
-			if skipped < offset {
-				skipped++
-				continue
-			}
-			out := make([]sheet.Value, len(bound))
-			for i, be := range bound {
-				if out[i], err = be.eval(ctx); err != nil {
-					return err
-				}
-			}
-			if err := yield(out); err != nil {
-				return err
-			}
-			emitted++
-			if limit >= 0 && emitted >= limit {
-				return errStreamDone
+			outBatch = append(outBatch, row)
+			if limit >= 0 && emitted+len(outBatch) >= limit {
+				return nil
 			}
 		}
 		return nil
 	}
-
-	// Full scans of snapshot-capable stores stream lock-free: the engine
-	// lock is held only while the snapshot pins its epoch, and the scan then
-	// reads frozen page versions in one pass — no candidate-id phase, no
-	// batch re-locking, and no lock held while the consumer parks on the
-	// channel. Writers never wait behind this reader and the reader observes
-	// a consistent point-in-time image instead of read-committed batches.
-	if src.path == nil || src.path.kind == pathFull {
-		if snapper, ok := src.store.(tablestore.Snapshotter); ok {
-			return db.streamSnapshotScan(snapper, scanCols, src.zoneBounds, preds, bound, env, ctx, offset, limit, yield)
-		}
-	}
-
-	// Phase 1: candidate RowIDs. Index paths read the B-tree; full scans
-	// enumerate ids through a zero-column scan (no value decoding).
-	var ids []tablestore.RowID
-	if src.path != nil && src.path.kind != pathFull {
-		if ids, err = db.collectPathIDs(src.tbl.Name, src.path); err != nil {
-			return err
-		}
-	} else {
-		var ctxErr error
-		db.mu.RLock()
-		err = src.store.ScanCols([]int{}, func(id tablestore.RowID, _ []sheet.Value) bool {
-			if ctxErr = env.check(); ctxErr != nil {
-				return false
-			}
-			ids = append(ids, id)
-			return true
-		})
-		db.mu.RUnlock()
-		if err == nil {
-			err = ctxErr
-		}
-		if err != nil {
-			return err
-		}
-	}
-
-	// Phase 2 (non-snapshot stores): fetch + filter + project in read-locked
-	// batches, yielding between acquisitions.
-	skipped, emitted := 0, 0
-	outBatch := make([][]sheet.Value, 0, streamFetchBatch)
 	for start := 0; start < len(ids); start += streamFetchBatch {
 		end := start + streamFetchBatch
 		if end > len(ids) {
 			end = len(ids)
 		}
 		outBatch = outBatch[:0]
-		db.mu.RLock()
-		for _, id := range ids[start:end] {
-			if err = env.check(); err != nil {
-				break
-			}
-			var row []sheet.Value
-			if row, err = src.store.GetCols(id, scanCols); err != nil {
-				// The candidate vanished between the id collection and the
-				// fetch (same read-committed semantics as the full scan).
-				if errors.Is(err, tablestore.ErrRowNotFound) {
-					err = nil
-					continue
-				}
-				break
-			}
-			ctx.row = row
-			var keep bool
-			if keep, err = allPredicates(preds, ctx); err != nil {
-				break
-			}
-			if !keep {
-				continue
-			}
-			if skipped < offset {
-				skipped++
-				continue
-			}
-			out := make([]sheet.Value, len(bound))
-			for i, be := range bound {
-				if out[i], err = be.eval(ctx); err != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-			outBatch = append(outBatch, out)
-			if limit >= 0 && emitted+len(outBatch) >= limit {
-				break
-			}
-		}
-		db.mu.RUnlock()
-		if err != nil {
+		if err := fetchBatch(ids[start:end]); err != nil {
 			return err
 		}
 		for _, out := range outBatch {
 			if err := env.check(); err != nil {
 				return err
 			}
-			if err := yield(out); err != nil {
+			if err := deliver(out); err != nil {
 				return err
 			}
-		}
-		emitted += len(outBatch)
-		if limit >= 0 && emitted >= limit {
-			return errStreamDone
-		}
-	}
-	return nil
-}
-
-// streamSnapshotScan is the lock-free streaming fast path: it pins a table
-// snapshot (the only moment the engine lock is touched) and streams
-// filter → project → yield over the frozen pages in a single pass. The scan
-// holds no lock, so yielding to a slow consumer parks nothing but this
-// goroutine and concurrent writers proceed untouched; superseded page
-// versions drain when the snapshot releases its epoch.
-// dslint:parks(yield)
-func (db *Database) streamSnapshotScan(snapper tablestore.Snapshotter, scanCols []int, bounds []tablestore.ZoneBound, preds, bound []boundExpr, env *execEnv, ctx *rowCtx, offset, limit int, yield func([]sheet.Value) error) error {
-	db.mu.RLock()
-	snap := snapper.Snapshot()
-	db.mu.RUnlock()
-	defer snap.Release()
-	// Zone-map bounds narrow the scan to partitions a bound could match
-	// (usedPrune, not a nil check: an all-skipped scan prunes to zero parts).
-	var parts []tablestore.Partition
-	usedPrune := false
-	if len(bounds) > 0 {
-		if psnap, ok := snap.(tablestore.PrunedSnap); ok {
-			var read, skip int
-			parts, read, skip = psnap.PartitionsPruned(1, scanCols, bounds)
-			db.pagesRead.Add(int64(read))
-			db.pagesSkipped.Add(int64(skip))
-			usedPrune = true
-		}
-	}
-	if !usedPrune {
-		parts = snap.Partitions(1)
-	}
-	skipped, emitted := 0, 0
-	var inner error
-	for _, part := range parts {
-		err := snap.ScanColsRange(part, scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-			if inner = env.check(); inner != nil {
-				return false
-			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
-			if err != nil {
-				inner = err
-				return false
-			}
-			if !keep {
-				return true
-			}
-			if skipped < offset {
-				skipped++
-				return true
-			}
-			out := make([]sheet.Value, len(bound))
-			for i, be := range bound {
-				if out[i], inner = be.eval(ctx); inner != nil {
-					return false
-				}
-			}
-			if inner = yield(out); inner != nil {
-				return false
-			}
-			emitted++
-			if limit >= 0 && emitted >= limit {
-				inner = errStreamDone
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = inner
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil

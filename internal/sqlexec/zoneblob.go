@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 var zonesMagic = [8]byte{'D', 'S', 'Z', 'N', 'C', 'A', 'T', '1'}
@@ -25,33 +23,19 @@ var zonesMagic = [8]byte{'D', 'S', 'Z', 'N', 'C', 'A', 'T', '1'}
 // recovery failure.
 var ErrCorruptZones = errors.New("sqlexec: corrupt zone catalog")
 
-// zoneValidator is the per-store testing hook: re-decode every summarised
-// page and check the summaries cover the stored values.
-type zoneValidator interface {
-	ValidateZones() error
-}
-
-// MarshalZones serialises the zone-map catalogs of every table whose store
-// carries summaries, in the same deterministic table order as MarshalPages.
+// MarshalZones serialises the zone-map catalogs of every table, in the same
+// deterministic table order as MarshalPages.
 func (db *Database) MarshalZones() []byte {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	w := &pagesWriter{}
 	tables := db.cat.List()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
-	var entries int
-	body := &pagesWriter{}
+	w.uint(uint64(len(tables)))
 	for _, tbl := range tables {
-		zp, ok := db.stores[tkey(tbl.Name)].(tablestore.ZonePersister)
-		if !ok {
-			continue
-		}
-		entries++
-		body.str(tbl.Name)
-		body.bytes(zp.MarshalZones())
+		w.str(tbl.Name)
+		w.bytes(db.stores[tkey(tbl.Name)].MarshalZones())
 	}
-	w.uint(uint64(entries))
-	w.buf = append(w.buf, body.buf...)
 
 	out := make([]byte, 12, 12+len(w.buf))
 	copy(out, zonesMagic[:])
@@ -86,11 +70,7 @@ func (db *Database) AttachZones(blob []byte) error {
 		if !ok {
 			return fmt.Errorf("%w: zones for unknown table %q", ErrCorruptZones, name)
 		}
-		zp, ok := s.(tablestore.ZonePersister)
-		if !ok {
-			continue
-		}
-		if err := zp.AttachZones(payload); err != nil {
+		if err := s.AttachZones(payload); err != nil {
 			return fmt.Errorf("%w: table %q: %v", ErrCorruptZones, name, err)
 		}
 	}
@@ -110,11 +90,7 @@ func (db *Database) ValidateZones() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for name, s := range db.stores {
-		zv, ok := s.(zoneValidator)
-		if !ok {
-			continue
-		}
-		if err := zv.ValidateZones(); err != nil {
+		if err := s.ValidateZones(); err != nil {
 			return fmt.Errorf("sqlexec: table %q: %w", name, err)
 		}
 	}

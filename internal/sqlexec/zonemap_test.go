@@ -57,6 +57,8 @@ var zoneQueries = []string{
 	"SELECT id FROM ev WHERE cat = 'alpha' AND ts BETWEEN 100 AND 140",
 	"SELECT id FROM ev WHERE cat = 'gamma'",
 	"SELECT SUM(val) FROM ev WHERE ts >= 1800 AND ts < 1900",
+	// Index path (pk range) whose candidates are zone-checked on ts.
+	"SELECT id, val FROM ev WHERE id BETWEEN 100 AND 900 AND ts < 150",
 }
 
 // runSkippedVsUnskipped executes each query twice — once with zone-map

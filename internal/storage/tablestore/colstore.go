@@ -123,37 +123,28 @@ func (s *ColStore) Insert(row []sheet.Value) (RowID, error) {
 }
 
 // Get implements Store.
-func (s *ColStore) Get(id RowID) ([]sheet.Value, error) {
-	if err := s.checkID(id); err != nil {
-		return nil, err
-	}
-	slot := int(id - 1)
-	pi, off := slot/valuesPerPage, slot%valuesPerPage
-	row := make([]sheet.Value, len(s.cols))
-	for c := range s.cols {
-		vals, err := s.readColPageShared(c, pi)
-		if err != nil {
-			return nil, err
-		}
-		if off < len(vals) {
-			row[c] = vals[off]
-		}
-	}
-	return row, nil
-}
+func (s *ColStore) Get(id RowID) ([]sheet.Value, error) { return s.GetCols(id, nil, nil) }
 
 // GetCols implements Store. Only the requested columns' blocks are read.
-func (s *ColStore) GetCols(id RowID, cols []int) ([]sheet.Value, error) {
-	if cols == nil {
-		return s.Get(id)
-	}
+func (s *ColStore) GetCols(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, error) {
 	if err := s.checkID(id); err != nil {
 		return nil, err
 	}
 	slot := int(id - 1)
 	pi, off := slot/valuesPerPage, slot%valuesPerPage
-	out := make([]sheet.Value, len(cols))
-	for j, c := range cols {
+	if colChunkSkips(s.cols, pi, bounds) {
+		return nil, nil
+	}
+	n := len(cols)
+	if cols == nil {
+		n = len(s.cols)
+	}
+	out := make([]sheet.Value, n)
+	for j := range out {
+		c := j
+		if cols != nil {
+			c = cols[j]
+		}
 		if c < 0 || c >= len(s.cols) {
 			return nil, fmt.Errorf("%w: %d", ErrColumnRange, c)
 		}
@@ -222,69 +213,6 @@ func (s *ColStore) Delete(id RowID) error {
 	}
 	s.deleted[id] = true
 	s.rowCount--
-	return nil
-}
-
-// Scan implements Store. Pages are visited chunk-wise so each block is read
-// once per scan.
-func (s *ColStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
-	return s.ScanCols(nil, func(id RowID, row []sheet.Value) bool {
-		return fn(id, cloneRow(row))
-	})
-}
-
-// ScanColsStable implements Store: column layouts always assemble tuples in
-// a reused scratch row.
-func (s *ColStore) ScanColsStable([]int) bool { return false }
-
-// ScanCols implements Store. Only the blocks of the requested columns are
-// read — the pure-column layout prunes I/O at attribute granularity.
-func (s *ColStore) ScanCols(cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	want := cols
-	if want == nil {
-		want = make([]int, len(s.cols))
-		for i := range want {
-			want[i] = i
-		}
-	}
-	for _, c := range want {
-		if c < 0 || c >= len(s.cols) {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
-	}
-	scratch := make([]sheet.Value, len(want))
-	chunk := make([][]sheet.Value, len(want))
-	for base := 0; base < s.slotCount; base += valuesPerPage {
-		pi := base / valuesPerPage
-		for j, c := range want {
-			vals, err := s.readColPageShared(c, pi)
-			if err != nil {
-				return err
-			}
-			chunk[j] = vals
-		}
-		limit := s.slotCount - base
-		if limit > valuesPerPage {
-			limit = valuesPerPage
-		}
-		hasDeleted := len(s.deleted) > 0
-		for off := 0; off < limit; off++ {
-			id := RowID(base + off + 1)
-			if hasDeleted && s.deleted[id] {
-				continue
-			}
-			for j := range want {
-				if off < len(chunk[j]) {
-					scratch[j] = chunk[j][off]
-				} else {
-					scratch[j] = sheet.Empty()
-				}
-			}
-			if !fn(id, scratch) {
-				return nil
-			}
-		}
-	}
 	return nil
 }
 

@@ -214,49 +214,31 @@ func (s *HybridStore) Insert(row []sheet.Value) (RowID, error) {
 }
 
 // Get implements Store.
-func (s *HybridStore) Get(id RowID) ([]sheet.Value, error) {
-	if err := s.checkID(id); err != nil {
-		return nil, err
-	}
-	slot := int(id - 1)
-	row := make([]sheet.Value, len(s.colMap))
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		if g.width == 0 {
-			continue
-		}
-		pi, off := slot/g.rowsPer, slot%g.rowsPer
-		_, rows, err := s.readGroupPageShared(gi, pi)
-		if err != nil {
-			return nil, err
-		}
-		if off >= len(rows) {
-			return nil, fmt.Errorf("%w: %d", ErrRowNotFound, id)
-		}
-		for col, loc := range s.colMap {
-			if loc.group == gi {
-				row[col] = rows[off][loc.offset]
-			}
-		}
-	}
-	return row, nil
-}
+func (s *HybridStore) Get(id RowID) ([]sheet.Value, error) { return s.GetCols(id, nil, nil) }
 
 // GetCols implements Store. Only the blocks of attribute groups that hold a
 // requested column are read.
-func (s *HybridStore) GetCols(id RowID, cols []int) ([]sheet.Value, error) {
-	if cols == nil {
-		return s.Get(id)
-	}
+func (s *HybridStore) GetCols(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, error) {
 	if err := s.checkID(id); err != nil {
 		return nil, err
 	}
 	slot := int(id - 1)
-	out := make([]sheet.Value, len(cols))
+	if hybridSlotSkips(s.groups, s.colMap, slot, bounds) {
+		return nil, nil
+	}
+	n := len(cols)
+	if cols == nil {
+		n = len(s.colMap)
+	}
+	out := make([]sheet.Value, n)
 	// One shared page read per distinct group among the requested columns.
 	var curGroup, curPage = -1, -1
 	var rows [][]sheet.Value
-	for j, c := range cols {
+	for j := range out {
+		c := j
+		if cols != nil {
+			c = cols[j]
+		}
 		if c < 0 || c >= len(s.colMap) {
 			return nil, fmt.Errorf("%w: %d", ErrColumnRange, c)
 		}
@@ -339,165 +321,6 @@ func (s *HybridStore) Delete(id RowID) error {
 	}
 	s.deleted[id] = true
 	s.rowCount--
-	return nil
-}
-
-// Scan implements Store. Each group's blocks are read once per scan: a small
-// per-group cursor caches the currently loaded block.
-func (s *HybridStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
-	return s.ScanCols(nil, func(id RowID, row []sheet.Value) bool {
-		return fn(id, cloneRow(row))
-	})
-}
-
-// singleGroupScan reports the group whose stored tuples can be passed
-// through unchanged — the wanted columns are exactly that group's
-// attributes in order — or -1 when the scan spans groups or reorders.
-func (s *HybridStore) singleGroupScan(want []int) int {
-	if len(want) == 0 {
-		return -1
-	}
-	gi := s.colMap[want[0]].group
-	if s.groups[gi].width != len(want) {
-		return -1
-	}
-	for j, c := range want {
-		loc := s.colMap[c]
-		if loc.group != gi || loc.offset != j {
-			return -1
-		}
-	}
-	return gi
-}
-
-// ScanColsStable implements Store: a scan served by a single aligned group
-// hands out the decoded page rows themselves.
-func (s *HybridStore) ScanColsStable(cols []int) bool {
-	want := cols
-	if want == nil {
-		want = make([]int, len(s.colMap))
-		for i := range want {
-			want[i] = i
-		}
-	}
-	for _, c := range want {
-		if c < 0 || c >= len(s.colMap) {
-			return false
-		}
-	}
-	return s.singleGroupScan(want) >= 0
-}
-
-// ScanCols implements Store. Only the blocks of the attribute groups that
-// contain a requested column are read — groups holding only unreferenced
-// columns are never paged in.
-func (s *HybridStore) ScanCols(cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	want := cols
-	if want == nil {
-		want = make([]int, len(s.colMap))
-		for i := range want {
-			want[i] = i
-		}
-	}
-	for _, c := range want {
-		if c < 0 || c >= len(s.colMap) {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
-	}
-	// Fast path: the wanted columns are exactly one group's tuples, so the
-	// decoded rows pass through with no scratch copy at all.
-	if gi := s.singleGroupScan(want); gi >= 0 {
-		g := &s.groups[gi]
-		hasDeleted := len(s.deleted) > 0
-		var rows [][]sheet.Value
-		var empty []sheet.Value
-		cur := -1
-		for slot := 0; slot < s.slotCount; slot++ {
-			id := RowID(slot + 1)
-			if hasDeleted && s.deleted[id] {
-				continue
-			}
-			pi, off := slot/g.rowsPer, slot%g.rowsPer
-			if cur != pi {
-				var err error
-				if _, rows, err = s.readGroupPageShared(gi, pi); err != nil {
-					return err
-				}
-				cur = pi
-			}
-			row := empty
-			if off < len(rows) {
-				row = rows[off]
-			} else if empty == nil {
-				empty = make([]sheet.Value, g.width)
-				row = empty
-			}
-			if !fn(id, row) {
-				return nil
-			}
-		}
-		return nil
-	}
-	// Plan the reads: one cursor per group that holds a requested column,
-	// each carrying the (scratch slot, offset-in-group) pairs to copy per
-	// tuple.
-	type groupCopy struct {
-		slot   int // index into the scratch row
-		offset int // attribute offset within the group's tuples
-	}
-	type groupRead struct {
-		gi     int
-		copies []groupCopy
-		pi     int
-		rows   [][]sheet.Value
-	}
-	var reads []*groupRead
-	byGroup := make(map[int]*groupRead)
-	for j, c := range want {
-		if c < 0 || c >= len(s.colMap) {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
-		loc := s.colMap[c]
-		gr, ok := byGroup[loc.group]
-		if !ok {
-			gr = &groupRead{gi: loc.group, pi: -1}
-			byGroup[loc.group] = gr
-			reads = append(reads, gr)
-		}
-		gr.copies = append(gr.copies, groupCopy{slot: j, offset: loc.offset})
-	}
-	scratch := make([]sheet.Value, len(want))
-	hasDeleted := len(s.deleted) > 0
-	for slot := 0; slot < s.slotCount; slot++ {
-		id := RowID(slot + 1)
-		if hasDeleted && s.deleted[id] {
-			continue
-		}
-		for _, gr := range reads {
-			g := &s.groups[gr.gi]
-			pi, off := slot/g.rowsPer, slot%g.rowsPer
-			if gr.pi != pi {
-				_, rows, err := s.readGroupPageShared(gr.gi, pi)
-				if err != nil {
-					return err
-				}
-				gr.pi, gr.rows = pi, rows
-			}
-			if off >= len(gr.rows) {
-				for _, cp := range gr.copies {
-					scratch[cp.slot] = sheet.Empty()
-				}
-				continue
-			}
-			row := gr.rows[off]
-			for _, cp := range gr.copies {
-				scratch[cp.slot] = row[cp.offset]
-			}
-		}
-		if !fn(id, scratch) {
-			return nil
-		}
-	}
 	return nil
 }
 

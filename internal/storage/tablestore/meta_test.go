@@ -145,7 +145,7 @@ func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 		}
 	}
 	// Populate the decoded cache for column 1.
-	if err := s.ScanCols([]int{1}, func(RowID, []sheet.Value) bool { return true }); err != nil {
+	if err := scanCols(s, []int{1}, func(RowID, []sheet.Value) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	// Free column 1's pages, then allocate fresh pages — the in-memory
@@ -158,7 +158,7 @@ func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := ""
-	if err := s.ScanCols([]int{1}, func(id RowID, row []sheet.Value) bool {
+	if err := scanCols(s, []int{1}, func(id RowID, row []sheet.Value) bool {
 		seen = row[0].String()
 		return false
 	}); err != nil {
@@ -182,7 +182,7 @@ func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s2.ScanCols([]int{1}, func(RowID, []sheet.Value) bool { return true }); err != nil {
+	if err := scanCols(s2, []int{1}, func(RowID, []sheet.Value) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.DropColumn(1); err != nil {
@@ -191,7 +191,7 @@ func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 	if err := s2.AddColumn(sheet.String_("new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.ScanCols([]int{1}, func(id RowID, row []sheet.Value) bool {
+	if err := scanCols(s2, []int{1}, func(id RowID, row []sheet.Value) bool {
 		if row[0].String() != "new" {
 			t.Fatalf("row %d served stale decode %q after page reuse", id, row[0].String())
 		}

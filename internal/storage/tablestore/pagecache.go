@@ -20,7 +20,7 @@ const decodedCacheShards = 16
 
 // decodedCache memoizes decoded page images so repeated scans of the same
 // table do not re-decode every block from its byte form. Entries are shared
-// read-only snapshots: only the read paths (Scan/ScanCols/Get) consult the
+// read-only snapshots: only the read paths (ScanColsRange/GetCols) consult the
 // cache, while mutators keep decoding private copies they are free to edit
 // in place.
 //
@@ -29,8 +29,8 @@ const decodedCacheShards = 16
 // a backend-level reload of the id, or the backend recycling the id into a
 // fresh allocation — so the cache can never serve a decode of bytes that are
 // not the version the caller asked for. Version keying also lets epoch
-// snapshot readers (ScanColsRange over a TableSnap) and current-content
-// scans share one cache: a superseded page version and its replacement
+// snapshot scans (ScanColsRange over a TableSnap) and current-content point
+// reads share one cache: a superseded page version and its replacement
 // occupy distinct entries until eviction.
 type decodedCache struct {
 	shards [decodedCacheShards]cacheShard

@@ -6,35 +6,11 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
-// Page-level data skipping. Pruner and PrunedSnap are optional capabilities
-// — deliberately separate from Store and TableSnap, mirroring Snapshotter —
-// that the executor type-asserts; absence (a fake, a store without zone
-// maps) degrades to reading every page, never to wrong results. A skip is
-// taken only when a page's zone summary PROVES no stored value can satisfy a
-// pushed conjunct, so pruned and unpruned scans are row-for-row identical.
-
-// Pruner is the store-level skipping capability, served under the engine
-// lock like any other Store call.
-type Pruner interface {
-	// PruneStats reports how many physical pages a ScanCols over cols
-	// (nil = all columns) would touch, and how many of those the given
-	// bounds prove skippable. Used by EXPLAIN and the benchmarks.
-	PruneStats(cols []int, bounds []ZoneBound) (total, skipped int)
-	// GetColsPruned is GetCols that first consults the zone maps of the
-	// page(s) holding id: when a bound proves the row cannot match, it
-	// reports skipped=true without paging in or decoding anything.
-	GetColsPruned(id RowID, cols []int, bounds []ZoneBound) (row []sheet.Value, skipped bool, err error)
-}
-
-// PrunedSnap is the snapshot-level skipping capability: Partitions with the
-// skippable page ranges already removed, so parallel workers never see them.
-type PrunedSnap interface {
-	// PartitionsPruned is Partitions(n) minus the ranges the bounds prove
-	// empty of matches. cols (nil = all) names the columns the scan will
-	// read, for page accounting only. Returns the partitions plus the
-	// physical page counts the pruned scan will read and has skipped.
-	PartitionsPruned(n int, cols []int, bounds []ZoneBound) (parts []Partition, pagesRead, pagesSkipped int)
-}
+// Page-level data skipping: the per-layout arithmetic behind
+// TableSnap.Partitions and the bounds argument of Store.GetCols. Each layout
+// answers two questions from its zone catalog — which partition-space runs
+// can a scan with these bounds not skip, and how many physical pages do they
+// cover — in its own partition units.
 
 // --- row layout (page-index space) ---
 
@@ -58,40 +34,6 @@ func rowKeptPages(zones []*pageZones, nPages int, bounds []ZoneBound) []Partitio
 		return rowPageSkips(zones, pi, bounds)
 	})
 	return complementParts(nPages, skip)
-}
-
-// PruneStats implements Pruner.
-func (s *RowStore) PruneStats(cols []int, bounds []ZoneBound) (total, skipped int) {
-	total = len(s.pages)
-	if len(bounds) == 0 {
-		return total, 0
-	}
-	kept := rowKeptPages(s.zones, total, bounds)
-	read := 0
-	for _, p := range kept {
-		read += p.Hi - p.Lo
-	}
-	return total, total - read
-}
-
-// GetColsPruned implements Pruner.
-func (s *RowStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, bool, error) {
-	if pi, ok := s.dir[id]; ok && rowPageSkips(s.zones, pi, bounds) {
-		return nil, true, nil
-	}
-	row, err := s.GetCols(id, cols)
-	return row, false, err
-}
-
-// PartitionsPruned implements PrunedSnap. Row partitions are page indexes,
-// so kept runs translate directly.
-func (s *rowSnap) PartitionsPruned(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
-	kept := rowKeptPages(s.zones, len(s.pages), bounds)
-	read := 0
-	for _, p := range kept {
-		read += p.Hi - p.Lo
-	}
-	return splitRuns(kept, n), read, len(s.pages) - read
 }
 
 // --- column layout (slot space, uniform valuesPerPage granularity) ---
@@ -125,43 +67,6 @@ func colPageStats(kept []Partition, slotCount, wantCols int) (total, read int) {
 	nChunks := (slotCount + valuesPerPage - 1) / valuesPerPage
 	readChunks := overlapCount(kept, valuesPerPage, nChunks)
 	return nChunks * wantCols, readChunks * wantCols
-}
-
-// PruneStats implements Pruner.
-func (s *ColStore) PruneStats(cols []int, bounds []ZoneBound) (total, skipped int) {
-	want := len(cols)
-	if cols == nil {
-		want = len(s.cols)
-	}
-	if len(bounds) == 0 {
-		nChunks := (s.slotCount + valuesPerPage - 1) / valuesPerPage
-		return nChunks * want, 0
-	}
-	kept := colKeptRuns(s.cols, s.slotCount, bounds)
-	total, read := colPageStats(kept, s.slotCount, want)
-	return total, total - read
-}
-
-// GetColsPruned implements Pruner.
-func (s *ColStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, bool, error) {
-	if id > 0 && id < s.nextID {
-		if ci := int(id-1) / valuesPerPage; colChunkSkips(s.cols, ci, bounds) {
-			return nil, true, nil
-		}
-	}
-	row, err := s.GetCols(id, cols)
-	return row, false, err
-}
-
-// PartitionsPruned implements PrunedSnap.
-func (s *colSnap) PartitionsPruned(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
-	want := len(cols)
-	if cols == nil {
-		want = len(s.cols)
-	}
-	kept := colKeptRuns(s.cols, s.slotCount, bounds)
-	total, read := colPageStats(kept, s.slotCount, want)
-	return splitRuns(kept, n), read, total - read
 }
 
 // --- hybrid layout (slot space, per-group granularity) ---
@@ -220,54 +125,32 @@ func hybridPageStats(groups []attrGroup, colMap []colLocation, kept []Partition,
 	return total, read
 }
 
-// PruneStats implements Pruner.
-func (s *HybridStore) PruneStats(cols []int, bounds []ZoneBound) (total, skipped int) {
-	var kept []Partition
-	if len(bounds) == 0 {
-		kept = complementParts(s.slotCount, nil)
-	} else {
-		kept = complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
-	}
-	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
-	return total, total - read
-}
-
-// GetColsPruned implements Pruner.
-func (s *HybridStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, bool, error) {
-	if id > 0 && id < s.nextID {
-		slot := int(id - 1)
-		for i := range bounds {
-			b := &bounds[i]
-			if b.Col < 0 || b.Col >= len(s.colMap) {
-				continue
-			}
-			loc := s.colMap[b.Col]
-			g := &s.groups[loc.group]
-			if g.width == 0 || g.rowsPer <= 0 {
-				continue
-			}
-			pi := slot / g.rowsPer
-			if pi < len(g.zones) && g.zones[pi] != nil && loc.offset < len(g.zones[pi].cols) &&
-				g.zones[pi].cols[loc.offset].Skips(*b) {
-				return nil, true, nil
-			}
+// hybridSlotSkips reports whether any bound proves the row at slot
+// matchless, consulting the zone of the one page that holds the bound's
+// column for that slot.
+func hybridSlotSkips(groups []attrGroup, colMap []colLocation, slot int, bounds []ZoneBound) bool {
+	for i := range bounds {
+		b := &bounds[i]
+		if b.Col < 0 || b.Col >= len(colMap) {
+			continue
+		}
+		loc := colMap[b.Col]
+		g := &groups[loc.group]
+		if g.width == 0 || g.rowsPer <= 0 {
+			continue
+		}
+		pi := slot / g.rowsPer
+		if pi < len(g.zones) && g.zones[pi] != nil && loc.offset < len(g.zones[pi].cols) &&
+			g.zones[pi].cols[loc.offset].Skips(*b) {
+			return true
 		}
 	}
-	row, err := s.GetCols(id, cols)
-	return row, false, err
-}
-
-// PartitionsPruned implements PrunedSnap.
-func (s *hybridSnap) PartitionsPruned(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
-	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
-	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
-	return splitRuns(kept, n), read, total - read
+	return false
 }
 
 // --- zone validation (fuzz/test support) ---
 
-// ValidateZones re-decodes every summarised page and checks that its catalog
-// zone covers every stored value — the invariant that makes skipping safe.
+// ValidateZones implements Store.
 func (s *RowStore) ValidateZones() error {
 	for pi := range s.pages {
 		if pi >= len(s.zones) || s.zones[pi] == nil {
@@ -284,7 +167,7 @@ func (s *RowStore) ValidateZones() error {
 	return nil
 }
 
-// ValidateZones re-decodes every summarised column page (see RowStore).
+// ValidateZones implements Store.
 func (s *ColStore) ValidateZones() error {
 	for c := range s.cols {
 		for pi := range s.cols[c].pages {
@@ -310,7 +193,7 @@ func (s *ColStore) ValidateZones() error {
 	return nil
 }
 
-// ValidateZones re-decodes every summarised group page (see RowStore).
+// ValidateZones implements Store.
 func (s *HybridStore) ValidateZones() error {
 	for gi := range s.groups {
 		g := &s.groups[gi]
@@ -347,13 +230,3 @@ func validateTuplZones(pz *pageZones, rows [][]sheet.Value, width int, what stri
 	}
 	return nil
 }
-
-var (
-	_ Pruner = (*RowStore)(nil)
-	_ Pruner = (*ColStore)(nil)
-	_ Pruner = (*HybridStore)(nil)
-
-	_ PrunedSnap = (*rowSnap)(nil)
-	_ PrunedSnap = (*colSnap)(nil)
-	_ PrunedSnap = (*hybridSnap)(nil)
-)

@@ -100,29 +100,11 @@ func (s *RowStore) Insert(row []sheet.Value) (RowID, error) {
 }
 
 // Get implements Store.
-func (s *RowStore) Get(id RowID) ([]sheet.Value, error) {
-	pi, ok := s.dir[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrRowNotFound, id)
-	}
-	ids, rows, err := s.readPageShared(pi)
-	if err != nil {
-		return nil, err
-	}
-	for i, rid := range ids {
-		if rid == id {
-			return cloneRow(rows[i]), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %d", ErrRowNotFound, id)
-}
+func (s *RowStore) Get(id RowID) ([]sheet.Value, error) { return s.GetCols(id, nil, nil) }
 
 // GetCols implements Store. Row layouts decode the whole tuple regardless;
 // the column subset only narrows what is copied out.
-func (s *RowStore) GetCols(id RowID, cols []int) ([]sheet.Value, error) {
-	if cols == nil {
-		return s.Get(id)
-	}
+func (s *RowStore) GetCols(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, error) {
 	for _, c := range cols {
 		if c < 0 || c >= s.width {
 			return nil, fmt.Errorf("%w: %d", ErrColumnRange, c)
@@ -131,6 +113,9 @@ func (s *RowStore) GetCols(id RowID, cols []int) ([]sheet.Value, error) {
 	pi, ok := s.dir[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrRowNotFound, id)
+	}
+	if rowPageSkips(s.zones, pi, bounds) {
+		return nil, nil
 	}
 	ids, rows, err := s.readPageShared(pi)
 	if err != nil {
@@ -141,6 +126,9 @@ func (s *RowStore) GetCols(id RowID, cols []int) ([]sheet.Value, error) {
 			continue
 		}
 		row := rows[i]
+		if cols == nil {
+			return cloneRow(row), nil
+		}
 		out := make([]sheet.Value, len(cols))
 		for j, c := range cols {
 			if c < len(row) {
@@ -222,54 +210,6 @@ func (s *RowStore) Delete(id RowID) error {
 		}
 	}
 	return fmt.Errorf("%w: %d", ErrRowNotFound, id)
-}
-
-// Scan implements Store.
-func (s *RowStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
-	return s.ScanCols(nil, func(id RowID, row []sheet.Value) bool {
-		return fn(id, cloneRow(row))
-	})
-}
-
-// ScanColsStable implements Store: full-width scans hand out the decoded
-// page rows themselves.
-func (s *RowStore) ScanColsStable(cols []int) bool { return cols == nil }
-
-// ScanCols implements Store. Row layouts decode whole tuples regardless, so
-// the column subset only narrows what is copied into the scratch row.
-func (s *RowStore) ScanCols(cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	for _, c := range cols {
-		if c < 0 || c >= s.width {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
-	}
-	var scratch []sheet.Value
-	if cols != nil {
-		scratch = make([]sheet.Value, len(cols))
-	}
-	for pi := range s.pages {
-		ids, rows, err := s.readPageShared(pi)
-		if err != nil {
-			return err
-		}
-		for i, id := range ids {
-			row := rows[i]
-			if cols != nil {
-				for j, c := range cols {
-					if c < len(row) {
-						scratch[j] = row[c]
-					} else {
-						scratch[j] = sheet.Empty()
-					}
-				}
-				row = scratch
-			}
-			if !fn(id, row) {
-				return nil
-			}
-		}
-	}
-	return nil
 }
 
 // AddColumn implements Store. Every page of the table is rewritten — the

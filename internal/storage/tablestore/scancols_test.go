@@ -18,6 +18,29 @@ func newScanStores() map[string]Store {
 	}
 }
 
+// scanCols drives the one read contract the way the executor's serial
+// puller does: pin a snapshot, take its (single, unpruned) partition, run
+// ScanColsRange.
+func scanCols(s Store, cols []int, fn func(id RowID, row []sheet.Value) bool) error {
+	snap := s.Snapshot()
+	defer snap.Release()
+	parts, _, _ := snap.Partitions(1, cols, nil)
+	for _, p := range parts {
+		if err := snap.ScanColsRange(p, cols, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stableCols reports ScanColsStable for a snapshot of the store's current
+// schema.
+func stableCols(s Store, cols []int) bool {
+	snap := s.Snapshot()
+	defer snap.Release()
+	return snap.ScanColsStable(cols)
+}
+
 func fillStore(t *testing.T, s Store, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -46,7 +69,7 @@ func TestScanColsSubsets(t *testing.T) {
 			}
 			for _, cols := range [][]int{nil, {0}, {2, 0}, {3, 1, 2}, {0, 1, 2, 3}} {
 				seen := 0
-				err := s.ScanCols(cols, func(id RowID, row []sheet.Value) bool {
+				err := scanCols(s, cols, func(id RowID, row []sheet.Value) bool {
 					seen++
 					i := int(id - 1)
 					want := []sheet.Value{
@@ -78,7 +101,7 @@ func TestScanColsSubsets(t *testing.T) {
 			}
 			// Early stop.
 			count := 0
-			_ = s.ScanCols([]int{0}, func(RowID, []sheet.Value) bool {
+			_ = scanCols(s, []int{0}, func(RowID, []sheet.Value) bool {
 				count++
 				return count < 10
 			})
@@ -86,7 +109,7 @@ func TestScanColsSubsets(t *testing.T) {
 				t.Fatalf("early stop: %d", count)
 			}
 			// Out-of-range column.
-			if err := s.ScanCols([]int{4}, func(RowID, []sheet.Value) bool { return true }); !errors.Is(err, ErrColumnRange) {
+			if err := scanCols(s, []int{4}, func(RowID, []sheet.Value) bool { return true }); !errors.Is(err, ErrColumnRange) {
 				t.Fatalf("out-of-range col: %v", err)
 			}
 		})
@@ -101,12 +124,12 @@ func TestScanColsStableContract(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fillStore(t, s, 600)
 			for _, cols := range [][]int{nil, {0}, {0, 1}, {2, 3}} {
-				if !s.ScanColsStable(cols) {
+				if !stableCols(s, cols) {
 					continue
 				}
 				var rows [][]sheet.Value
 				var ids []RowID
-				if err := s.ScanCols(cols, func(id RowID, row []sheet.Value) bool {
+				if err := scanCols(s, cols, func(id RowID, row []sheet.Value) bool {
 					rows = append(rows, row)
 					ids = append(ids, id)
 					return true
@@ -129,13 +152,13 @@ func TestScanColsStableContract(t *testing.T) {
 	// Hybrid with aligned single group must be stable; spanning groups not.
 	pool := pager.NewBufferPool(pager.NewStore(), 64)
 	h := NewHybridStore(pool, 4, WithGroupSize(2))
-	if !h.ScanColsStable([]int{0, 1}) {
+	if !stableCols(h, []int{0, 1}) {
 		t.Fatal("aligned first group should be stable")
 	}
-	if h.ScanColsStable([]int{1, 2}) {
+	if stableCols(h, []int{1, 2}) {
 		t.Fatal("group-spanning scan cannot be stable")
 	}
-	if h.ScanColsStable([]int{1, 0}) {
+	if stableCols(h, []int{1, 0}) {
 		t.Fatal("reordered scan cannot be stable")
 	}
 }
@@ -148,7 +171,7 @@ func TestScanSeesWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fillStore(t, s, 300)
 			// Warm the decoded cache.
-			_ = s.ScanCols(nil, func(RowID, []sheet.Value) bool { return true })
+			_ = scanCols(s, nil, func(RowID, []sheet.Value) bool { return true })
 
 			if err := s.Update(5, []sheet.Value{sheet.Number(-5), sheet.String_("upd"), sheet.Number(0), sheet.Bool_(false)}); err != nil {
 				t.Fatal(err)
@@ -157,7 +180,7 @@ func TestScanSeesWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := map[RowID][]sheet.Value{}
-			_ = s.ScanCols(nil, func(id RowID, row []sheet.Value) bool {
+			_ = scanCols(s, nil, func(id RowID, row []sheet.Value) bool {
 				if id == 5 || id == 6 {
 					got[id] = append([]sheet.Value(nil), row...)
 				}
@@ -174,7 +197,7 @@ func TestScanSeesWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			var width int
-			_ = s.ScanCols(nil, func(_ RowID, row []sheet.Value) bool {
+			_ = scanCols(s, nil, func(_ RowID, row []sheet.Value) bool {
 				width = len(row)
 				if !row[4].Equal(sheet.Number(7)) {
 					t.Fatalf("backfill invisible: %v", row)
@@ -188,7 +211,7 @@ func TestScanSeesWrites(t *testing.T) {
 			if err := s.DropColumn(1); err != nil {
 				t.Fatal(err)
 			}
-			_ = s.ScanCols(nil, func(id RowID, row []sheet.Value) bool {
+			_ = scanCols(s, nil, func(id RowID, row []sheet.Value) bool {
 				if len(row) != 4 {
 					t.Fatalf("width after DropColumn = %d", len(row))
 				}
@@ -233,7 +256,7 @@ func TestGetCols(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, cols := range [][]int{nil, {0}, {4, 1}, {2, 2}, {}} {
-					got, err := s.GetCols(id, cols)
+					got, err := s.GetCols(id, cols, nil)
 					if err != nil {
 						t.Fatalf("GetCols(%d, %v): %v", id, cols, err)
 					}
@@ -254,16 +277,16 @@ func TestGetCols(t *testing.T) {
 					}
 				}
 			}
-			if _, err := s.GetCols(3, []int{9}); err == nil {
+			if _, err := s.GetCols(3, []int{9}, nil); err == nil {
 				t.Fatal("out-of-range column accepted")
 			}
 			if err := s.Delete(42); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.GetCols(42, []int{0}); err == nil {
+			if _, err := s.GetCols(42, []int{0}, nil); err == nil {
 				t.Fatal("deleted row visible through GetCols")
 			}
-			if _, err := s.GetCols(RowID(n+5), []int{0}); err == nil {
+			if _, err := s.GetCols(RowID(n+5), []int{0}, nil); err == nil {
 				t.Fatal("missing row visible through GetCols")
 			}
 		})

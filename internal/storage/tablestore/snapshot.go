@@ -2,33 +2,44 @@ package tablestore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 )
 
-// Table snapshots: lock-free point-in-time reads over a pinned pool epoch.
+// Table snapshots: lock-free point-in-time reads over a pinned pool epoch —
+// the one way rows are read out of a table.
 //
 // Snapshot() pins a BufferPool epoch and captures the store's structural
-// state (page lists, column map, tombstones, row counts) by value. The
-// returned TableSnap then serves scans with NO external synchronization:
-// page content as of the epoch comes from BufferPool.GetAt, which retains
-// superseded versions until the last pinned reader drains, and the captured
-// structure is private to the snapshot. Writers mutating the live store —
-// inserts, deletes, schema changes, even a DROP TABLE — cannot change what
-// the snapshot observes.
+// state (page lists, column map, tombstones, zone catalog, row counts) by
+// value. The returned TableSnap then serves scans with NO external
+// synchronization: page content as of the epoch comes from
+// BufferPool.GetAt, which retains superseded versions until the last pinned
+// reader drains, and the captured structure is private to the snapshot.
+// Writers mutating the live store — inserts, deletes, schema changes, even a
+// DROP TABLE — cannot change what the snapshot observes.
 //
 // Snapshot() itself must be called with writers excluded (the engine lock,
 // at least read-held) because it reads the store's mutable fields; every
 // method on the returned TableSnap is safe without any lock.
 //
-// Scans are partitionable for morsel-driven parallelism: Partitions(n)
-// splits the row space into up to n contiguous ranges such that running
-// ScanColsRange over the partitions in order yields exactly the rows, in
-// exactly the order, a full ScanCols would. Partition bounds are in
-// layout-defined units (page indexes for the row layout, slots for the
-// column and hybrid layouts); callers treat them as opaque.
+// Scans are partitionable for morsel-driven parallelism: Partitions splits
+// the row space into contiguous ranges such that running ScanColsRange over
+// the partitions in order yields exactly the rows, in exactly the order, a
+// full scan would — minus the pages the zone maps prove matchless when
+// bounds are given. A skip is taken only when a page's zone summary PROVES
+// no stored value can satisfy a bound, so pruned and unpruned scans are
+// row-for-row identical once the caller re-applies its predicates. Partition
+// bounds are in layout-defined units (page indexes for the row layout, slots
+// for the column and hybrid layouts); callers treat them as opaque.
+//
+// Each layout has exactly one tuple loop, its snapshot's ScanColsRange. The
+// store's own Scan runs it through view(): a borrowed snapshot that shares
+// the live structures instead of copying them and reads current page
+// versions (liveEpoch) instead of pinning an epoch — valid only while the
+// caller excludes writers, which every Store call already requires.
 
 // Partition is one contiguous range of a snapshot's row space, [Lo, Hi) in
 // units the layout defines. Obtain partitions from TableSnap.Partitions and
@@ -37,24 +48,40 @@ type Partition struct {
 	Lo, Hi int
 }
 
+// wholeTable covers every partition unit of any snapshot; ScanColsRange
+// clips it to the rows that exist.
+var wholeTable = Partition{Lo: 0, Hi: math.MaxInt}
+
 // TableSnap is an immutable point-in-time view of one table.
 type TableSnap interface {
 	// RowCount returns the number of live rows at snapshot time.
 	RowCount() int
 	// ColumnCount returns the table width at snapshot time.
 	ColumnCount() int
-	// Partitions splits the snapshot into at most n non-empty contiguous
-	// ranges covering every row; concatenating ScanColsRange outputs in
-	// partition order reproduces the serial scan order exactly.
-	Partitions(n int) []Partition
-	// ScanColsRange is ScanCols restricted to one partition. cols == nil
-	// scans all columns. Distinct partitions may be scanned concurrently
-	// from different goroutines.
+	// Partitions splits the snapshot into roughly n non-empty contiguous
+	// ranges; concatenating ScanColsRange outputs in partition order
+	// reproduces the serial scan order exactly. With bounds, the ranges the
+	// zone maps prove empty of matches are left out (partitions never span
+	// such a gap, so a few more than n can result). cols (nil = all) names
+	// the columns the scan will read, for page accounting only: pagesRead
+	// and pagesSkipped are the physical pages the scan will touch and has
+	// been spared.
+	Partitions(n int, cols []int, bounds []ZoneBound) (parts []Partition, pagesRead, pagesSkipped int)
+	// ScanColsRange calls fn for every live tuple of one partition in RowID
+	// order, materializing only the columns listed in cols (nil means all
+	// columns, in schema order), so layouts that store columns apart never
+	// page in blocks of unreferenced columns: row[i] holds the value of
+	// column cols[i]. It stops early if fn returns false. Unless
+	// ScanColsStable(cols) reports true the row slice is reused between
+	// calls: fn must copy any value it retains, and must never modify the
+	// slice contents. Distinct partitions may be scanned concurrently from
+	// different goroutines.
 	// dslint:perrow
 	ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error
-	// ScanColsStable reports whether ScanColsRange hands out stable rows
-	// (safe to retain) or a reused scratch row, mirroring
-	// Store.ScanColsStable.
+	// ScanColsStable reports whether the rows ScanColsRange(_, cols, ...)
+	// passes to fn remain valid after fn returns — they alias immutable
+	// decoded page snapshots rather than a reused scratch buffer — letting
+	// callers retain them without a copy.
 	ScanColsStable(cols []int) bool
 	// Release unpins the snapshot's epoch; superseded page versions it held
 	// become collectable. Idempotent. Callers must not use the snapshot
@@ -62,14 +89,16 @@ type TableSnap interface {
 	Release()
 }
 
-// Snapshotter is implemented by layouts that can serve lock-free snapshot
-// scans. It is deliberately separate from Store so existing implementations
-// and fakes keep compiling; executors type-assert and fall back to locked
-// scans when absent.
-type Snapshotter interface {
-	// Snapshot pins the current state. Call with writers excluded; use the
-	// returned TableSnap without any lock; Release when done.
-	Snapshot() TableSnap
+// liveEpoch is the epoch of a borrowed view: no page stamp exceeds it, so
+// BufferPool.GetAt serves the current content and version of every page.
+const liveEpoch = ^uint64(0)
+
+// scanOwned is the Store.Scan body shared by the layouts: the full-width
+// tuple loop over a borrowed view, handing fn rows it owns.
+func scanOwned(view TableSnap, fn func(id RowID, row []sheet.Value) bool) error {
+	return view.ScanColsRange(wholeTable, nil, func(id RowID, row []sheet.Value) bool {
+		return fn(id, cloneRow(row))
+	})
 }
 
 // epochPin funnels the release-once discipline shared by all snapshots.
@@ -81,6 +110,24 @@ type epochPin struct {
 
 func (p *epochPin) Release() {
 	p.release.Do(func() { p.pool.ReleaseEpoch(p.epoch) })
+}
+
+// wantCols resolves a scan's column list against a table of the given width:
+// nil expands to every column in schema order, and an index outside the
+// table is ErrColumnRange.
+func wantCols(cols []int, width int) ([]int, error) {
+	if cols == nil {
+		cols = make([]int, width)
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	for _, c := range cols {
+		if c < 0 || c >= width {
+			return nil, fmt.Errorf("%w: %d", ErrColumnRange, c)
+		}
+	}
+	return cols, nil
 }
 
 // splitRange cuts [0, total) into at most n non-empty contiguous pieces.
@@ -115,27 +162,57 @@ type rowSnap struct {
 	rowCount int
 }
 
-// Snapshot implements Snapshotter.
-func (s *RowStore) Snapshot() TableSnap {
-	snap := &rowSnap{
-		epochPin: epochPin{pool: s.pool, epoch: s.pool.OpenEpoch()},
+// view borrows the store's current state (see the file comment).
+func (s *RowStore) view() *rowSnap {
+	return &rowSnap{
+		epochPin: epochPin{pool: s.pool, epoch: liveEpoch},
 		cache:    &s.cache,
 		width:    s.width,
-		pages:    append([]pager.PageID(nil), s.pages...),
-		zones:    cloneZones(s.zones),
+		pages:    s.pages,
+		zones:    s.zones,
 		rowCount: s.rowCount,
 	}
+}
+
+// Scan implements Store.
+func (s *RowStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
+	return scanOwned(s.view(), fn)
+}
+
+// Snapshot implements Store.
+func (s *RowStore) Snapshot() TableSnap {
+	snap := s.view()
+	snap.epoch = s.pool.OpenEpoch()
+	snap.pages = append([]pager.PageID(nil), s.pages...)
+	snap.zones = cloneZones(s.zones)
 	return snap
 }
 
 func (s *rowSnap) RowCount() int    { return s.rowCount }
 func (s *rowSnap) ColumnCount() int { return s.width }
 
-// Partitions splits by page index: pages enumerate rows in scan order.
-func (s *rowSnap) Partitions(n int) []Partition { return splitRange(len(s.pages), n) }
+// Partitions splits by page index: pages enumerate rows in scan order, so
+// kept page runs translate directly.
+func (s *rowSnap) Partitions(n int, _ []int, bounds []ZoneBound) ([]Partition, int, int) {
+	total := len(s.pages)
+	if len(bounds) == 0 {
+		return splitRange(total, n), total, 0
+	}
+	kept := rowKeptPages(s.zones, total, bounds)
+	read := 0
+	for _, p := range kept {
+		read += p.Hi - p.Lo
+	}
+	return splitRuns(kept, n), read, total - read
+}
 
+// ScanColsStable: full-width scans hand out the decoded page rows
+// themselves.
 func (s *rowSnap) ScanColsStable(cols []int) bool { return cols == nil }
 
+// ScanColsRange implements TableSnap. Row layouts decode whole tuples
+// regardless, so the column subset only narrows what is copied into the
+// scratch row.
 func (s *rowSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error {
 	for _, c := range cols {
 		if c < 0 || c >= s.width {
@@ -182,24 +259,37 @@ type colSnap struct {
 	rowCount  int
 }
 
-// Snapshot implements Snapshotter.
-func (s *ColStore) Snapshot() TableSnap {
-	snap := &colSnap{
-		epochPin: epochPin{pool: s.pool, epoch: s.pool.OpenEpoch()},
-		cache:    &s.cache,
-		// The outer slice is deep-copied: DropColumn splices it in place.
-		// The inner page-id slices are append-only, so sharing their
-		// backing arrays up to the captured length is safe.
-		cols:      append([]colPages(nil), s.cols...),
-		deleted:   cloneDeleted(s.deleted),
+// view borrows the store's current state (see the file comment).
+func (s *ColStore) view() *colSnap {
+	return &colSnap{
+		epochPin:  epochPin{pool: s.pool, epoch: liveEpoch},
+		cache:     &s.cache,
+		cols:      s.cols,
+		deleted:   s.deleted,
 		slotCount: s.slotCount,
 		rowCount:  s.rowCount,
 	}
-	// Zone slices are NOT append-only — writeColPage replaces entries in
-	// place — so each column's zones must be copied, unlike its page ids.
+}
+
+// Scan implements Store.
+func (s *ColStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
+	return scanOwned(s.view(), fn)
+}
+
+// Snapshot implements Store.
+func (s *ColStore) Snapshot() TableSnap {
+	snap := s.view()
+	snap.epoch = s.pool.OpenEpoch()
+	// The outer slice is deep-copied: DropColumn splices it in place. The
+	// inner page-id slices are append-only, so sharing their backing arrays
+	// up to the captured length is safe. Zone slices are NOT append-only —
+	// writeColPage replaces entries in place — so each column's zones are
+	// copied too.
+	snap.cols = append([]colPages(nil), s.cols...)
 	for c := range snap.cols {
 		snap.cols[c].zones = cloneZones(snap.cols[c].zones)
 	}
+	snap.deleted = cloneDeleted(s.deleted)
 	return snap
 }
 
@@ -207,22 +297,30 @@ func (s *colSnap) RowCount() int    { return s.rowCount }
 func (s *colSnap) ColumnCount() int { return len(s.cols) }
 
 // Partitions splits by slot.
-func (s *colSnap) Partitions(n int) []Partition { return splitRange(s.slotCount, n) }
+func (s *colSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
+	want := len(cols)
+	if cols == nil {
+		want = len(s.cols)
+	}
+	if len(bounds) == 0 {
+		return splitRange(s.slotCount, n), (s.slotCount + valuesPerPage - 1) / valuesPerPage * want, 0
+	}
+	kept := colKeptRuns(s.cols, s.slotCount, bounds)
+	total, read := colPageStats(kept, s.slotCount, want)
+	return splitRuns(kept, n), read, total - read
+}
 
+// ScanColsStable: column layouts always assemble tuples in a reused scratch
+// row.
 func (s *colSnap) ScanColsStable([]int) bool { return false }
 
+// ScanColsRange implements TableSnap. Only the blocks of the requested
+// columns are read — the pure-column layout prunes I/O at attribute
+// granularity — and pages are visited chunk-wise so each block is read once.
 func (s *colSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	want := cols
-	if want == nil {
-		want = make([]int, len(s.cols))
-		for i := range want {
-			want[i] = i
-		}
-	}
-	for _, c := range want {
-		if c < 0 || c >= len(s.cols) {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
+	want, err := wantCols(cols, len(s.cols))
+	if err != nil {
+		return err
 	}
 	lo, hi := p.Lo, p.Hi
 	if hi > s.slotCount {
@@ -280,25 +378,39 @@ type hybridSnap struct {
 	rowCount  int
 }
 
-// Snapshot implements Snapshotter.
-func (s *HybridStore) Snapshot() TableSnap {
-	snap := &hybridSnap{
-		epochPin: epochPin{pool: s.pool, epoch: s.pool.OpenEpoch()},
-		cache:    &s.cache,
-		// groups entries are mutated in place by DropColumn (width/pages),
-		// so the slice of structs is deep-copied; page-id slices within are
-		// append-only and share safely.
-		groups:    append([]attrGroup(nil), s.groups...),
-		colMap:    append([]colLocation(nil), s.colMap...),
-		deleted:   cloneDeleted(s.deleted),
+// view borrows the store's current state (see the file comment).
+func (s *HybridStore) view() *hybridSnap {
+	return &hybridSnap{
+		epochPin:  epochPin{pool: s.pool, epoch: liveEpoch},
+		cache:     &s.cache,
+		groups:    s.groups,
+		colMap:    s.colMap,
+		deleted:   s.deleted,
 		slotCount: s.slotCount,
 		rowCount:  s.rowCount,
 	}
-	// Zone slices are NOT append-only — writeGroupPage replaces entries in
-	// place — so each group's zones must be copied, unlike its page ids.
+}
+
+// Scan implements Store.
+func (s *HybridStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
+	return scanOwned(s.view(), fn)
+}
+
+// Snapshot implements Store.
+func (s *HybridStore) Snapshot() TableSnap {
+	snap := s.view()
+	snap.epoch = s.pool.OpenEpoch()
+	// groups entries are mutated in place by DropColumn (width/pages), so
+	// the slice of structs is deep-copied; page-id slices within are
+	// append-only and share safely. Zone slices are NOT append-only —
+	// writeGroupPage replaces entries in place — so each group's zones are
+	// copied too.
+	snap.groups = append([]attrGroup(nil), s.groups...)
 	for gi := range snap.groups {
 		snap.groups[gi].zones = cloneZones(snap.groups[gi].zones)
 	}
+	snap.colMap = append([]colLocation(nil), s.colMap...)
+	snap.deleted = cloneDeleted(s.deleted)
 	return snap
 }
 
@@ -306,10 +418,18 @@ func (s *hybridSnap) RowCount() int    { return s.rowCount }
 func (s *hybridSnap) ColumnCount() int { return len(s.colMap) }
 
 // Partitions splits by slot.
-func (s *hybridSnap) Partitions(n int) []Partition { return splitRange(s.slotCount, n) }
+func (s *hybridSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
+	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
+	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
+	if len(bounds) == 0 {
+		return splitRange(s.slotCount, n), read, 0
+	}
+	return splitRuns(kept, n), read, total - read
+}
 
-// singleGroupScan mirrors HybridStore.singleGroupScan over the captured
-// structure.
+// singleGroupScan reports the group whose stored tuples can be passed
+// through unchanged — the wanted columns are exactly that group's
+// attributes in order — or -1 when the scan spans groups or reorders.
 func (s *hybridSnap) singleGroupScan(want []int) int {
 	if len(want) == 0 {
 		return -1
@@ -327,41 +447,28 @@ func (s *hybridSnap) singleGroupScan(want []int) int {
 	return gi
 }
 
+// ScanColsStable: a scan served by a single aligned group hands out the
+// decoded page rows themselves.
 func (s *hybridSnap) ScanColsStable(cols []int) bool {
-	want := cols
-	if want == nil {
-		want = make([]int, len(s.colMap))
-		for i := range want {
-			want[i] = i
-		}
-	}
-	for _, c := range want {
-		if c < 0 || c >= len(s.colMap) {
-			return false
-		}
-	}
-	return s.singleGroupScan(want) >= 0
+	want, err := wantCols(cols, len(s.colMap))
+	return err == nil && s.singleGroupScan(want) >= 0
 }
 
+// ScanColsRange implements TableSnap. Only the blocks of the attribute
+// groups that contain a requested column are read — groups holding only
+// unreferenced columns are never paged in.
 func (s *hybridSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	want := cols
-	if want == nil {
-		want = make([]int, len(s.colMap))
-		for i := range want {
-			want[i] = i
-		}
-	}
-	for _, c := range want {
-		if c < 0 || c >= len(s.colMap) {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
+	want, err := wantCols(cols, len(s.colMap))
+	if err != nil {
+		return err
 	}
 	lo, hi := p.Lo, p.Hi
 	if hi > s.slotCount {
 		hi = s.slotCount
 	}
 	hasDeleted := len(s.deleted) > 0
-	// Fast path: one aligned group, rows pass through unchanged.
+	// Fast path: the wanted columns are exactly one group's tuples, so the
+	// decoded rows pass through with no scratch copy at all.
 	if gi := s.singleGroupScan(want); gi >= 0 {
 		g := &s.groups[gi]
 		var rows [][]sheet.Value
@@ -393,10 +500,12 @@ func (s *hybridSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, ro
 		}
 		return nil
 	}
-	// General path: one cursor per group that holds a requested column.
+	// General path: one cursor per group that holds a requested column,
+	// each carrying the (scratch slot, offset-in-group) pairs to copy per
+	// tuple and caching its currently loaded block.
 	type groupCopy struct {
-		slot   int
-		offset int
+		slot   int // index into the scratch row
+		offset int // attribute offset within the group's tuples
 	}
 	type groupRead struct {
 		gi     int
@@ -473,7 +582,7 @@ func cloneDeleted(m map[RowID]bool) map[RowID]bool {
 }
 
 var (
-	_ Snapshotter = (*RowStore)(nil)
-	_ Snapshotter = (*ColStore)(nil)
-	_ Snapshotter = (*HybridStore)(nil)
+	_ Store = (*RowStore)(nil)
+	_ Store = (*ColStore)(nil)
+	_ Store = (*HybridStore)(nil)
 )

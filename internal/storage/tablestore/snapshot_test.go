@@ -64,10 +64,10 @@ func TestSnapshotFrozenUnderMutation(t *testing.T) {
 				}
 			}
 			before := collectScan(t, func(fn func(RowID, []sheet.Value) bool) error {
-				return s.ScanCols(nil, fn)
+				return scanCols(s, nil, fn)
 			})
 
-			snap := s.(Snapshotter).Snapshot()
+			snap := s.Snapshot()
 			defer snap.Release()
 			if snap.RowCount() != n-2 {
 				t.Fatalf("snap.RowCount = %d, want %d", snap.RowCount(), n-2)
@@ -102,7 +102,8 @@ func TestSnapshotFrozenUnderMutation(t *testing.T) {
 			}
 
 			after := collectScan(t, func(fn func(RowID, []sheet.Value) bool) error {
-				return snap.ScanColsRange(snap.Partitions(1)[0], nil, fn)
+				parts, _, _ := snap.Partitions(1, nil, nil)
+				return snap.ScanColsRange(parts[0], nil, fn)
 			})
 			if !reflect.DeepEqual(before, after) {
 				t.Fatalf("snapshot scan diverged from pre-mutation scan: %d vs %d rows", len(before), len(after))
@@ -130,14 +131,14 @@ func TestSnapshotPartitionsReproduceSerialOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			snap := s.(Snapshotter).Snapshot()
+			snap := s.Snapshot()
 			defer snap.Release()
 			for _, cols := range [][]int{nil, {0}, {2, 0}, {1, 3}} {
 				serial := collectScan(t, func(fn func(RowID, []sheet.Value) bool) error {
 					return snap.ScanColsRange(Partition{Lo: 0, Hi: 1 << 30}, cols, fn)
 				})
 				for _, workers := range []int{1, 2, 4, 7, 64} {
-					parts := snap.Partitions(workers)
+					parts, _, _ := snap.Partitions(workers, cols, nil)
 					if len(parts) == 0 || len(parts) > workers {
 						t.Fatalf("Partitions(%d) returned %d parts", workers, len(parts))
 					}
@@ -167,7 +168,7 @@ func TestSnapshotConcurrentPartitionScans(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := tc.store
 			fillStore(t, s, n)
-			snap := s.(Snapshotter).Snapshot()
+			snap := s.Snapshot()
 			defer snap.Release()
 
 			stop := make(chan struct{})
@@ -194,7 +195,7 @@ func TestSnapshotConcurrentPartitionScans(t *testing.T) {
 				}
 			}()
 
-			parts := snap.Partitions(4)
+			parts, _, _ := snap.Partitions(4, nil, nil)
 			errs := make(chan error, 2*len(parts))
 			for _, p := range parts {
 				go func(p Partition) {

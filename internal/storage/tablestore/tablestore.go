@@ -15,6 +15,13 @@
 //
 // All layouts persist through a pager.BufferPool so experiments can compare
 // block-touch counts (experiment A1).
+//
+// Every layout reads rows through ONE contract: Store.Snapshot pins a
+// point-in-time TableSnap, TableSnap.Partitions cuts it into contiguous
+// ranges — dropping the pages the zone maps prove matchless when the caller
+// passes bounds — and TableSnap.ScanColsRange is the single tuple loop per
+// layout. The store's own Scan (DML targets, index builds) runs that same
+// loop through a borrowed view of the live structures.
 package tablestore
 
 import (
@@ -51,7 +58,10 @@ type Store interface {
 	// ColStore, HybridStore — only page in blocks that hold a requested
 	// column, which is what makes index scans cheap: the access-path layer
 	// fetches candidate rows by RowID with exactly the referenced columns.
-	GetCols(id RowID, cols []int) ([]sheet.Value, error)
+	// With bounds, the zone maps of the page(s) holding id are consulted
+	// first: when one proves the row cannot match, GetCols returns a nil
+	// row and a nil error without paging in or decoding anything.
+	GetCols(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, error)
 	// Update replaces the tuple. The tuple must have ColumnCount values.
 	Update(id RowID, row []sheet.Value) error
 	// UpdateColumn replaces a single attribute of the tuple.
@@ -59,24 +69,14 @@ type Store interface {
 	// Delete removes the tuple.
 	Delete(id RowID) error
 	// Scan calls fn for every live tuple in RowID order; it stops early if
-	// fn returns false. The row passed to fn is owned by the caller.
+	// fn returns false. The row passed to fn is owned by the caller. Like
+	// every other Store call it needs writers excluded for its duration.
 	// dslint:perrow
 	Scan(fn func(id RowID, row []sheet.Value) bool) error
-	// ScanCols is the streaming scan used by the query executor: fn is
-	// called for every live tuple in RowID order, materializing only the
-	// columns listed in cols (nil means all columns, in schema order), so
-	// layouts that store columns apart — ColStore, HybridStore — never page
-	// in blocks of unreferenced columns. row[i] holds the value of column
-	// cols[i]. Unless ScanColsStable(cols) reports true, the row slice is
-	// reused between calls: fn must copy any value it retains. fn must
-	// never modify the slice contents.
-	// dslint:perrow
-	ScanCols(cols []int, fn func(id RowID, row []sheet.Value) bool) error
-	// ScanColsStable reports whether the rows a ScanCols(cols, ...) call
-	// passes to fn remain valid after fn returns — they alias immutable
-	// decoded page snapshots rather than a reused scratch buffer — letting
-	// callers retain them without a copy.
-	ScanColsStable(cols []int) bool
+	// Snapshot pins the current state for lock-free reads. Call with
+	// writers excluded; use the returned TableSnap without any lock;
+	// Release when done.
+	Snapshot() TableSnap
 	// AddColumn appends an attribute to the schema, backfilling existing
 	// tuples with the default value.
 	AddColumn(defaultValue sheet.Value) error
@@ -97,6 +97,16 @@ type Store interface {
 	// Pages returns the physical backend pages the store currently
 	// references, for checkpoint reachability and protection sets.
 	Pages() []pager.PageID
+	// MarshalZones serialises the store's current zone-map catalog.
+	MarshalZones() []byte
+	// AttachZones replaces the store's zone catalog with a previously
+	// marshalled one. On any validation error the catalog is left empty and
+	// the error returned; the store remains fully usable without skipping.
+	AttachZones(data []byte) error
+	// ValidateZones re-decodes every summarised page and checks that its
+	// zone covers every stored value — the invariant that makes skipping
+	// safe (fuzz and golden tests call it after churn).
+	ValidateZones() error
 }
 
 // rowsPerPage / valuesPerPage control how many entries are packed per block.

@@ -11,17 +11,6 @@ import "fmt"
 // store's page lists and rejects the whole payload on any mismatch, leaving
 // the store with no summaries (= no skipping), never with wrong ones.
 
-// ZonePersister is the optional capability to externalise and reattach a
-// store's zone-map catalog, type-asserted by the engine's checkpoint path.
-type ZonePersister interface {
-	// MarshalZones serialises the store's current zone catalog.
-	MarshalZones() []byte
-	// AttachZones replaces the store's zone catalog with a previously
-	// marshalled one. On any validation error the catalog is left empty and
-	// the error returned; the store remains fully usable without skipping.
-	AttachZones(data []byte) error
-}
-
 const (
 	zoneLayoutRow    = 'r'
 	zoneLayoutCol    = 'c'
@@ -90,13 +79,13 @@ func (d *valueDecoder) zoneList(nPages int, what string) ([]*pageZones, error) {
 	return zs, nil
 }
 
-// MarshalZones implements ZonePersister.
+// MarshalZones implements Store.
 func (s *RowStore) MarshalZones() []byte {
 	dst := []byte{zoneLayoutRow}
 	return appendZoneList(dst, s.zones)
 }
 
-// AttachZones implements ZonePersister.
+// AttachZones implements Store.
 func (s *RowStore) AttachZones(data []byte) error {
 	s.zones = nil
 	if len(data) == 0 || data[0] != zoneLayoutRow {
@@ -114,7 +103,7 @@ func (s *RowStore) AttachZones(data []byte) error {
 	return nil
 }
 
-// MarshalZones implements ZonePersister.
+// MarshalZones implements Store.
 func (s *ColStore) MarshalZones() []byte {
 	dst := []byte{zoneLayoutCol}
 	dst = appendUvarint(dst, uint64(len(s.cols)))
@@ -124,7 +113,7 @@ func (s *ColStore) MarshalZones() []byte {
 	return dst
 }
 
-// AttachZones implements ZonePersister.
+// AttachZones implements Store.
 func (s *ColStore) AttachZones(data []byte) error {
 	for c := range s.cols {
 		s.cols[c].zones = nil
@@ -155,7 +144,7 @@ func (s *ColStore) AttachZones(data []byte) error {
 	return nil
 }
 
-// MarshalZones implements ZonePersister.
+// MarshalZones implements Store.
 func (s *HybridStore) MarshalZones() []byte {
 	dst := []byte{zoneLayoutHybrid}
 	dst = appendUvarint(dst, uint64(len(s.groups)))
@@ -165,7 +154,7 @@ func (s *HybridStore) MarshalZones() []byte {
 	return dst
 }
 
-// AttachZones implements ZonePersister.
+// AttachZones implements Store.
 func (s *HybridStore) AttachZones(data []byte) error {
 	for gi := range s.groups {
 		s.groups[gi].zones = nil
@@ -195,9 +184,3 @@ func (s *HybridStore) AttachZones(data []byte) error {
 	}
 	return nil
 }
-
-var (
-	_ ZonePersister = (*RowStore)(nil)
-	_ ZonePersister = (*ColStore)(nil)
-	_ ZonePersister = (*HybridStore)(nil)
-)
