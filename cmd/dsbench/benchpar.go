@@ -91,15 +91,10 @@ func benchParQuery(query string, wantRows, workers int) func(b *testing.B) {
 // benchWriterInterference measures read latency percentiles while a writer
 // churns rows on the same table. Every scan pins an epoch under a brief lock
 // and reads frozen pages, so the writer's lock holds never land in the read
-// path; serial mode runs the scan and the fold with one puller, the other
-// mode with the configured worker pool. Returns (p50, p99) in nanoseconds
-// over `samples` aggregation queries.
-func benchWriterInterference(serial bool, samples int) (p50, p99 float64) {
+// path. Returns (p50, p99) in nanoseconds over `samples` aggregation queries
+// at the configured worker count.
+func benchWriterInterference(samples int) (p50, p99 float64) {
 	db := parBenchDB()
-	if serial {
-		db.SetWorkers(1)
-		defer db.SetWorkers(0)
-	}
 
 	stop := make(chan struct{})
 	var writer sync.WaitGroup

@@ -122,6 +122,11 @@ var goldenQueries = []struct {
 	{"SELECT COUNT(*) FROM items WHERE id BETWEEN 50 AND 60", "pk range (id)"},
 	{"SELECT a.id, b.id FROM items a JOIN items b ON a.id = b.grp WHERE a.id < 20", "pk range (id)"},
 	{"SELECT id FROM items WHERE id = 10 OR FALSE", ""},
+	// LIMIT/OFFSET with no ORDER BY: the shape QueryStream cuts itself, within
+	// one fetch batch and across two.
+	{"SELECT id, name FROM items WHERE id BETWEEN 100 AND 160 LIMIT 9 OFFSET 4", "pk range (id)"},
+	{"SELECT id FROM items WHERE id >= 10 LIMIT 300 OFFSET 20", "pk range (id)"},
+	{"SELECT id FROM items WHERE grp >= 2 AND v > 5 LIMIT 11 OFFSET 2", "index idx_grp range (grp)"},
 }
 
 // forEachAccessDB runs fn as a subtest per layout and per way of obtaining

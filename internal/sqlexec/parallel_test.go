@@ -91,6 +91,11 @@ var parGoldenQueries = []string{
 	// DISTINCT / ORDER BY / LIMIT downstream of parallel fragments.
 	`SELECT DISTINCT label FROM items ORDER BY label`,
 	`SELECT id, qty FROM items WHERE qty >= 0 ORDER BY qty, id LIMIT 40 OFFSET 5`,
+	// LIMIT/OFFSET with no ORDER BY: partition order is the result order, and
+	// QueryStream applies the cut itself instead of materialising.
+	`SELECT label FROM items WHERE grp = 11 LIMIT 17 OFFSET 3`,
+	`SELECT id FROM items LIMIT 5`,
+	`SELECT id, qty FROM items WHERE qty > 10 LIMIT 5000 OFFSET 4100`,
 }
 
 func TestParallelGoldenEquivalence(t *testing.T) {

@@ -59,6 +59,9 @@ var zoneQueries = []string{
 	"SELECT SUM(val) FROM ev WHERE ts >= 1800 AND ts < 1900",
 	// Index path (pk range) whose candidates are zone-checked on ts.
 	"SELECT id, val FROM ev WHERE id BETWEEN 100 AND 900 AND ts < 150",
+	// LIMIT/OFFSET cut applied past skipped pages, scan and index path.
+	"SELECT id, val FROM ev WHERE ts >= 1200 LIMIT 25 OFFSET 10",
+	"SELECT id FROM ev WHERE id BETWEEN 100 AND 900 AND ts < 150 LIMIT 7 OFFSET 3",
 }
 
 // runSkippedVsUnskipped executes each query twice — once with zone-map

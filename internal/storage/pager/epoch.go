@@ -99,13 +99,38 @@ func (bp *BufferPool) GetAt(e uint64, id PageID) ([]byte, uint64, error) {
 		}
 		return data, ver, nil
 	}
+	if rv := bp.retainedAtLocked(e, id); rv != nil {
+		return rv.data, rv.ver, nil
+	}
+	return nil, 0, fmt.Errorf("pager: no retained version of page %d at epoch %d: %w", id, e, ErrPageNotFound)
+}
+
+// VersionAt returns the version GetAt(e, id) reports, without touching the
+// page bytes: a decoded-page cache probes with it and fetches only on a miss.
+// While e stays pinned (or, for the all-ones epoch, writers stay excluded)
+// the answer does not change. ok is false when no version is visible at e.
+func (bp *BufferPool) VersionAt(e uint64, id PageID) (ver uint64, ok bool) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if bp.pageEpoch[id] <= e {
+		return bp.versions[id], true
+	}
+	if rv := bp.retainedAtLocked(e, id); rv != nil {
+		return rv.ver, true
+	}
+	return 0, false
+}
+
+// retainedAtLocked picks the retained version of a page changed since epoch
+// e opened: the one with the largest stamp <= e (caller holds bp.mu).
+func (bp *BufferPool) retainedAtLocked(e uint64, id PageID) *retainedVersion {
 	vers := bp.retained[id]
 	for i := len(vers) - 1; i >= 0; i-- {
 		if vers[i].stamp <= e {
-			return vers[i].data, vers[i].ver, nil
+			return &vers[i]
 		}
 	}
-	return nil, 0, fmt.Errorf("pager: no retained version of page %d at epoch %d: %w", id, e, ErrPageNotFound)
+	return nil
 }
 
 // retainBeforeChangeLocked parks the current content of a page that is

@@ -132,6 +132,18 @@ func TestEpochVersionCounterMatchesSnapshot(t *testing.T) {
 	if cur := bp.Version(id); cur == oldVer {
 		t.Fatal("current version did not advance past the snapshot's")
 	}
+	// VersionAt is GetAt's version without the bytes, at a pinned epoch and
+	// at the all-ones "current" epoch, and costs no pool read.
+	before := bp.Stats()
+	if got, ok := bp.VersionAt(e, id); !ok || got != oldVer {
+		t.Fatalf("VersionAt(e) = %d, %v, want %d", got, ok, oldVer)
+	}
+	if got, ok := bp.VersionAt(^uint64(0), id); !ok || got != bp.Version(id) {
+		t.Fatalf("VersionAt(current) = %d, %v, want %d", got, ok, bp.Version(id))
+	}
+	if after := bp.Stats(); after != before {
+		t.Fatalf("VersionAt touched the pool: %+v -> %+v", before, after)
+	}
 	bp.ReleaseEpoch(e)
 }
 

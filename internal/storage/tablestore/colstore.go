@@ -70,7 +70,7 @@ func (s *ColStore) readColPage(col, pi int) ([]sheet.Value, error) {
 // readColPageShared returns the cached decoded page for the read-only paths;
 // callers must not modify the returned slice.
 func (s *ColStore) readColPageShared(col, pi int) ([]sheet.Value, error) {
-	return s.cache.getColumn(s.pool, s.cols[col].pages[pi])
+	return s.cache.getColumnAt(s.pool, liveEpoch, s.cols[col].pages[pi])
 }
 
 // writeColPage is the single choke point for column-page mutations: every

@@ -152,7 +152,7 @@ func (s *HybridStore) readGroupPage(gi, pi int) ([]RowID, [][]sheet.Value, error
 // readGroupPageShared returns the cached decoded page for the read-only
 // paths; callers must not modify the returned slices.
 func (s *HybridStore) readGroupPageShared(gi, pi int) ([]RowID, [][]sheet.Value, error) {
-	return s.cache.getTuples(s.pool, s.groups[gi].pages[pi])
+	return s.cache.getTuplesAt(s.pool, liveEpoch, s.groups[gi].pages[pi])
 }
 
 // writeGroupPage is the single choke point for group-page mutations: every

@@ -60,41 +60,26 @@ func (c *decodedCache) shard(id pager.PageID) *cacheShard {
 	return &c.shards[uint64(id)%decodedCacheShards]
 }
 
-// getTuples returns the decoded tuple page at the pool's current version,
-// decoding and caching on a miss. Callers must exclude writers (the engine
-// lock) so the version/content pair stays consistent; a write racing the
-// two pool calls only causes a harmless re-decode, never a stale hit.
-func (c *decodedCache) getTuples(pool *pager.BufferPool, id pager.PageID) ([]RowID, [][]sheet.Value, error) {
-	ver := pool.Version(id)
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if e, ok := sh.tuples[cacheKey{id, ver}]; ok {
-		sh.mu.Unlock()
-		return e.ids, e.rows, nil
-	}
-	sh.mu.Unlock()
-	data, err := pool.Get(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sh.addTuples(cacheKey{id, ver}, data)
-}
-
-// getTuplesAt is getTuples as of a snapshot epoch: the pool hands back the
-// (content, version) pair in one atomic step, so this path is safe with no
-// engine lock held while writers churn.
+// getTuplesAt returns the decoded tuple page as of a snapshot epoch (or, at
+// liveEpoch, the current one under the caller's writer exclusion), decoding
+// and caching on a miss. The probe asks the pool for the version alone, so a
+// decoded hit costs no page read; on a miss the pool hands back the (content,
+// version) pair in one atomic step, so the entry is keyed by the bytes it
+// decodes even with no engine lock held while writers churn.
 func (c *decodedCache) getTuplesAt(pool *pager.BufferPool, epoch uint64, id pager.PageID) ([]RowID, [][]sheet.Value, error) {
+	sh := c.shard(id)
+	if ver, ok := pool.VersionAt(epoch, id); ok {
+		sh.mu.Lock()
+		e, hit := sh.tuples[cacheKey{id, ver}]
+		sh.mu.Unlock()
+		if hit {
+			return e.ids, e.rows, nil
+		}
+	}
 	data, ver, err := pool.GetAt(epoch, id)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if e, ok := sh.tuples[cacheKey{id, ver}]; ok {
-		sh.mu.Unlock()
-		return e.ids, e.rows, nil
-	}
-	sh.mu.Unlock()
 	return sh.addTuples(cacheKey{id, ver}, data)
 }
 
@@ -116,37 +101,21 @@ func (sh *cacheShard) addTuples(key cacheKey, data []byte) ([]RowID, [][]sheet.V
 	return ids, rows, nil
 }
 
-// getColumn returns the decoded column page at the pool's current version,
-// decoding and caching on a miss.
-func (c *decodedCache) getColumn(pool *pager.BufferPool, id pager.PageID) ([]sheet.Value, error) {
-	ver := pool.Version(id)
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if e, ok := sh.cols[cacheKey{id, ver}]; ok {
-		sh.mu.Unlock()
-		return e.vals, nil
-	}
-	sh.mu.Unlock()
-	data, err := pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return sh.addColumn(cacheKey{id, ver}, data)
-}
-
-// getColumnAt is getColumn as of a snapshot epoch.
+// getColumnAt is getTuplesAt for a column page.
 func (c *decodedCache) getColumnAt(pool *pager.BufferPool, epoch uint64, id pager.PageID) ([]sheet.Value, error) {
+	sh := c.shard(id)
+	if ver, ok := pool.VersionAt(epoch, id); ok {
+		sh.mu.Lock()
+		e, hit := sh.cols[cacheKey{id, ver}]
+		sh.mu.Unlock()
+		if hit {
+			return e.vals, nil
+		}
+	}
 	data, ver, err := pool.GetAt(epoch, id)
 	if err != nil {
 		return nil, err
 	}
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if e, ok := sh.cols[cacheKey{id, ver}]; ok {
-		sh.mu.Unlock()
-		return e.vals, nil
-	}
-	sh.mu.Unlock()
 	return sh.addColumn(cacheKey{id, ver}, data)
 }
 

@@ -53,7 +53,7 @@ func (s *RowStore) readPage(idx int) ([]RowID, [][]sheet.Value, error) {
 // readPageShared returns the cached decoded page for the read-only paths;
 // callers must not modify the returned slices.
 func (s *RowStore) readPageShared(idx int) ([]RowID, [][]sheet.Value, error) {
-	return s.cache.getTuples(s.pool, s.pages[idx])
+	return s.cache.getTuplesAt(s.pool, liveEpoch, s.pages[idx])
 }
 
 // writePage is the single choke point for page mutations: every rewrite

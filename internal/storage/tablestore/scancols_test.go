@@ -292,3 +292,39 @@ func TestGetCols(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodedHitSkipsPoolRead pins the read order of the one tuple loop: the
+// decoded-page cache is probed by version before any page bytes are fetched,
+// so re-scanning a table far larger than its pool — through a pinned
+// snapshot or through Store.Scan's borrowed view — reads no page.
+func TestDecodedHitSkipsPoolRead(t *testing.T) {
+	pools := map[string]*pager.BufferPool{}
+	mk := func(name string) *pager.BufferPool {
+		pools[name] = pager.NewBufferPool(pager.NewStore(), 2)
+		return pools[name]
+	}
+	stores := map[string]Store{
+		"row":    NewRowStore(mk("row"), 4),
+		"column": NewColStore(mk("column"), 4),
+		"hybrid": NewHybridStore(mk("hybrid"), 4, WithGroupSize(2)),
+	}
+	for name, s := range stores {
+		t.Run(name, func(t *testing.T) {
+			fillStore(t, s, 1500)
+			all := func(RowID, []sheet.Value) bool { return true }
+			if err := scanCols(s, nil, all); err != nil {
+				t.Fatal(err)
+			}
+			before := pools[name].Stats()
+			if err := scanCols(s, nil, all); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Scan(all); err != nil {
+				t.Fatal(err)
+			}
+			if after := pools[name].Stats(); after != before {
+				t.Fatalf("warm re-scan touched the pool: %+v -> %+v", before, after)
+			}
+		})
+	}
+}

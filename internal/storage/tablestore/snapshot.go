@@ -62,10 +62,10 @@ type TableSnap interface {
 	// ranges; concatenating ScanColsRange outputs in partition order
 	// reproduces the serial scan order exactly. With bounds, the ranges the
 	// zone maps prove empty of matches are left out (partitions never span
-	// such a gap, so a few more than n can result). cols (nil = all) names
-	// the columns the scan will read, for page accounting only: pagesRead
-	// and pagesSkipped are the physical pages the scan will touch and has
-	// been spared.
+	// such a gap, so a few more than n can result) and pagesRead /
+	// pagesSkipped count the physical pages of cols (nil = all: the columns
+	// the scan will read) the scan will touch and has been spared; without
+	// bounds nothing is consulted and both are zero.
 	Partitions(n int, cols []int, bounds []ZoneBound) (parts []Partition, pagesRead, pagesSkipped int)
 	// ScanColsRange calls fn for every live tuple of one partition in RowID
 	// order, materializing only the columns listed in cols (nil means all
@@ -196,7 +196,7 @@ func (s *rowSnap) ColumnCount() int { return s.width }
 func (s *rowSnap) Partitions(n int, _ []int, bounds []ZoneBound) ([]Partition, int, int) {
 	total := len(s.pages)
 	if len(bounds) == 0 {
-		return splitRange(total, n), total, 0
+		return splitRange(total, n), 0, 0
 	}
 	kept := rowKeptPages(s.zones, total, bounds)
 	read := 0
@@ -298,12 +298,12 @@ func (s *colSnap) ColumnCount() int { return len(s.cols) }
 
 // Partitions splits by slot.
 func (s *colSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
+	if len(bounds) == 0 {
+		return splitRange(s.slotCount, n), 0, 0
+	}
 	want := len(cols)
 	if cols == nil {
 		want = len(s.cols)
-	}
-	if len(bounds) == 0 {
-		return splitRange(s.slotCount, n), (s.slotCount + valuesPerPage - 1) / valuesPerPage * want, 0
 	}
 	kept := colKeptRuns(s.cols, s.slotCount, bounds)
 	total, read := colPageStats(kept, s.slotCount, want)
@@ -419,11 +419,11 @@ func (s *hybridSnap) ColumnCount() int { return len(s.colMap) }
 
 // Partitions splits by slot.
 func (s *hybridSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
+	if len(bounds) == 0 {
+		return splitRange(s.slotCount, n), 0, 0
+	}
 	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
 	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
-	if len(bounds) == 0 {
-		return splitRange(s.slotCount, n), read, 0
-	}
 	return splitRuns(kept, n), read, total - read
 }
 
