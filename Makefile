@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race racecheck vet fmt bench benchcheck fuzz faultcheck verify apicheck lint servecheck
+.PHONY: all build test race racecheck vet fmt bench benchcheck fuzz faultcheck verify apicheck lint servecheck loc
 
 all: build test
 
@@ -23,6 +23,15 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 verify: fmt vet lint build test racecheck faultcheck apicheck benchcheck
+
+# loc prints the non-test Go lines of every package in the root module and
+# their total: the number ROADMAP's 29k target and each CHANGES.md entry
+# quote. bench/ is a module of its own, so `go list ./...` leaves it out.
+loc:
+	@$(GO) list -f '{{.Dir}}' ./... | while read -r dir; do \
+		files=$$(ls "$$dir"/*.go | grep -v '_test\.go$$'); \
+		[ -z "$$files" ] || echo "$$(cat $$files | wc -l) $${dir#$(CURDIR)}"; \
+	done | awk '{ printf "%7d  .%s\n", $$1, $$2; total += $$1 } END { printf "%7d  total\n", total }'
 
 # racecheck runs the race detector over the two packages whose code runs
 # without the engine lock — the scan kernel's pullers (internal/sqlexec) and

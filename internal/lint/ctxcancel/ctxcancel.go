@@ -1,12 +1,12 @@
 // Package ctxcancel enforces the executor's cancellation invariant: every
 // row-at-a-time loop must reach the cooperative cancellation poll
-// (execEnv.check) so a context cancel or statement timeout interrupts the
+// (poller.check) so a context cancel or statement timeout interrupts the
 // scan within one poll interval, never after an unbounded amount of work.
 //
 // The analysis is annotation-driven so it states the invariant once and
 // mechanically finds the loops:
 //
-//   - `// dslint:poll` marks THE poll method (execEnv.check). A function
+//   - `// dslint:poll` marks THE poll method (poller.check). A function
 //     whose receiver or parameters can reach a poll method is
 //     "poll-capable" — it had the means to poll, so its row loops must.
 //   - `// dslint:row` marks types whose values identify one row
@@ -53,14 +53,14 @@ func run(pass *lint.Pass) error {
 
 // checkBody walks one poll-capable function body and flags row loops and
 // per-row callbacks that never reach the poll. Local closures that poll
-// (keep := func(...) { env.check(); ... }) count at their call sites.
+// (keep := func(...) { poll.check(); ... }) count at their call sites.
 func checkBody(pass *lint.Pass, body *ast.BlockStmt) {
 	closures := pollingClosures(pass, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.RangeStmt:
 			if rowRange(pass, s) && !polls(pass, closures, s.Body) {
-				pass.Reportf(s.Pos(), "row loop without cancellation poll: call the dslint:poll method (execEnv.check) in the loop body so cancel/timeout can interrupt the scan")
+				pass.Reportf(s.Pos(), "row loop without cancellation poll: call the dslint:poll method (poller.check) in the loop body so cancel/timeout can interrupt the scan")
 			}
 		case *ast.CallExpr:
 			obj := pass.CalleeOf(s)
@@ -73,7 +73,7 @@ func checkBody(pass *lint.Pass, body *ast.BlockStmt) {
 					continue
 				}
 				if !polls(pass, closures, lit.Body) {
-					pass.Reportf(lit.Pos(), "per-row callback passed to %s without cancellation poll: call the dslint:poll method (execEnv.check) inside the callback", obj.Name())
+					pass.Reportf(lit.Pos(), "per-row callback passed to %s without cancellation poll: call the dslint:poll method (poller.check) inside the callback", obj.Name())
 				}
 			}
 		}
@@ -104,7 +104,7 @@ func polls(pass *lint.Pass, closures map[types.Object]bool, body *ast.BlockStmt)
 }
 
 // pollingClosures finds local closure variables whose function literal
-// polls directly (keep := func(...) { ...env.check()... }), so calling
+// polls directly (keep := func(...) { ...poll.check()... }), so calling
 // them inside a loop satisfies the invariant.
 func pollingClosures(pass *lint.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	closures := map[types.Object]bool{}

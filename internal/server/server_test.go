@@ -175,6 +175,25 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("err = %v, want ErrParamCount", err)
 	}
 
+	// A row count no int can hold is a typed error, not a panic that takes
+	// every tenant down with the process; the largest one that fits
+	// saturates OFFSET+LIMIT instead of wrapping. The server still answers.
+	if _, err := c.Query(ctx, "SELECT k FROM kv ORDER BY k LIMIT 9223372036854775807"); !errors.Is(err, dberr.ErrSyntax) {
+		t.Fatalf("err = %v, want a syntax error", err)
+	}
+	rows, err = c.Query(ctx, "SELECT k FROM kv ORDER BY k LIMIT 9223372036854774784 OFFSET 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n = 0; rows.Next(); n++ {
+	}
+	if err := rows.Close(); err != nil || n != 2 {
+		t.Fatalf("huge LIMIT after OFFSET 10: %d rows, err %v; want 2", n, err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Stats reflect the traffic.
 	stats, err := c.ServerStats()
 	if err != nil {

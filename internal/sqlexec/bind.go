@@ -23,44 +23,52 @@ import (
 // execEnv is the per-execution context threaded through planning and
 // evaluation: the spreadsheet accessor for positional constructs, the
 // argument values bound to this execution's '?' placeholders, and the
-// caller's context, polled at batch boundaries so a cancelled query stops
-// scanning, joining and sorting promptly.
+// cancellation poll over the caller's context.
 type execEnv struct {
 	sheets SheetAccessor
 	params []sheet.Value
-	ctx    context.Context
-	ticks  int
+	// cancel is never ticked itself: every row loop polls its own copy
+	// (poller), so concurrent pullers share no counter. Stage boundaries
+	// call cancel.now().
+	cancel poller
 }
 
 // ctxCheckInterval is how many processed rows pass between context polls; a
 // power of two keeps the modulo cheap on the per-row path.
 const ctxCheckInterval = 1024
 
-// check polls the execution's context every ctxCheckInterval calls. Scan,
-// join, sort and projection loops call it once per row.
-//
-// dslint:poll
-func (e *execEnv) check() error {
-	if e == nil || e.ctx == nil {
-		return nil
-	}
-	e.ticks++
-	if e.ticks%ctxCheckInterval != 0 {
-		return nil
-	}
-	return e.checkNow()
+// poller is the cooperative cancellation poll of one row loop: scan, join,
+// fold, projection and DML loops each own one and call check once per row,
+// so a cancelled query stops within ctxCheckInterval rows of any loop.
+type poller struct {
+	ctx   context.Context
+	ticks int
 }
 
-// checkNow polls the context unconditionally (stage boundaries).
+// poller returns a fresh poll for one row loop of this execution.
+func (e *execEnv) poller() poller { return e.cancel }
+
+// check polls the context every ctxCheckInterval calls.
 //
 // dslint:poll
-func (e *execEnv) checkNow() error {
-	if e == nil || e.ctx == nil {
+func (p *poller) check() error {
+	p.ticks++
+	if p.ticks%ctxCheckInterval != 0 {
+		return nil
+	}
+	return p.now()
+}
+
+// now polls the context unconditionally (stage boundaries).
+//
+// dslint:poll
+func (p *poller) now() error {
+	if p.ctx == nil {
 		return nil
 	}
 	select {
-	case <-e.ctx.Done():
-		return e.ctx.Err()
+	case <-p.ctx.Done():
+		return p.ctx.Err()
 	default:
 		return nil
 	}

@@ -29,17 +29,6 @@ type colDesc struct {
 	src   int    // index of the FROM source the column came from (-1 anonymous)
 }
 
-// relation is the executor's intermediate result: a schema plus materialised
-// rows.
-type relation struct {
-	cols []colDesc
-	rows [][]sheet.Value
-}
-
-func (r *relation) columnIndex(table, name string) (int, error) {
-	return findColumn(r.cols, strings.ToLower(table), strings.ToLower(name))
-}
-
 // isNull is the SQL NULL test over the unified value model.
 func isNull(v sheet.Value) bool { return v.IsEmpty() }
 

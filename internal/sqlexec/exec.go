@@ -81,7 +81,7 @@ func (s *Session) execEnv(ctx context.Context, p *Prepared, args []sheet.Value) 
 		return nil, fmt.Errorf("sqlexec: statement has %d parameter(s), %d bound: %w",
 			p.nparams, len(args), dberr.ErrParamCount)
 	}
-	return &execEnv{sheets: s.sheets, params: args, ctx: ctx}, nil
+	return &execEnv{sheets: s.sheets, params: args, cancel: poller{ctx: ctx}}, nil
 }
 
 // QueryScript parses and executes a semicolon-separated script, returning the
@@ -211,6 +211,7 @@ func (s *Session) scanDMLTargets(tbl *catalog.Table, where sqlparser.Expr, env *
 		return err
 	}
 	path := s.dmlAccessPath(tbl, where, env)
+	poll := env.poller()
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
 	if path != nil {
@@ -219,7 +220,7 @@ func (s *Session) scanDMLTargets(tbl *catalog.Table, where sqlparser.Expr, env *
 			return err
 		}
 		for _, id := range ids {
-			if err := env.check(); err != nil {
+			if err := poll.check(); err != nil {
 				return err
 			}
 			row, err := store.Get(id)
@@ -237,7 +238,7 @@ func (s *Session) scanDMLTargets(tbl *catalog.Table, where sqlparser.Expr, env *
 	}
 	var ctxErr error
 	err = store.Scan(func(id tablestore.RowID, row []sheet.Value) bool {
-		if ctxErr = env.check(); ctxErr != nil {
+		if ctxErr = poll.check(); ctxErr != nil {
 			return false
 		}
 		return visit(id, row)
@@ -308,8 +309,9 @@ func (s *Session) executeInsert(st *sqlparser.InsertStmt, env *execEnv) (*Result
 		if err != nil {
 			return nil, err
 		}
+		poll := env.poller()
 		for _, row := range res.Rows {
-			if err := env.check(); err != nil {
+			if err := poll.check(); err != nil {
 				return nil, err
 			}
 			if err := insertOne(row); err != nil {
@@ -439,8 +441,9 @@ func (s *Session) executeDelete(st *sqlparser.DeleteStmt, env *execEnv) (*Result
 	if err != nil {
 		return nil, err
 	}
+	poll := env.poller()
 	for _, id := range ids {
-		if err := env.check(); err != nil {
+		if err := poll.check(); err != nil {
 			return nil, err
 		}
 		if err := s.db.delete(st.Table, id, s.tx); err != nil {
@@ -463,10 +466,11 @@ func (s *Session) executeCreateTable(st *sqlparser.CreateTableStmt, env *execEnv
 			return nil, err
 		}
 		cols := make([]catalog.Column, len(res.Columns))
+		poll := env.poller()
 		for i, name := range res.Columns {
 			t := catalog.TypeAny
 			for _, row := range res.Rows {
-				if err := env.check(); err != nil {
+				if err := poll.check(); err != nil {
 					return nil, err
 				}
 				if i < len(row) && !row[i].IsEmpty() {
@@ -479,7 +483,7 @@ func (s *Session) executeCreateTable(st *sqlparser.CreateTableStmt, env *execEnv
 			return nil, err
 		}
 		for _, row := range res.Rows {
-			if err := env.check(); err != nil {
+			if err := poll.check(); err != nil {
 				return nil, err
 			}
 			padded := make([]sheet.Value, len(cols))

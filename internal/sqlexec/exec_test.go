@@ -1,11 +1,13 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/catalog"
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
@@ -196,6 +198,18 @@ func TestOrderByLimitOffsetDistinct(t *testing.T) {
 	res = mustExec(t, s, "SELECT name, score FROM students ORDER BY 2 LIMIT 1")
 	if res.Rows[0][0].Str != "frank" {
 		t.Errorf("order by position = %v", res.Rows)
+	}
+	// Row counts int cannot hold are refused (they used to wrap negative and
+	// panic the slice); the largest that fits saturates OFFSET+LIMIT.
+	for _, bad := range []string{"LIMIT 9223372036854775807", "LIMIT 1e30", "LIMIT 2.7", "LIMIT 1 OFFSET 9223372036854775808"} {
+		if _, err := s.Query("SELECT name FROM students ORDER BY score " + bad); !errors.Is(err, dberr.ErrSyntax) {
+			t.Errorf("%s: err = %v, want a syntax error", bad, err)
+		}
+	}
+	all := mustExec(t, s, "SELECT name FROM students ORDER BY score")
+	res = mustExec(t, s, "SELECT name FROM students ORDER BY score LIMIT 9223372036854774784 OFFSET 2")
+	if len(res.Rows) != len(all.Rows)-2 || res.Rows[0][0] != all.Rows[2][0] {
+		t.Errorf("huge LIMIT after OFFSET 2 = %v, want the tail of %v", res.Rows, all.Rows)
 	}
 }
 

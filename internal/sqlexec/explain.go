@@ -47,21 +47,27 @@ func (s *Session) executeExplain(st *sqlparser.ExplainStmt, env *execEnv) (*Resu
 	return res, nil
 }
 
-// explainSelect plans a SELECT and renders one line per FROM source plus a
-// residual-filter line when conjuncts survive above the joins.
+// explainSelect plans a SELECT and renders the plan values the executor
+// would run: one line per FROM source, a `join:` line per join (its
+// joinPlan), a residual-filter line when conjuncts survive above the joins,
+// and a `group:` line for an aggregating statement. The `parallel` and
+// partition figures are the shape of the leading source, which every stage
+// above it inherits.
 func (db *Database) explainSelect(stmt *sqlparser.SelectStmt, env *execEnv) ([]string, error) {
-	plan, err := db.planInput(stmt, analyzeSelect(stmt), env)
+	an := analyzeSelect(stmt)
+	plan, err := db.planInput(stmt, an, env)
 	if err != nil {
 		return nil, err
 	}
-	if plan.srcs == nil {
+	if stmt.From == nil {
 		return []string{"no table: constant row"}, nil
 	}
 	var lines []string
 	if !plan.live {
 		lines = append(lines, "constant WHERE conjunct is false: empty result")
 	}
-	for _, src := range plan.srcs {
+	workers, parts := 1, 1
+	for i, src := range plan.srcs {
 		display := ""
 		switch {
 		case src.path != nil:
@@ -74,35 +80,57 @@ func (db *Database) explainSelect(stmt *sqlparser.SelectStmt, env *execEnv) ([]s
 		if n := len(src.pushed); n > 0 {
 			display += fmt.Sprintf(", %d pushed filter(s)", n)
 		}
-		display += db.explainScanExtras(src)
-		lines = append(lines, fmt.Sprintf("%s: %s", src.label, display))
+		extras, w, p := db.explainScan(src)
+		lines = append(lines, fmt.Sprintf("%s: %s%s", src.label, display, extras))
+		if i == 0 {
+			workers, parts = w, p
+			continue
+		}
+		line := "join: " + plan.joins[i-1].String()
+		if workers > 1 {
+			line += fmt.Sprintf(", parallel: %d workers", workers)
+		}
+		lines = append(lines, line)
 	}
 	if n := len(plan.residual); n > 0 {
 		lines = append(lines, fmt.Sprintf("residual filter: %d conjunct(s)", n))
 	}
+	if an.grouped {
+		p, err := compileProjector(stmt, an, plan.cols, env)
+		if err != nil {
+			return nil, err
+		}
+		if p.distinctAgg() {
+			lines = append(lines, "group: serial: DISTINCT aggregate")
+		} else {
+			lines = append(lines, fmt.Sprintf("group: fold over %d partitions", parts))
+		}
+	}
 	return lines, nil
 }
 
-// explainScanExtras renders the physical-scan annotations of one named-table
-// source from the plan the scan kernel would run: zone-map page skipping
-// (when sargable bounds reached the store) and, for parallel-eligible full
-// scans, the worker count and the morsel partitions the pruned row space
-// splits into.
-func (db *Database) explainScanExtras(src *srcState) string {
+// explainScan plans one source the way openSource would open it — without
+// reading it — and returns its shape plus the physical-scan annotations of a
+// named table: zone-map page skipping (when sargable bounds reached the
+// store) and, for a parallel full scan, the worker count and the morsel
+// partitions the pruned row space splits into.
+func (db *Database) explainScan(src *srcState) (extras string, workers, parts int) {
 	if src.store == nil {
-		return ""
+		rs := newRowSet(src.rows, db.parWorkers())
+		return "", rs.workers, rs.parts
 	}
-	_, scanCols := src.scanSchema()
-	ts := db.planScan(src, scanCols, db.parWorkers())
-	defer ts.snap.Release()
-	out := ""
+	ts := db.planScan(src, db.parWorkers())
+	defer ts.release()
 	if len(src.zoneBounds) > 0 {
-		out += fmt.Sprintf(", zone maps: %d/%d pages skipped", ts.skipped, ts.read+ts.skipped)
+		extras += fmt.Sprintf(", zone maps: %d/%d pages skipped", ts.skipped, ts.read+ts.skipped)
 	}
-	if src.fullScan() && ts.workers > 1 {
-		out += fmt.Sprintf(", parallel: %d workers, %d partitions", ts.workers, len(ts.parts))
+	if !src.fullScan() {
+		return extras, 1, 1 // an index path feeds one partition
 	}
-	return out
+	if ts.workers > 1 {
+		extras += fmt.Sprintf(", parallel: %d workers, %d partitions", ts.workers, ts.parts)
+	}
+	return extras, ts.workers, ts.parts
 }
 
 // explainDML renders the access path UPDATE/DELETE would use to locate

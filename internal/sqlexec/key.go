@@ -168,9 +168,12 @@ func (ix *keyIndex) size() int { return len(ix.rows) }
 
 // valueArena hands out small []sheet.Value rows carved from chunked backing
 // arrays, replacing one heap allocation per row on the scan and projection
-// paths with one per few hundred rows.
+// paths with one per few hundred rows. Chunks start at a few rows and double
+// up to 256, so a point query pays for the rows it returns, not for a scan's
+// chunk.
 type valueArena struct {
-	buf []sheet.Value
+	buf  []sheet.Value
+	rows int // rows per chunk of the last allocation
 }
 
 // take returns a zeroed slice of n values.
@@ -179,11 +182,8 @@ func (a *valueArena) take(n int) []sheet.Value {
 		return nil
 	}
 	if len(a.buf) < n {
-		size := 256 * n
-		if size < 1024 {
-			size = 1024
-		}
-		a.buf = make([]sheet.Value, size)
+		a.rows = min(max(2*a.rows, 4), 256)
+		a.buf = make([]sheet.Value, a.rows*n)
 	}
 	out := a.buf[:n:n]
 	a.buf = a.buf[n:]

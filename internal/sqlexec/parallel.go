@@ -1,42 +1,40 @@
 package sqlexec
 
 import (
-	"context"
+	"cmp"
 	"runtime"
 	"sync"
 
 	"github.com/dataspread/dataspread/internal/sheet"
-	"github.com/dataspread/dataspread/internal/sqlparser"
 )
 
-// Morsel-driven parallel execution. Eligible pipeline fragments — the
-// filtered scan of a named table, the fold phase of GROUP BY, and the
-// build/probe phases of a hash join — fan out over a bounded worker pool
-// sized by Config.Workers (default GOMAXPROCS). The unit of work is a
+// The worker pool and the two sinks that merge per-partition state: the
+// GROUP BY fold and the hash-join build. A pipeline (scan.go) is drained by
+// 1..N pullers, N sized by Config.Workers (default GOMAXPROCS) when the
+// leading source holds at least parMinRows rows. The unit of work is a
 // morsel: one contiguous partition of the input (a page range of a table
-// snapshot, or a row range of a materialised relation). Workers pull morsels
-// from a shared atomic cursor, so a worker that finishes early steals the
-// remaining work instead of idling behind a skewed partition.
+// snapshot, or a row range of rows in memory). Pullers claim morsels from a
+// shared atomic cursor, so a puller that finishes early steals the remaining
+// work instead of idling behind a skewed partition.
 //
-// Two invariants keep parallel plans exchangeable with serial ones:
+// Two invariants make the puller count invisible in the result:
 //
-//   - Readers never touch the engine lock. A table scan pins a BufferPool
+//   - Pullers never touch the engine lock. A table scan pins a BufferPool
 //     epoch through Store.Snapshot (the lock is held only for that call),
 //     and every morsel then reads frozen page versions with no lock at all —
-//     writers never block readers and readers never block writers (the
-//     kernel is scan.go).
-//   - Output is row-for-row identical to the serial executor. Morsel results
-//     are concatenated in partition order (= serial scan order); merged
-//     GROUP BY groups keep first-appearance order; partitioned hash joins
-//     probe the per-partition build indexes in partition order so matches
-//     surface in build-row order. SetWorkers(1) golden tests hold the two
-//     executors to byte equality.
+//     writers never block readers and readers never block writers.
+//   - Partition order is row order. Collected rows concatenate in partition
+//     order; per-partition GROUP BY tables merge in partition order, keeping
+//     first-appearance group order; partitioned hash-join builds are probed
+//     in partition order so matches surface in build-row order. The
+//     SetWorkers(1) golden tests hold every puller count to byte equality —
+//     with one caveat: SUM/AVG over non-integral floats re-associate across
+//     partitions, so their last bits may differ between puller counts.
 //
 // Compiled expression trees (boundExpr) carry per-tree scratch buffers, so
-// every worker gets its own compile of the predicates/expressions it
-// evaluates; the compiles run sequentially in the coordinator because
-// compilation itself may fold RANGEVALUE references through the shared
-// SheetAccessor.
+// every puller gets its own compile of what it evaluates; the compiles run
+// sequentially in the coordinator because compilation itself may fold
+// RANGEVALUE references through the shared SheetAccessor.
 
 // parMinRows is the input size below which parallel execution is not worth
 // the fan-out overhead and fragments stay serial.
@@ -60,31 +58,13 @@ func (db *Database) parWorkers() int {
 	return w
 }
 
-// parPoll is a per-worker cancellation poller. execEnv.check counts ticks on
-// the shared execEnv and is therefore not safe for concurrent use; each
-// worker polls the context through its own counter instead.
-type parPoll struct {
-	ctx   context.Context
-	ticks int
-}
-
-// check polls the worker's context every ctxCheckInterval rows.
-//
-// dslint:poll
-func (p *parPoll) check() error {
-	if p.ctx == nil {
-		return nil
+// pullersFor sizes a base source of `rows` rows for a pool of `workers`: how
+// many pullers are worth running and how many morsels to cut for them.
+func pullersFor(rows, workers int) (pullers, morsels int) {
+	if workers <= 1 || rows < parMinRows {
+		return 1, 1
 	}
-	p.ticks++
-	if p.ticks%ctxCheckInterval != 0 {
-		return nil
-	}
-	select {
-	case <-p.ctx.Done():
-		return p.ctx.Err()
-	default:
-		return nil
-	}
+	return workers, workers * morselsPerWorker
 }
 
 // parRun fans fn out over workers goroutines and returns the first error in
@@ -131,162 +111,131 @@ func splitRows(total, n int) [][2]int {
 	return out
 }
 
-// envCtx returns the execution's context (nil-safe).
-func envCtx(env *execEnv) context.Context {
-	if env == nil {
-		return nil
-	}
-	return env.ctx
+// --- GROUP BY fold ---
+
+// groupState accumulates one GROUP BY group: the representative input row
+// (for grouping-column projection) and the aggregate accumulators.
+type groupState struct {
+	rep    []sheet.Value
+	hasRep bool
+	accs   []aggState
 }
 
-// --- parallel GROUP BY fold ---
-
-// groupCompile is one worker's private compile of a grouped projection: the
-// aggregate registry its fold updates and the bound GROUP BY expressions.
-type groupCompile struct {
-	reg     *aggRegistry
-	groupBy []boundExpr
+// groupTable is the fold of one partition: groups in first-appearance order,
+// hashed by their typed GROUP BY key. The implicit single group of an
+// aggregate without GROUP BY has no index and exists from the start, so
+// aggregates over an empty input still produce one row (COUNT(*) = 0).
+type groupTable struct {
+	ix     *keyIndex
+	groups []*groupState
+	naccs  int
 }
 
-// compileGroupWorker reproduces the grouped projection's compile for one
-// worker. Compilation is deterministic, so the worker registry's spec slots
-// line up with the coordinator's and per-slot accumulators can merge.
-func compileGroupWorker(stmt *sqlparser.SelectStmt, items []sqlparser.SelectItem, rel *relation, env *execEnv) (*groupCompile, error) {
-	gc := &groupCompile{reg: &aggRegistry{}}
-	cenv := env.compileEnv(rel.cols)
-	cenv.aggs = gc.reg
-	for _, item := range items {
-		if _, err := compileExpr(item.Expr, cenv); err != nil {
-			return nil, err
-		}
+func newGroupTable(p *projector) *groupTable {
+	t := &groupTable{naccs: len(p.reg.specs)}
+	if len(p.groupBy) == 0 {
+		t.groups = []*groupState{{accs: make([]aggState, t.naccs)}}
+	} else {
+		t.ix = newKeyIndex(len(p.groupBy))
 	}
-	if stmt.Having != nil {
-		if _, err := compileExpr(stmt.Having, cenv); err != nil {
-			return nil, err
-		}
-	}
-	rowEnv := env.compileEnv(rel.cols)
-	gc.groupBy = make([]boundExpr, len(stmt.GroupBy))
-	var err error
-	for i, g := range stmt.GroupBy {
-		if gc.groupBy[i], err = compileExpr(g, rowEnv); err != nil {
-			return nil, err
-		}
-	}
-	return gc, nil
+	return t
 }
 
-// parFoldGroups runs the GROUP BY fold phase with the worker pool: each
-// worker folds a contiguous row range into its own hash of groups, and the
-// per-worker groups merge in partition order — which preserves the serial
-// executor's first-appearance group order — with per-slot accumulator
-// merging. It reports handled=false when the fragment is not eligible
-// (small input, serial mode, or DISTINCT aggregates, whose dedup sets do
-// not merge).
-func (db *Database) parFoldGroups(stmt *sqlparser.SelectStmt, items []sqlparser.SelectItem, rel *relation, reg *aggRegistry, env *execEnv) (groups []*groupState, handled bool, err error) {
-	workers := db.parWorkers()
-	if workers <= 1 || len(rel.rows) < parMinRows {
-		return nil, false, nil
+// group returns the group of key, adding it behind the groups already seen.
+func (t *groupTable) group(key []normValue) *groupState {
+	if t.ix == nil {
+		return t.groups[0]
 	}
-	for _, sp := range reg.specs {
-		if sp.distinct {
-			return nil, false, nil
-		}
+	slot, added := t.ix.getOrAdd(key)
+	if added {
+		t.groups = append(t.groups, &groupState{accs: make([]aggState, t.naccs)})
 	}
-	compiles := make([]*groupCompile, workers)
-	for w := range compiles {
-		if compiles[w], err = compileGroupWorker(stmt, items, rel, env); err != nil {
-			return nil, false, err
-		}
-		if len(compiles[w].reg.specs) != len(reg.specs) {
-			return nil, false, nil
-		}
-	}
+	return t.groups[slot]
+}
 
-	ranges := splitRows(len(rel.rows), workers)
-	type workerFold struct {
-		ix     *keyIndex
-		groups []*groupState
+// foldGroups is the GROUP BY sink: every puller folds the partitions it
+// claims into one groupTable per partition — no group retains its member
+// rows — and the tables merge in partition order, which preserves the
+// first-appearance group order and the first-row representative of a single
+// serial pass. A DISTINCT aggregate's dedup sets do not merge, so such a
+// statement folds through one puller into one table. projs holds one compile
+// of the statement per puller (their aggregate slots line up because
+// compilation is deterministic).
+//
+// dslint:nolock(engine)
+func foldGroups(src rowSource, projs []*projector, env *execEnv) ([]*groupState, error) {
+	workers, parts := src.shape()
+	single := projs[0].distinctAgg()
+	if single {
+		workers, parts = 1, 1
 	}
-	folds := make([]workerFold, len(ranges))
-	err = parRun(len(ranges), func(w int) error {
-		gc := compiles[w]
-		fold := &folds[w]
+	stable := src.stable()
+	tables := make([]*groupTable, parts)
+	err := parRun(workers, func(w int) error {
+		p := projs[w]
 		ctx := env.newRowCtx()
-		poll := parPoll{ctx: envCtx(env)}
+		var arena valueArena
 		var keyBuf []normValue
-		if len(gc.groupBy) == 0 {
-			fold.groups = append(fold.groups, &groupState{accs: make([]aggState, len(gc.reg.specs))})
-		} else {
-			fold.ix = newKeyIndex(len(gc.groupBy))
-			keyBuf = make([]normValue, 0, len(gc.groupBy))
-		}
-		for _, row := range rel.rows[ranges[w][0]:ranges[w][1]] {
-			if err := poll.check(); err != nil {
-				return err
+		var t *groupTable
+		cur := -1
+		return src.pull(w, env, func(part int, row []sheet.Value) error {
+			if single {
+				part = 0
+			}
+			if part != cur {
+				cur, t = part, newGroupTable(p)
+				tables[part] = t
 			}
 			ctx.row = row
-			var cur *groupState
-			if fold.ix == nil {
-				cur = fold.groups[0]
-			} else {
-				keyBuf = keyBuf[:0]
-				for _, ge := range gc.groupBy {
-					v, err := ge.eval(ctx)
-					if err != nil {
-						return err
-					}
-					keyBuf = append(keyBuf, normKeyValue(v))
+			keyBuf = keyBuf[:0]
+			for _, ge := range p.groupBy {
+				v, err := ge.eval(ctx)
+				if err != nil {
+					return err
 				}
-				slot, added := fold.ix.getOrAdd(keyBuf)
-				if added {
-					fold.groups = append(fold.groups, &groupState{accs: make([]aggState, len(gc.reg.specs))})
+				keyBuf = append(keyBuf, normKeyValue(v))
+			}
+			g := t.group(keyBuf)
+			if !g.hasRep {
+				if g.rep, g.hasRep = row, true; !stable {
+					g.rep = arena.clone(row)
 				}
-				cur = fold.groups[slot]
 			}
-			if !cur.hasRep {
-				cur.rep, cur.hasRep = row, true
-			}
-			for i, sp := range gc.reg.specs {
-				if err := sp.update(&cur.accs[i], ctx); err != nil {
+			for i, sp := range p.reg.specs {
+				if err := sp.update(&g.accs[i], ctx); err != nil {
 					return err
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-
-	// Merge per-worker folds in partition order. Contiguous partitions mean
-	// first appearance across (worker order, slot order) equals first
+	// Merge in partition order into the first table. Contiguous partitions
+	// mean first appearance across (partition order, slot order) equals first
 	// appearance across the serial row order.
-	if len(stmt.GroupBy) == 0 {
-		merged := &groupState{accs: make([]aggState, len(reg.specs))}
-		for _, fold := range folds {
-			mergeGroup(reg, merged, fold.groups[0])
-		}
-		return []*groupState{merged}, true, nil
-	}
-	ix := newKeyIndex(len(stmt.GroupBy))
-	for _, fold := range folds {
-		if fold.ix == nil {
+	var merged *groupTable
+	for _, t := range tables {
+		if merged == nil || t == nil { // t == nil: the partition emitted no row
+			merged = cmp.Or(merged, t)
 			continue
 		}
-		for slot, g := range fold.groups {
-			key := fold.ix.arena[slot*fold.ix.arity : (slot+1)*fold.ix.arity]
-			gslot, added := ix.getOrAdd(key)
-			if added {
-				groups = append(groups, &groupState{accs: make([]aggState, len(reg.specs))})
+		for slot, g := range t.groups {
+			var key []normValue
+			if t.ix != nil {
+				key = t.ix.arena[slot*t.ix.arity : (slot+1)*t.ix.arity]
 			}
-			mergeGroup(reg, groups[gslot], g)
+			mergeGroup(projs[0].reg, merged.group(key), g)
 		}
 	}
-	return groups, true, nil
+	if merged == nil {
+		merged = newGroupTable(projs[0])
+	}
+	return merged.groups, nil
 }
 
-// mergeGroup folds one worker-local group into the merged group: the
+// mergeGroup folds one partition's group into the merged group: the
 // representative row of the earliest contributing partition wins (= the
 // serial first row of the group) and the accumulators combine per slot.
 func mergeGroup(reg *aggRegistry, dst, src *groupState) {
@@ -299,7 +248,7 @@ func mergeGroup(reg *aggRegistry, dst, src *groupState) {
 }
 
 // mergeAggState combines two accumulators of one aggregate. DISTINCT
-// accumulators never reach here (parFoldGroups falls back to serial).
+// accumulators never reach here (foldGroups folds them into one table).
 func mergeAggState(sp *aggSpec, dst, src *aggState) {
 	switch sp.name {
 	case "COUNT":
@@ -322,21 +271,23 @@ func mergeAggState(sp *aggSpec, dst, src *aggState) {
 	}
 }
 
-// --- parallel hash join ---
+// --- hash-join build ---
 
-// parBuildIndexes builds the hash-join build side as one keyIndex per
-// contiguous partition of the build rows, in parallel. Row indexes stored in
-// each partition's index are global build-side row numbers, so probing the
+// buildIndexes builds the hash-join build side as one keyIndex per contiguous
+// partition of the build rows, one builder per partition. Row indexes stored
+// in each partition's index are global build-side row numbers, so probing the
 // indexes in partition order yields matches in ascending build-row order —
-// exactly the serial single-index match order.
-func parBuildIndexes(rows [][]sheet.Value, keys []int, workers int, env *execEnv) ([]*keyIndex, error) {
-	ranges := splitRows(len(rows), workers)
-	if len(ranges) == 0 {
-		return nil, nil
+// the match order of a single index — at any partition count.
+//
+// dslint:nolock(engine)
+func buildIndexes(rows [][]sheet.Value, keys []int, workers int, env *execEnv) ([]*keyIndex, error) {
+	if len(rows) < parMinRows {
+		workers = 1
 	}
+	ranges := splitRows(len(rows), workers)
 	indexes := make([]*keyIndex, len(ranges))
 	err := parRun(len(ranges), func(w int) error {
-		poll := parPoll{ctx: envCtx(env)}
+		poll := env.poller()
 		ix := newKeyIndex(len(keys))
 		keyBuf := make([]normValue, 0, len(keys))
 		for ri := ranges[w][0]; ri < ranges[w][1]; ri++ {
@@ -350,10 +301,7 @@ func parBuildIndexes(rows [][]sheet.Value, keys []int, workers int, env *execEnv
 		indexes[w] = ix
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return indexes, nil
+	return indexes, err
 }
 
 // probeIndexes walks the partitioned build indexes in partition order,
@@ -365,126 +313,4 @@ func probeIndexes(indexes []*keyIndex, key []normValue, dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// parHashJoinEligible reports whether a hash join is worth fanning out.
-func (db *Database) parHashJoinEligible(left, right *relation) (workers int, ok bool) {
-	workers = db.parWorkers()
-	if workers <= 1 {
-		return 0, false
-	}
-	if len(left.rows) < parMinRows && len(right.rows) < parMinRows {
-		return 0, false
-	}
-	return workers, true
-}
-
-// parHashJoinKeyed runs the NATURAL/USING hash join (key equality only, no
-// ON predicate) with the worker pool: partitioned build, then parallel
-// probe over contiguous left-row ranges whose outputs concatenate in range
-// order (= serial left order).
-func parHashJoinKeyed(left, right *relation, leftKeys, rightKeys []int, joinType sqlparser.JoinType, pad []sheet.Value, projectRight func([]sheet.Value) []sheet.Value, workers int, env *execEnv) ([][]sheet.Value, error) {
-	indexes, err := parBuildIndexes(right.rows, rightKeys, workers, env)
-	if err != nil {
-		return nil, err
-	}
-	ranges := splitRows(len(left.rows), workers)
-	outs := make([][][]sheet.Value, len(ranges))
-	err = parRun(len(ranges), func(w int) error {
-		poll := parPoll{ctx: envCtx(env)}
-		keyBuf := make([]normValue, 0, len(leftKeys))
-		var matchBuf []int32
-		var out [][]sheet.Value
-		for _, lrow := range left.rows[ranges[w][0]:ranges[w][1]] {
-			if err := poll.check(); err != nil {
-				return err
-			}
-			keyBuf = normalizeRowKey(keyBuf, lrow, leftKeys)
-			matchBuf = probeIndexes(indexes, keyBuf, matchBuf[:0])
-			if len(matchBuf) == 0 {
-				if joinType == sqlparser.JoinLeft {
-					out = append(out, concatRows(lrow, pad))
-				}
-				continue
-			}
-			for _, ri := range matchBuf {
-				out = append(out, concatRows(lrow, projectRight(right.rows[ri])))
-			}
-		}
-		outs[w] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows [][]sheet.Value
-	for _, o := range outs {
-		rows = append(rows, o...)
-	}
-	return rows, nil
-}
-
-// parHashJoinOn runs the equi-key ON hash join with the worker pool. Every
-// probe worker evaluates its own compile of the ON predicate against its
-// own scratch row, exactly as the serial path does per candidate.
-func parHashJoinOn(left, right *relation, lk, rk []int, join sqlparser.Join, outCols []colDesc, pad []sheet.Value, workers int, env *execEnv) ([][]sheet.Value, error) {
-	ons := make([]boundExpr, workers)
-	var err error
-	for w := range ons {
-		if ons[w], err = compileExpr(join.On, env.compileEnv(outCols)); err != nil {
-			return nil, err
-		}
-	}
-	indexes, err := parBuildIndexes(right.rows, rk, workers, env)
-	if err != nil {
-		return nil, err
-	}
-	leftWidth := len(left.cols)
-	ranges := splitRows(len(left.rows), workers)
-	outs := make([][][]sheet.Value, len(ranges))
-	err = parRun(len(ranges), func(w int) error {
-		on := ons[w]
-		ctx := env.newRowCtx()
-		poll := parPoll{ctx: envCtx(env)}
-		scratch := make([]sheet.Value, len(left.cols)+len(right.cols))
-		keyBuf := make([]normValue, 0, len(lk))
-		var matchBuf []int32
-		var out [][]sheet.Value
-		for _, lrow := range left.rows[ranges[w][0]:ranges[w][1]] {
-			if err := poll.check(); err != nil {
-				return err
-			}
-			keyBuf = normalizeRowKey(keyBuf, lrow, lk)
-			matchBuf = probeIndexes(indexes, keyBuf, matchBuf[:0])
-			matched := false
-			if len(matchBuf) > 0 {
-				copy(scratch, lrow)
-				for _, ri := range matchBuf {
-					copy(scratch[leftWidth:], right.rows[ri])
-					ctx.row = scratch
-					keep, err := evalBoundPredicate(on, ctx)
-					if err != nil {
-						return err
-					}
-					if keep {
-						out = append(out, concatRows(lrow, right.rows[ri]))
-						matched = true
-					}
-				}
-			}
-			if !matched && join.Type == sqlparser.JoinLeft {
-				out = append(out, concatRows(lrow, pad))
-			}
-		}
-		outs[w] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows [][]sheet.Value
-	for _, o := range outs {
-		rows = append(rows, o...)
-	}
-	return rows, nil
 }

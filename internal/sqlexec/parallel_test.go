@@ -2,8 +2,10 @@ package sqlexec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/sheet"
@@ -26,6 +28,7 @@ func newParDB(t *testing.T, layout Layout) *Database {
 	db := NewDatabase(Config{Layout: layout, GroupSize: 2, Workers: 4})
 	mustExecP(t, db, `CREATE TABLE items (id NUMBER PRIMARY KEY, grp NUMBER, qty NUMBER, label STRING)`)
 	mustExecP(t, db, `CREATE TABLE grps (gid NUMBER PRIMARY KEY, name STRING)`)
+	mustExecP(t, db, `CREATE TABLE tags (grp NUMBER, tag STRING)`)
 	for i := 0; i < parTestRows; i++ {
 		if _, err := db.Insert("items", []sheet.Value{
 			sheet.Number(float64(i)),
@@ -44,6 +47,19 @@ func newParDB(t *testing.T, layout Layout) *Database {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// tags shares the column name grp with items (NATURAL / USING keys): some
+	// grps carry two tags, grps 30..36 none (LEFT JOIN padding), and one tag
+	// has a NULL key, which the legacy key semantics equate with grp 0.
+	for g := 0; g < 30; g++ {
+		for k := 0; k <= g%3/2; k++ {
+			if _, err := db.Insert("tags", []sheet.Value{sheet.Number(float64(g)), sheet.String_(fmt.Sprintf("tag-%d-%d", g, k))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := db.Insert("tags", []sheet.Value{sheet.Empty(), sheet.String_("tag-null")}); err != nil {
+		t.Fatal(err)
 	}
 	// A handful of deletes so snapshots scan around tombstones.
 	for _, id := range []int64{3, 500, 4000} {
@@ -96,6 +112,52 @@ var parGoldenQueries = []string{
 	`SELECT label FROM items WHERE grp = 11 LIMIT 17 OFFSET 3`,
 	`SELECT id FROM items LIMIT 5`,
 	`SELECT id, qty FROM items WHERE qty > 10 LIMIT 5000 OFFSET 4100`,
+	// NATURAL / USING hash joins (key match only, the right-hand key copy
+	// dropped) probed by a source above parMinRows; LEFT with unmatched rows.
+	`SELECT id, tag FROM items NATURAL JOIN tags WHERE qty > 30`,
+	`SELECT * FROM items JOIN tags USING (grp) WHERE label <> 'item-3'`,
+	`SELECT id, grp, tag FROM items LEFT JOIN tags USING (grp) WHERE qty = 7`,
+	// Non-equi ON: every build row is a candidate (nested loop), with the
+	// big table on the probe side and on the build side.
+	`SELECT i.id, g.gid FROM items i JOIN grps g ON i.grp > g.gid + 30 WHERE i.qty > 40`,
+	`SELECT g.gid, COUNT(i.id) FROM grps g LEFT JOIN items i ON i.grp < g.gid - 40 GROUP BY g.gid ORDER BY g.gid`,
+	`SELECT i.id FROM items i JOIN grps g ON i.grp > g.gid WHERE g.gid > 1000`, // empty build side
+	// Comma / CROSS join against a filtered small side.
+	`SELECT i.id, g.name FROM items i, grps g WHERE g.gid < 2 AND i.qty = 11`,
+	`SELECT COUNT(*) FROM items i CROSS JOIN grps g WHERE g.gid > 42`,
+	// A three-table chain (probe wrapping a probe) and a self-join whose two
+	// sides are both above parMinRows.
+	`SELECT i.id, g.name, t.tag FROM items i JOIN grps g ON i.grp = g.gid JOIN tags t ON t.grp = g.gid WHERE i.qty < -45`,
+	`SELECT a.id, b.qty FROM items a JOIN items b ON a.id = b.id WHERE b.qty > 45`,
+	`SELECT COUNT(*), SUM(b.qty) FROM items a JOIN items b USING (id)`,
+	// GROUP BY folding a join's output straight from the probe.
+	`SELECT g.name, COUNT(*), SUM(i.qty), MIN(i.label) FROM items i JOIN grps g ON i.grp = g.gid GROUP BY g.name ORDER BY g.name`,
+	// A sub-select source above parMinRows: filtered, folded and joined.
+	`SELECT s.id FROM (SELECT id, qty FROM items) s WHERE s.qty = 9`,
+	`SELECT s.grp, COUNT(*), MAX(s.q2) FROM (SELECT grp, qty * 2 AS q2 FROM items WHERE qty <> 3) s GROUP BY s.grp ORDER BY s.grp`,
+	`SELECT s.id, g.name FROM (SELECT id, grp FROM items WHERE qty < 0) s JOIN grps g ON s.grp = g.gid`,
+	// Aggregates over an empty input, with and without GROUP BY.
+	`SELECT COUNT(*), SUM(qty), MIN(label) FROM items WHERE label = 'none'`,
+	`SELECT grp, COUNT(*) FROM items WHERE label = 'none' GROUP BY grp`,
+}
+
+// parGoldenExplain names the strategy a golden query is there to exercise: at
+// the fixture's pool width of 4, its EXPLAIN must contain every substring.
+var parGoldenExplain = map[string][]string{
+	`SELECT grp, COUNT(*) FROM items GROUP BY grp HAVING SUM(qty) > 0 ORDER BY grp`: {"parallel: 4 workers, 16 partitions", "group: fold over 16 partitions"},
+	`SELECT COUNT(DISTINCT label) FROM items`:                                       {"group: serial: DISTINCT aggregate"},
+	`SELECT COUNT(*) FROM items i JOIN grps g ON i.grp = g.gid AND i.qty <> g.gid`:  {"join: nested loop, parallel: 4 workers", "group: fold over 16 partitions"},
+	`SELECT i.id, g.name FROM items i JOIN grps g ON i.grp = g.gid WHERE i.qty > 25 ORDER BY i.id`: {
+		"join: hash, 1 key(s), residual ON, parallel: 4 workers"},
+	`SELECT g.gid, i.id FROM grps g LEFT JOIN items i ON g.gid = i.grp AND i.qty > 48 ORDER BY g.gid, i.id`: {"join: nested loop"},
+	`SELECT id, tag FROM items NATURAL JOIN tags WHERE qty > 30`:                                            {"join: hash, 1 key(s), parallel: 4 workers"},
+	`SELECT id, grp, tag FROM items LEFT JOIN tags USING (grp) WHERE qty = 7`:                               {"join: hash, 1 key(s), parallel: 4 workers"},
+	`SELECT i.id, g.gid FROM items i JOIN grps g ON i.grp > g.gid + 30 WHERE i.qty > 40`:                    {"join: nested loop, parallel: 4 workers"},
+	`SELECT i.id, g.name FROM items i, grps g WHERE g.gid < 2 AND i.qty = 11`:                               {"join: cross, parallel: 4 workers"},
+	`SELECT COUNT(*), SUM(b.qty) FROM items a JOIN items b USING (id)`:                                      {"join: hash, 1 key(s), parallel: 4 workers", "group: fold over 16 partitions"},
+	`SELECT s.grp, COUNT(*), MAX(s.q2) FROM (SELECT grp, qty * 2 AS q2 FROM items WHERE qty <> 3) s GROUP BY s.grp ORDER BY s.grp`: {
+		"materialised source", "group: fold over 16 partitions"},
+	`SELECT grp, COUNT(*) FROM items WHERE label = 'none' GROUP BY grp`: {"group: fold over 16 partitions"},
 }
 
 func TestParallelGoldenEquivalence(t *testing.T) {
@@ -109,17 +171,28 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("serial %s: %v", q, err)
 				}
+				// 0 is the fixture's pool of 4; odd counts move the partition
+				// boundaries, 8 over-splits the 5.3k rows.
+				for _, workers := range []int{0, 2, 3, 8} {
+					db.SetWorkers(workers)
+					got, err := sess.Query(q)
+					if err != nil {
+						t.Fatalf("%d workers %s: %v", workers, q, err)
+					}
+					if !reflect.DeepEqual(want.Columns, got.Columns) {
+						t.Fatalf("%s: columns %v != %v", q, got.Columns, want.Columns)
+					}
+					if !reflect.DeepEqual(want.Rows, got.Rows) {
+						t.Fatalf("%s: result at %d workers diverged from serial (%d vs %d rows)",
+							q, workers, len(got.Rows), len(want.Rows))
+					}
+				}
 				db.SetWorkers(0)
-				got, err := sess.Query(q)
-				if err != nil {
-					t.Fatalf("parallel %s: %v", q, err)
-				}
-				if !reflect.DeepEqual(want.Columns, got.Columns) {
-					t.Fatalf("%s: columns %v != %v", q, got.Columns, want.Columns)
-				}
-				if !reflect.DeepEqual(want.Rows, got.Rows) {
-					t.Fatalf("%s: parallel result diverged from serial (%d vs %d rows)",
-						q, len(got.Rows), len(want.Rows))
+				text := planText(mustExec(t, sess, "EXPLAIN "+q))
+				for _, sub := range parGoldenExplain[q] {
+					if !strings.Contains(text, sub) {
+						t.Errorf("EXPLAIN %s = %q, want substring %q", q, text, sub)
+					}
 				}
 			}
 		})
@@ -222,6 +295,30 @@ func TestParallelStreamGoldenEquivalence(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestParallelCancelReleasesPins runs every golden query under an already
+// cancelled context. Each of them pushes at least ctxCheckInterval rows
+// through some loop of every stage it has (scan, build, probe, fold,
+// projection all poll), so each must stop with context.Canceled at any
+// puller count — and whichever stage it stopped in, the error path must
+// have released every snapshot the statement pinned.
+func TestParallelCancelReleasesPins(t *testing.T) {
+	db := newParDB(t, LayoutHybrid)
+	sess := db.NewSession(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		db.SetWorkers(workers)
+		for _, q := range parGoldenQueries {
+			if _, err := sess.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
+				t.Errorf("%d workers %s: err = %v, want context.Canceled", workers, q, err)
+			}
+			if pinned, retained := db.EpochStats(); pinned != 0 || retained != 0 {
+				t.Fatalf("%d workers %s: EpochStats = (%d, %d) after the cancelled query, want (0, 0)", workers, q, pinned, retained)
 			}
 		}
 	}

@@ -153,6 +153,8 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		"SELECT id, name FROM items WHERE grp = ?",
 		"SELECT id FROM items WHERE id BETWEEN ? AND ?",
 		"SELECT * FROM items WHERE v > ? ORDER BY id LIMIT 7", // falls back to materialised
+		// OFFSET+LIMIT saturates instead of wrapping, in the streaming cut too.
+		"SELECT id FROM items WHERE v > ? LIMIT 9223372036854774784 OFFSET 3",
 	} {
 		p, err := db.Prepare(sql)
 		if err != nil {

@@ -179,89 +179,68 @@ func (db *Database) invalidatePlans() {
 
 // --- top-K selection for ORDER BY ... LIMIT ---
 
-// topKHeap keeps the k smallest output rows under the ORDER BY comparator
-// instead of sorting the full input. Ties are broken by input sequence so
-// the surviving rows are exactly the prefix a stable full sort would keep.
+// topKHeap keeps the k smallest rows under cmp instead of sorting the full
+// input. Ties are broken by input sequence so the surviving rows are exactly
+// the prefix a stable full sort would keep.
 type topKHeap struct {
-	orderBy []sqlparser.OrderItem
-	k       int
-	rows    [][]sheet.Value
-	keys    [][]sheet.Value
-	seq     []int
+	cmp  func(a, b []sheet.Value) int
+	k    int
+	ents []topKEntry
 }
 
-func newTopKHeap(orderBy []sqlparser.OrderItem, k int) *topKHeap {
-	return &topKHeap{orderBy: orderBy, k: k}
+type topKEntry struct {
+	row []sheet.Value
+	seq int
 }
 
-func (h *topKHeap) Len() int { return len(h.rows) }
+func (h *topKHeap) Len() int { return len(h.ents) }
 
 // Less orders the HEAP by "worst first" (max-heap on the sort order), so the
 // root is the row to evict when a better one arrives.
 func (h *topKHeap) Less(i, j int) bool {
-	if c := compareOrderKeys(h.orderBy, h.keys[i], h.keys[j]); c != 0 {
+	if c := h.cmp(h.ents[i].row, h.ents[j].row); c != 0 {
 		return c > 0
 	}
-	return h.seq[i] > h.seq[j]
+	return h.ents[i].seq > h.ents[j].seq
 }
 
-func (h *topKHeap) Swap(i, j int) {
-	h.rows[i], h.rows[j] = h.rows[j], h.rows[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.seq[i], h.seq[j] = h.seq[j], h.seq[i]
-}
+func (h *topKHeap) Swap(i, j int) { h.ents[i], h.ents[j] = h.ents[j], h.ents[i] }
 
-func (h *topKHeap) Push(x any) {
-	e := x.(topKEntry)
-	h.rows = append(h.rows, e.row)
-	h.keys = append(h.keys, e.keys)
-	h.seq = append(h.seq, e.seq)
-}
+func (h *topKHeap) Push(x any) { h.ents = append(h.ents, x.(topKEntry)) }
 
 func (h *topKHeap) Pop() any {
-	n := len(h.rows) - 1
-	e := topKEntry{row: h.rows[n], keys: h.keys[n], seq: h.seq[n]}
-	h.rows, h.keys, h.seq = h.rows[:n], h.keys[:n], h.seq[:n]
+	e := h.ents[len(h.ents)-1]
+	h.ents = h.ents[:len(h.ents)-1]
 	return e
 }
 
-type topKEntry struct {
-	row  []sheet.Value
-	keys []sheet.Value
-	seq  int
-}
-
 // offer adds a candidate row, evicting the current worst once k rows are
-// held. It reports whether the row was kept.
-func (h *topKHeap) offer(row, keys []sheet.Value, seq int) bool {
+// held.
+func (h *topKHeap) offer(row []sheet.Value, seq int) {
 	if h.k <= 0 {
-		return false
+		return
 	}
-	if len(h.rows) < h.k {
-		heap.Push(h, topKEntry{row: row, keys: keys, seq: seq})
-		return true
+	if len(h.ents) < h.k {
+		heap.Push(h, topKEntry{row: row, seq: seq})
+		return
 	}
 	// Compare against the worst kept row: keep the newcomer only if it
 	// sorts strictly before it (sequence breaks ties, preserving the
 	// stable-sort prefix).
-	if c := compareOrderKeys(h.orderBy, keys, h.keys[0]); c > 0 || (c == 0 && seq > h.seq[0]) {
-		return false
+	if c := h.cmp(row, h.ents[0].row); c > 0 || (c == 0 && seq > h.ents[0].seq) {
+		return
 	}
-	h.rows[0], h.keys[0], h.seq[0] = row, keys, seq
+	h.ents[0] = topKEntry{row: row, seq: seq}
 	heap.Fix(h, 0)
-	return true
 }
 
-// finish returns the kept rows and keys sorted in output order.
-func (h *topKHeap) finish() (rows [][]sheet.Value, keys [][]sheet.Value) {
-	n := len(h.rows)
-	rows = make([][]sheet.Value, n)
-	keys = make([][]sheet.Value, n)
-	for i := n - 1; i >= 0; i-- {
-		e := heap.Pop(h).(topKEntry)
-		rows[i], keys[i] = e.row, e.keys
+// finish returns the kept rows sorted in output order.
+func (h *topKHeap) finish() [][]sheet.Value {
+	rows := make([][]sheet.Value, len(h.ents))
+	for i := len(rows) - 1; i >= 0; i-- {
+		rows[i] = heap.Pop(h).(topKEntry).row
 	}
-	return rows, keys
+	return rows
 }
 
 // compareOrderKeys orders two key vectors under the ORDER BY items with

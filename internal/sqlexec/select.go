@@ -1,7 +1,10 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,11 +15,15 @@ import (
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
-// The streaming SELECT executor. A statement runs as a pipeline of
+// The SELECT executor. A statement plans its FROM clause (pushdown, pruning,
+// access paths, joins), opens it as one rowSource (scan.go) and drains that
+// pipeline
 //
-//	scan -> filter -> join -> group -> sort/limit
+//	scan -> join probe -> residual filter -> projector -> sink
 //
-// with three properties the old materialize-everything executor lacked:
+// into a sink: collect, the GROUP BY fold, or — for a consumer that is handed
+// rows as they are produced — OFFSET/LIMIT and the consumer itself. Three
+// properties hold on every path:
 //
 //   - Predicate pushdown: WHERE conjuncts that reference a single FROM
 //     source are evaluated inside that source's scan, before rows are
@@ -25,8 +32,8 @@ import (
 //   - Projection pruning: named tables are scanned through ScanColsRange with
 //     only the referenced columns, so column and hybrid layouts never page
 //     in blocks of unreferenced attribute groups.
-//   - Bound evaluation: every expression is compiled once per execution
-//     against its relation schema (see bind.go); per-row evaluation never
+//   - Bound evaluation: every expression is compiled once per puller
+//     against its input schema (see bind.go); per-row evaluation never
 //     resolves names and never formats hash keys.
 
 // executeSelect runs a SELECT statement to a materialised Result.
@@ -34,69 +41,108 @@ func (db *Database) executeSelect(stmt *sqlparser.SelectStmt, env *execEnv) (*Re
 	return db.runSelect(stmt, analyzeSelect(stmt), env)
 }
 
-// runSelect executes a SELECT according to its cached analysis.
+// runSelect executes a SELECT according to its cached analysis, collecting
+// what the pipeline delivers.
 func (db *Database) runSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis, env *execEnv) (*Result, error) {
-	rel, residual, err := db.buildInput(stmt, an, env)
+	out, err := db.openSelect(stmt, an, env, false)
 	if err != nil {
 		return nil, err
 	}
-	// Residual WHERE conjuncts (those spanning sources, or blocked by the
-	// nullable side of a LEFT JOIN) filter the joined relation.
-	if len(residual) > 0 {
-		rel, err = db.filterResidual(rel, residual, env)
-		if err != nil {
-			return nil, err
-		}
+	res := &Result{Columns: out.names}
+	err = out.deliver(env, func(row []sheet.Value) error {
+		res.Rows = append(res.Rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return res, nil
+}
 
-	var out *Result
-	var sortKeys [][]sheet.Value
-	if an.grouped {
-		out, sortKeys, err = db.projectGrouped(stmt, rel, env)
-	} else {
-		out, sortKeys, err = db.projectRows(stmt, rel, env)
+// resultStream is an opened SELECT: the output column names and the source
+// deliver drains through OFFSET/LIMIT — the live pipeline, or the finished
+// rows of a statement that had to see all its input first.
+type resultStream struct {
+	names []string
+	final rowSource
+	cut   limitCut
+}
+
+// openSelect plans the statement and builds its pipeline. parks says the
+// consumer of deliver may block. The pipeline is the same either way; what
+// differs is the puller count and the sink. A statement whose result order is
+// its input order (no grouping, DISTINCT or ORDER BY) and whose consumer
+// parks is left open: deliver drains it with one puller straight into
+// OFFSET/LIMIT and the consumer, stopping the scan when the LIMIT is met and
+// never holding more than the row in flight. Every other statement is drained
+// here by the pool into the fold or the collect sink and finished (DISTINCT,
+// sort); the input's snapshots are released before anything is delivered, so
+// a slow consumer of a materialised result retains no epoch.
+func (db *Database) openSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis, env *execEnv, parks bool) (*resultStream, error) {
+	plan, err := db.planInput(stmt, an, env)
+	if err != nil {
+		return nil, err
 	}
+	streaming := parks && !an.grouped && !stmt.Distinct && len(stmt.OrderBy) == 0
+	width := db.parWorkers()
+	if streaming {
+		width = 1
+	}
+	src, err := db.openInput(plan, width, streaming, env)
+	if err != nil {
+		return nil, err
+	}
+	projs, err := perPuller(src, func() (*projector, error) { return compileProjector(stmt, an, plan.cols, env) })
+	if err != nil {
+		src.release()
+		return nil, err
+	}
+	p := projs[0]
+	out := &resultStream{names: p.names, final: &projectSource{rowSource: src, projs: projs}}
+	out.cut.width = len(p.items)
+	out.cut.offset, out.cut.end = limitWindow(stmt)
+	if streaming {
+		return out, nil
+	}
+	var rows [][]sheet.Value
+	if an.grouped {
+		var groups []*groupState
+		if groups, err = foldGroups(src, projs, env); err == nil {
+			rows, err = groupRows(groups, p, env)
+		}
+	} else {
+		rows, err = collect(out.final, env)
+	}
+	src.release()
 	if err != nil {
 		return nil, err
 	}
 	if stmt.Distinct {
-		out, sortKeys = distinctRows(out, sortKeys)
+		rows = distinctRows(rows, len(p.items))
 	}
-	if len(stmt.OrderBy) > 0 && sortKeys != nil {
+	if len(stmt.OrderBy) > 0 {
 		// The comparison sort cannot be interrupted mid-way; poll once at
 		// the sort boundary so a cancelled query never starts it.
-		if err := env.checkNow(); err != nil {
+		if err := env.cancel.now(); err != nil {
 			return nil, err
 		}
-		sortResult(stmt.OrderBy, out, sortKeys)
+		rows = sortRows(stmt.OrderBy, rows, len(p.items), out.cut.end)
 	}
-	applyLimit(stmt, out)
+	out.final = newRowSet(rows, 1)
 	return out, nil
 }
 
-// filterResidual applies the residual WHERE conjuncts to the joined
-// relation.
-func (db *Database) filterResidual(rel *relation, residual []sqlparser.Expr, env *execEnv) (*relation, error) {
-	preds, err := compilePredicates(residual, rel.cols, env)
-	if err != nil {
-		return nil, err
+// deliver drains the opened statement through OFFSET/LIMIT into yield, with
+// one puller, and releases it.
+//
+// dslint:parks(yield)
+func (rs *resultStream) deliver(env *execEnv, yield func([]sheet.Value) error) error {
+	defer rs.final.release()
+	rs.cut.yield = yield
+	if err := rs.final.pull(0, env, rs.cut.emit); !errors.Is(err, errStreamDone) {
+		return err
 	}
-	ctx := env.newRowCtx()
-	kept := rel.rows[:0]
-	for _, row := range rel.rows {
-		if err := env.check(); err != nil {
-			return nil, err
-		}
-		ctx.row = row
-		keep, err := allPredicates(preds, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			kept = append(kept, row)
-		}
-	}
-	return &relation{cols: rel.cols, rows: kept}, nil
+	return nil
 }
 
 // --- FROM pipeline: sources, pushdown, pruning, scans, joins ---
@@ -126,45 +172,54 @@ func (s *srcState) mark(col int) {
 }
 
 // inputPlan is the planned FROM clause: the sources with their pushed
-// conjuncts and chosen access paths, the residual conjuncts, and whether a
-// constant WHERE conjunct already emptied the result.
+// conjuncts and chosen access paths, the joins between them, the residual
+// conjuncts, the schema of the rows the whole input emits, and whether a
+// constant WHERE conjunct already emptied the result. The executor opens it
+// (openInput) and EXPLAIN renders it.
 type inputPlan struct {
 	srcs     []*srcState
+	joins    []*joinPlan // joins[i] joins srcs[i+1] onto what precedes it
 	residual []sqlparser.Expr
+	cols     []colDesc
 	live     bool
 }
 
-// buildInput materialises the FROM clause: scans with pushdown, pruning and
-// access-path selection, then joins. It returns the joined relation and the
-// residual conjuncts.
-func (db *Database) buildInput(stmt *sqlparser.SelectStmt, an *selectAnalysis, env *execEnv) (*relation, []sqlparser.Expr, error) {
-	plan, err := db.planInput(stmt, an, env)
+// openInput opens the planned FROM clause as one source of up to `workers`
+// pullers: the first FROM source, wrapped by one hash-join probe per join —
+// whose build side is collected here — and by the residual filter. batched
+// selects the index read a parking consumer needs (see openSource). The
+// caller releases the source.
+func (db *Database) openInput(plan *inputPlan, workers int, batched bool, env *execEnv) (rowSource, error) {
+	src, err := db.openSource(plan.srcs[0], plan.live, workers, batched, env)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if plan.srcs == nil {
-		// Table-less SELECT: a single anonymous row.
-		rel := &relation{}
-		if plan.live {
-			rel.rows = [][]sheet.Value{{}}
-		}
-		return rel, plan.residual, nil
-	}
-	left, err := db.scanSource(plan.srcs[0], plan.live, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	for ji, join := range stmt.Joins {
-		right, err := db.scanSource(plan.srcs[ji+1], plan.live, env)
+	for ji, jp := range plan.joins {
+		right, err := db.openSource(plan.srcs[ji+1], plan.live, workers, false, env)
 		if err != nil {
-			return nil, nil, err
+			src.release()
+			return nil, err
 		}
-		left, err = db.joinRelations(left, right, join, env)
+		j, err := newJoinSource(src, jp, right, workers, env)
+		right.release()
 		if err != nil {
-			return nil, nil, err
+			src.release()
+			return nil, err
 		}
+		src = j
 	}
-	return left, plan.residual, nil
+	// Residual WHERE conjuncts (those spanning sources, blocked by the
+	// nullable side of a LEFT JOIN, or able to raise an error) filter the
+	// joined rows.
+	if len(plan.residual) > 0 {
+		preds, err := perPuller(src, func() ([]boundExpr, error) { return compilePredicates(plan.residual, plan.cols, env) })
+		if err != nil {
+			src.release()
+			return nil, err
+		}
+		src = &filterSource{rowSource: src, preds: preds}
+	}
+	return src, nil
 }
 
 // planInput resolves the FROM sources, assigns every WHERE conjunct to a
@@ -200,7 +255,9 @@ func (db *Database) planInput(stmt *sqlparser.SelectStmt, an *selectAnalysis, en
 	}
 
 	if stmt.From == nil {
-		return &inputPlan{live: live, residual: nonConst}, nil
+		// Table-less SELECT: the source is a single anonymous row.
+		one := &srcState{rows: [][]sheet.Value{{}}}
+		return &inputPlan{srcs: []*srcState{one}, live: live, residual: nonConst}, nil
 	}
 
 	srcs, err := db.buildSources(stmt, env)
@@ -211,61 +268,27 @@ func (db *Database) planInput(stmt *sqlparser.SelectStmt, an *selectAnalysis, en
 	// Simulate the joined schema over the full source schemas: the final
 	// column list, where each column came from, and the join key columns
 	// (which count as referenced on both sides).
-	accum := append([]colDesc(nil), srcs[0].cols...)
+	accum := srcs[0].cols
 	origin := make([]srcCol, len(accum))
 	for i := range accum {
 		origin[i] = srcCol{src: 0, col: i}
 	}
 	for ji, join := range stmt.Joins {
 		si := ji + 1
-		right := srcs[si]
-		var rightKeys []int
-		switch {
-		case join.Natural:
-			for li, lc := range accum {
-				for ri, rc := range right.cols {
-					if lc.name == rc.name {
-						srcs[origin[li].src].mark(origin[li].col)
-						right.mark(ri)
-						rightKeys = append(rightKeys, ri)
-						break
-					}
-				}
-			}
-		case len(join.Using) > 0:
-			for _, name := range join.Using {
-				n := strings.ToLower(name)
-				li, err := findColumn(accum, "", n)
-				if err != nil {
-					return nil, err
-				}
-				ri, err := findColumn(right.cols, "", n)
-				if err != nil {
-					return nil, err
-				}
-				srcs[origin[li].src].mark(origin[li].col)
-				right.mark(ri)
-				rightKeys = append(rightKeys, ri)
-			}
-		case join.On != nil:
-			combined := append(append([]colDesc(nil), accum...), right.cols...)
-			comboOrigin := make([]srcCol, 0, len(origin)+len(right.cols))
-			comboOrigin = append(comboOrigin, origin...)
-			for ri := range right.cols {
-				comboOrigin = append(comboOrigin, srcCol{src: si, col: ri})
-			}
-			markRefs(join.On, combined, comboOrigin, srcs)
+		jp, err := planJoin(accum, srcs[si].cols, join)
+		if err != nil {
+			return nil, err
 		}
-		dropRight := make(map[int]bool, len(rightKeys))
-		for _, ri := range rightKeys {
-			dropRight[ri] = true
+		for k, li := range jp.leftKeys {
+			srcs[origin[li].src].mark(origin[li].col)
+			srcs[si].mark(jp.rightKeys[k])
 		}
-		for ri, rc := range right.cols {
-			if dropRight[ri] {
-				continue
-			}
-			accum = append(accum, rc)
+		for _, ri := range jp.rightKeep {
 			origin = append(origin, srcCol{src: si, col: ri})
+		}
+		accum = jp.cols
+		if join.On != nil {
+			markRefs(join.On, accum, origin, srcs)
 		}
 	}
 
@@ -332,7 +355,20 @@ func (db *Database) planInput(stmt *sqlparser.SelectStmt, an *selectAnalysis, en
 			s.zoneBounds = zoneBoundsOf(extractSargs(s.pushed, s.cols, s.tbl, env))
 		}
 	}
-	return &inputPlan{srcs: srcs, residual: residual, live: live}, nil
+
+	// Resolve each join against the pruned schemas its inputs will emit.
+	plan := &inputPlan{srcs: srcs, residual: residual, live: live}
+	plan.cols, _ = srcs[0].scanSchema()
+	for ji, join := range stmt.Joins {
+		right, _ := srcs[ji+1].scanSchema()
+		jp, err := planJoin(plan.cols, right, join)
+		if err != nil {
+			return nil, err
+		}
+		plan.joins = append(plan.joins, jp)
+		plan.cols = jp.cols
+	}
+	return plan, nil
 }
 
 // orderRequest resolves the leading ORDER BY term against a source: the
@@ -346,16 +382,13 @@ func orderRequest(stmt *sqlparser.SelectStmt, s *srcState) orderReq {
 	if !ok {
 		return noOrder
 	}
-	col, err := findColumn(s.cols, strings.ToLower(cr.Table), strings.ToLower(cr.Name))
+	col, err := columnIndex(s.cols, cr)
 	if err != nil {
 		return noOrder
 	}
 	ord := orderReq{col: col, desc: stmt.OrderBy[0].Desc, multi: len(stmt.OrderBy) > 1}
 	if stmt.Limit != nil {
-		ord.limit = *stmt.Limit
-		if stmt.Offset != nil {
-			ord.limit += *stmt.Offset
-		}
+		_, ord.limit = limitWindow(stmt)
 	}
 	return ord
 }
@@ -520,162 +553,6 @@ func (s *srcState) scanSchema() (cols []colDesc, scanCols []int) {
 // table rather than through an index access path.
 func (s *srcState) fullScan() bool { return s.path == nil || s.path.kind == pathFull }
 
-// scanSource turns one FROM source into a relation with only the needed
-// columns and the pushed predicates applied: named tables go through the
-// table-scan kernel (scanTable) or their index access path, materialised
-// sources are filtered in place. live=false short-circuits to an empty
-// relation (a constant WHERE conjunct was false).
-func (db *Database) scanSource(s *srcState, live bool, env *execEnv) (*relation, error) {
-	cols, scanCols := s.scanSchema()
-	rel := &relation{cols: cols}
-	if !live {
-		return rel, nil
-	}
-	if s.store == nil && len(s.pushed) == 0 {
-		// RANGETABLE / sub-select with nothing pushed: adopt the rows as-is.
-		rel.rows = s.rows
-		return rel, nil
-	}
-	if s.store != nil && s.fullScan() {
-		return db.scanTable(s, cols, scanCols, env)
-	}
-	// Predicates are compiled — RANGEVALUE folds included — before the
-	// engine lock is taken.
-	preds, err := compilePredicates(s.pushed, cols, env)
-	if err != nil {
-		return nil, err
-	}
-	// Materialised rows and index point reads both survive the callback.
-	keep := func(row []sheet.Value) error {
-		rel.rows = append(rel.rows, row)
-		return nil
-	}
-	if s.store == nil {
-		err = filterRows(s.rows, preds, env, keep)
-	} else {
-		// Materialising holds the read lock for the whole index walk, so
-		// the relation is one consistent image (the streaming path trades
-		// that for read-committed batches; see streamSimpleSelect).
-		db.mu.RLock()
-		err = db.scanIndexPath(s, preds, scanCols, env, keep)
-		db.mu.RUnlock()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-// scanTable materialises a full table scan through the kernel (scan.go)
-// with the worker pool: each puller filters its morsels with its own
-// compiled predicate tree, and the per-morsel outputs concatenate in
-// partition order (= serial scan order), so the relation is row-for-row the
-// same at every worker count.
-func (db *Database) scanTable(s *srcState, cols []colDesc, scanCols []int, env *execEnv) (*relation, error) {
-	ts := db.openScan(s, scanCols, db.parWorkers())
-	defer ts.snap.Release()
-	// One predicate compile per puller, sequentially: compilation may fold
-	// RANGEVALUE through the shared sheet accessor, and the resulting trees
-	// carry per-tree scratch.
-	preds := make([][]boundExpr, ts.workers)
-	for w := range preds {
-		var err error
-		if preds[w], err = compilePredicates(s.pushed, cols, env); err != nil {
-			return nil, err
-		}
-	}
-	results := make([][][]sheet.Value, len(ts.parts))
-	err := parRun(ts.workers, func(w int) error {
-		// Kept rows collect in a puller-local slice, filed under their
-		// partition when the puller moves on: appending to results[part]
-		// row by row would bounce the cache lines of adjacent slice headers
-		// between pullers.
-		var arena valueArena
-		var out [][]sheet.Value
-		cur := -1
-		file := func() {
-			if cur >= 0 {
-				results[cur] = out
-			}
-		}
-		err := ts.pull(preds[w], env, func(part int, row []sheet.Value) error {
-			if part != cur {
-				file()
-				cur, out = part, nil
-			}
-			if !ts.stable {
-				row = arena.clone(row)
-			}
-			out = append(out, row)
-			return nil
-		})
-		file()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rel := &relation{cols: cols}
-	if len(results) == 1 {
-		rel.rows = results[0]
-		return rel, nil
-	}
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	rel.rows = make([][]sheet.Value, 0, total)
-	for _, rs := range results {
-		rel.rows = append(rel.rows, rs...)
-	}
-	return rel, nil
-}
-
-// scanIndexPath streams a source through its index access path: candidate
-// RowIDs come from the B-tree and each is fetched and re-checked by
-// fetchCandidate. Non-ordered paths emit in RowID order (the full scan's
-// order); ordered paths emit in index order and may stop early.
-// dslint:requires(engine)
-func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, fetchCols []int, env *execEnv, emit func(row []sheet.Value) error) error {
-	table := s.tbl.Name
-	ctx := env.newRowCtx()
-	emitted := 0
-	keep := func(id tablestore.RowID) error {
-		if err := env.check(); err != nil {
-			return err
-		}
-		row, ok, err := fetchCandidate(s, id, fetchCols, preds, ctx)
-		if err != nil || !ok {
-			return err
-		}
-		emitted++
-		return emit(row)
-	}
-	if !s.path.ordered {
-		ids, err := db.collectPathIDsLocked(table, s.path)
-		if err != nil {
-			return err
-		}
-		for _, id := range ids {
-			if err := keep(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var keepErr error
-	err := db.walkPathOrdered(table, s.path, func(id tablestore.RowID) bool {
-		if keepErr = keep(id); keepErr != nil {
-			return false
-		}
-		return s.path.earlyLimit <= 0 || emitted < s.path.earlyLimit
-	})
-	if keepErr != nil {
-		return keepErr
-	}
-	return err
-}
-
 func compilePredicates(conjuncts []sqlparser.Expr, cols []colDesc, env *execEnv) ([]boundExpr, error) {
 	if len(conjuncts) == 0 {
 		return nil, nil
@@ -691,6 +568,20 @@ func compilePredicates(conjuncts []sqlparser.Expr, cols []colDesc, env *execEnv)
 	return preds, nil
 }
 
+// perPuller runs compile once for every puller of src, sequentially (see
+// parallel.go on why compiles are neither shared nor concurrent).
+func perPuller[T any](src rowSource, compile func() (T, error)) ([]T, error) {
+	pullers, _ := src.shape()
+	out := make([]T, pullers)
+	for w := range out {
+		var err error
+		if out[w], err = compile(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func allPredicates(preds []boundExpr, ctx *rowCtx) (bool, error) {
 	for _, p := range preds {
 		ok, err := evalBoundPredicate(p, ctx)
@@ -701,24 +592,60 @@ func allPredicates(preds []boundExpr, ctx *rowCtx) (bool, error) {
 	return true, nil
 }
 
+// filterSource applies the residual WHERE conjuncts to what its input emits.
+type filterSource struct {
+	rowSource
+	preds [][]boundExpr // per puller
+}
+
+// dslint:parks(emit)
+func (f *filterSource) pull(w int, env *execEnv, emit emitFunc) error {
+	preds := f.preds[w]
+	ctx := env.newRowCtx()
+	return f.rowSource.pull(w, env, func(part int, row []sheet.Value) error {
+		ctx.row = row
+		keep, err := allPredicates(preds, ctx)
+		if err != nil || !keep {
+			return err
+		}
+		return emit(part, row)
+	})
+}
+
 // --- joins ---
 
-// joinRelations combines two relations according to the join specification.
-// Hash joins build a typed-key index over the right side; candidate rows
-// are assembled in a reused scratch buffer and only copied when they join.
-// Large hash joins fan out over the worker pool: the build side is indexed
-// in contiguous partitions and probe workers walk the partition indexes in
-// order, reproducing the serial single-index output row for row.
-func (db *Database) joinRelations(left, right *relation, join sqlparser.Join, env *execEnv) (*relation, error) {
-	// Determine equi-join column pairs for NATURAL / USING joins.
-	var leftKeys, rightKeys []int
+// joinPlan is one join resolved against the schemas of its inputs: what the
+// probe loop runs and what EXPLAIN prints.
+type joinPlan struct {
+	typ sqlparser.JoinType
+	// cols is the output schema: the leftWidth left columns, then the kept
+	// right ones.
+	cols      []colDesc
+	leftWidth int
+	// leftKeys/rightKeys are the equi-join column pairs the build side is
+	// hashed on; without any, every build row is a candidate for every probe
+	// row (non-equi ON: nested loop; no condition: cross join).
+	leftKeys, rightKeys []int
+	// rightKeep lists the right columns copied into the output. For NATURAL
+	// / USING joins the shared columns appear once (standard SQL semantics):
+	// the right-hand copies are dropped.
+	rightKeep []int
+	// on is the ON condition, re-evaluated on every candidate: hash keys
+	// equate NULL with 0 and fold case, SQL equality does neither. NATURAL /
+	// USING joins match on the hash key alone (legacy key semantics).
+	on sqlparser.Expr
+}
+
+// planJoin resolves a join specification against its input schemas.
+func planJoin(left, right []colDesc, join sqlparser.Join) (*joinPlan, error) {
+	jp := &joinPlan{typ: join.Type, leftWidth: len(left), cols: append([]colDesc(nil), left...)}
 	switch {
 	case join.Natural:
-		for li, lc := range left.cols {
-			for ri, rc := range right.cols {
+		for li, lc := range left {
+			for ri, rc := range right {
 				if lc.name == rc.name {
-					leftKeys = append(leftKeys, li)
-					rightKeys = append(rightKeys, ri)
+					jp.leftKeys = append(jp.leftKeys, li)
+					jp.rightKeys = append(jp.rightKeys, ri)
 					break
 				}
 			}
@@ -726,247 +653,193 @@ func (db *Database) joinRelations(left, right *relation, join sqlparser.Join, en
 	case len(join.Using) > 0:
 		for _, name := range join.Using {
 			n := strings.ToLower(name)
-			li, err := left.columnIndex("", n)
+			li, err := findColumn(left, "", n)
 			if err != nil {
 				return nil, err
 			}
-			ri, err := right.columnIndex("", n)
+			ri, err := findColumn(right, "", n)
 			if err != nil {
 				return nil, err
 			}
-			leftKeys = append(leftKeys, li)
-			rightKeys = append(rightKeys, ri)
-		}
-	}
-
-	// For NATURAL / USING joins the shared columns appear once in the
-	// output (standard SQL semantics); the right-hand copies are dropped.
-	dropRight := make(map[int]bool, len(rightKeys))
-	for _, ri := range rightKeys {
-		dropRight[ri] = true
-	}
-	projectRight := func(rrow []sheet.Value) []sheet.Value {
-		if len(dropRight) == 0 {
-			return rrow
-		}
-		out := make([]sheet.Value, 0, len(rrow)-len(dropRight))
-		for i, v := range rrow {
-			if !dropRight[i] {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	out := &relation{cols: append([]colDesc(nil), left.cols...)}
-	for i, c := range right.cols {
-		if !dropRight[i] {
-			out.cols = append(out.cols, c)
-		}
-	}
-
-	pad := make([]sheet.Value, len(right.cols)-len(dropRight))
-	leftWidth := len(left.cols)
-
-	switch {
-	case len(leftKeys) > 0:
-		// Hash join on the shared columns.
-		if workers, ok := db.parHashJoinEligible(left, right); ok {
-			rows, err := parHashJoinKeyed(left, right, leftKeys, rightKeys, join.Type, pad, projectRight, workers, env)
-			if err != nil {
-				return nil, err
-			}
-			out.rows = rows
-			return out, nil
-		}
-		ix := newKeyIndex(len(rightKeys))
-		keyBuf := make([]normValue, 0, len(rightKeys))
-		for ri, row := range right.rows {
-			if err := env.check(); err != nil {
-				return nil, err
-			}
-			keyBuf = normalizeRowKey(keyBuf, row, rightKeys)
-			slot, _ := ix.getOrAdd(keyBuf)
-			ix.addRow(slot, ri)
-		}
-		for _, lrow := range left.rows {
-			if err := env.check(); err != nil {
-				return nil, err
-			}
-			keyBuf = normalizeRowKey(keyBuf, lrow, leftKeys)
-			slot := ix.lookup(keyBuf)
-			if slot < 0 {
-				if join.Type == sqlparser.JoinLeft {
-					out.rows = append(out.rows, concatRows(lrow, pad))
-				}
-				continue
-			}
-			for _, ri := range ix.matches(slot) {
-				out.rows = append(out.rows, concatRows(lrow, projectRight(right.rows[ri])))
-			}
+			jp.leftKeys = append(jp.leftKeys, li)
+			jp.rightKeys = append(jp.rightKeys, ri)
 		}
 	case join.On != nil:
-		// Try to extract equi-join keys from the ON condition for a hash
-		// join; otherwise fall back to a nested loop. Either way the ON
-		// predicate is compiled once against the combined schema and
-		// candidate rows are staged in a reused scratch buffer.
-		on, err := compileExpr(join.On, env.compileEnv(out.cols))
+		// Equi-join keys inside the ON condition turn the nested loop into
+		// a hash probe; the condition itself still decides every candidate.
+		jp.on = join.On
+		jp.leftKeys, jp.rightKeys = equiJoinKeys(join.On, left, right)
+	}
+	for ri, rc := range right {
+		if jp.on != nil || !slices.Contains(jp.rightKeys, ri) {
+			jp.rightKeep = append(jp.rightKeep, ri)
+			jp.cols = append(jp.cols, rc)
+		}
+	}
+	return jp, nil
+}
+
+// String renders the join strategy for EXPLAIN.
+func (jp *joinPlan) String() string {
+	switch {
+	case len(jp.leftKeys) > 0 && jp.on != nil:
+		return fmt.Sprintf("hash, %d key(s), residual ON", len(jp.leftKeys))
+	case len(jp.leftKeys) > 0:
+		return fmt.Sprintf("hash, %d key(s)", len(jp.leftKeys))
+	case jp.on != nil:
+		return "nested loop"
+	}
+	return "cross"
+}
+
+// joinSource is the join probe: a source that wraps the probe (left) side and
+// emits, for every row it pulls from it, the joined rows — in build-row order
+// — under the left row's partition index. The build (right) side is rows in
+// memory, hashed on the join keys when the plan has any.
+type joinSource struct {
+	rowSource // the probe side: shape and release pass through
+	plan      *joinPlan
+	build     [][]sheet.Value
+	indexes   []*keyIndex // build hashed on plan.rightKeys, one index per build partition
+	all       []int32     // every build row: the candidate list of a plan without keys
+	ons       []boundExpr // plan.on compiled once per puller
+}
+
+// newJoinSource collects the build side and prepares the probe of left
+// against it: one partitioned hash build (up to `workers` builders) and one
+// compile of the ON condition per puller of left.
+func newJoinSource(left rowSource, jp *joinPlan, right rowSource, workers int, env *execEnv) (*joinSource, error) {
+	build, err := collect(right, env)
+	if err != nil {
+		return nil, err
+	}
+	j := &joinSource{rowSource: left, plan: jp, build: build}
+	if jp.on != nil {
+		j.ons, err = perPuller(left, func() (boundExpr, error) { return compileExpr(jp.on, env.compileEnv(jp.cols)) })
 		if err != nil {
 			return nil, err
 		}
-		ctx := env.newRowCtx()
-		scratch := make([]sheet.Value, len(left.cols)+len(right.cols))
-		lk, rk := equiJoinKeys(join.On, left, right)
-		if len(lk) > 0 {
-			if workers, ok := db.parHashJoinEligible(left, right); ok {
-				rows, err := parHashJoinOn(left, right, lk, rk, join, out.cols, pad, workers, env)
-				if err != nil {
-					return nil, err
-				}
-				out.rows = rows
-				return out, nil
-			}
-		}
-		if len(lk) > 0 {
-			ix := newKeyIndex(len(rk))
-			keyBuf := make([]normValue, 0, len(rk))
-			for ri, row := range right.rows {
-				if err := env.check(); err != nil {
-					return nil, err
-				}
-				keyBuf = normalizeRowKey(keyBuf, row, rk)
-				slot, _ := ix.getOrAdd(keyBuf)
-				ix.addRow(slot, ri)
-			}
-			for _, lrow := range left.rows {
-				if err := env.check(); err != nil {
-					return nil, err
-				}
-				keyBuf = normalizeRowKey(keyBuf, lrow, lk)
-				matched := false
-				if slot := ix.lookup(keyBuf); slot >= 0 {
-					copy(scratch, lrow)
-					for _, ri := range ix.matches(slot) {
-						copy(scratch[leftWidth:], right.rows[ri])
-						ctx.row = scratch
-						keep, err := evalBoundPredicate(on, ctx)
-						if err != nil {
-							return nil, err
-						}
-						if keep {
-							out.rows = append(out.rows, concatRows(lrow, right.rows[ri]))
-							matched = true
-						}
-					}
-				}
-				if !matched && join.Type == sqlparser.JoinLeft {
-					out.rows = append(out.rows, concatRows(lrow, pad))
-				}
-			}
-		} else {
-			for _, lrow := range left.rows {
-				matched := false
-				copy(scratch, lrow)
-				for _, rrow := range right.rows {
-					if err := env.check(); err != nil {
-						return nil, err
-					}
-					copy(scratch[leftWidth:], rrow)
-					ctx.row = scratch
-					keep, err := evalBoundPredicate(on, ctx)
-					if err != nil {
-						return nil, err
-					}
-					if keep {
-						out.rows = append(out.rows, concatRows(lrow, rrow))
-						matched = true
-					}
-				}
-				if !matched && join.Type == sqlparser.JoinLeft {
-					out.rows = append(out.rows, concatRows(lrow, pad))
-				}
-			}
-		}
-	default:
-		// Cross join (or inner join without a condition).
-		for _, lrow := range left.rows {
-			if err := env.check(); err != nil {
-				return nil, err
-			}
-			for _, rrow := range right.rows {
-				if err := env.check(); err != nil {
-					return nil, err
-				}
-				out.rows = append(out.rows, concatRows(lrow, rrow))
-			}
-		}
 	}
-	return out, nil
+	if len(jp.rightKeys) > 0 {
+		j.indexes, err = buildIndexes(build, jp.rightKeys, workers, env)
+		return j, err
+	}
+	j.all = make([]int32, len(build))
+	for i := range j.all {
+		j.all[i] = int32(i)
+	}
+	return j, nil
+}
+
+// stable is false: joined rows are assembled in a per-puller buffer.
+func (j *joinSource) stable() bool { return false }
+
+// pull is the one join loop. Candidates for a probe row are the build rows
+// its key hashes to, or all of them; each candidate is assembled behind the
+// probe row in the puller's output buffer, decided by the ON condition if
+// there is one, and emitted from the buffer — nothing is copied unless the
+// sink keeps it. An unmatched row of a LEFT JOIN is emitted once, padded
+// with NULLs.
+//
+// dslint:parks(emit)
+func (j *joinSource) pull(w int, env *execEnv, emit emitFunc) error {
+	jp := j.plan
+	var on boundExpr
+	if j.ons != nil {
+		on = j.ons[w]
+	}
+	out := make([]sheet.Value, len(jp.cols))
+	right := out[jp.leftWidth:]
+	ctx := env.newRowCtx()
+	ctx.row = out
+	poll := env.poller()
+	keyBuf := make([]normValue, 0, len(jp.leftKeys))
+	var matchBuf []int32
+	return j.rowSource.pull(w, env, func(part int, lrow []sheet.Value) error {
+		copy(out[:jp.leftWidth], lrow)
+		cands := j.all
+		if len(jp.leftKeys) > 0 {
+			keyBuf = normalizeRowKey(keyBuf, lrow, jp.leftKeys)
+			matchBuf = probeIndexes(j.indexes, keyBuf, matchBuf[:0])
+			cands = matchBuf
+		}
+		matched := false
+		for _, ri := range cands {
+			// The poll is per candidate: a nested loop spends its time here,
+			// not in the probe side's scan.
+			if err := poll.check(); err != nil {
+				return err
+			}
+			rrow := j.build[ri]
+			for i, c := range jp.rightKeep {
+				right[i] = rrow[c]
+			}
+			if on != nil {
+				keep, err := evalBoundPredicate(on, ctx)
+				if err != nil {
+					return err
+				}
+				if !keep {
+					continue
+				}
+			}
+			matched = true
+			if err := emit(part, out); err != nil {
+				return err
+			}
+		}
+		if !matched && jp.typ == sqlparser.JoinLeft {
+			clear(right)
+			return emit(part, out)
+		}
+		return nil
+	})
 }
 
 // equiJoinKeys extracts column index pairs from an ON condition that is a
 // conjunction of equality comparisons between a left column and a right
 // column. It returns empty slices when the condition has any other shape.
-func equiJoinKeys(on sqlparser.Expr, left, right *relation) (lk, rk []int) {
-	var conjuncts []sqlparser.Expr
-	var collect func(e sqlparser.Expr) bool
-	collect = func(e sqlparser.Expr) bool {
-		if b, ok := e.(*sqlparser.BinaryExpr); ok {
-			if b.Op == "AND" {
-				return collect(b.Left) && collect(b.Right)
-			}
-			if b.Op == "=" {
-				conjuncts = append(conjuncts, b)
-				return true
-			}
+func equiJoinKeys(on sqlparser.Expr, left, right []colDesc) (lk, rk []int) {
+	for _, c := range sqlparser.SplitConjuncts(on) {
+		b, ok := c.(*sqlparser.BinaryExpr)
+		if !ok || b.Op != "=" {
+			return nil, nil
 		}
-		return false
-	}
-	if !collect(on) {
-		return nil, nil
-	}
-	for _, c := range conjuncts {
-		b := c.(*sqlparser.BinaryExpr)
 		lcol, lok := b.Left.(*sqlparser.ColumnRef)
 		rcol, rok := b.Right.(*sqlparser.ColumnRef)
 		if !lok || !rok {
 			return nil, nil
 		}
-		li, lerr := left.columnIndex(lcol.Table, lcol.Name)
-		ri, rerr := right.columnIndex(rcol.Table, rcol.Name)
-		if lerr == nil && rerr == nil {
-			lk = append(lk, li)
-			rk = append(rk, ri)
-			continue
+		li, lerr := columnIndex(left, lcol)
+		ri, rerr := columnIndex(right, rcol)
+		if lerr != nil || rerr != nil {
+			// Maybe the columns are written in the other order.
+			li, lerr = columnIndex(left, rcol)
+			ri, rerr = columnIndex(right, lcol)
 		}
-		// Maybe the columns are written in the other order.
-		li, lerr = left.columnIndex(rcol.Table, rcol.Name)
-		ri, rerr = right.columnIndex(lcol.Table, lcol.Name)
-		if lerr == nil && rerr == nil {
-			lk = append(lk, li)
-			rk = append(rk, ri)
-			continue
+		if lerr != nil || rerr != nil {
+			return nil, nil
 		}
-		return nil, nil
+		lk = append(lk, li)
+		rk = append(rk, ri)
 	}
 	return lk, rk
 }
 
-func concatRows(a, b []sheet.Value) []sheet.Value {
-	out := make([]sheet.Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
+func columnIndex(cols []colDesc, cr *sqlparser.ColumnRef) (int, error) {
+	return findColumn(cols, strings.ToLower(cr.Table), strings.ToLower(cr.Name))
 }
 
 // --- projection ---
 
 // expandItems resolves stars into concrete select items and returns the
 // output column names.
-func expandItems(stmt *sqlparser.SelectStmt, rel *relation) ([]sqlparser.SelectItem, []string) {
+func expandItems(stmt *sqlparser.SelectStmt, cols []colDesc) ([]sqlparser.SelectItem, []string) {
 	var items []sqlparser.SelectItem
 	var names []string
 	for _, item := range stmt.Columns {
 		if item.Star {
-			for _, c := range rel.cols {
+			for _, c := range cols {
 				if item.TableStar != "" && c.table != strings.ToLower(item.TableStar) {
 					continue
 				}
@@ -1007,7 +880,7 @@ type orderPlan struct {
 // output position (1-based integer literal), an output alias, or any
 // expression over the input schema (compiled in env, which carries the
 // aggregate registry in grouped mode).
-func buildOrderPlans(stmt *sqlparser.SelectStmt, itemCount int, names []string, rel *relation, env *compileEnv) ([]orderPlan, error) {
+func buildOrderPlans(stmt *sqlparser.SelectStmt, itemCount int, names []string, env *compileEnv) ([]orderPlan, error) {
 	if len(stmt.OrderBy) == 0 {
 		return nil, nil
 	}
@@ -1024,7 +897,7 @@ func buildOrderPlans(stmt *sqlparser.SelectStmt, itemCount int, names []string, 
 		}
 		// Output alias reference.
 		if cr, ok := o.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			if _, err := findColumn(rel.cols, "", strings.ToLower(cr.Name)); err != nil {
+			if _, err := findColumn(env.cols, "", strings.ToLower(cr.Name)); err != nil {
 				aliased := false
 				for j, name := range names {
 					if strings.EqualFold(name, cr.Name) && j < itemCount {
@@ -1047,309 +920,228 @@ func buildOrderPlans(stmt *sqlparser.SelectStmt, itemCount int, names []string, 
 	return plans, nil
 }
 
-// evalOrderKeys computes the sort key vector for one output row into keys,
-// which must have len(plans) entries.
-func evalOrderKeys(plans []orderPlan, ctx *rowCtx, outRow []sheet.Value, keys []sheet.Value) ([]sheet.Value, error) {
-	for i, p := range plans {
-		if p.outCol >= 0 {
-			if p.outCol < len(outRow) {
-				keys[i] = outRow[p.outCol]
-			}
-			continue
-		}
-		v, err := p.expr.eval(ctx)
-		if err != nil {
+// projector is one puller's compile of a statement's select list: the bound
+// items and ORDER BY keys and, for a grouped statement, the aggregate calls
+// they (and HAVING) read plus the GROUP BY key expressions the fold
+// evaluates per input row.
+type projector struct {
+	names   []string
+	items   []boundExpr
+	order   []orderPlan
+	reg     *aggRegistry // grouped statements only
+	having  boundExpr
+	groupBy []boundExpr
+}
+
+func compileProjector(stmt *sqlparser.SelectStmt, an *selectAnalysis, cols []colDesc, env *execEnv) (*projector, error) {
+	items, names := expandItems(stmt, cols)
+	p := &projector{names: names, items: make([]boundExpr, len(items))}
+	cenv := env.compileEnv(cols)
+	if an.grouped {
+		p.reg = &aggRegistry{}
+		cenv.aggs = p.reg
+	}
+	var err error
+	for i, item := range items {
+		if p.items[i], err = compileExpr(item.Expr, cenv); err != nil {
 			return nil, err
 		}
-		keys[i] = v
 	}
-	return keys, nil
-}
-
-// projectRows projects a non-aggregated SELECT, streaming rows through the
-// compiled projection. With ORDER BY ... LIMIT (and no DISTINCT) a top-K
-// heap keeps only the surviving rows instead of sorting the full input.
-func (db *Database) projectRows(stmt *sqlparser.SelectStmt, rel *relation, env *execEnv) (*Result, [][]sheet.Value, error) {
-	items, names := expandItems(stmt, rel)
-	cenv := env.compileEnv(rel.cols)
-	bound := make([]boundExpr, len(items))
-	var err error
-	for i, item := range items {
-		if bound[i], err = compileExpr(item.Expr, cenv); err != nil {
-			return nil, nil, err
+	if an.grouped && stmt.Having != nil {
+		if p.having, err = compileExpr(stmt.Having, cenv); err != nil {
+			return nil, err
 		}
 	}
-	orderPlans, err := buildOrderPlans(stmt, len(items), names, rel, cenv)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	res := &Result{Columns: names}
-	var topK *topKHeap
-	if len(orderPlans) > 0 && stmt.Limit != nil && !stmt.Distinct {
-		k := *stmt.Limit
-		if stmt.Offset != nil {
-			k += *stmt.Offset
-		}
-		topK = newTopKHeap(stmt.OrderBy, k)
-	}
-
-	ctx := env.newRowCtx()
-	var arena valueArena
-	var sortKeys [][]sheet.Value
-	if topK == nil {
-		res.Rows = make([][]sheet.Value, 0, len(rel.rows))
-		if orderPlans != nil {
-			sortKeys = make([][]sheet.Value, 0, len(rel.rows))
-		}
-	}
-	for seq, row := range rel.rows {
-		if err := env.check(); err != nil {
-			return nil, nil, err
-		}
-		ctx.row = row
-		out := arena.take(len(bound))
-		for i, be := range bound {
-			v, err := be.eval(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = v
-		}
-		if orderPlans == nil {
-			res.Rows = append(res.Rows, out)
-			continue
-		}
-		keys, err := evalOrderKeys(orderPlans, ctx, out, arena.take(len(orderPlans)))
-		if err != nil {
-			return nil, nil, err
-		}
-		if topK != nil {
-			topK.offer(out, keys, seq)
-			continue
-		}
-		res.Rows = append(res.Rows, out)
-		sortKeys = append(sortKeys, keys)
-	}
-	if topK != nil {
-		// Only the K surviving rows reach the final stable sort.
-		rows, keys := topK.finish()
-		res.Rows = rows
-		return res, keys, nil
-	}
-	return res, sortKeys, nil
-}
-
-// groupState accumulates one GROUP BY group: the representative input row
-// (for grouping-column projection) and the aggregate accumulators.
-type groupState struct {
-	rep    []sheet.Value
-	hasRep bool
-	accs   []aggState
-}
-
-// projectGrouped projects an aggregated SELECT (explicit GROUP BY or
-// implicit single-group aggregation) in a single streaming pass: rows are
-// hashed to their group by typed keys and folded into per-group aggregate
-// accumulators; no group retains its member rows.
-func (db *Database) projectGrouped(stmt *sqlparser.SelectStmt, rel *relation, env *execEnv) (*Result, [][]sheet.Value, error) {
-	items, names := expandItems(stmt, rel)
-	reg := &aggRegistry{}
-	cenv := env.compileEnv(rel.cols)
-	cenv.aggs = reg
-	bound := make([]boundExpr, len(items))
-	var err error
-	for i, item := range items {
-		if bound[i], err = compileExpr(item.Expr, cenv); err != nil {
-			return nil, nil, err
-		}
-	}
-	var bHaving boundExpr
-	if stmt.Having != nil {
-		if bHaving, err = compileExpr(stmt.Having, cenv); err != nil {
-			return nil, nil, err
-		}
-	}
-	orderPlans, err := buildOrderPlans(stmt, len(items), names, rel, cenv)
-	if err != nil {
-		return nil, nil, err
+	if p.order, err = buildOrderPlans(stmt, len(items), names, cenv); err != nil {
+		return nil, err
 	}
 	// GROUP BY expressions evaluate per input row; aggregates inside them
 	// are invalid.
-	rowEnv := env.compileEnv(rel.cols)
-	groupBy := make([]boundExpr, len(stmt.GroupBy))
+	rowEnv := env.compileEnv(cols)
+	p.groupBy = make([]boundExpr, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
-		if groupBy[i], err = compileExpr(g, rowEnv); err != nil {
-			return nil, nil, err
+		if p.groupBy[i], err = compileExpr(g, rowEnv); err != nil {
+			return nil, err
 		}
 	}
+	return p, nil
+}
 
-	// Partition rows into groups, folding aggregates as rows stream by.
-	// Large inputs fold in parallel — per-worker group hashes merged in
-	// partition order — unless a DISTINCT aggregate forces the serial path.
-	groups, parallel, err := db.parFoldGroups(stmt, items, rel, reg, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !parallel {
-		newGroup := func() *groupState {
-			return &groupState{accs: make([]aggState, len(reg.specs))}
-		}
-		ctx := env.newRowCtx()
-		var ix *keyIndex
-		var keyBuf []normValue
-		if len(groupBy) == 0 {
-			// Implicit single group: aggregates over an empty input still
-			// produce one output row (e.g. COUNT(*) = 0).
-			groups = append(groups, newGroup())
-		} else {
-			ix = newKeyIndex(len(groupBy))
-			keyBuf = make([]normValue, 0, len(groupBy))
-		}
-		for _, row := range rel.rows {
-			if err := env.check(); err != nil {
-				return nil, nil, err
-			}
-			ctx.row = row
-			var g *groupState
-			if ix == nil {
-				g = groups[0]
-			} else {
-				keyBuf = keyBuf[:0]
-				for _, ge := range groupBy {
-					v, err := ge.eval(ctx)
-					if err != nil {
-						return nil, nil, err
-					}
-					keyBuf = append(keyBuf, normKeyValue(v))
-				}
-				slot, added := ix.getOrAdd(keyBuf)
-				if added {
-					groups = append(groups, newGroup())
-				}
-				g = groups[slot]
-			}
-			if !g.hasRep {
-				g.rep, g.hasRep = row, true
-			}
-			for i, sp := range reg.specs {
-				if err := sp.update(&g.accs[i], ctx); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
+// distinctAgg reports whether any aggregate is DISTINCT (its dedup set does
+// not merge across partitions).
+func (p *projector) distinctAgg() bool {
+	return slices.ContainsFunc(p.reg.specs, func(sp *aggSpec) bool { return sp.distinct })
+}
 
-	res := &Result{Columns: names}
-	var sortKeys [][]sheet.Value
+// row evaluates the select list for ctx's row (and, grouped, its aggregate
+// results). The ORDER BY keys ride behind the items as trailing columns so
+// DISTINCT, the sort and top-K carry one slice per row; limitCut trims them
+// off on delivery.
+func (p *projector) row(ctx *rowCtx, arena *valueArena) ([]sheet.Value, error) {
+	n := len(p.items)
+	out := arena.take(n + len(p.order))
+	var err error
+	for i, be := range p.items {
+		if out[i], err = be.eval(ctx); err != nil {
+			return nil, err
+		}
+	}
+	for i, o := range p.order {
+		if o.outCol >= 0 {
+			out[n+i] = out[o.outCol]
+		} else if out[n+i], err = o.expr.eval(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// projectSource emits the projection of every row its input emits.
+type projectSource struct {
+	rowSource
+	projs []*projector // per puller
+}
+
+// stable is true: every projected row is freshly carved from an arena.
+func (ps *projectSource) stable() bool { return true }
+
+// dslint:parks(emit)
+func (ps *projectSource) pull(w int, env *execEnv, emit emitFunc) error {
+	p := ps.projs[w]
+	ctx := env.newRowCtx()
+	var arena valueArena
+	return ps.rowSource.pull(w, env, func(part int, row []sheet.Value) error {
+		ctx.row = row
+		out, err := p.row(ctx, &arena)
+		if err != nil {
+			return err
+		}
+		return emit(part, out)
+	})
+}
+
+// groupRows projects the folded groups, in group order, dropping the groups
+// HAVING rejects.
+func groupRows(groups []*groupState, p *projector, env *execEnv) ([][]sheet.Value, error) {
+	ctx := env.newRowCtx()
+	ctx.aggs = make([]sheet.Value, len(p.reg.specs))
+	poll := env.poller()
+	var arena valueArena
+	rows := make([][]sheet.Value, 0, len(groups))
 	for _, g := range groups {
-		if err := env.check(); err != nil {
-			return nil, nil, err
+		if err := poll.check(); err != nil {
+			return nil, err
 		}
-		ctx := env.newRowCtx()
-		ctx.row, ctx.aggs = g.rep, make([]sheet.Value, len(reg.specs))
-		for i, sp := range reg.specs {
+		ctx.row = g.rep
+		for i, sp := range p.reg.specs {
 			ctx.aggs[i] = sp.result(&g.accs[i])
 		}
-		if bHaving != nil {
-			keep, err := evalBoundPredicate(bHaving, ctx)
+		if p.having != nil {
+			keep, err := evalBoundPredicate(p.having, ctx)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !keep {
 				continue
 			}
 		}
-		out := make([]sheet.Value, len(bound))
-		for i, be := range bound {
-			v, err := be.eval(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = v
+		out, err := p.row(ctx, &arena)
+		if err != nil {
+			return nil, err
 		}
-		res.Rows = append(res.Rows, out)
-		if orderPlans != nil {
-			keys, err := evalOrderKeys(orderPlans, ctx, out, make([]sheet.Value, len(orderPlans)))
-			if err != nil {
-				return nil, nil, err
-			}
-			sortKeys = append(sortKeys, keys)
-		}
+		rows = append(rows, out)
 	}
-	return res, sortKeys, nil
+	return rows, nil
 }
 
-// distinctRows deduplicates output rows by typed key, preserving first
-// occurrences.
-func distinctRows(res *Result, sortKeys [][]sheet.Value) (*Result, [][]sheet.Value) {
-	width := 0
-	if len(res.Rows) > 0 {
-		width = len(res.Rows[0])
-	}
+// --- finishing: DISTINCT, ORDER BY, OFFSET/LIMIT ---
+
+// distinctRows deduplicates projected rows by the typed key of their first
+// width columns, preserving first occurrences.
+func distinctRows(rows [][]sheet.Value, width int) [][]sheet.Value {
 	ix := newKeyIndex(width)
 	cols := make([]int, width)
 	for i := range cols {
 		cols[i] = i
 	}
 	keyBuf := make([]normValue, 0, width)
-	outRows := res.Rows[:0:0]
-	var outKeys [][]sheet.Value
-	for i, row := range res.Rows {
+	out := rows[:0:0]
+	for _, row := range rows {
 		keyBuf = normalizeRowKey(keyBuf, row, cols)
-		if _, added := ix.getOrAdd(keyBuf); !added {
-			continue
-		}
-		outRows = append(outRows, row)
-		if sortKeys != nil {
-			outKeys = append(outKeys, sortKeys[i])
+		if _, added := ix.getOrAdd(keyBuf); added {
+			out = append(out, row)
 		}
 	}
-	res.Rows = outRows
-	return res, outKeys
+	return out
 }
 
-// sortResult stable-sorts the output rows by their precomputed keys. Input
+// sortRows stable-sorts projected rows by the ORDER BY keys they carry
+// behind their first width columns and returns the first keep of them. Input
 // that is already in order — e.g. ORDER BY an insertion-ordered key — is
-// detected in one linear pass and left untouched.
-func sortResult(orderBy []sqlparser.OrderItem, res *Result, sortKeys [][]sheet.Value) {
-	if len(sortKeys) != len(res.Rows) {
-		return
+// detected in one linear pass and left untouched; when a LIMIT makes keep
+// smaller than the input, a top-K heap selects exactly the prefix the stable
+// sort would produce instead of sorting everything.
+func sortRows(orderBy []sqlparser.OrderItem, rows [][]sheet.Value, width, keep int) [][]sheet.Value {
+	less := func(a, b []sheet.Value) int { return compareOrderKeys(orderBy, a[width:], b[width:]) }
+	if keep < len(rows) {
+		h := &topKHeap{cmp: less, k: keep}
+		for seq, row := range rows {
+			h.offer(row, seq)
+		}
+		return h.finish()
 	}
 	sorted := true
-	for i := 1; i < len(sortKeys); i++ {
-		if compareOrderKeys(orderBy, sortKeys[i-1], sortKeys[i]) > 0 {
+	for i := 1; i < len(rows); i++ {
+		if less(rows[i-1], rows[i]) > 0 {
 			sorted = false
 			break
 		}
 	}
-	if sorted {
-		return
+	if !sorted {
+		sort.SliceStable(rows, func(a, b int) bool { return less(rows[a], rows[b]) < 0 })
 	}
-	idx := make([]int, len(res.Rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return compareOrderKeys(orderBy, sortKeys[idx[a]], sortKeys[idx[b]]) < 0
-	})
-	newRows := make([][]sheet.Value, len(res.Rows))
-	for i, j := range idx {
-		newRows[i] = res.Rows[j]
-	}
-	res.Rows = newRows
+	return rows
 }
 
-func applyLimit(stmt *sqlparser.SelectStmt, res *Result) {
-	offset := 0
+// limitWindow resolves OFFSET/LIMIT to the half-open window [offset, end) of
+// the result order that is delivered. The parser guarantees both literals are
+// non-negative ints; their sum saturates instead of wrapping.
+func limitWindow(stmt *sqlparser.SelectStmt) (offset, end int) {
+	end = math.MaxInt
 	if stmt.Offset != nil {
 		offset = *stmt.Offset
 	}
-	if offset > len(res.Rows) {
-		offset = len(res.Rows)
+	if stmt.Limit != nil && *stmt.Limit < end-offset {
+		end = offset + *stmt.Limit
 	}
-	res.Rows = res.Rows[offset:]
-	if stmt.Limit != nil && *stmt.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:*stmt.Limit]
+	return offset, end
+}
+
+// limitCut is the final stage of every SELECT: it passes the rows of the
+// OFFSET/LIMIT window, trimmed to the select list's width, to yield — which
+// may park — and stops the pipeline behind it (errStreamDone, which never
+// escapes deliver) once the window is exhausted.
+type limitCut struct {
+	offset, end int
+	seen        int
+	width       int
+	yield       func([]sheet.Value) error
+}
+
+// emit receives the next row in result order (an emitFunc; the partition is
+// irrelevant this late). errStreamDone says no later row can be delivered.
+func (c *limitCut) emit(_ int, row []sheet.Value) error {
+	if c.seen >= c.end {
+		return errStreamDone
 	}
+	if c.seen++; c.seen <= c.offset {
+		return nil
+	}
+	if err := c.yield(row[:c.width:c.width]); err != nil {
+		return err
+	}
+	if c.seen >= c.end {
+		return errStreamDone
+	}
+	return nil
 }

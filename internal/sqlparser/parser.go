@@ -2,9 +2,11 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
@@ -331,14 +333,18 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
+// parseIntLiteral parses the row count of LIMIT / OFFSET: a non-negative
+// integral literal that fits an int. Anything else (2.7, 1e30, 2^63) is
+// rejected here — int(f) on it would truncate silently or wrap negative, and
+// the executor slices and sizes heaps with the result.
 func (p *Parser) parseIntLiteral() (int, error) {
 	t, err := p.expect(TokNumber, "")
 	if err != nil {
 		return 0, err
 	}
 	f, err := strconv.ParseFloat(t.Text, 64)
-	if err != nil {
-		return 0, p.errorf("invalid number %q", t.Text)
+	if err != nil || f < 0 || f != math.Trunc(f) || f >= math.MaxInt {
+		return 0, fmt.Errorf("sql: row count %q is not an integer in range (at offset %d): %w", t.Text, t.Pos, dberr.ErrSyntax)
 	}
 	return int(f), nil
 }

@@ -410,6 +410,14 @@ func TestParseErrors(t *testing.T) {
 		"SELECT RANGEVALUE() FROM t",
 		"SELECT * FROM t WHERE a NOT 5",
 		"SELECT a FROM t LIMIT x",
+		// Row counts must be integers an int can hold: int(float) of these
+		// truncates or wraps negative.
+		"SELECT a FROM t LIMIT 2.7",
+		"SELECT a FROM t LIMIT 9223372036854775807",
+		"SELECT a FROM t LIMIT 9223372036854775808",
+		"SELECT a FROM t LIMIT 1e30",
+		"SELECT a FROM t LIMIT 5 OFFSET 0.5",
+		"SELECT a FROM t LIMIT 5 OFFSET 18446744073709551616",
 		"SELECT * FROM t; garbage",
 	}
 	for _, sql := range bad {
