@@ -33,12 +33,13 @@ loc:
 		[ -z "$$files" ] || echo "$$(cat $$files | wc -l) $${dir#$(CURDIR)}"; \
 	done | awk '{ printf "%7d  .%s\n", $$1, $$2; total += $$1 } END { printf "%7d  total\n", total }'
 
-# racecheck runs the race detector over the two packages whose code runs
-# without the engine lock — the scan kernel's pullers (internal/sqlexec) and
-# the snapshot scans they drive (internal/storage/tablestore) — so `verify`
+# racecheck runs the race detector over the packages whose code runs without
+# the engine lock — the scan kernel's pullers (internal/sqlexec), the snapshot
+# scans they drive (internal/storage/tablestore) and the DBSQL refreshes that
+# change-feed callbacks run next to them (internal/interfacemgr) — so `verify`
 # guards lock-freedom locally; CI (and `make race`) runs it over every package.
 racecheck:
-	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore
+	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr
 
 # lint runs go vet plus dslint, the project-specific analyzer suite
 # (internal/lint): lockcheck (engine-lock discipline, no parking under the

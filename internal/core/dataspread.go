@@ -176,7 +176,7 @@ func newDataSpread(opts Options, backend pager.Backend) *DataSpread {
 		iface:   iface,
 	}
 	ds.session = db.NewSession(&sheetAccessor{ds: ds})
-	iface.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return ds.session.Query(sql) })
+	iface.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return ds.session.Query(sql) }, &sheetAccessor{ds: ds})
 	ds.book.AddSheet("Sheet1") // before any WAL exists; never logged
 	return ds
 }

@@ -18,6 +18,7 @@ package interfacemgr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -67,12 +68,33 @@ type Binding struct {
 	// positions maps display position (0-based data row) to RowID for
 	// table bindings.
 	positions *positional.Index
+	// isSelect, tables and refs are a query binding's SQL resolved once, at
+	// bind time: whether it is a SELECT, the lower-cased names of the tables
+	// it reads (sub-selects included; none for DML) and the sheet ranges its
+	// RANGEVALUE/RANGETABLE constructs read.
+	isSelect bool
+	tables   []string
+	refs     []formula.Reference
+	// refreshMu serialises a query binding's refreshes: one requested while
+	// another runs waits for it, then checks the memo that one left.
+	refreshMu sync.Mutex
 	// memo is the input fingerprint of the last successful refresh of a
 	// query binding; a matching fingerprint skips re-execution (memo.go).
 	memo *queryFingerprint
-	// extent is the sheet region currently materialised (header included).
+	// extent is the sheet region currently materialised (header included);
+	// written under Manager.mu.
 	extent sheet.Range
 	hasExt bool
+}
+
+// reads reports whether a query binding's SQL reads the table.
+func (b *Binding) reads(table string) bool {
+	for _, t := range b.tables {
+		if strings.EqualFold(t, table) {
+			return true
+		}
+	}
+	return false
 }
 
 // Extent returns the currently materialised region and whether any cells are
@@ -104,6 +126,7 @@ type Manager struct {
 	engine    *compute.Engine
 	windows   *window.Manager
 	runQuery  QueryRunner
+	sheets    sqlexec.SheetAccessor // what runQuery resolves RANGEVALUE with
 	bindings  map[int64]*Binding
 	nextID    int64
 	allLimit  int
@@ -142,11 +165,12 @@ func (m *Manager) Close() {
 	}
 }
 
-// SetQueryRunner installs the SQL runner used by query bindings.
-func (m *Manager) SetQueryRunner(fn QueryRunner) {
+// SetQueryRunner installs the SQL runner used by query bindings and the
+// sheet accessor it executes with, which the memo plans the SQL against.
+func (m *Manager) SetQueryRunner(fn QueryRunner, sheets sqlexec.SheetAccessor) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.runQuery = fn
+	m.runQuery, m.sheets = fn, sheets
 }
 
 // SetMaterializeAllLimit overrides the full-materialisation threshold.
@@ -279,21 +303,22 @@ func (m *Manager) BindQuery(sheetName string, anchor sheet.Address, sql string) 
 		}
 		m.Unbind(prev.ID)
 	}
-	m.mu.Lock()
 	b := &Binding{
-		ID:        m.nextID,
 		Kind:      KindQuery,
 		SheetName: sheetName,
 		Anchor:    anchor,
 		SQL:       sql,
 	}
+	b.refs, b.tables, b.isSelect = m.resolveQuery(sql)
+	m.mu.Lock()
+	b.ID = m.nextID
 	m.nextID++
 	m.bindings[b.ID] = b
 	m.mu.Unlock()
 
 	// Register sheet dependencies (RANGEVALUE / RANGETABLE references) so
 	// the query re-runs when those cells change.
-	if refs := m.sheetRefsOfSQL(sql); len(refs) > 0 {
+	if refs := b.refs; len(refs) > 0 {
 		id := b.ID
 		m.engine.RegisterExternal(externalKey(b.ID), refs, sheetName, func() {
 			_ = m.RefreshBinding(id)
@@ -318,20 +343,19 @@ func (m *Manager) bindingAt(sheetName string, anchor sheet.Address) *Binding {
 	return nil
 }
 
-// sheetRefsOfSQL extracts the sheet ranges a SQL text reads through
-// RANGEVALUE/RANGETABLE. Parsing goes through the database's prepared-plan
-// cache, so rebinding a recalculated DBSQL formula does not re-parse.
-func (m *Manager) sheetRefsOfSQL(sql string) []formula.Reference {
+// resolveQuery resolves a query binding's SQL once: the sheet ranges its
+// RANGEVALUE/RANGETABLE constructs read, the lower-cased names of the tables
+// a SELECT reads (sub-selects included), and whether it is a SELECT at all.
+// Parsing goes through the database's prepared-plan cache.
+func (m *Manager) resolveQuery(sql string) (refs []formula.Reference, tables []string, isSelect bool) {
 	p, err := m.db.Prepare(sql)
 	if err != nil {
-		return nil
+		return nil, nil, false
 	}
-	stmt := p.Statement()
-	sel, ok := stmt.(*sqlparser.SelectStmt)
+	sel, ok := p.Statement().(*sqlparser.SelectStmt)
 	if !ok {
-		return nil
+		return nil, nil, false
 	}
-	var refs []formula.Reference
 	addRef := func(refText string) {
 		sheetName, rangeText := splitSheetRef(refText)
 		r, err := sheet.ParseRange(rangeText)
@@ -380,6 +404,10 @@ func (m *Manager) sheetRefsOfSQL(sql string) []formula.Reference {
 	var walkTable func(t sqlparser.TableRef)
 	walkTable = func(t sqlparser.TableRef) {
 		switch x := t.(type) {
+		case *sqlparser.TableName:
+			if name := strings.ToLower(x.Name); !slices.Contains(tables, name) {
+				tables = append(tables, name)
+			}
 		case *sqlparser.RangeTableRef:
 			addRef(x.Ref)
 		case *sqlparser.SubSelect:
@@ -387,7 +415,7 @@ func (m *Manager) sheetRefsOfSQL(sql string) []formula.Reference {
 		}
 	}
 	walkSelect(sel, walkExpr, walkTable)
-	return refs
+	return refs, tables, true
 }
 
 func walkSelect(sel *sqlparser.SelectStmt, walkExpr func(sqlparser.Expr), walkTable func(sqlparser.TableRef)) {

@@ -23,7 +23,7 @@ func newFixture(t *testing.T) (*Manager, *sqlexec.Database, *sheet.Book) {
 	engine.SetVisibleProvider(windows.Visible)
 	m := New(db, book, engine, windows)
 	session := db.NewSession(nil)
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) })
+	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) }, nil)
 
 	if err := db.CreateTable("people", []catalog.Column{
 		{Name: "id", Type: catalog.TypeNumber, PrimaryKey: true},
@@ -193,7 +193,7 @@ func TestQueryBindingRefreshOnDataChange(t *testing.T) {
 	if _, err := m.BindQuery("Sheet1", sheet.Addr(20, 0), "SELECT * FROM missing"); err == nil {
 		t.Error("query binding with bad SQL should fail")
 	}
-	m.SetQueryRunner(nil)
+	m.SetQueryRunner(nil, nil)
 	if _, err := m.BindQuery("Sheet1", sheet.Addr(20, 0), "SELECT 1"); err == nil {
 		t.Error("query binding without a runner should fail")
 	}

@@ -3,39 +3,51 @@ package interfacemgr
 import (
 	"strings"
 
-	"github.com/dataspread/dataspread/internal/sheet"
-	"github.com/dataspread/dataspread/internal/sqlparser"
+	"github.com/dataspread/dataspread/internal/sqlexec"
 )
 
 // Result-level memoization for DBSQL bindings. A query binding's output is a
-// pure function of the database schema, the data of every table it reads,
-// and the sheet cells its positional constructs reference. PR 2 gave all of
-// those cheap version counters (schema epoch, per-table data versions,
-// per-sheet versions), so a refresh first captures a fingerprint of them and
+// pure function of the database schema, the rows of every table it reads
+// that its predicates admit, and the sheet cells its positional constructs
+// reference. A refresh first captures a fingerprint of those inputs and
 // skips re-execution — and re-spilling — entirely when it matches the
-// fingerprint of the previous successful refresh. This is what keeps the
-// interface manager's refresh-on-any-change policy affordable: a change to
-// one table no longer re-runs every unrelated DBSQL binding in the workbook.
+// fingerprint of the previous successful refresh.
+//
+// The data part of the fingerprint is the statement's provenance sketch
+// (sqlexec.Sketch): per FROM source, the pages its pushed bounds admit with
+// their versions, and the table's delete count. An UPDATE of a row the
+// binding's bounds exclude rewrites a page outside the sketch and leaves the
+// memo valid. Statements the sketch cannot describe — sub-select or
+// RANGETABLE sources — fall back to one data version per table read; DML
+// through DBSQL is never memoized.
 
-// queryFingerprint is the captured version vector of one query execution.
+// queryFingerprint is the captured input state of one query execution.
+// tables holds the data version of every table the SQL reads: the memo
+// compares it only when there is no sketch, and a refresh memoizes only
+// when no table changed while its query ran.
 type queryFingerprint struct {
 	schemaEpoch uint64
 	tables      map[string]uint64
 	sheets      map[string]uint64
+	sketch      *sqlexec.Sketch
 }
 
 func (f *queryFingerprint) equal(o *queryFingerprint) bool {
-	if f == nil || o == nil || f.schemaEpoch != o.schemaEpoch ||
-		len(f.tables) != len(o.tables) || len(f.sheets) != len(o.sheets) {
+	if f == nil || o == nil || f.schemaEpoch != o.schemaEpoch || !sameVersions(f.sheets, o.sheets) {
 		return false
 	}
-	for name, v := range f.tables {
-		if ov, ok := o.tables[name]; !ok || ov != v {
-			return false
-		}
+	if f.sketch != nil || o.sketch != nil {
+		return f.sketch.Same(o.sketch)
 	}
-	for name, v := range f.sheets {
-		if ov, ok := o.sheets[name]; !ok || ov != v {
+	return sameVersions(f.tables, o.tables)
+}
+
+func sameVersions(a, b map[string]uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, v := range a {
+		if ov, ok := b[name]; !ok || ov != v {
 			return false
 		}
 	}
@@ -43,69 +55,77 @@ func (f *queryFingerprint) equal(o *queryFingerprint) bool {
 }
 
 // fingerprintQuery captures the current versions of every input of a query
-// binding's SQL. ok is false when the statement is not a memoizable pure
-// SELECT (DML/DDL through DBSQL always re-executes) or when a referenced
-// sheet does not exist.
-func (m *Manager) fingerprintQuery(sql string) (fp *queryFingerprint, ok bool) {
-	p, err := m.db.Prepare(sql)
-	if err != nil {
-		return nil, false
-	}
-	sel, isSelect := p.Statement().(*sqlparser.SelectStmt)
-	if !isSelect {
+// binding's SQL — sheet versions before the sketch, whose bounds may read
+// those sheets. ok is false when the statement is not a memoizable SELECT
+// (DML/DDL through DBSQL always re-executes) or when a referenced sheet does
+// not exist.
+func (m *Manager) fingerprintQuery(b *Binding) (fp *queryFingerprint, ok bool) {
+	if !b.isSelect {
 		return nil, false
 	}
 	fp = &queryFingerprint{
 		schemaEpoch: m.db.SchemaEpoch(),
-		tables:      make(map[string]uint64),
-		sheets:      make(map[string]uint64),
+		tables:      m.tableVersions(b),
+		sheets:      make(map[string]uint64, len(b.refs)),
 	}
-	for _, name := range tableRefsOfSelect(sel) {
-		fp.tables[name] = m.db.TableDataVersion(name)
-	}
-	for _, ref := range m.sheetRefsOfSQL(sql) {
-		name := ref.Sheet
-		if name == "" {
-			names := m.book.SheetNames()
-			if len(names) == 0 {
-				return nil, false
+	names := m.book.SheetNames()
+	for _, ref := range b.refs {
+		// Every sheet the reference's name matches in any case is recorded,
+		// so the entry covers whichever of them the runner's accessor reads.
+		want, found := m.refSheet(ref.Sheet), false
+		for _, n := range names {
+			if sh, ok := m.book.Sheet(n); ok && strings.EqualFold(n, want) {
+				fp.sheets[n], found = sh.Version(), true
 			}
-			name = names[0]
 		}
-		sh, canonical, found := m.sheetByName(name)
 		if !found {
 			return nil, false
 		}
-		fp.sheets[canonical] = sh.Version()
 	}
+	m.mu.Lock()
+	sheets := m.sheets
+	m.mu.Unlock()
+	fp.sketch = m.db.CaptureSketch(b.SQL, sheets)
 	return fp, true
 }
 
-// sheetByName resolves a (possibly differently-cased) sheet name to the
-// sheet and its canonical name.
-func (m *Manager) sheetByName(name string) (*sheet.Sheet, string, bool) {
-	if sh, ok := m.book.Sheet(name); ok {
-		return sh, name, true
+func (m *Manager) tableVersions(b *Binding) map[string]uint64 {
+	vers := make(map[string]uint64, len(b.tables))
+	for _, name := range b.tables {
+		vers[name] = m.db.TableDataVersion(name)
 	}
-	for _, n := range m.book.SheetNames() {
-		if strings.EqualFold(n, name) {
-			sh, ok := m.book.Sheet(n)
-			return sh, n, ok
-		}
-	}
-	return nil, "", false
+	return vers
 }
 
-// refreshSheetVersions re-reads the sheet entries of a fingerprint. It is
-// called after the spill, whose own cell writes bump the target sheet's
-// version: a binding that reads ranges of the sheet it spills to would
-// otherwise never see its fingerprint match.
-func (m *Manager) refreshSheetVersions(fp *queryFingerprint) {
-	for name := range fp.sheets {
-		if sh, _, found := m.sheetByName(name); found {
-			fp.sheets[name] = sh.Version()
+// refSheet names the sheet an unqualified reference resolves against: the
+// first sheet of the workbook, as RANGEVALUE/RANGETABLE resolve.
+func (m *Manager) refSheet(name string) string {
+	if name == "" {
+		if names := m.book.SheetNames(); len(names) > 0 {
+			return names[0]
 		}
 	}
+	return name
+}
+
+// sheetsSettled reports whether every sheet a fingerprint records still has
+// its captured version but for the refresh's own spill, which bumped its
+// target sheet once per Clear or SetCellBatch call — spillCalls in all — and
+// then advances the target's entry past the spill. A sheet written by anyone
+// else after capture — a RANGEVALUE cell edited while the query ran — fails
+// it: the result may predate that write, so it must not be memoized.
+func (m *Manager) sheetsSettled(fp *queryFingerprint, target string, spillCalls uint64) bool {
+	for name, v := range fp.sheets {
+		if name == target {
+			v += spillCalls
+		}
+		sh, ok := m.book.Sheet(name)
+		if !ok || sh.Version() != v {
+			return false
+		}
+		fp.sheets[name] = v
+	}
+	return true
 }
 
 // spillOverlapsInputs reports whether the binding's materialised extent
@@ -117,39 +137,11 @@ func (m *Manager) spillOverlapsInputs(b *Binding) bool {
 	if !b.hasExt {
 		return false
 	}
-	for _, ref := range m.sheetRefsOfSQL(b.SQL) {
-		name := ref.Sheet
-		if name == "" {
-			names := m.book.SheetNames()
-			if len(names) == 0 {
-				continue
-			}
-			name = names[0]
-		}
+	for _, ref := range b.refs {
+		name := m.refSheet(ref.Sheet)
 		if strings.EqualFold(name, b.SheetName) && b.extent.Intersects(ref.Range.Normalize()) {
 			return true
 		}
 	}
 	return false
-}
-
-// tableRefsOfSelect collects the lower-cased names of every named table a
-// SELECT reads, sub-selects included.
-func tableRefsOfSelect(sel *sqlparser.SelectStmt) []string {
-	seen := make(map[string]bool)
-	var walkTable func(t sqlparser.TableRef)
-	walkTable = func(t sqlparser.TableRef) {
-		switch x := t.(type) {
-		case *sqlparser.TableName:
-			seen[strings.ToLower(x.Name)] = true
-		case *sqlparser.SubSelect:
-			walkSelect(x.Select, func(sqlparser.Expr) {}, walkTable)
-		}
-	}
-	walkSelect(sel, func(sqlparser.Expr) {}, walkTable)
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	return out
 }

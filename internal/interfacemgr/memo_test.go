@@ -2,6 +2,7 @@ package interfacemgr
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -34,10 +35,10 @@ func (a *bookAccessor) RangeTable(string, bool) ([]string, [][]sheet.Value, erro
 	return nil, nil, fmt.Errorf("not supported in this test")
 }
 
-// TestQueryBindingMemoization: a DBSQL binding over table A must not
-// re-execute when unrelated table B changes, must re-execute when A
-// changes, and re-binding the same query with nothing changed at all must
-// be a pure memo hit.
+// TestQueryBindingMemoization: a change to unrelated table B must not touch
+// a DBSQL binding over table A at all (no re-execution, no memo check), a
+// change to A must re-execute it, and re-binding the same query with nothing
+// changed at all must be a pure memo hit.
 func TestQueryBindingMemoization(t *testing.T) {
 	m, db, book := newFixture(t)
 	if err := db.CreateTable("other", []catalog.Column{
@@ -62,13 +63,12 @@ func TestQueryBindingMemoization(t *testing.T) {
 			baseHits, s.MemoHits, baseRefreshes, s.Refreshes)
 	}
 
-	// A change to an unrelated table triggers the refresh-everything policy
-	// but must be absorbed by the memo.
+	// A change to a table the query does not read never reaches it.
 	if _, err := db.Insert("other", []sheet.Value{sheet.Number(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Stats(); s.MemoHits != baseHits+2 || s.Refreshes != baseRefreshes {
-		t.Fatalf("unrelated change re-executed the query: %+v", s)
+	if s := m.Stats(); s.MemoHits != baseHits+1 || s.Refreshes != baseRefreshes {
+		t.Fatalf("unrelated change touched the binding: %+v", s)
 	}
 
 	// A change to the referenced table must re-execute and re-spill.
@@ -107,8 +107,9 @@ func TestQueryBindingMemoization(t *testing.T) {
 // its own spill bumps the version of the sheet it reads from.
 func TestQueryBindingMemoSheetInputs(t *testing.T) {
 	m, db, book := newFixture(t)
-	session := db.NewSession(&bookAccessor{book: book})
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) })
+	acc := &bookAccessor{book: book}
+	session := db.NewSession(acc)
+	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) }, acc)
 	sh, _ := book.Sheet("Sheet1")
 	sh.SetCell(sheet.MustParseAddress("A10"), sheet.Cell{Value: sheet.Number(30)})
 
@@ -143,8 +144,9 @@ func TestQueryBindingMemoSheetInputs(t *testing.T) {
 // so such bindings must re-execute on every refresh.
 func TestQueryBindingSelfOverwritingSpillNeverMemoizes(t *testing.T) {
 	m, db, book := newFixture(t)
-	session := db.NewSession(&bookAccessor{book: book})
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) })
+	acc := &bookAccessor{book: book}
+	session := db.NewSession(acc)
+	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) }, acc)
 	sh, _ := book.Sheet("Sheet1")
 	sh.SetCell(sheet.MustParseAddress("A2"), sheet.Cell{Value: sheet.Number(20)})
 
@@ -155,11 +157,69 @@ func TestQueryBindingSelfOverwritingSpillNeverMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The overwritten A2 re-runs the binding from the engine's background
+	// pass, which converges on an empty result. Let it finish and detach the
+	// engine, so the refreshes below are the only ones.
+	m.engine.Wait()
+	m.engine = nil
+	sh.SetCell(sheet.MustParseAddress("A2"), sheet.Cell{Value: sheet.Number(20)})
+	if err := m.RefreshBinding(b.ID); err != nil { // spills over A2 again
+		t.Fatal(err)
+	}
 	base := m.Stats()
 	if err := m.RefreshBinding(b.ID); err != nil {
 		t.Fatal(err)
 	}
 	if s := m.Stats(); s.MemoHits != base.MemoHits || s.Refreshes != base.Refreshes+1 {
 		t.Fatalf("self-overwriting binding was memoized: %+v -> %+v", base, s)
+	}
+}
+
+// TestQueryBindingParameterEditDuringRefresh: a RANGEVALUE cell edited while
+// the binding's query runs — here from inside the runner, after the query
+// read the old value — must not be memoized beside that result. The refresh
+// the edit requests waits for the running one, re-executes, and leaves the
+// spill equal to a direct execution. The parameter sits in the SELECT list,
+// so only the sheet versions can tell the two results apart; the binding
+// spills both to the parameter's own sheet and to another one.
+func TestQueryBindingParameterEditDuringRefresh(t *testing.T) {
+	for _, target := range []string{"Sheet1", "Sheet2"} {
+		t.Run(target, func(t *testing.T) {
+			m, db, book := newFixture(t)
+			book.AddSheet("Sheet2")
+			acc := &bookAccessor{book: book}
+			session := db.NewSession(acc)
+			a10 := sheet.MustParseAddress("A10")
+			edit := false
+			m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) {
+				res, err := session.Query(sql)
+				if edit {
+					edit = false
+					m.engine.SetValue("Sheet1", a10, sheet.Number(20)) // its refresh waits for this one
+				}
+				return res, err
+			}, acc)
+			sh, _ := book.Sheet("Sheet1")
+			sh.SetCell(a10, sheet.Cell{Value: sheet.Number(10)})
+			b, err := m.BindQuery(target, sheet.Addr(0, 5), "SELECT id + RANGEVALUE(Sheet1!A10) FROM people ORDER BY id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit = true
+			if _, err := db.Insert("people", []sheet.Value{sheet.Number(4), sheet.String_("dee"), sheet.Number(19)}); err != nil {
+				t.Fatal(err)
+			}
+			m.engine.Wait()
+			want, err := session.Query(b.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := book.Sheet(target)
+			for r, row := range want.Rows {
+				if got := out.Value(sheet.Addr(1+r, 5)); !reflect.DeepEqual(got, row[0]) {
+					t.Fatalf("row %d = %v, direct execution %v", r, got, row[0])
+				}
+			}
+		})
 	}
 }

@@ -80,33 +80,49 @@ func (m *Manager) materializeTable(b *Binding) error {
 	return nil
 }
 
-// refreshQuery re-executes a query binding and spills its result — unless
-// the fingerprint of every input (schema epoch, referenced table data
-// versions, referenced sheet versions) matches the previous successful
-// refresh, in which case the spilled cells are already current and the
-// execution is skipped outright.
+// refreshQuery brings a query binding's spill up to date. Refreshes of one
+// binding never overlap; the engine hears of the spilled cells after the
+// binding is released.
 func (m *Manager) refreshQuery(b *Binding) error {
+	b.refreshMu.Lock()
+	changed, err := m.refreshQueryLocked(b)
+	b.refreshMu.Unlock()
+	if m.engine != nil && len(changed) > 0 {
+		m.engine.NotifyChanged(changed...)
+	}
+	return err
+}
+
+// refreshQueryLocked re-executes a query binding and spills its result,
+// returning the cells it wrote — unless the fingerprint of every input
+// (schema epoch, provenance sketch or table data versions, referenced sheet
+// versions) matches the previous successful refresh, in which case the
+// spilled cells are already current and the execution is skipped outright.
+// The fingerprint is captured before the query runs, and kept only if no
+// table or sheet it reads changed meanwhile: a write that lands mid-run is
+// then never mistaken for one the result saw.
+func (m *Manager) refreshQueryLocked(b *Binding) ([]compute.CellID, error) {
 	m.mu.Lock()
 	runner := m.runQuery
 	m.mu.Unlock()
 	if runner == nil {
-		return fmt.Errorf("interfacemgr: no query runner configured")
+		return nil, fmt.Errorf("interfacemgr: no query runner configured")
 	}
-	fp, memoable := m.fingerprintQuery(b.SQL)
+	fp, memoable := m.fingerprintQuery(b)
 	if memoable && b.hasExt && b.memo.equal(fp) {
 		m.mu.Lock()
 		m.stats.MemoHits++
 		m.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	b.memo = nil
 	res, err := runner(b.SQL)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sh, ok := m.book.Sheet(b.SheetName)
 	if !ok {
-		return fmt.Errorf("interfacemgr: unknown sheet %q", b.SheetName)
+		return nil, fmt.Errorf("interfacemgr: unknown sheet %q", b.SheetName)
 	}
 	// The spill below overwrites every cell of the new extent, so only the
 	// part of the old extent the new result no longer covers needs
@@ -114,8 +130,8 @@ func (m *Manager) refreshQuery(b *Binding) error {
 	// clears nothing.
 	newExt := sheet.RangeOf(b.Anchor.Row, b.Anchor.Col,
 		b.Anchor.Row+len(res.Rows), b.Anchor.Col+maxInt(len(res.Columns)-1, 0))
+	var stale []sheet.Address
 	if b.hasExt {
-		var stale []sheet.Address
 		sh.ForEachInRange(b.extent, func(a sheet.Address, _ sheet.Cell) {
 			if !newExt.Contains(a) {
 				stale = append(stale, a)
@@ -150,27 +166,21 @@ func (m *Manager) refreshQuery(b *Binding) error {
 		}
 	})
 	m.bumpCells(uint64(len(changed)))
-	endRow := b.Anchor.Row + len(res.Rows)
-	endCol := b.Anchor.Col + maxInt(len(res.Columns)-1, 0)
-	b.extent = sheet.RangeOf(b.Anchor.Row, b.Anchor.Col, endRow, endCol)
-	b.hasExt = true
-	if memoable && !m.spillOverlapsInputs(b) {
-		// Sheet versions are re-captured after the spill so the binding's
-		// own writes (which bump the target sheet's version) do not defeat
-		// the memo for queries reading ranges of the sheet they spill to.
-		// A spill that overwrites its own input ranges is the exception:
-		// it is never memoized, since the re-captured version would pin a
-		// result computed from the pre-overwrite inputs.
-		m.refreshSheetVersions(fp)
-		b.memo = fp
-	}
 	m.mu.Lock()
+	b.extent = newExt
+	b.hasExt = true
 	m.stats.Refreshes++
 	m.mu.Unlock()
-	if m.engine != nil && len(changed) > 0 {
-		m.engine.NotifyChanged(changed...)
+	// The spill's own writes (one Clear per stale cell, one batch) advance
+	// the target sheet's entry, so a query reading ranges of the sheet it
+	// spills to still memoizes. A spill that overwrites its own input ranges
+	// is the exception: it is never memoized, since the advanced version
+	// would pin a result computed from the pre-overwrite inputs.
+	if memoable && sameVersions(fp.tables, m.tableVersions(b)) &&
+		m.sheetsSettled(fp, b.SheetName, uint64(len(stale))+1) && !m.spillOverlapsInputs(b) {
+		b.memo = fp
 	}
-	return nil
+	return changed, nil
 }
 
 // RefreshBinding fully rematerialises a binding.
@@ -315,10 +325,9 @@ func (m *Manager) onDBChange(ev sqlexec.ChangeEvent) {
 		if b.Kind == KindTable && strings.EqualFold(b.Table, ev.Table) {
 			targets = append(targets, b)
 		}
-		if b.Kind == KindQuery && ev.Kind != sqlexec.ChangeSchema {
-			// Query results may depend on any table; re-run them on data
-			// changes. (A more precise dependency analysis could limit
-			// this to queries that reference ev.Table.)
+		if b.Kind == KindQuery && ev.Kind != sqlexec.ChangeSchema && b.reads(ev.Table) {
+			// Only a binding whose SQL reads the table can see the change;
+			// its memo then decides whether the query runs again.
 			targets = append(targets, b)
 		}
 	}

@@ -96,10 +96,12 @@ type Database struct {
 	// Secondary indexes (indexes.go), maintained under mu together with the
 	// base tables, and per-table data version counters bumped on every
 	// tuple change (result-level memoization of DBSQL bindings compares
-	// them to skip re-execution).
+	// them to skip re-execution). deletes counts each table's row deletes,
+	// which tombstone layouts apply without rewriting a page (sketch.go).
 	secIndexes  map[string][]*secIndex
 	indexByName map[string]*secIndex
 	dataVers    map[string]uint64
+	deletes     map[string]uint64
 
 	// Prepared-plan cache (plan.go). schemaEpoch advances on every schema
 	// definition change — including index DDL, so cached plans re-plan
@@ -149,6 +151,7 @@ func NewDatabase(cfg Config) *Database {
 		secIndexes:  make(map[string][]*secIndex),
 		indexByName: make(map[string]*secIndex),
 		dataVers:    make(map[string]uint64),
+		deletes:     make(map[string]uint64),
 		pageStore:   ps,
 		pool:        pager.NewBufferPool(ps, poolPages),
 		txns:        txn.NewManager(),
@@ -288,6 +291,7 @@ func (db *Database) DropTable(name string) error {
 	delete(db.stores, tkey(name))
 	delete(db.pkIndex, tkey(name))
 	delete(db.dataVers, tkey(name))
+	delete(db.deletes, tkey(name))
 	db.secOnDropTableLocked(name)
 	db.mu.Unlock()
 	db.invalidatePlans()
@@ -624,6 +628,7 @@ func (db *Database) delete(table string, id tablestore.RowID, tx *txn.Txn) error
 		return err
 	}
 	db.dataVers[tkey(table)]++
+	db.deletes[tkey(table)]++
 	db.mu.Unlock()
 	if tx != nil {
 		oldCopy := append([]sheet.Value(nil), old...)

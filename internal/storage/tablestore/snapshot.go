@@ -78,6 +78,13 @@ type TableSnap interface {
 	// different goroutines.
 	// dslint:perrow
 	ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error
+	// AdmittedPages reports, in scan order, the physical pages of cols (nil =
+	// all) that a scan with these bounds reads — every page the zone maps
+	// cannot rule out — each with its BufferPool version at the snapshot's
+	// epoch. A page id with an unchanged version holds unchanged content, so
+	// two equal reports prove the rows those bounds can admit are unchanged,
+	// tombstone deletes (which rewrite no page) excepted.
+	AdmittedPages(cols []int, bounds []ZoneBound) []PageVersion
 	// ScanColsStable reports whether the rows ScanColsRange(_, cols, ...)
 	// passes to fn remain valid after fn returns — they alias immutable
 	// decoded page snapshots rather than a reused scratch buffer — letting
@@ -110,6 +117,30 @@ type epochPin struct {
 
 func (p *epochPin) Release() {
 	p.release.Do(func() { p.pool.ReleaseEpoch(p.epoch) })
+}
+
+// PageVersion is one page a bounded read admits and its version.
+type PageVersion struct {
+	Page    pager.PageID
+	Version uint64
+}
+
+// admit appends the pages of one chain — per partition units each — that
+// overlap the kept runs, in order, with their versions at the pinned epoch.
+func (p *epochPin) admit(out []PageVersion, kept []Partition, per int, pages []pager.PageID) []PageVersion {
+	last := -1
+	for _, r := range kept {
+		if r.Hi <= r.Lo {
+			continue
+		}
+		lo, hi := max(r.Lo/per, last+1), min((r.Hi-1)/per, len(pages)-1)
+		for pi := lo; pi <= hi; pi++ {
+			v, _ := p.pool.VersionAt(p.epoch, pages[pi])
+			out = append(out, PageVersion{Page: pages[pi], Version: v})
+			last = pi
+		}
+	}
+	return out
 }
 
 // wantCols resolves a scan's column list against a table of the given width:
@@ -204,6 +235,11 @@ func (s *rowSnap) Partitions(n int, _ []int, bounds []ZoneBound) ([]Partition, i
 		read += p.Hi - p.Lo
 	}
 	return splitRuns(kept, n), read, total - read
+}
+
+// AdmittedPages implements TableSnap.
+func (s *rowSnap) AdmittedPages(_ []int, bounds []ZoneBound) []PageVersion {
+	return s.admit(nil, rowKeptPages(s.zones, len(s.pages), bounds), 1, s.pages)
 }
 
 // ScanColsStable: full-width scans hand out the decoded page rows
@@ -308,6 +344,20 @@ func (s *colSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition
 	kept := colKeptRuns(s.cols, s.slotCount, bounds)
 	total, read := colPageStats(kept, s.slotCount, want)
 	return splitRuns(kept, n), read, total - read
+}
+
+// AdmittedPages implements TableSnap.
+func (s *colSnap) AdmittedPages(cols []int, bounds []ZoneBound) []PageVersion {
+	want, err := wantCols(cols, len(s.cols))
+	if err != nil {
+		return nil
+	}
+	kept := colKeptRuns(s.cols, s.slotCount, bounds)
+	var out []PageVersion
+	for _, c := range want {
+		out = s.admit(out, kept, valuesPerPage, s.cols[c].pages)
+	}
+	return out
 }
 
 // ScanColsStable: column layouts always assemble tuples in a reused scratch
@@ -425,6 +475,26 @@ func (s *hybridSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partit
 	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
 	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
 	return splitRuns(kept, n), read, total - read
+}
+
+// AdmittedPages implements TableSnap: the pages of every group that holds a
+// wanted column, group by group.
+func (s *hybridSnap) AdmittedPages(cols []int, bounds []ZoneBound) []PageVersion {
+	want, err := wantCols(cols, len(s.colMap))
+	if err != nil {
+		return nil
+	}
+	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
+	var out []PageVersion
+	seen := make([]bool, len(s.groups))
+	for _, c := range want {
+		gi := s.colMap[c].group
+		if g := &s.groups[gi]; !seen[gi] && g.width > 0 && g.rowsPer > 0 {
+			seen[gi] = true
+			out = s.admit(out, kept, g.rowsPer, g.pages)
+		}
+	}
+	return out
 }
 
 // singleGroupScan reports the group whose stored tuples can be passed
