@@ -35,11 +35,13 @@ loc:
 
 # racecheck runs the race detector over the packages whose code runs without
 # the engine lock — the scan kernel's pullers (internal/sqlexec), the snapshot
-# scans they drive (internal/storage/tablestore) and the DBSQL refreshes that
-# change-feed callbacks run next to them (internal/interfacemgr) — so `verify`
-# guards lock-freedom locally; CI (and `make race`) runs it over every package.
+# scans they drive (internal/storage/tablestore), the DBSQL refreshes that
+# change-feed callbacks run next to them (internal/interfacemgr) and the
+# compute engine's background recalc pass that un-waited edits overlap
+# (internal/compute) — so `verify` guards lock-freedom locally; CI (and
+# `make race`) runs it over every package.
 racecheck:
-	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr
+	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr ./internal/compute
 
 # lint runs go vet plus dslint, the project-specific analyzer suite
 # (internal/lint): lockcheck (engine-lock discipline, no parking under the

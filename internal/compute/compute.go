@@ -8,6 +8,7 @@
 package compute
 
 import (
+	"cmp"
 	"strings"
 	"sync"
 
@@ -34,47 +35,72 @@ const (
 )
 
 type depTile struct {
-	sheetKey string
-	tr, tc   int
+	sheet  string // sheet key
+	tr, tc int
 }
+
+// nodeSet is a set of formula nodes: the readers of one cell or one tile.
+type nodeSet map[*formulaNode]struct{}
+
+// A formula node is clean when its value is current and dirty while it
+// waits for an evaluation.
+const (
+	clean uint8 = iota
+	dirty
+)
 
 type formulaNode struct {
 	id   CellID
 	expr formula.Expr
-	refs []formula.Reference // sheet names resolved ("" replaced)
+	refs []formula.Reference // sheet keys, "" resolved to the own sheet
+	// readers are the formulas reading this cell by exact address: the
+	// same set as depExact[id], linked here so a closure walk goes from
+	// node to node without hashing a cell key per reached node.
+	readers nodeSet
+	stamp   uint64 // the last closure walk that reached the node
+	state   uint8
 }
 
 // external is a non-cell dependent (e.g. a DBSQL binding in the interface
 // manager) that wants to be notified when any cell it reads changes.
 type external struct {
-	id       string
 	refs     []formula.Reference
 	callback func()
+	queued   bool // in Engine.notify, waiting for the next background batch
 }
 
 // Stats counts engine activity for experiments.
 type Stats struct {
 	Evaluations     uint64 // formula evaluations performed
 	VisibleFirst    uint64 // evaluations performed in the priority pass
-	BackgroundRuns  uint64 // background passes executed
+	BackgroundRuns  uint64 // background batches evaluated
 	ExternalNotifys uint64 // external dependents notified
 }
 
 // Engine is the compute engine over one workbook. All exported methods are
 // safe for concurrent use.
 type Engine struct {
+	// mu guards the graph, the node states and the counters, and every
+	// formula evaluation holds it, so an evaluation never interleaves with
+	// a closure walk or with another evaluation.
 	mu       sync.Mutex
 	book     *sheet.Book
 	formulas map[CellID]*formulaNode
 	// depIndex indexes range precedents at tile granularity; depExact
 	// indexes single-cell precedents by exact address so wide fan-out on a
 	// hot cell does not degrade dependent lookups for unrelated cells.
-	depIndex  map[depTile]map[CellID]struct{}
-	depExact  map[CellID]map[CellID]struct{}
+	depIndex  map[depTile]nodeSet
+	depExact  map[CellID]nodeSet
 	externals map[string]*external
 	visible   func() map[string]sheet.Range
 	stats     Stats
-	bg        sync.WaitGroup
+	walks     uint64         // closure walks so far, the last one's stamp
+	pending   []*formulaNode // every dirty node, plus stale clean entries
+	notify    []*external    // externals to call once the pending nodes are evaluated
+	// next is closed when the background batch that takes the current
+	// pending work finishes; nil until an edit leaves work for it. last is
+	// the newest such channel, nil while the background pass is idle.
+	next, last chan struct{}
 }
 
 // New creates a compute engine over the workbook.
@@ -82,8 +108,8 @@ func New(book *sheet.Book) *Engine {
 	return &Engine{
 		book:      book,
 		formulas:  make(map[CellID]*formulaNode),
-		depIndex:  make(map[depTile]map[CellID]struct{}),
-		depExact:  make(map[CellID]map[CellID]struct{}),
+		depIndex:  make(map[depTile]nodeSet),
+		depExact:  make(map[CellID]nodeSet),
 		externals: make(map[string]*external),
 	}
 }
@@ -111,27 +137,25 @@ func (e *Engine) FormulaCount() int {
 	return len(e.formulas)
 }
 
-func sheetKey(name string) string { return strings.ToLower(name) }
-
-// tilesForRange enumerates the dependency-index tiles covering a range.
-func tilesForRange(sheetName string, r sheet.Range) []depTile {
+// tilesForRange enumerates the dependency-index tiles covering a range of
+// the sheet with the given key.
+func tilesForRange(key string, r sheet.Range) []depTile {
 	var out []depTile
 	for tr := r.Start.Row / depTileRows; tr <= r.End.Row/depTileRows; tr++ {
 		for tc := r.Start.Col / depTileCols; tc <= r.End.Col/depTileCols; tc++ {
-			out = append(out, depTile{sheetKey: sheetKey(sheetName), tr: tr, tc: tc})
+			out = append(out, depTile{sheet: key, tr: tr, tc: tc})
 		}
 	}
 	return out
 }
 
-// resolveRefs fills in the owning sheet for unqualified references.
+// resolveRefs fills in the owning sheet for unqualified references and
+// replaces every sheet name with its key.
 func resolveRefs(refs []formula.Reference, ownSheet string) []formula.Reference {
 	out := make([]formula.Reference, len(refs))
 	for i, r := range refs {
-		if r.Sheet == "" {
-			r.Sheet = ownSheet
-		}
 		out[i] = r
+		out[i].Sheet = sheet.FoldName(cmp.Or(r.Sheet, ownSheet))
 	}
 	return out
 }
@@ -141,15 +165,21 @@ func resolveRefs(refs []formula.Reference, ownSheet string) []formula.Reference 
 // SetValue writes a literal value into a cell and recomputes dependents,
 // visible-first. It returns a wait function for the background pass.
 func (e *Engine) SetValue(sheetName string, a sheet.Address, v sheet.Value) (wait func()) {
-	sh := e.sheetOf(sheetName)
-	if sh == nil {
+	return e.replaceCell(sheetName, a, func(sh *sheet.Sheet) { sh.SetCell(a, sheet.Cell{Value: v}) })
+}
+
+// replaceCell drops any formula at the cell, lets write change the cell and
+// recomputes its dependents.
+func (e *Engine) replaceCell(sheetName string, a sheet.Address, write func(*sheet.Sheet)) (wait func()) {
+	sh, ok := e.book.Sheet(sheetName)
+	if !ok {
 		return func() {}
 	}
+	id := CellID{Sheet: sheet.FoldName(sheetName), Addr: a}
 	e.mu.Lock()
-	id := CellID{Sheet: sheetKey(sheetName), Addr: a}
 	e.unregisterLocked(id)
 	e.mu.Unlock()
-	sh.SetCell(a, sheet.Cell{Value: v})
+	write(sh)
 	return e.RecalcVisibleFirst(id)
 }
 
@@ -164,39 +194,17 @@ func (e *Engine) SetFormula(sheetName string, a sheet.Address, src string) (wait
 	if err != nil {
 		return func() {}, err
 	}
-	sh := e.sheetOf(sheetName)
-	if sh == nil {
+	sh, ok := e.book.Sheet(sheetName)
+	if !ok {
 		return func() {}, &UnknownSheetError{Name: sheetName}
 	}
-	id := CellID{Sheet: sheetKey(sheetName), Addr: a}
-	node := &formulaNode{
-		id:   id,
-		expr: expr,
-		refs: resolveRefs(formula.References(expr), sheetName),
-	}
+	id := CellID{Sheet: sheet.FoldName(sheetName), Addr: a}
+	node := &formulaNode{id: id, expr: expr, refs: resolveRefs(formula.References(expr), sheetName)}
 	e.mu.Lock()
 	e.unregisterLocked(id)
 	e.formulas[id] = node
-	for _, ref := range node.refs {
-		if ref.Range.Size() == 1 {
-			key := CellID{Sheet: sheetKey(ref.Sheet), Addr: ref.Range.Start}
-			set, ok := e.depExact[key]
-			if !ok {
-				set = make(map[CellID]struct{})
-				e.depExact[key] = set
-			}
-			set[id] = struct{}{}
-			continue
-		}
-		for _, t := range tilesForRange(ref.Sheet, ref.Range) {
-			set, ok := e.depIndex[t]
-			if !ok {
-				set = make(map[CellID]struct{})
-				e.depIndex[t] = set
-			}
-			set[id] = struct{}{}
-		}
-	}
+	node.readers = e.depExact[id]
+	e.linkLocked(node, true)
 	e.mu.Unlock()
 	src = strings.TrimPrefix(strings.TrimSpace(src), "=")
 	sh.SetCell(a, sheet.Cell{Formula: src})
@@ -205,16 +213,7 @@ func (e *Engine) SetFormula(sheetName string, a sheet.Address, src string) (wait
 
 // ClearCell removes a cell (value or formula) and recomputes dependents.
 func (e *Engine) ClearCell(sheetName string, a sheet.Address) (wait func()) {
-	sh := e.sheetOf(sheetName)
-	if sh == nil {
-		return func() {}
-	}
-	id := CellID{Sheet: sheetKey(sheetName), Addr: a}
-	e.mu.Lock()
-	e.unregisterLocked(id)
-	e.mu.Unlock()
-	sh.Clear(a)
-	return e.RecalcVisibleFirst(id)
+	return e.replaceCell(sheetName, a, func(sh *sheet.Sheet) { sh.Clear(a) })
 }
 
 // NotifyChanged tells the engine that cells were changed externally (e.g. a
@@ -225,11 +224,13 @@ func (e *Engine) NotifyChanged(ids ...CellID) (wait func()) {
 
 // RegisterExternal registers a non-cell dependent: callback runs whenever any
 // cell within refs changes. Used by the interface manager to refresh DBSQL
-// results that reference sheet data via RANGEVALUE/RANGETABLE.
+// results that reference sheet data via RANGEVALUE/RANGETABLE. The callback
+// runs on the background pass, so it must not call the wait function of an
+// edit it makes: that edit's batch runs only after the callback returns.
 func (e *Engine) RegisterExternal(id string, refs []formula.Reference, ownSheet string, callback func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.externals[id] = &external{id: id, refs: resolveRefs(refs, ownSheet), callback: callback}
+	e.externals[id] = &external{refs: resolveRefs(refs, ownSheet), callback: callback}
 }
 
 // UnregisterExternal removes an external dependent.
@@ -240,42 +241,51 @@ func (e *Engine) UnregisterExternal(id string) {
 }
 
 // unregisterLocked removes a formula node and its dependency-index entries.
+// The node ends clean, so no background batch evaluates it.
 func (e *Engine) unregisterLocked(id CellID) {
-	node, ok := e.formulas[id]
-	if !ok {
-		return
+	if node, ok := e.formulas[id]; ok {
+		delete(e.formulas, id)
+		node.state = clean
+		e.linkLocked(node, false)
 	}
+}
+
+// linkLocked adds node to (or, with add false, removes it from) the
+// dependency index of each precedent, keeping the readers of a formula at an
+// exact precedent equal to its depExact entry.
+func (e *Engine) linkLocked(node *formulaNode, add bool) {
 	for _, ref := range node.refs {
-		if ref.Range.Size() == 1 {
-			key := CellID{Sheet: sheetKey(ref.Sheet), Addr: ref.Range.Start}
-			if set, ok := e.depExact[key]; ok {
-				delete(set, id)
-				if len(set) == 0 {
-					delete(e.depExact, key)
-				}
+		if ref.Range.Size() > 1 {
+			for _, t := range tilesForRange(ref.Sheet, ref.Range) {
+				link(e.depIndex, t, node, add)
 			}
 			continue
 		}
-		for _, t := range tilesForRange(ref.Sheet, ref.Range) {
-			if set, ok := e.depIndex[t]; ok {
-				delete(set, id)
-				if len(set) == 0 {
-					delete(e.depIndex, t)
-				}
-			}
+		key := CellID{Sheet: ref.Sheet, Addr: ref.Range.Start}
+		set := link(e.depExact, key, node, add)
+		if p := e.formulas[key]; p != nil {
+			p.readers = set
 		}
 	}
-	delete(e.formulas, id)
 }
 
-func (e *Engine) sheetOf(name string) *sheet.Sheet {
-	for _, n := range e.book.SheetNames() {
-		if strings.EqualFold(n, name) {
-			sh, _ := e.book.Sheet(n)
-			return sh
+// link adds n to (or removes it from) m[k] and returns the set left there,
+// nil once it is empty.
+func link[K comparable](m map[K]nodeSet, k K, n *formulaNode, add bool) nodeSet {
+	set := m[k]
+	if !add {
+		if delete(set, n); len(set) == 0 {
+			delete(m, k)
+			return nil
 		}
+		return set
 	}
-	return nil
+	if set == nil {
+		set = make(nodeSet)
+		m[k] = set
+	}
+	set[n] = struct{}{}
+	return set
 }
 
 // DBFormulaError reports an attempt to register a DBSQL/DBTABLE formula with

@@ -2,7 +2,9 @@ package compute
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/dataspread/dataspread/internal/formula"
 	"github.com/dataspread/dataspread/internal/sheet"
@@ -330,5 +332,157 @@ func TestManyIndependentFormulasStatsAndConsistency(t *testing.T) {
 	}
 	if e.Stats().Evaluations < uint64(n) {
 		t.Error("expected at least one evaluation per formula")
+	}
+}
+
+// TestConcurrentEditsStatsAndWindows runs un-waited edits from several
+// goroutines while the visible window moves and Stats is read; under -race
+// (make racecheck) it guards the engine's locking, and after Wait every
+// formula must hold its final value.
+func TestConcurrentEditsStatsAndWindows(t *testing.T) {
+	e, b := newEngine(t)
+	const writers, rows, edits = 3, 200, 150
+	for w := 0; w < writers; w++ {
+		e.SetValue("Sheet1", sheet.Addr(0, w), sheet.Number(0))()
+		for r := 1; r <= rows; r++ {
+			mustFormula(t, e, "Sheet1", sheet.Addr(r, w).String(), fmt.Sprintf("=%s+%d", sheet.Addr(r-1, w), r))
+		}
+	}
+	mustFormula(t, e, "Sheet2", "A1", fmt.Sprintf("=SUM(Sheet1!A1:C%d)", rows+1))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= edits; i++ {
+				_ = e.SetValue("Sheet1", sheet.Addr(0, w), sheet.Number(float64(i)))
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			top := (i * 7) % rows
+			e.SetVisibleProvider(func() map[string]sheet.Range {
+				return map[string]sheet.Range{"SHEET1": sheet.RangeOf(top, 0, top+20, 2)}
+			})
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = e.Stats()
+			_ = e.FormulaCount()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	e.Wait()
+	total := 0.0
+	for w := 0; w < writers; w++ {
+		for r := 0; r <= rows; r++ {
+			want := float64(edits + r*(r+1)/2)
+			if got := cellValue(t, b, "Sheet1", sheet.Addr(r, w).String()); got.Num != want {
+				t.Fatalf("Sheet1!%s = %v, want %v", sheet.Addr(r, w), got, want)
+			}
+			total += want
+		}
+	}
+	if got := cellValue(t, b, "Sheet2", "A1"); got.Num != total {
+		t.Fatalf("Sheet2!A1 = %v, want %v", got, total)
+	}
+}
+
+// TestEditWaitUnderSustainedEdits pins that an edit's wait covers that
+// edit's background work and returns while another goroutine keeps editing:
+// every edit leaves hidden dependants and hits a slow external dependent,
+// during whose callback the next edit lands, so the background pass never
+// runs dry.
+func TestEditWaitUnderSustainedEdits(t *testing.T) {
+	e, b := newEngine(t)
+	const rows = 300
+	for col := 0; col < 2; col++ {
+		e.SetValue("Sheet1", sheet.Addr(0, col), sheet.Number(0))()
+		for r := 1; r <= rows; r++ {
+			mustFormula(t, e, "Sheet1", sheet.Addr(r, col).String(), fmt.Sprintf("=%s+1", sheet.Addr(r-1, col)))
+		}
+	}
+	e.SetVisibleProvider(func() map[string]sheet.Range {
+		return map[string]sheet.Range{"Sheet1": sheet.RangeOf(0, 0, 9, 1)}
+	})
+	refs := []formula.Reference{{Range: sheet.RangeOf(0, 1, 0, 1)}}
+	e.RegisterExternal("slow", refs, "Sheet1", func() { time.Sleep(time.Millisecond) })
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = e.SetValue("Sheet1", sheet.Addr(0, 1), sheet.Number(float64(i)))
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait(); e.Wait() }()
+	last := sheet.Addr(rows, 0)
+	for i := 1; i <= 20; i++ {
+		wait := e.SetValue("Sheet1", sheet.Addr(0, 0), sheet.Number(float64(i)))
+		returned := make(chan struct{})
+		go func() { wait(); close(returned) }()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("edit %d: its wait did not return while another goroutine kept editing", i)
+		}
+		if got := cellValue(t, b, "Sheet1", last.String()); got.Num != float64(i+rows) {
+			t.Fatalf("edit %d: Sheet1!%s = %v after its wait, want %d", i, last, got, i+rows)
+		}
+	}
+}
+
+// TestEmptyPassIsFree pins that an edit with nothing left for the background
+// pass — no dependant outside the window, no external hit — returns a no-op
+// wait and starts no goroutine.
+func TestEmptyPassIsFree(t *testing.T) {
+	e, _ := newEngine(t)
+	e.SetValue("Sheet1", addr("A1"), sheet.Number(1))()
+	mustFormula(t, e, "Sheet1", "B1", "=A1*2")
+	e.SetVisibleProvider(func() map[string]sheet.Range {
+		return map[string]sheet.Range{"Sheet1": sheet.MustParseRange("A1:C10")}
+	})
+	e.Wait()
+	before := e.Stats()
+	idle := func(what string) {
+		t.Helper()
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.last != nil {
+			t.Errorf("%s started a background pass", what)
+		}
+	}
+	e.NotifyChanged(CellID{Sheet: "Sheet1", Addr: addr("Z99")}, CellID{Sheet: "Sheet2", Addr: addr("A1")})()
+	idle("a change nothing reads")
+	e.SetValue("Sheet1", addr("A1"), sheet.Number(5))()
+	idle("an edit whose only dependant is visible")
+	after := e.Stats()
+	if after.BackgroundRuns != before.BackgroundRuns || after.VisibleFirst-before.VisibleFirst != 1 {
+		t.Errorf("stats moved from %+v to %+v", before, after)
 	}
 }

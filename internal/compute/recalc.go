@@ -7,7 +7,7 @@ import (
 
 // bookSource adapts the workbook to the formula evaluator's DataSource.
 type bookSource struct {
-	engine   *Engine
+	book     *sheet.Book
 	ownSheet string
 }
 
@@ -15,8 +15,8 @@ func (b *bookSource) CellValue(sheetName string, a sheet.Address) sheet.Value {
 	if sheetName == "" {
 		sheetName = b.ownSheet
 	}
-	sh := b.engine.sheetOf(sheetName)
-	if sh == nil {
+	sh, ok := b.book.Sheet(sheetName)
+	if !ok {
 		return sheet.ErrRef
 	}
 	return sh.Value(a)
@@ -26,56 +26,44 @@ func (b *bookSource) RangeValues(sheetName string, r sheet.Range) [][]sheet.Valu
 	if sheetName == "" {
 		sheetName = b.ownSheet
 	}
-	sh := b.engine.sheetOf(sheetName)
-	if sh == nil {
+	sh, ok := b.book.Sheet(sheetName)
+	if !ok {
 		return nil
 	}
 	return sh.Values(r)
 }
 
-// dependentsOf returns the formula cells that read the given cell.
-func (e *Engine) dependentsOf(id CellID) []CellID {
-	var out []CellID
-	// Exact single-cell precedents.
-	if set, ok := e.depExact[id]; ok {
-		for fid := range set {
-			out = append(out, fid)
-		}
-	}
-	// Range precedents indexed by tile.
-	t := depTile{sheetKey: id.Sheet, tr: id.Addr.Row / depTileRows, tc: id.Addr.Col / depTileCols}
-	set, ok := e.depIndex[t]
-	if !ok {
-		return out
-	}
-	for fid := range set {
-		node := e.formulas[fid]
-		if node == nil {
-			continue
-		}
-		for _, ref := range node.refs {
-			if ref.Range.Size() == 1 {
-				continue // handled by the exact index
-			}
-			if sheetKey(ref.Sheet) == id.Sheet && ref.Range.Contains(id.Addr) {
-				out = append(out, fid)
-				break
-			}
-		}
-	}
-	return out
-}
+// probeLimit is the largest reference range whose precedents are always
+// found by probing it address by address.
+const probeLimit = 512
 
-// dirtyClosure collects every formula transitively affected by the changed
-// cells (including changed cells that are themselves formulas).
-func (e *Engine) dirtyClosure(changed []CellID) map[CellID]*formulaNode {
-	dirty := make(map[CellID]*formulaNode)
-	var queue []CellID
-	push := func(id CellID) {
-		if node, ok := e.formulas[id]; ok {
-			if _, seen := dirty[id]; !seen {
-				dirty[id] = node
-				queue = append(queue, id)
+// markLocked walks from the changed cells (including changed cells that are
+// themselves formulas) to every formula they transitively affect, marks each
+// one dirty and returns them. Nodes reached by this walk carry its stamp, so
+// the walk keeps no visited set; exact readers hang off the node itself, and
+// the tile index is probed only while some formula reads a range.
+func (e *Engine) markLocked(changed []CellID) []*formulaNode {
+	e.walks++
+	var reached []*formulaNode
+	reach := func(n *formulaNode) {
+		if n.stamp != e.walks {
+			n.stamp = e.walks
+			reached = append(reached, n)
+			e.markDirtyLocked(n)
+		}
+	}
+	readers := func(id CellID, exact nodeSet) {
+		for n := range exact {
+			reach(n)
+		}
+		if len(e.depIndex) == 0 {
+			return
+		}
+		for n := range e.depIndex[depTile{sheet: id.Sheet, tr: id.Addr.Row / depTileRows, tc: id.Addr.Col / depTileCols}] {
+			for _, ref := range n.refs {
+				if ref.Range.Size() > 1 && ref.Sheet == id.Sheet && ref.Range.Contains(id.Addr) {
+					reach(n)
+				}
 			}
 		}
 	}
@@ -85,54 +73,58 @@ func (e *Engine) dirtyClosure(changed []CellID) map[CellID]*formulaNode {
 	var lastRaw, lastKey string
 	for _, id := range changed {
 		if id.Sheet != lastRaw {
-			lastRaw, lastKey = id.Sheet, sheetKey(id.Sheet)
+			lastRaw, lastKey = id.Sheet, sheet.FoldName(id.Sheet)
 		}
 		id.Sheet = lastKey
-		push(id)
-		for _, dep := range e.dependentsOf(id) {
-			push(dep)
+		if n := e.formulas[id]; n != nil {
+			reach(n) // its readers are walked below
+		} else {
+			readers(id, e.depExact[id])
 		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, dep := range e.dependentsOf(id) {
-			push(dep)
+	for i := 0; i < len(reached); i++ {
+		readers(reached[i].id, reached[i].readers)
+	}
+	return reached
+}
+
+// markDirtyLocked queues a node for evaluation.
+func (e *Engine) markDirtyLocked(n *formulaNode) {
+	if n.state != dirty {
+		n.state = dirty
+		e.pending = append(e.pending, n)
+	}
+}
+
+// eachPrecedent calls fn for every node of set that n reads. A small
+// reference range is probed address by address, so the common case stays
+// linear in the set's size; a huge one falls back to scanning the set.
+func eachPrecedent(n *formulaNode, set map[CellID]*formulaNode, fn func(*formulaNode)) {
+	for _, ref := range n.refs {
+		if size := ref.Range.Size(); size <= probeLimit || size <= len(set) {
+			for row := ref.Range.Start.Row; row <= ref.Range.End.Row; row++ {
+				for col := ref.Range.Start.Col; col <= ref.Range.End.Col; col++ {
+					if p := set[CellID{Sheet: ref.Sheet, Addr: sheet.Addr(row, col)}]; p != nil && p != n {
+						fn(p)
+					}
+				}
+			}
+			continue
+		}
+		for _, p := range set {
+			if p != n && p.id.Sheet == ref.Sheet && ref.Range.Contains(p.id.Addr) {
+				fn(p)
+			}
 		}
 	}
-	return dirty
 }
 
 // buildDeps computes, for every dirty formula, which other dirty formulas it
-// reads (its dirty precedents). Small reference ranges are probed address by
-// address so the common case stays linear in the dirty-set size; only huge
-// ranges fall back to scanning the dirty set.
+// reads (its dirty precedents).
 func buildDeps(dirty map[CellID]*formulaNode) map[CellID][]CellID {
 	depsOf := make(map[CellID][]CellID, len(dirty))
-	const probeLimit = 512
 	for id, node := range dirty {
-		for _, ref := range node.refs {
-			sk := sheetKey(ref.Sheet)
-			if ref.Range.Size() <= probeLimit || ref.Range.Size() <= len(dirty) {
-				for row := ref.Range.Start.Row; row <= ref.Range.End.Row; row++ {
-					for col := ref.Range.Start.Col; col <= ref.Range.End.Col; col++ {
-						other := CellID{Sheet: sk, Addr: sheet.Addr(row, col)}
-						if other == id {
-							continue
-						}
-						if _, ok := dirty[other]; ok {
-							depsOf[id] = append(depsOf[id], other)
-						}
-					}
-				}
-				continue
-			}
-			for otherID := range dirty {
-				if otherID != id && sk == otherID.Sheet && ref.Range.Contains(otherID.Addr) {
-					depsOf[id] = append(depsOf[id], otherID)
-				}
-			}
-		}
+		eachPrecedent(node, dirty, func(p *formulaNode) { depsOf[id] = append(depsOf[id], p.id) })
 	}
 	return depsOf
 }
@@ -189,178 +181,209 @@ func topoOrder(dirty map[CellID]*formulaNode, depsOf map[CellID][]CellID) (order
 	return order, cyclic
 }
 
-// evaluate runs one formula and stores its value.
+// evaluate runs one formula and stores its value; the caller holds e.mu.
 func (e *Engine) evaluate(node *formulaNode) {
-	sh := e.sheetOf(node.id.Sheet)
-	if sh == nil {
-		return
-	}
-	env := &formula.Env{Sheet: node.id.Sheet, At: node.id.Addr, Data: &bookSource{engine: e, ownSheet: node.id.Sheet}}
-	v := formula.Eval(node.expr, env)
-	sh.SetComputedValue(node.id.Addr, v)
+	env := &formula.Env{Sheet: node.id.Sheet, At: node.id.Addr, Data: &bookSource{book: e.book, ownSheet: node.id.Sheet}}
+	e.store(node, formula.Eval(node.expr, env))
 }
 
-// isVisible reports whether a cell lies in the currently visible window.
-func (e *Engine) isVisible(id CellID, visible map[string]sheet.Range) bool {
-	if visible == nil {
-		return false
+func (e *Engine) store(node *formulaNode, v sheet.Value) {
+	if sh, ok := e.book.Sheet(node.id.Sheet); ok {
+		sh.SetComputedValue(node.id.Addr, v)
 	}
-	for name, r := range visible {
-		if sheetKey(name) == id.Sheet && r.Contains(id.Addr) {
-			return true
-		}
-	}
-	return false
 }
 
 // RecalcVisibleFirst recomputes every formula affected by the changed cells.
-// Formulas that are visible in the current window — and the dirty precedents
-// they depend on — are evaluated synchronously before this method returns;
-// the remaining dirty formulas are evaluated on a background goroutine (the
-// paper's lazy computation). The returned wait function blocks until the
-// background pass (and external notifications) complete.
+// Before it returns it evaluates only the priority cone: the dirty formulas
+// inside a visible window — left dirty by this edit or by an earlier one
+// whose background pass has not reached them — plus, transitively, their
+// dirty precedents. The cone is closed under dirty precedents, so a cycle
+// through a cone node lies inside it and its #CIRC! is visible on return.
+// Ordering, cycle marking and evaluation of the rest, and the external
+// dependents the edit hit, are left to the background pass (the paper's
+// lazy computation). The returned wait function blocks until the first
+// background batch that starts after this edit — the one that takes over
+// what the edit left — has finished; when nothing is left for it, wait is a
+// no-op and no goroutine starts.
 func (e *Engine) RecalcVisibleFirst(changed ...CellID) (wait func()) {
 	e.mu.Lock()
-	dirty := e.dirtyClosure(changed)
-	deps := buildDeps(dirty)
-	order, cyclic := topoOrder(dirty, deps)
+	defer e.mu.Unlock()
+	reached := e.markLocked(changed)
+	for _, ext := range e.affectedExternalsLocked(changed, reached) {
+		if !ext.queued { // one call covers every edit before it
+			ext.queued = true
+			e.notify = append(e.notify, ext)
+		}
+	}
+	if len(e.pending) > 0 {
+		e.evaluateConeLocked()
+	}
+	live := e.pending[:0]
+	for _, n := range e.pending {
+		if n.state == dirty {
+			live = append(live, n)
+		}
+	}
+	e.pending = live
+	if len(e.pending) == 0 && len(e.notify) == 0 {
+		return func() {}
+	}
+	if e.next == nil {
+		if e.last == nil {
+			go e.drain()
+		}
+		e.next = make(chan struct{})
+		e.last = e.next
+	}
+	next := e.next
+	return func() { <-next }
+}
+
+// evaluateConeLocked evaluates the priority cone in dependency order. With
+// no window provider every pending formula is in it. Cyclic cone nodes are
+// shown as #CIRC! now and stay dirty, so the background batch sees the whole
+// cycle and marks the remainder formulas that read it.
+func (e *Engine) evaluateConeLocked() {
 	var visible map[string]sheet.Range
 	if e.visible != nil {
 		visible = e.visible()
 	}
-	// Priority set: visible dirty formulas plus their dirty precedents.
-	priority := make(map[CellID]bool)
-	if visible != nil {
-		for id := range dirty {
-			if e.isVisible(id, visible) {
-				priority[id] = true
-			}
-		}
-		// Propagate: a precedent of a priority node is priority. Walk the
-		// topological order backwards so marks propagate transitively.
-		for i := len(order) - 1; i >= 0; i-- {
-			id := order[i]
-			if !priority[id] {
-				continue
-			}
-			for _, p := range deps[id] {
-				priority[p] = true
-			}
-		}
-	} else {
-		// No window provider: everything is priority (fully synchronous).
-		for id := range dirty {
-			priority[id] = true
+	var keys []string // each window's sheet key, resolved once per call
+	var wins []sheet.Range
+	for name, r := range visible {
+		keys, wins = append(keys, sheet.FoldName(name)), append(wins, r)
+	}
+	cone := make(map[CellID]*formulaNode)
+	var stack []*formulaNode
+	add := func(n *formulaNode) {
+		if n.state == dirty && cone[n.id] == nil {
+			cone[n.id] = n
+			stack = append(stack, n)
 		}
 	}
-	// Mark circular cells immediately.
+	for _, n := range e.pending {
+		in := visible == nil
+		for i, key := range keys {
+			in = in || (key == n.id.Sheet && wins[i].Contains(n.id.Addr))
+		}
+		if in {
+			add(n)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		eachPrecedent(n, e.formulas, add)
+	}
+	order, cyclic := topoOrder(cone, buildDeps(cone))
 	for _, id := range cyclic {
-		if sh := e.sheetOf(id.Sheet); sh != nil {
-			sh.SetComputedValue(id.Addr, ErrCircular)
-		}
+		e.store(cone[id], ErrCircular)
 	}
-	// Evaluate the priority pass synchronously (in topo order).
-	var background []CellID
 	for _, id := range order {
-		if priority[id] {
-			e.evaluate(dirty[id])
-			e.stats.Evaluations++
-			e.stats.VisibleFirst++
-		} else {
-			background = append(background, id)
-		}
+		e.evaluate(cone[id])
+		cone[id].state = clean
 	}
-	// Collect external dependents affected by the changed cells or by any
-	// recomputed formula.
-	notif := e.affectedExternalsLocked(changed, dirty)
-	bgNodes := make([]*formulaNode, 0, len(background))
-	for _, id := range background {
-		bgNodes = append(bgNodes, dirty[id])
-	}
-	e.mu.Unlock()
+	e.stats.Evaluations += uint64(len(order))
+	e.stats.VisibleFirst += uint64(len(order))
+}
 
-	done := make(chan struct{})
-	e.bg.Add(1)
-	go func() {
-		defer e.bg.Done()
-		defer close(done)
-		for _, node := range bgNodes {
-			e.evaluate(node)
-			e.mu.Lock()
-			e.stats.Evaluations++
-			e.mu.Unlock()
+// drain is the background pass. Each batch takes every dirty formula and
+// every external the edits hit, evaluates the formulas in dependency order
+// with e.mu held, calls the externals, then closes the channel that the
+// edits made before it started wait on. It repeats while edits leave more.
+func (e *Engine) drain() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.next != nil {
+		done := e.next
+		e.next = nil
+		batch := make(map[CellID]*formulaNode, len(e.pending))
+		for _, n := range e.pending {
+			if n.state == dirty {
+				batch[n.id] = n
+			}
 		}
-		if len(bgNodes) > 0 {
-			e.mu.Lock()
+		notif := e.notify
+		for _, ext := range notif {
+			ext.queued = false
+		}
+		e.pending, e.notify = e.pending[:0], nil
+		order, cyclic := topoOrder(batch, buildDeps(batch))
+		for _, id := range cyclic {
+			e.store(batch[id], ErrCircular)
+			batch[id].state = clean
+		}
+		for _, id := range order {
+			e.evaluate(batch[id])
+			batch[id].state = clean
+		}
+		e.stats.Evaluations += uint64(len(order))
+		if len(batch) > 0 {
 			e.stats.BackgroundRuns++
-			e.mu.Unlock()
 		}
+		e.mu.Unlock()
 		for _, ext := range notif {
 			ext.callback()
-			e.mu.Lock()
-			e.stats.ExternalNotifys++
-			e.mu.Unlock()
 		}
-	}()
-	return func() { <-done }
+		e.mu.Lock()
+		e.stats.ExternalNotifys += uint64(len(notif))
+		if e.next == nil {
+			e.last = nil // idle once done is closed
+		}
+		close(done)
+	}
 }
 
 // RecalcAll synchronously recomputes every registered formula in dependency
 // order (used after bulk loads and by the naive baseline comparison).
 func (e *Engine) RecalcAll() {
 	e.mu.Lock()
-	dirty := make(map[CellID]*formulaNode, len(e.formulas))
-	for id, node := range e.formulas {
-		dirty[id] = node
-	}
-	order, cyclic := topoOrder(dirty, buildDeps(dirty))
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	order, cyclic := topoOrder(e.formulas, buildDeps(e.formulas))
 	for _, id := range cyclic {
-		if sh := e.sheetOf(id.Sheet); sh != nil {
-			sh.SetComputedValue(id.Addr, ErrCircular)
-		}
+		e.store(e.formulas[id], ErrCircular)
 	}
 	for _, id := range order {
-		e.evaluate(dirty[id])
-		e.mu.Lock()
-		e.stats.Evaluations++
-		e.mu.Unlock()
+		e.evaluate(e.formulas[id])
+	}
+	e.stats.Evaluations += uint64(len(order))
+}
+
+// Wait blocks until the background pass has drained every formula and
+// external dependent that edits so far left to it.
+func (e *Engine) Wait() {
+	e.mu.Lock()
+	last := e.last
+	e.mu.Unlock()
+	if last != nil {
+		<-last
 	}
 }
 
-// Wait blocks until all background passes started so far have completed.
-func (e *Engine) Wait() { e.bg.Wait() }
-
 // affectedExternalsLocked returns external dependents whose watched ranges
-// intersect the changed cells or any recomputed formula cell.
-func (e *Engine) affectedExternalsLocked(changed []CellID, dirty map[CellID]*formulaNode) []*external {
+// intersect the changed cells or any formula the edit reached.
+func (e *Engine) affectedExternalsLocked(changed []CellID, reached []*formulaNode) []*external {
 	if len(e.externals) == 0 {
 		return nil
 	}
-	touched := make(map[CellID]struct{}, len(changed)+len(dirty))
+	touched := make([]CellID, 0, len(changed)+len(reached))
 	for _, id := range changed {
-		id.Sheet = sheetKey(id.Sheet)
-		touched[id] = struct{}{}
+		id.Sheet = sheet.FoldName(id.Sheet)
+		touched = append(touched, id)
 	}
-	for id := range dirty {
-		touched[id] = struct{}{}
+	for _, n := range reached {
+		touched = append(touched, n.id)
 	}
 	var out []*external
 	for _, ext := range e.externals {
-		hit := false
-		for id := range touched {
+	scan:
+		for _, id := range touched {
 			for _, ref := range ext.refs {
-				if sheetKey(ref.Sheet) == id.Sheet && ref.Range.Contains(id.Addr) {
-					hit = true
-					break
+				if ref.Sheet == id.Sheet && ref.Range.Contains(id.Addr) {
+					out = append(out, ext)
+					break scan
 				}
 			}
-			if hit {
-				break
-			}
-		}
-		if hit {
-			out = append(out, ext)
 		}
 	}
 	return out

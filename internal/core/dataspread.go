@@ -217,11 +217,8 @@ func (ds *DataSpread) AddSheet(name string) (*sheet.Sheet, error) {
 
 // sheetOf resolves a sheet by name, case-insensitively.
 func (ds *DataSpread) sheetOf(name string) (*sheet.Sheet, string, error) {
-	for _, n := range ds.book.SheetNames() {
-		if strings.EqualFold(n, name) {
-			sh, _ := ds.book.Sheet(n)
-			return sh, n, nil
-		}
+	if sh, ok := ds.book.Sheet(name); ok {
+		return sh, sh.Name(), nil
 	}
 	return nil, "", fmt.Errorf("core: unknown sheet %q: %w", name, dberr.ErrSheetNotFound)
 }

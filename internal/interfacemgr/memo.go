@@ -68,19 +68,12 @@ func (m *Manager) fingerprintQuery(b *Binding) (fp *queryFingerprint, ok bool) {
 		tables:      m.tableVersions(b),
 		sheets:      make(map[string]uint64, len(b.refs)),
 	}
-	names := m.book.SheetNames()
 	for _, ref := range b.refs {
-		// Every sheet the reference's name matches in any case is recorded,
-		// so the entry covers whichever of them the runner's accessor reads.
-		want, found := m.refSheet(ref.Sheet), false
-		for _, n := range names {
-			if sh, ok := m.book.Sheet(n); ok && strings.EqualFold(n, want) {
-				fp.sheets[n], found = sh.Version(), true
-			}
-		}
-		if !found {
+		sh, ok := m.book.Sheet(m.refSheet(ref.Sheet))
+		if !ok {
 			return nil, false
 		}
+		fp.sheets[sh.Name()] = sh.Version()
 	}
 	m.mu.Lock()
 	sheets := m.sheets

@@ -2,6 +2,7 @@ package sheet
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -209,15 +210,20 @@ func (s *Sheet) String() string {
 	return fmt.Sprintf("Sheet(%s, %d cells)", s.name, s.CellCount())
 }
 
-// Book is a collection of named sheets — the spreadsheet "workbook".
+// Book is a collection of named sheets — the spreadsheet "workbook". Sheet
+// names are case-insensitive: every lookup folds the name, and a sheet keeps
+// the spelling it was created with.
 type Book struct {
 	mu     sync.RWMutex
-	sheets map[string]*Sheet
+	sheets map[string]*Sheet // by FoldName
 	order  []string
 	// newStore builds the cell store for each newly added sheet, allowing
 	// a workbook to be configured to use the interface storage manager.
 	newStore func() CellStore
 }
+
+// FoldName is the case-folded key a sheet name is looked up by.
+func FoldName(name string) string { return strings.ToLower(name) }
 
 // NewBook creates an empty workbook whose sheets use map cell stores.
 func NewBook() *Book {
@@ -231,24 +237,26 @@ func NewBookWithStore(factory func() CellStore) *Book {
 }
 
 // AddSheet creates and returns a new sheet with the given name. If a sheet
-// with the name already exists it is returned unchanged.
+// with the name already exists, in any case, it is returned unchanged.
 func (b *Book) AddSheet(name string) *Sheet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if sh, ok := b.sheets[name]; ok {
+	key := FoldName(name)
+	if sh, ok := b.sheets[key]; ok {
 		return sh
 	}
 	sh := NewWithStore(name, b.newStore())
-	b.sheets[name] = sh
+	b.sheets[key] = sh
 	b.order = append(b.order, name)
 	return sh
 }
 
-// Sheet returns the named sheet and whether it exists.
+// Sheet returns the named sheet, matched case-insensitively, and whether it
+// exists.
 func (b *Book) Sheet(name string) (*Sheet, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	sh, ok := b.sheets[name]
+	sh, ok := b.sheets[FoldName(name)]
 	return sh, ok
 }
 
@@ -265,12 +273,14 @@ func (b *Book) SheetNames() []string {
 func (b *Book) RemoveSheet(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.sheets[name]; !ok {
+	key := FoldName(name)
+	sh, ok := b.sheets[key]
+	if !ok {
 		return
 	}
-	delete(b.sheets, name)
+	delete(b.sheets, key)
 	for i, n := range b.order {
-		if n == name {
+		if n == sh.name {
 			b.order = append(b.order[:i], b.order[i+1:]...)
 			break
 		}

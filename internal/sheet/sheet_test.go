@@ -242,8 +242,13 @@ func TestBookSheets(t *testing.T) {
 	if s1 == nil || s2 == nil {
 		t.Fatal("AddSheet returned nil")
 	}
-	if again := b.AddSheet("Sheet1"); again != s1 {
-		t.Error("AddSheet with existing name should return existing sheet")
+	for _, name := range []string{"Sheet1", "SHEET1", "sheet1"} {
+		if again := b.AddSheet(name); again != s1 {
+			t.Errorf("AddSheet(%q) should return the existing Sheet1", name)
+		}
+	}
+	if got, ok := b.Sheet("sHEET2"); !ok || got != s2 || got.Name() != "Sheet2" {
+		t.Error("Sheet lookup should fold case and keep the created spelling")
 	}
 	names := b.SheetNames()
 	if len(names) != 2 || names[0] != "Sheet1" || names[1] != "Sheet2" {
@@ -253,7 +258,7 @@ func TestBookSheets(t *testing.T) {
 	if !ok || got != s2 {
 		t.Error("Sheet lookup wrong")
 	}
-	b.RemoveSheet("Sheet1")
+	b.RemoveSheet("SHEET1")
 	if _, ok := b.Sheet("Sheet1"); ok {
 		t.Error("RemoveSheet failed")
 	}
