@@ -60,17 +60,13 @@ lint:
 apicheck:
 	$(GO) run ./cmd/apicheck
 
-# bench is the benchmark smoke target: every testing.B benchmark compiles
-# and runs at least once (so benchmark code cannot rot), and cmd/dsbench
-# emits the headline results as machine-readable JSON — including the
-# prepared-vs-text point-query pair, the FileStore-vs-MmapStore backend
-# pairs and the cold-open scaling series — to an unversioned path under the
-# ignored build directory, which the CI bench job uploads.
-BENCH_JSON ?= .bench_build/BENCH.json
+# bench is the benchmark smoke target: every testing.B benchmark in every
+# package compiles and runs once, so benchmark code cannot rot — the paper's
+# experiments in the root bench_test.go and each package's own evidence
+# benchmarks (e.g. internal/compute's BenchmarkSetValueFanout) alike. The
+# end-to-end benchmark is bench/ (BENCHMARK.json), run by bench/run.sh.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=NONE .
-	@mkdir -p $(dir $(BENCH_JSON))
-	$(GO) run ./cmd/dsbench -json $(BENCH_JSON)
+	$(GO) test -bench=. -benchtime=1x -run=NONE ./...
 
 # benchcheck runs the tests of the BENCHMARK.json harness. bench/ is a
 # module of its own (the benchmark contract wants it self-contained), so the
@@ -90,12 +86,13 @@ faultcheck:
 # client) end to end under the race detector — handshake/auth, streaming,
 # mid-stream typed errors, disconnect cancellation, idle reaping, LRU
 # eviction under concurrent streams, admission rejection, graceful-shutdown
-# drain, degraded read-only over the wire — then runs a short two-tenant
-# mixed read/write smoke load through dsbench -serve.
+# drain, degraded read-only over the wire, and a 4-tenant mixed read/write
+# load (TestMultiTenantMixedLoad) — then runs the served_oltp benchmark
+# workload for a short window, which exits non-zero on any failed or wrong
+# operation.
 servecheck:
 	$(GO) test -race -count=1 ./internal/wire ./internal/server ./client
-	$(GO) run ./cmd/dsbench -serve /tmp/dsbench-servecheck.json
-	@rm -f /tmp/dsbench-servecheck.json
+	bash bench/run.sh --workload served_oltp --seconds 2
 
 # fuzz runs the durability fuzz suites (fixed seeds: the same trials replay
 # every run) — WAL truncation/bit-flips, checkpoint kill points, heap-file

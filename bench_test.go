@@ -1,10 +1,12 @@
 package dataspread
 
-// One benchmark per reproduced experiment (see DESIGN.md §4 and
-// EXPERIMENTS.md). The cmd/dsbench harness runs the same workloads as
-// parameter sweeps and prints the series the paper's demonstration implies;
-// these testing.B benchmarks regenerate each headline comparison in a form
-// that `go test -bench=.` can run end to end.
+// One benchmark per reproduced experiment (see DESIGN.md §4): the paper's
+// demonstration scenarios (F2a–c), motivating claims (M1–M4) and
+// architecture claims (A1–A5), plus the engine's own access-path,
+// durability and cold-open workloads. Each regenerates its headline
+// comparison in a form that `go test -bench=.` runs end to end; sweeps are
+// sub-benchmarks over the swept parameter. The end-to-end benchmark every
+// change is judged by is the separate bench/ module (BENCHMARK.json).
 
 import (
 	"fmt"
@@ -163,15 +165,17 @@ func benchmarkM1Baseline(b *testing.B, rows int) {
 	}
 }
 
-// BenchmarkM1ScaleDataSpread / BenchmarkM1ScaleBaseline sweep sheet size.
+// BenchmarkM1ScaleDataSpread / BenchmarkM1ScaleBaseline sweep sheet size up
+// to 200k rows: DataSpread's window latency stays flat across the sweep
+// (the paper's data-size-independence claim) while the flat sheet's grows.
 func BenchmarkM1ScaleDataSpread(b *testing.B) {
-	for _, rows := range []int{10_000, 50_000} {
+	for _, rows := range []int{10_000, 50_000, 200_000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) { benchmarkM1DataSpread(b, rows) })
 	}
 }
 
 func BenchmarkM1ScaleBaseline(b *testing.B) {
-	for _, rows := range []int{10_000, 50_000} {
+	for _, rows := range []int{10_000, 50_000, 200_000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) { benchmarkM1Baseline(b, rows) })
 	}
 }
@@ -529,16 +533,6 @@ func BenchmarkD1DurableAppend(b *testing.B) {
 		b.ResetTimer()
 		appendCells(b, ds)
 	})
-	b.Run("mmap-group-commit-64", func(b *testing.B) {
-		ds, err := core.OpenFile(filepath.Join(b.TempDir(), "book.dsp"), core.Options{Mmap: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ds.Close()
-		ds.WAL().SetGroupCommit(64)
-		b.ResetTimer()
-		appendCells(b, ds)
-	})
 }
 
 // BenchmarkD2ColdOpen measures recovery cost. With the page-rooted catalog,
@@ -568,9 +562,7 @@ func BenchmarkD2ColdOpen(b *testing.B) {
 			}
 		}
 		if rows > 0 {
-			// Everything before the tail is checkpointed into pages (same
-			// condition as cmd/dsbench's cold-open series, so the two
-			// harnesses stay comparable).
+			// Everything before the tail is checkpointed into pages.
 			if err := ds.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}

@@ -35,12 +35,11 @@ import (
 
 func main() {
 	file := flag.String("file", "", "durable workbook file (WAL kept at <file>.wal)")
-	mmap := flag.Bool("mmap", false, "serve workbook reads from a memory mapping (with -file)")
 	flag.Parse()
 	var db *dataspread.DB
 	if *file != "" {
 		var err error
-		db, err = dataspread.OpenFile(*file, dataspread.Options{Mmap: *mmap})
+		db, err = dataspread.OpenFile(*file, dataspread.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)

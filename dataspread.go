@@ -31,9 +31,6 @@ type Options struct {
 	// windowed table bindings (0 = defaults).
 	WindowRows int
 	WindowCols int
-	// Mmap serves file-backed reads from a shared memory mapping where the
-	// platform supports it (OpenFile only).
-	Mmap bool
 	// CheckpointWALBytes is the WAL size that triggers a background
 	// checkpoint (OpenFile only; 0 = default, negative disables).
 	CheckpointWALBytes int64
@@ -50,7 +47,6 @@ func (o Options) coreOptions() core.Options {
 		GroupSize:          o.GroupSize,
 		WindowRows:         o.WindowRows,
 		WindowCols:         o.WindowCols,
-		Mmap:               o.Mmap,
 		CheckpointWALBytes: o.CheckpointWALBytes,
 		Workers:            o.Workers,
 	}

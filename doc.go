@@ -17,7 +17,9 @@
 // ping-pong root slots, every mutating command is appended to a CRC-framed
 // write-ahead log before it returns, and a background goroutine checkpoints
 // off the write path with shadow-paged writes, so recovery attaches to
-// existing pages and replays only the dirty WAL tail. Index leaves are
+// existing pages and replays only the dirty WAL tail. Every table page is
+// written in one checksummed container format; a page that fails the check
+// surfaces as a corrupt-page error, never as wrong rows. Index leaves are
 // pages too: a checkpoint writes only the leaves that changed, and an open
 // reads none of them — a leaf's entries are read the first time a query
 // reaches it, so open time does not grow with the table (DESIGN.md
@@ -115,5 +117,7 @@
 // `make apicheck` (api/public.txt), and the engine's locking, durability
 // and cancellation invariants are mechanically enforced by `make lint`,
 // which runs the project-specific analyzer suite in internal/lint via
-// cmd/dslint (DESIGN.md §Static Analysis).
+// cmd/dslint (DESIGN.md §Static Analysis). The paper's experiments
+// (F2a–c, M1–M4, A1–A5) are testing.B benchmarks in bench_test.go, and
+// `make bench` runs every package's benchmarks once.
 package dataspread

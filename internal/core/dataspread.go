@@ -65,10 +65,6 @@ type Options struct {
 
 	// Durability options, honoured by OpenFile only.
 	//
-	// Mmap serves the workbook file's read path from a shared memory
-	// mapping (pager.OpenMmapStore) instead of pread; platforms without
-	// mmap support fall back to the plain FileStore transparently.
-	Mmap bool
 	// BufferPoolPages overrides the relational buffer pool capacity in
 	// pages (nil = default; 0 disables caching — benchmarks use it to
 	// expose backend block counts).

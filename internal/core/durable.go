@@ -60,12 +60,7 @@ func OpenFile(path string, opts Options) (*DataSpread, error) {
 	if err != nil {
 		return nil, err
 	}
-	var be pager.Backend
-	if opts.Mmap {
-		be, err = pager.OpenMmapStoreVFS(fsys, path)
-	} else {
-		be, err = pager.OpenFileStoreVFS(fsys, path)
-	}
+	be, err := pager.OpenFileStoreVFS(fsys, path)
 	if err != nil {
 		_ = unlock()
 		return nil, err
@@ -77,19 +72,12 @@ func OpenFile(path string, opts Options) (*DataSpread, error) {
 	// ever allocated. Reclaim (rather than Allocate) registers a slot whose
 	// on-disk header a torn write left as garbage: an unreadable root slot
 	// must not brick a file whose sibling slot still holds a valid root.
-	type reclaimer interface{ Reclaim(pager.PageID) error }
 	for _, slot := range []pager.PageID{rootSlotA, rootSlotB} {
 		if be.Exists(slot) {
 			continue
 		}
-		if rc, ok := be.(reclaimer); ok {
-			if err := rc.Reclaim(slot); err != nil {
-				return fail(fmt.Errorf("core: reclaim root slot %d: %w", slot, err))
-			}
-			continue
-		}
-		if id := be.Allocate(); id != slot {
-			return fail(fmt.Errorf("core: workbook file reserved page %d for a root slot, want %d: %w", id, slot, dberr.ErrCorrupt))
+		if err := be.Reclaim(slot); err != nil {
+			return fail(fmt.Errorf("core: reclaim root slot %d: %w", slot, err))
 		}
 	}
 	root, staleSlot, fresh := loadRoots(be)

@@ -1,6 +1,6 @@
 // Package apistable enforces the public-surface import discipline: the
 // packages outside internal/ — the embeddable root API, the database/sql
-// driver, the CLI/bench commands, and the examples — may only reach into
+// driver, the CLI commands, and the examples — may only reach into
 // internal/ through their blessed entry points. Everything else must flow
 // through the public API, so internal packages stay freely refactorable
 // and the public surface stays the only supported contract.
@@ -41,20 +41,6 @@ var Blessed = map[string][]string{
 	},
 	// The daemon binary is the serving tier's entry point.
 	"cmd/dataspreadd": {
-		"internal/server",
-	},
-	// The benchmark harness measures internals directly by design.
-	"cmd/dsbench": {
-		"internal/baseline",
-		"internal/core",
-		"internal/datagen",
-		"internal/index/positional",
-		"internal/sheet",
-		"internal/sqlexec",
-		"internal/storage/cellstore",
-		"internal/storage/pager",
-		"internal/storage/tablestore",
-		// -serve boots an in-process dataspreadd for the load benchmark.
 		"internal/server",
 	},
 	// The linter binary drives the analysis framework.

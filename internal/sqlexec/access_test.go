@@ -120,6 +120,7 @@ var goldenQueries = []struct {
 	{"SELECT name FROM items WHERE name = 'n007'", "full scan"},
 	{"SELECT id FROM items WHERE grp = 3 OR id = 2", "full scan"},
 	{"SELECT COUNT(*) FROM items WHERE id BETWEEN 50 AND 60", "pk range (id)"},
+	{"SELECT COUNT(v) FROM items WHERE v >= 0", "full scan"},
 	{"SELECT a.id, b.id FROM items a JOIN items b ON a.id = b.grp WHERE a.id < 20", "pk range (id)"},
 	{"SELECT id FROM items WHERE id = 10 OR FALSE", ""},
 	// LIMIT/OFFSET with no ORDER BY: the shape QueryStream cuts itself, within

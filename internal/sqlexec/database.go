@@ -173,21 +173,21 @@ func (db *Database) TableDataVersion(name string) uint64 {
 }
 
 // SetForceFullScan disables (true) or re-enables (false) index access
-// paths: with the flag set every scan is a filtered full scan. Golden tests
-// and benchmark baselines use it to compare plans on identical data.
+// paths: with the flag set every scan is a filtered full scan. It is a test
+// switch: the access-path golden tests use it as the reference answer for
+// the planner-chosen index path on identical data.
 func (db *Database) SetForceFullScan(force bool) { db.forceFullScan.Store(force) }
 
 // SetWorkers overrides the configured worker-pool width for subsequent
 // queries (0 restores Config.Workers). With 1, every scan, aggregation and
-// join runs on the calling goroutine: golden tests and benchmark baselines
-// use it to compare the parallel executor against serial output on
-// identical data, and benchmarks sweep wider counts over one loaded dataset.
+// join runs on the calling goroutine: the parallel golden tests use it as
+// the serial reference and sweep wider counts over one loaded dataset.
 func (db *Database) SetWorkers(n int) { db.workersOverride.Store(int32(n)) }
 
 // SetForceNoSkip disables (true) or re-enables (false) zone-map page
 // skipping: with the flag set every scan reads every page, ignoring the
-// per-page summaries. Golden tests and benchmark baselines use it to compare
-// skipped scans against full reads on identical data.
+// per-page summaries. It is a test switch: the zone-map golden tests use it
+// as the reference answer for pruned scans on identical data.
 func (db *Database) SetForceNoSkip(force bool) { db.forceNoSkip.Store(force) }
 
 // ScanStats reports the zone-map skipping counters: physical pages pruned

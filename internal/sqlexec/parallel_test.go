@@ -97,6 +97,9 @@ var parGoldenQueries = []string{
 	`SELECT grp, COUNT(*), SUM(qty), AVG(qty), MIN(id), MAX(id) FROM items GROUP BY grp ORDER BY grp`,
 	`SELECT grp, COUNT(*) FROM items GROUP BY grp HAVING SUM(qty) > 0 ORDER BY grp`,
 	`SELECT grp + 1, COUNT(*) FROM items WHERE id < 5000 GROUP BY grp + 1 ORDER BY 1`,
+	// The same GROUP BY with no ORDER BY: groups come out in the fold's own
+	// order, which must not depend on the worker count.
+	`SELECT grp, COUNT(*), SUM(qty), AVG(qty), MIN(id), MAX(id) FROM items GROUP BY grp`,
 	// DISTINCT aggregates must fall back to serial and still agree.
 	`SELECT COUNT(DISTINCT label) FROM items`,
 	// Hash joins: ON equi-key (inner and LEFT, both directions of match
@@ -132,6 +135,7 @@ var parGoldenQueries = []string{
 	`SELECT COUNT(*), SUM(b.qty) FROM items a JOIN items b USING (id)`,
 	// GROUP BY folding a join's output straight from the probe.
 	`SELECT g.name, COUNT(*), SUM(i.qty), MIN(i.label) FROM items i JOIN grps g ON i.grp = g.gid GROUP BY g.name ORDER BY g.name`,
+	`SELECT g.name, COUNT(*) FROM items i JOIN grps g ON i.grp = g.gid AND i.qty > 0 GROUP BY g.name`,
 	// A sub-select source above parMinRows: filtered, folded and joined.
 	`SELECT s.id FROM (SELECT id, qty FROM items) s WHERE s.qty = 9`,
 	`SELECT s.grp, COUNT(*), MAX(s.q2) FROM (SELECT grp, qty * 2 AS q2 FROM items WHERE qty <> 3) s GROUP BY s.grp ORDER BY s.grp`,

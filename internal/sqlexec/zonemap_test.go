@@ -54,8 +54,11 @@ var zoneQueries = []string{
 	"SELECT id FROM ev WHERE ts IN (5, 500, 1500, 99999)",
 	"SELECT id FROM ev WHERE val = 370 AND ts < 200",
 	"SELECT cat, COUNT(*) FROM ev WHERE ts < 400 GROUP BY cat ORDER BY cat",
+	"SELECT cat, COUNT(id), SUM(val) FROM ev WHERE ts >= 1980 GROUP BY cat",
+	"SELECT cat, COUNT(id), SUM(val) FROM ev WHERE ts >= 0 GROUP BY cat",
 	"SELECT id FROM ev WHERE cat = 'alpha' AND ts BETWEEN 100 AND 140",
 	"SELECT id FROM ev WHERE cat = 'gamma'",
+	"SELECT COUNT(id) FROM ev WHERE cat = 'beta'",
 	"SELECT SUM(val) FROM ev WHERE ts >= 1800 AND ts < 1900",
 	// Index path (pk range) whose candidates are zone-checked on ts.
 	"SELECT id, val FROM ev WHERE id BETWEEN 100 AND 900 AND ts < 150",

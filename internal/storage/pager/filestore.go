@@ -63,11 +63,6 @@ type FileStore struct {
 	// signature cannot carry it (Allocate, Free). Err exposes it so callers
 	// seeing InvalidPage can classify the cause.
 	opErr error
-
-	// readAt serves all data reads; it defaults to pread on the file and is
-	// replaced by MmapStore with a copy out of a shared mapping. Only called
-	// with mu held.
-	readAt func(b []byte, off int64) (int, error)
 }
 
 const (
@@ -100,7 +95,6 @@ func OpenFileStoreVFS(fsys vfs.FS, path string) (*FileStore, error) {
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
 	fs := &FileStore{f: f, next: 1, heads: make(map[PageID]struct{})}
-	fs.readAt = f.ReadAt
 	info, err := f.Stat()
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("pager: stat %s: %w", path, err), f.Close())
@@ -155,7 +149,7 @@ func slotOffset(id PageID) int64 { return int64(id) * PageSize }
 
 func (fs *FileStore) readSlotHeader(id PageID) (length uint32, next PageID, flags byte, err error) {
 	var buf [slotHeaderSize]byte
-	if _, err := fs.readAt(buf[:], slotOffset(id)); err != nil {
+	if _, err := fs.f.ReadAt(buf[:], slotOffset(id)); err != nil {
 		return 0, 0, 0, fmt.Errorf("pager: read slot %d header: %w", id, err)
 	}
 	return binary.LittleEndian.Uint32(buf[0:4]),
@@ -393,7 +387,7 @@ func (fs *FileStore) ReadPage(id PageID) ([]byte, error) {
 		}
 		if length > 0 {
 			buf := make([]byte, length)
-			if _, err := fs.readAt(buf, slotOffset(cur)+slotHeaderSize); err != nil {
+			if _, err := fs.f.ReadAt(buf, slotOffset(cur)+slotHeaderSize); err != nil {
 				return nil, fmt.Errorf("pager: read slot %d payload: %w", cur, err)
 			}
 			out = append(out, buf...)

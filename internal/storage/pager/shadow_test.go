@@ -6,69 +6,6 @@ import (
 	"testing"
 )
 
-// TestMmapStoreRoundTrip exercises the mmap read path against the FileStore
-// write path: pages written through the fd must be readable through the
-// mapping, including pages allocated after the initial map (file growth) and
-// oversized chained pages.
-func TestMmapStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heap.dsp")
-	m, err := OpenMmapStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := []byte("hello mmap")
-	big := bytes.Repeat([]byte{0xAB}, 3*PageSize+17)
-
-	p1 := m.Allocate()
-	if err := m.WritePage(p1, small); err != nil {
-		t.Fatal(err)
-	}
-	p2 := m.Allocate()
-	if err := m.WritePage(p2, big); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		id   PageID
-		want []byte
-	}{{p1, small}, {p2, big}} {
-		got, err := m.ReadPage(tc.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, tc.want) {
-			t.Fatalf("page %d: got %d bytes, want %d", tc.id, len(got), len(tc.want))
-		}
-	}
-	// Overwrite in place and re-read: the mapping must observe fd writes.
-	if err := m.WritePage(p1, []byte("updated")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.ReadPage(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "updated" {
-		t.Fatalf("after overwrite: %q", got)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Format compatibility: a plain FileStore opens the same file.
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	got, err = fs.ReadPage(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, big) {
-		t.Fatal("FileStore reopen read differs")
-	}
-}
-
 // TestBufferPoolCopyOnWrite verifies the shadow-paging invariant: once a
 // physical page is declared durable, no write-back — flush or eviction —
 // overwrites it in place; the logical page relocates and the durable bytes

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"github.com/dataspread/dataspread/internal/sheet"
@@ -14,31 +13,6 @@ import (
 // was corrupted outside the engine (media bit flip, partial write). Scans and
 // point reads surface it instead of silently decoding garbage rows.
 var ErrPageChecksum = errors.New("tablestore: page checksum mismatch (corrupt page)")
-
-// sealPage prepends a CRC32 over the payload. Every tuple/column page is
-// sealed before it reaches the pager, so a flipped bit anywhere in the
-// payload is detected at decode time rather than surfacing as a wrong value.
-func sealPage(payload []byte) []byte {
-	out := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
-}
-
-// unsealPage validates and strips the CRC header. A zero-length buffer is a
-// freshly allocated, never-written page and passes through as empty.
-func unsealPage(buf []byte) ([]byte, error) {
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("%w: page shorter than its checksum", ErrPageChecksum)
-	}
-	payload := buf[4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf) {
-		return nil, ErrPageChecksum
-	}
-	return payload, nil
-}
 
 // Tuple and value serialisation shared by the physical layouts. Values are
 // the unified sheet.Value dynamic type: DataSpread types relational columns
@@ -131,106 +105,32 @@ func (d *valueDecoder) value() (sheet.Value, error) {
 	return v, nil
 }
 
-// encodeTuples serialises a page of tuples: each entry is a RowID followed by
-// the tuple's values, the whole page sealed under a CRC. All tuples in one
-// page image have the same width.
-func encodeTuples(ids []RowID, rows [][]sheet.Value, width int) []byte {
-	return sealPage(encodeTuplesPayload(ids, rows, width))
-}
-
-func encodeTuplesPayload(ids []RowID, rows [][]sheet.Value, width int) []byte {
-	out := appendUvarint(nil, uint64(len(ids)))
-	out = appendUvarint(out, uint64(width))
-	for i := range ids {
-		out = appendUvarint(out, uint64(ids[i]))
-		for c := 0; c < width; c++ {
-			if c < len(rows[i]) {
-				out = appendValue(out, rows[i][c])
-			} else {
-				out = appendValue(out, sheet.Empty())
-			}
-		}
-	}
-	return out
-}
-
-// decodeTuples decodes either page vintage, validating the checksum first:
-// the v2 container (magic + body CRC) is tried before the legacy bare-CRC
-// framing.
+// decodeTuples verifies a tuple page's DSZ2 container and decodes it. A
+// zero-length buffer is a freshly allocated, never-written page and decodes
+// as empty; anything else that is not a valid container — a corrupted page
+// or one in a pre-DSZ2 format — is ErrPageChecksum.
 func decodeTuples(buf []byte) (ids []RowID, rows [][]sheet.Value, err error) {
-	if body, ok := unsealPageV2(buf); ok {
-		return decodeTuplesV2(body)
-	}
-	payload, err := unsealPage(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(payload) == 0 {
+	if len(buf) == 0 {
 		return nil, nil, nil
 	}
-	d := &valueDecoder{buf: payload}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, nil, err
+	body, ok := unsealPageV2(buf)
+	if !ok {
+		return nil, nil, ErrPageChecksum
 	}
-	width, err := d.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	ids = make([]RowID, 0, n)
-	rows = make([][]sheet.Value, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		row := make([]sheet.Value, width)
-		for c := range row {
-			if row[c], err = d.value(); err != nil {
-				return nil, nil, err
-			}
-		}
-		ids = append(ids, RowID(id))
-		rows = append(rows, row)
-	}
-	return ids, rows, nil
+	return decodeTuplesV2(body)
 }
 
-// encodeColumn serialises a page of single-column values addressed by dense
-// slot offsets within the page, sealed under a CRC.
-func encodeColumn(vals []sheet.Value) []byte {
-	out := appendUvarint(nil, uint64(len(vals)))
-	for _, v := range vals {
-		out = appendValue(out, v)
-	}
-	return sealPage(out)
-}
-
-// decodeColumn decodes either page vintage, validating the checksum first
-// (see decodeTuples).
+// decodeColumn verifies a column page's DSZ2 container and decodes it (see
+// decodeTuples).
 func decodeColumn(buf []byte) ([]sheet.Value, error) {
-	if body, ok := unsealPageV2(buf); ok {
-		return decodeColumnV2(body)
-	}
-	payload, err := unsealPage(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) == 0 {
+	if len(buf) == 0 {
 		return nil, nil
 	}
-	d := &valueDecoder{buf: payload}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	body, ok := unsealPageV2(buf)
+	if !ok {
+		return nil, ErrPageChecksum
 	}
-	out := make([]sheet.Value, n)
-	for i := range out {
-		if out[i], err = d.value(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return decodeColumnV2(body)
 }
 
 // cloneRow copies a tuple so callers cannot alias stored data.

@@ -17,12 +17,9 @@ import (
 //	[4:8)  CRC32-IEEE (little-endian) over the body
 //	[8:)   body
 //
-// The legacy (v1) container is a bare CRC32 over the payload with no magic,
-// so the decoders try v2 first — magic AND checksum must both hold — and
-// fall back to the legacy unseal otherwise. A legacy page whose leading CRC
-// happens to spell the magic still decodes (its v2 checksum fails, ~2^-32
-// false-positive squared away by the body CRC), and a corrupted page of
-// either vintage fails both checks and surfaces ErrPageChecksum.
+// Every tuple and column page is written in this container; the decoders
+// accept nothing else (a zero-length, never-written page aside), so a page
+// whose magic or checksum fails surfaces ErrPageChecksum.
 //
 // Tuple body:
 //

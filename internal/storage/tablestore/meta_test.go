@@ -206,7 +206,7 @@ func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 func TestPageChecksumDetectsCorruption(t *testing.T) {
 	ids := []RowID{1, 2}
 	rows := [][]sheet.Value{{sheet.Number(1)}, {sheet.Number(2)}}
-	page := encodeTuples(ids, rows, 1)
+	page, _ := encodeTuplesV2(ids, rows, 1)
 	for pos := 0; pos < len(page); pos++ {
 		corrupt := append([]byte(nil), page...)
 		corrupt[pos] ^= 0x10
@@ -219,7 +219,7 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 			}
 		}
 	}
-	col := encodeColumn([]sheet.Value{sheet.String_("x")})
+	col, _ := encodeColumnV2([]sheet.Value{sheet.String_("x")})
 	col[len(col)-1] ^= 0x01
 	if _, err := decodeColumn(col); err == nil {
 		t.Fatal("corrupt column page decoded without error")

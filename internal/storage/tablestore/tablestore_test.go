@@ -49,7 +49,8 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		row(nil, "bob", false),
 		row(-3, "", true),
 	}
-	gotIDs, gotRows, err := decodeTuples(encodeTuples(ids, rows, 3))
+	page, _ := encodeTuplesV2(ids, rows, 3)
+	gotIDs, gotRows, err := decodeTuples(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,8 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 
 func TestColumnCodecRoundTrip(t *testing.T) {
 	vals := []sheet.Value{sheet.Number(1), sheet.String_("x"), sheet.Bool_(true), sheet.Empty(), sheet.ErrNA}
-	got, err := decodeColumn(encodeColumn(vals))
+	page, _ := encodeColumnV2(vals)
+	got, err := decodeColumn(page)
 	if err != nil {
 		t.Fatal(err)
 	}

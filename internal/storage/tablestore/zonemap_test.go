@@ -1,7 +1,10 @@
 package tablestore
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,42 +187,71 @@ func TestColumnV2VectorEncodings(t *testing.T) {
 	// per-value codec for their target shapes.
 	for _, name := range []string{"delta", "dict"} {
 		v2, _ := encodeColumnV2(cases[name])
-		legacy := encodeColumn(cases[name])
+		legacy := legacyColumnPage(cases[name])
 		if len(v2) >= len(legacy) {
 			t.Errorf("%s page: v2 %d bytes >= legacy %d bytes", name, len(v2), len(legacy))
 		}
 	}
 }
 
-// TestLegacyPagesStillDecode: pages written by the pre-v2 codec must decode
-// through the same entry points (mixed-format files after an upgrade).
-func TestLegacyPagesStillDecode(t *testing.T) {
+// legacyPage frames a payload the way the pre-DSZ2 codec sealed every page:
+// a bare CRC32 with no magic.
+func legacyPage(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// legacyColumnPage encodes vals as a pre-DSZ2 column page: a count, then each
+// value in the standard appendValue form.
+func legacyColumnPage(vals []sheet.Value) []byte {
+	out := appendUvarint(nil, uint64(len(vals)))
+	for _, v := range vals {
+		out = appendValue(out, v)
+	}
+	return legacyPage(out)
+}
+
+// legacyTuplePage encodes rows as a pre-DSZ2 tuple page: count and width,
+// then each RowID followed by its values.
+func legacyTuplePage(ids []RowID, rows [][]sheet.Value, width int) []byte {
+	out := appendUvarint(nil, uint64(len(ids)))
+	out = appendUvarint(out, uint64(width))
+	for i := range ids {
+		out = appendUvarint(out, uint64(ids[i]))
+		for _, v := range rows[i] {
+			out = appendValue(out, v)
+		}
+	}
+	return legacyPage(out)
+}
+
+// TestLegacyPagesRefused: no file the engine opens can hold a pre-DSZ2 page,
+// so the decoders refuse the bare-CRC framing as corrupt instead of decoding
+// it; a zero-length (never-written) page still decodes as empty.
+func TestLegacyPagesRefused(t *testing.T) {
 	ids := []RowID{1, 2, 5}
 	rows := [][]sheet.Value{
 		{sheet.Number(1), sheet.String_("a")},
 		{sheet.Number(2), sheet.Empty()},
 		{sheet.Number(3), sheet.Bool_(true)},
 	}
-	gotIDs, gotRows, err := decodeTuples(encodeTuples(ids, rows, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIDs) != 3 || gotIDs[2] != 5 || !valuesEqual(gotRows[2][1], sheet.Bool_(true)) {
-		t.Fatalf("legacy tuple page mis-decoded: %v %v", gotIDs, gotRows)
+	if _, _, err := decodeTuples(legacyTuplePage(ids, rows, 2)); !errors.Is(err, ErrPageChecksum) {
+		t.Fatalf("legacy tuple page: err = %v, want ErrPageChecksum", err)
 	}
 	vals := []sheet.Value{sheet.Number(7), sheet.String_("x")}
-	got, err := decodeColumn(encodeColumn(vals))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := decodeColumn(legacyColumnPage(vals)); !errors.Is(err, ErrPageChecksum) {
+		t.Fatalf("legacy column page: err = %v, want ErrPageChecksum", err)
 	}
-	if len(got) != 2 || !valuesEqual(got[0], sheet.Number(7)) {
-		t.Fatalf("legacy column page mis-decoded: %v", got)
+	if gotIDs, gotRows, err := decodeTuples([]byte{}); err != nil || gotIDs != nil || gotRows != nil {
+		t.Fatalf("empty tuple page: %v %v %v", gotIDs, gotRows, err)
+	}
+	if got, err := decodeColumn([]byte{}); err != nil || got != nil {
+		t.Fatalf("empty column page: %v %v", got, err)
 	}
 }
 
 // TestV2RejectsCorruption: flipped bits anywhere in a sealed v2 page must
-// fail the CRC (or, for legacy-coincidence bytes, the legacy decoder) rather
-// than decode silently wrong.
+// fail the container check rather than decode silently wrong.
 func TestV2RejectsCorruption(t *testing.T) {
 	vals := make([]sheet.Value, 100)
 	for i := range vals {
@@ -234,7 +266,7 @@ func TestV2RejectsCorruption(t *testing.T) {
 			continue
 		}
 		// A flip that still decodes must have produced the same values (the
-		// flip landed in a byte both decoders ignore — there are none today,
+		// flip landed in a byte the decoder ignores — there are none today,
 		// but the invariant we need is only "never silently wrong").
 		if len(got) != len(vals) {
 			t.Fatalf("flip@%d: decoded %d values from corrupt page", pos, len(got))
