@@ -19,7 +19,6 @@ import (
 	"github.com/dataspread/dataspread/internal/datagen"
 	"github.com/dataspread/dataspread/internal/index/positional"
 	"github.com/dataspread/dataspread/internal/sheet"
-	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/storage/cellstore"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
@@ -286,41 +285,35 @@ func BenchmarkM4Append(b *testing.B) {
 	}
 }
 
-// A1: blocks written by ALTER TABLE ADD COLUMN across storage layouts.
-func benchmarkA1SchemaChange(b *testing.B, layout sqlexec.Layout) {
+// A1: blocks written by ALTER TABLE ADD COLUMN on a 10-column table across
+// attribute-group sizes: 1 (every column apart), 4 (the default) and 10 (one
+// group per table, row-shaped). Adding a column writes only its own new
+// group at every size.
+func BenchmarkA1SchemaChange(b *testing.B) {
 	rows := datagen.WideRows(20_000, 10, 1)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ps := pager.NewStore()
-		pool := pager.NewBufferPool(ps, 0)
-		var store tablestore.Store
-		switch layout {
-		case sqlexec.LayoutRow:
-			store = tablestore.NewRowStore(pool, 10)
-		case sqlexec.LayoutColumn:
-			store = tablestore.NewColStore(pool, 10)
-		default:
-			store = tablestore.NewHybridStore(pool, 10, tablestore.WithGroupSize(4))
-		}
-		for _, r := range rows {
-			if _, err := store.Insert(r); err != nil {
-				b.Fatal(err)
+	for _, size := range []int{1, 4, 10} {
+		b.Run(fmt.Sprintf("group=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ps := pager.NewStore()
+				store := tablestore.NewHybridStore(pager.NewBufferPool(ps, 0), 10, tablestore.WithGroupSize(size))
+				for _, r := range rows {
+					if _, err := store.Insert(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				ps.ResetStats()
+				b.StartTimer()
+				if err := store.AddColumn(sheet.Number(0)); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(ps.Stats().Writes), "blocks/op")
+				b.StartTimer()
 			}
-		}
-		ps.ResetStats()
-		b.StartTimer()
-		if err := store.AddColumn(sheet.Number(0)); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(ps.Stats().Writes), "blocks/op")
-		b.StartTimer()
+		})
 	}
 }
-
-func BenchmarkA1SchemaChangeRow(b *testing.B)    { benchmarkA1SchemaChange(b, sqlexec.LayoutRow) }
-func BenchmarkA1SchemaChangeColumn(b *testing.B) { benchmarkA1SchemaChange(b, sqlexec.LayoutColumn) }
-func BenchmarkA1SchemaChangeHybrid(b *testing.B) { benchmarkA1SchemaChange(b, sqlexec.LayoutHybrid) }
 
 // A2: window fetch and middle insertion through the positional index vs a
 // dense renumbered slice.

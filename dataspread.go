@@ -9,23 +9,14 @@ import (
 	"github.com/dataspread/dataspread/internal/sqlexec"
 )
 
-// Layout selects the physical layout for newly created tables.
-type Layout string
-
-// Available layouts. The default (hybrid) stores tuples row-major inside
-// column groups — the paper's hybrid storage manager.
-const (
-	LayoutHybrid Layout = "hybrid"
-	LayoutRow    Layout = "row"
-	LayoutColumn Layout = "column"
-)
-
 // Options configure a DB. The zero value is a usable default.
 type Options struct {
-	// Layout is the storage layout for new tables (default LayoutHybrid).
-	Layout Layout
-	// GroupSize is the attribute-group width for hybrid tables (0 =
-	// default).
+	// GroupSize is how many columns of a new table are stored together in
+	// one attribute group (0 = default, 4) by the paper's hybrid storage
+	// manager. It spans the classic layouts: 1 stores every column apart,
+	// like a column store; a value at least the table's width stores whole
+	// tuples together, like a row store. At any size, adding a column
+	// writes only the new column's blocks.
 	GroupSize int
 	// WindowRows/WindowCols size the visible spreadsheet pane used by
 	// windowed table bindings (0 = defaults).
@@ -43,7 +34,6 @@ type Options struct {
 
 func (o Options) coreOptions() core.Options {
 	return core.Options{
-		Layout:             sqlexec.Layout(o.Layout),
 		GroupSize:          o.GroupSize,
 		WindowRows:         o.WindowRows,
 		WindowCols:         o.WindowCols,

@@ -36,7 +36,6 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/sqlparser"
-	"github.com/dataspread/dataspread/internal/storage/cellstore"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/vfs"
 	"github.com/dataspread/dataspread/internal/txn"
@@ -45,17 +44,11 @@ import (
 
 // Options configure a DataSpread instance.
 type Options struct {
-	// Layout selects the relational storage layout (default hybrid).
-	Layout sqlexec.Layout
-	// GroupSize is the attribute-group size for hybrid tables.
+	// GroupSize is the attribute-group size of new tables (0 = default).
 	GroupSize int
 	// WindowRows/WindowCols size the visible pane.
 	WindowRows int
 	WindowCols int
-	// UseBlockedCellStore stores ad-hoc sheet cells through the interface
-	// storage manager (proximity-blocked, 2-D indexed) instead of a plain
-	// map.
-	UseBlockedCellStore bool
 	// MaterializeAllLimit overrides the row count above which DBTABLE
 	// bindings materialise only the visible window.
 	MaterializeAllLimit int
@@ -141,17 +134,8 @@ func New(opts Options) *DataSpread { return newDataSpread(opts, nil) }
 // given page backend (nil = fresh in-memory store). OpenFile passes the
 // workbook file's backend so table pages live in the file itself.
 func newDataSpread(opts Options, backend pager.Backend) *DataSpread {
-	var book *sheet.Book
-	if opts.UseBlockedCellStore {
-		store := pager.NewStore()
-		book = sheet.NewBookWithStore(func() sheet.CellStore {
-			return cellstore.NewBlockedStore(pager.NewBufferPool(store, 1024))
-		})
-	} else {
-		book = sheet.NewBook()
-	}
+	book := sheet.NewBook()
 	db := sqlexec.NewDatabase(sqlexec.Config{
-		Layout:          opts.Layout,
 		GroupSize:       opts.GroupSize,
 		BufferPoolPages: opts.BufferPoolPages,
 		Backend:         backend,

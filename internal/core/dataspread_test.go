@@ -360,17 +360,6 @@ func TestWindowedBindingAndPanning(t *testing.T) {
 	}
 }
 
-func TestBlockedCellStoreOption(t *testing.T) {
-	ds := New(Options{UseBlockedCellStore: true})
-	for i := 0; i < 200; i++ {
-		set(t, ds, "Sheet1", sheet.Addr(i, 0).String(), fmt.Sprintf("%d", i))
-	}
-	set(t, ds, "Sheet1", "B1", "=SUM(A1:A200)")
-	if got := get(t, ds, "Sheet1", "B1"); got.Num != 19900 {
-		t.Errorf("sum over blocked store = %v", got)
-	}
-}
-
 func TestCreateTableFromRangeErrorsAndKeepRegion(t *testing.T) {
 	ds := newDS(t)
 	if _, err := ds.CreateTableFromRange("Sheet1", "A1:B2", "empty", ExportOptions{}); err == nil {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
-	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 	"github.com/dataspread/dataspread/internal/storage/vfs"
@@ -241,12 +240,12 @@ func TestEmptiedLeavesReleasePages(t *testing.T) {
 // TestWALTailReplaysOntoAttachedIndexes: recovery replays the WAL tail —
 // inserts, key-moving updates, deletes — onto indexes attached from the
 // checkpoint with no leaf loaded, and the result answers index queries
-// exactly like full scans, for every layout.
+// exactly like full scans, in every group shape.
 func TestWALTailReplaysOntoAttachedIndexes(t *testing.T) {
-	for _, layout := range []string{"row", "column", "hybrid"} {
-		t.Run(layout, func(t *testing.T) {
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "book.dsp")
-			opts := Options{Layout: sqlexec.Layout(layout), CheckpointWALBytes: -1}
+			opts := Options{GroupSize: shape.GroupSize, CheckpointWALBytes: -1}
 			ds, err := OpenFile(path, opts)
 			if err != nil {
 				t.Fatal(err)

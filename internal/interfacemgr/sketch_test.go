@@ -15,6 +15,7 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/storage/pager"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 	"github.com/dataspread/dataspread/internal/window"
 )
 
@@ -89,9 +90,9 @@ type injection struct {
 }
 
 func TestSketchOracle(t *testing.T) {
-	for i, layout := range []sqlexec.Layout{sqlexec.LayoutRow, sqlexec.LayoutColumn, sqlexec.LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			o := newOracle(t, sqlexec.Config{Layout: layout, Backend: pager.NewStore()}, int64(23+i))
+	for i, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			o := newOracle(t, sqlexec.Config{GroupSize: shape.GroupSize, Backend: pager.NewStore()}, int64(23+i))
 			ops := oracleOps
 			if raceEnabled {
 				ops /= 4
@@ -493,9 +494,9 @@ func (o *oracle) check(when string) {
 // hit; one inside re-executes it; a DELETE anywhere — a tombstone, no page
 // rewritten — re-executes it.
 func TestSketchSkipsWritesOutsideBounds(t *testing.T) {
-	for _, layout := range []sqlexec.Layout{sqlexec.LayoutRow, sqlexec.LayoutColumn, sqlexec.LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db := sqlexec.NewDatabase(sqlexec.Config{Layout: layout})
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			db := sqlexec.NewDatabase(sqlexec.Config{GroupSize: shape.GroupSize})
 			book := sheet.NewBook()
 			book.AddSheet("Sheet1")
 			m := New(db, book, compute.New(book), window.NewManager(20, 6))

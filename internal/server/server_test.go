@@ -3,9 +3,11 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -668,5 +670,26 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	if _, err := c2.Exec(ctx, "SELECT * FROM private1"); !errors.Is(err, dataspread.ErrTableNotFound) {
 		t.Fatalf("t2 saw t1's table: %v", err)
+	}
+}
+
+// TestDecodeArgsAllocationBoundedByFrame: an EXECUTE argument section of a
+// few bytes that claims 16 Mi positional (or named) arguments is refused
+// without allocating in proportion to the claim.
+func TestDecodeArgsAllocationBoundedByFrame(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"positional": binary.AppendUvarint(nil, 16<<20),
+		"named":      binary.AppendUvarint([]byte{0}, 16<<20),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeArgs(wire.NewReader(payload))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, dberr.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(payload), grew)
+		}
 	}
 }

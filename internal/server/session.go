@@ -350,19 +350,21 @@ func (s *session) stmtFor(conn *dataspread.Conn, id uint64) (*dataspread.Stmt, e
 // decodeArgs parses an EXECUTE frame's positional and named argument
 // sections into the public bind surface's arg list.
 func decodeArgs(r *wire.Reader) ([]any, error) {
+	// Every argument takes at least one byte, so a count beyond the bytes
+	// left is malformed; refusing it bounds the allocation by the frame.
 	npos := r.Uvarint()
-	if npos > uint64(wire.MaxFrameLen) {
+	if npos > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("server: absurd positional arg count %d: %w", npos, dberr.ErrCorrupt)
 	}
 	args := make([]any, 0, npos)
-	for i := uint64(0); i < npos; i++ {
+	for i := uint64(0); i < npos && r.Err() == nil; i++ {
 		args = append(args, r.Value())
 	}
 	nnamed := r.Uvarint()
-	if nnamed > uint64(wire.MaxFrameLen) {
+	if nnamed > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("server: absurd named arg count %d: %w", nnamed, dberr.ErrCorrupt)
 	}
-	for i := uint64(0); i < nnamed; i++ {
+	for i := uint64(0); i < nnamed && r.Err() == nil; i++ {
 		name := r.String()
 		args = append(args, dataspread.Named(name, r.Value()))
 	}

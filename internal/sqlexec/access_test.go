@@ -8,10 +8,11 @@ import (
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
-// The golden access-path tests: for every query shape and every physical
-// layout, the result of the planner-chosen index path must be row-for-row
+// The golden access-path tests: for every query shape and every group
+// shape, the result of the planner-chosen index path must be row-for-row
 // identical to the forced full scan, and EXPLAIN must report the expected
 // path — on the database that built the indexes in memory, and on one that
 // attached them from a checkpoint and loads each leaf page on first touch.
@@ -19,7 +20,7 @@ import (
 // accessDBs lists the two ways the suites obtain their test database.
 var accessDBs = []struct {
 	name string
-	open func(*testing.T, Layout) (*Database, *Session)
+	open func(*testing.T, int) (*Database, *Session)
 }{
 	{"built", newAccessDB},
 	{"reopened", reopenedAccessDB},
@@ -28,9 +29,9 @@ var accessDBs = []struct {
 // reopenedAccessDB is newAccessDB after a checkpoint and a reopen: the
 // catalog is captured and attached to a fresh Database over the same
 // backend, so every index is a tree of unloaded leaves.
-func reopenedAccessDB(t *testing.T, layout Layout) (*Database, *Session) {
+func reopenedAccessDB(t *testing.T, groupSize int) (*Database, *Session) {
 	t.Helper()
-	db, _ := newAccessDB(t, layout)
+	db, _ := newAccessDB(t, groupSize)
 	re := reopenDB(t, db)
 	return re, re.NewSession(newFakeSheets())
 }
@@ -38,9 +39,9 @@ func reopenedAccessDB(t *testing.T, layout Layout) (*Database, *Session) {
 // newAccessDB builds a deterministic test table with a numeric primary key,
 // a non-unique secondary index and a text column, inserting rows in a
 // shuffled key order so RowID order and key order differ.
-func newAccessDB(t *testing.T, layout Layout) (*Database, *Session) {
+func newAccessDB(t *testing.T, groupSize int) (*Database, *Session) {
 	t.Helper()
-	db := NewDatabase(Config{Layout: layout, Backend: pager.NewStore()})
+	db := NewDatabase(Config{GroupSize: groupSize, Backend: pager.NewStore()})
 	s := db.NewSession(newFakeSheets())
 	mustExec(t, s, "CREATE TABLE items (id INT PRIMARY KEY, grp INT, v NUMERIC, name TEXT)")
 	const n = 400
@@ -130,13 +131,13 @@ var goldenQueries = []struct {
 	{"SELECT id FROM items WHERE grp >= 2 AND v > 5 LIMIT 11 OFFSET 2", "index idx_grp range (grp)"},
 }
 
-// forEachAccessDB runs fn as a subtest per layout and per way of obtaining
+// forEachAccessDB runs fn as a subtest per group shape and per way of obtaining
 // the database.
 func forEachAccessDB(t *testing.T, fn func(t *testing.T, open func(*testing.T) (*Database, *Session))) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
+	for _, shape := range tablestore.Shapes {
 		for _, src := range accessDBs {
-			t.Run(string(layout)+"/"+src.name, func(t *testing.T) {
-				fn(t, func(t *testing.T) (*Database, *Session) { return src.open(t, layout) })
+			t.Run(shape.Name+"/"+src.name, func(t *testing.T) {
+				fn(t, func(t *testing.T) (*Database, *Session) { return src.open(t, shape.GroupSize) })
 			})
 		}
 	}
@@ -170,15 +171,15 @@ func TestAccessPathGoldenEquivalence(t *testing.T) {
 // the same leaves concurrently under the shared engine read lock. Every
 // result must equal the full-scan answer. Run under -race.
 func TestConcurrentFirstTouchGolden(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			built, bs := newAccessDB(t, layout)
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			built, bs := newAccessDB(t, shape.GroupSize)
 			built.SetForceFullScan(true)
 			want := make([]*Result, len(goldenQueries))
 			for i, q := range goldenQueries {
 				want[i] = mustExec(t, bs, q.sql)
 			}
-			db, _ := reopenedAccessDB(t, layout)
+			db, _ := reopenedAccessDB(t, shape.GroupSize)
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
@@ -255,9 +256,9 @@ func TestDMLAccessPaths(t *testing.T) {
 	}
 }
 
-func dmlAccessPaths(t *testing.T, open func(*testing.T, Layout) (*Database, *Session)) {
+func dmlAccessPaths(t *testing.T, open func(*testing.T, int) (*Database, *Session)) {
 	run := func(force bool) *Result {
-		db, s := open(t, LayoutHybrid)
+		db, s := open(t, tablestore.DefaultGroupSize)
 		db.SetForceFullScan(force)
 		mustExec(t, s, "UPDATE items SET v = -1 WHERE id = 42")
 		mustExec(t, s, "UPDATE items SET v = -2 WHERE id BETWEEN 200 AND 210")
@@ -270,7 +271,7 @@ func dmlAccessPaths(t *testing.T, open func(*testing.T, Layout) (*Database, *Ses
 		t.Fatalf("DML via index path diverges: %s", diff)
 	}
 
-	_, s := open(t, LayoutHybrid)
+	_, s := open(t, tablestore.DefaultGroupSize)
 	plan := mustExec(t, s, "EXPLAIN UPDATE items SET v = 0 WHERE id = 3")
 	if text := planText(plan); !strings.Contains(text, "pk point (id)") {
 		t.Fatalf("EXPLAIN UPDATE = %q, want pk point", text)

@@ -22,21 +22,11 @@ import (
 	"github.com/dataspread/dataspread/internal/txn"
 )
 
-// Layout selects the physical layout used for newly created tables.
-type Layout string
-
-// Available layouts.
-const (
-	LayoutHybrid Layout = "hybrid"
-	LayoutRow    Layout = "row"
-	LayoutColumn Layout = "column"
-)
-
 // Config configures a Database.
 type Config struct {
-	// Layout is the physical layout for new tables (default hybrid).
-	Layout Layout
-	// GroupSize is the attribute-group width for hybrid tables.
+	// GroupSize is the attribute-group width of new tables (default
+	// tablestore.DefaultGroupSize): 1 stores every column apart, a value at
+	// least the table's width stores whole tuples together.
 	GroupSize int
 	// BufferPoolPages is the buffer pool capacity in pages (default 4096;
 	// 0 disables caching, which benchmarks use to expose block counts).
@@ -130,9 +120,6 @@ type Database struct {
 
 // NewDatabase creates an empty database.
 func NewDatabase(cfg Config) *Database {
-	if cfg.Layout == "" {
-		cfg.Layout = LayoutHybrid
-	}
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = tablestore.DefaultGroupSize
 	}
@@ -256,16 +243,9 @@ func (db *Database) notify(ev ChangeEvent) {
 
 func tkey(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
 
-// newStore builds a table store in the configured layout.
+// newStore builds a table store with the configured group size.
 func (db *Database) newStore(columns int) tablestore.Store {
-	switch db.cfg.Layout {
-	case LayoutRow:
-		return tablestore.NewRowStore(db.pool, columns)
-	case LayoutColumn:
-		return tablestore.NewColStore(db.pool, columns)
-	default:
-		return tablestore.NewHybridStore(db.pool, columns, tablestore.WithGroupSize(db.cfg.GroupSize))
-	}
+	return tablestore.NewHybridStore(db.pool, columns, tablestore.WithGroupSize(db.cfg.GroupSize))
 }
 
 // CreateTable registers a table and its storage.

@@ -9,6 +9,7 @@ import (
 	"github.com/dataspread/dataspread/internal/catalog"
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // fakeSheets is a SheetAccessor backed by plain maps, standing in for the
@@ -644,15 +645,15 @@ func TestDatabaseLowLevelAPI(t *testing.T) {
 }
 
 func TestLayoutConfigurations(t *testing.T) {
-	for _, layout := range []Layout{LayoutHybrid, LayoutRow, LayoutColumn} {
-		db := NewDatabase(Config{Layout: layout, GroupSize: 2})
+	for _, shape := range tablestore.Shapes {
+		db := NewDatabase(Config{GroupSize: shape.GroupSize})
 		s := db.NewSession(nil)
 		mustExec(t, s, "CREATE TABLE t (a INT, b TEXT)")
 		mustExec(t, s, "INSERT INTO t VALUES (1, 'x'), (2, 'y')")
 		mustExec(t, s, "ALTER TABLE t ADD COLUMN c NUMERIC DEFAULT 0")
 		res := mustExec(t, s, "SELECT SUM(a), COUNT(c) FROM t")
 		if res.Rows[0][0].Num != 3 || res.Rows[0][1].Num != 2 {
-			t.Errorf("layout %s: result = %v", layout, res.Rows[0])
+			t.Errorf("shape %s: result = %v", shape.Name, res.Rows[0])
 		}
 	}
 }

@@ -23,9 +23,9 @@ import (
 // actually engage.
 const parTestRows = parMinRows + 1200
 
-func newParDB(t *testing.T, layout Layout) *Database {
+func newParDB(t *testing.T, groupSize int) *Database {
 	t.Helper()
-	db := NewDatabase(Config{Layout: layout, GroupSize: 2, Workers: 4})
+	db := NewDatabase(Config{GroupSize: groupSize, Workers: 4})
 	mustExecP(t, db, `CREATE TABLE items (id NUMBER PRIMARY KEY, grp NUMBER, qty NUMBER, label STRING)`)
 	mustExecP(t, db, `CREATE TABLE grps (gid NUMBER PRIMARY KEY, name STRING)`)
 	mustExecP(t, db, `CREATE TABLE tags (grp NUMBER, tag STRING)`)
@@ -165,9 +165,9 @@ var parGoldenExplain = map[string][]string{
 }
 
 func TestParallelGoldenEquivalence(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db := newParDB(t, layout)
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			db := newParDB(t, shape.GroupSize)
 			sess := db.NewSession(nil)
 			for _, q := range parGoldenQueries {
 				db.SetWorkers(1)
@@ -246,7 +246,7 @@ func streamResult(t *testing.T, s *Session, q string) *Result {
 // serial puller for full scans, read-committed batches for index paths, the
 // materialising fallback for blocking shapes — to the three golden suites:
 // streamed with the suite's switch on and off, every query must match the
-// materialised reference row for row, on every layout, on the database that
+// materialised reference row for row, in every group shape, on the database that
 // built the data and on one reopened from its checkpoint.
 func TestParallelStreamGoldenEquivalence(t *testing.T) {
 	var accessSQL []string
@@ -255,7 +255,7 @@ func TestParallelStreamGoldenEquivalence(t *testing.T) {
 	}
 	suites := []struct {
 		name    string
-		open    func(*testing.T, Layout) *Database
+		open    func(*testing.T, int) *Database
 		queries []string
 		// ref switches the suite's reference path on or off.
 		ref func(db *Database, on bool)
@@ -266,24 +266,24 @@ func TestParallelStreamGoldenEquivalence(t *testing.T) {
 				db.SetWorkers(1)
 			}
 		}},
-		{"zone", func(t *testing.T, l Layout) *Database {
-			db, _ := newZoneDB(t, l, pager.NewStore())
+		{"zone", func(t *testing.T, groupSize int) *Database {
+			db, _ := newZoneDB(t, groupSize, pager.NewStore())
 			return db
 		}, zoneQueries, (*Database).SetForceNoSkip},
-		{"access", func(t *testing.T, l Layout) *Database {
-			db, _ := newAccessDB(t, l)
+		{"access", func(t *testing.T, groupSize int) *Database {
+			db, _ := newAccessDB(t, groupSize)
 			return db
 		}, accessSQL, (*Database).SetForceFullScan},
 	}
 	for _, suite := range suites {
-		for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
+		for _, shape := range tablestore.Shapes {
 			for _, reopened := range []bool{false, true} {
-				name := suite.name + "/" + string(layout) + "/built"
+				name := suite.name + "/" + shape.Name + "/built"
 				if reopened {
-					name = suite.name + "/" + string(layout) + "/reopened"
+					name = suite.name + "/" + shape.Name + "/reopened"
 				}
 				t.Run(name, func(t *testing.T) {
-					db := suite.open(t, layout)
+					db := suite.open(t, shape.GroupSize)
 					if reopened {
 						db = reopenDB(t, db)
 					}
@@ -311,7 +311,7 @@ func TestParallelStreamGoldenEquivalence(t *testing.T) {
 // puller count — and whichever stage it stopped in, the error path must
 // have released every snapshot the statement pinned.
 func TestParallelCancelReleasesPins(t *testing.T) {
-	db := newParDB(t, LayoutHybrid)
+	db := newParDB(t, 2)
 	sess := db.NewSession(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // Late-bound access paths: a parameterized statement must choose the same
@@ -17,9 +18,9 @@ import (
 
 func TestPlaceholderAccessPathsGolden(t *testing.T) {
 	ctx := context.Background()
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db, s := newAccessDB(t, layout)
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			db, s := newAccessDB(t, shape.GroupSize)
 			cases := []struct {
 				sql     string
 				args    []sheet.Value
@@ -77,7 +78,7 @@ func TestPlaceholderAccessPathsGolden(t *testing.T) {
 // at prepare time.
 func TestPlaceholderRebindsPerExecution(t *testing.T) {
 	ctx := context.Background()
-	db, s := newAccessDB(t, LayoutHybrid)
+	db, s := newAccessDB(t, tablestore.DefaultGroupSize)
 	const sql = "SELECT name FROM items WHERE id = ?"
 	before := db.PlanCacheStats()
 	// The Query path re-prepares the same text per call — the literal-SQL
@@ -102,7 +103,7 @@ func TestPlaceholderRebindsPerExecution(t *testing.T) {
 
 func TestPlaceholderParamCountMismatch(t *testing.T) {
 	ctx := context.Background()
-	db, s := newAccessDB(t, LayoutHybrid)
+	db, s := newAccessDB(t, tablestore.DefaultGroupSize)
 	p, err := db.Prepare("SELECT id FROM items WHERE id = ? AND grp = ?")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestPlaceholderParamCountMismatch(t *testing.T) {
 // bounds per execution.
 func TestPlaceholderDML(t *testing.T) {
 	ctx := context.Background()
-	db, s := newAccessDB(t, LayoutHybrid)
+	db, s := newAccessDB(t, tablestore.DefaultGroupSize)
 	res, err := s.QueryContext(ctx, "UPDATE items SET v = ? WHERE id = ?", sheet.Number(-5), sheet.Number(42))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestPlaceholderDML(t *testing.T) {
 // Streamed results must match materialised results for the same statement.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	ctx := context.Background()
-	db, s := newAccessDB(t, LayoutHybrid)
+	db, s := newAccessDB(t, tablestore.DefaultGroupSize)
 	for _, sql := range []string{
 		"SELECT id, name FROM items WHERE grp = ?",
 		"SELECT id FROM items WHERE id BETWEEN ? AND ?",

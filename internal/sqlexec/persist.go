@@ -31,6 +31,11 @@ import (
 // converted.
 var pagesMagic = [8]byte{'D', 'S', 'P', 'G', 'C', 'A', 'T', '3'}
 
+// tableLayout is the layout every catalog entry names. Files from builds
+// that also had row and column stores may name "row" or "column"; those
+// tables are refused rather than converted.
+const tableLayout = "hybrid"
+
 // ErrCorruptPages is returned when a page-catalog blob fails its checksum,
 // cannot be decoded, or is in a format this build does not read.
 var ErrCorruptPages = fmt.Errorf("sqlexec: corrupt page catalog: %w", dberr.ErrCorrupt)
@@ -188,7 +193,7 @@ func (db *Database) MarshalPages() ([]byte, error) {
 		tk := tkey(tbl.Name)
 		s := db.stores[tk]
 		w.str(tbl.Name)
-		w.str(s.Layout())
+		w.str(tableLayout)
 		w.uint(uint64(len(tbl.Columns)))
 		for _, c := range tbl.Columns {
 			w.str(c.Name)
@@ -283,7 +288,11 @@ func (db *Database) AttachPages(blob []byte) error {
 		if _, err := cat.Create(name, cols); err != nil {
 			return fmt.Errorf("sqlexec: attach table %q: %w", name, err)
 		}
-		s, err := tablestore.OpenStore(db.pool, layout, meta)
+		if layout != tableLayout {
+			return fmt.Errorf("%w: table %q has layout %q; only %q tables are supported",
+				ErrCorruptPages, name, layout, tableLayout)
+		}
+		s, err := tablestore.OpenHybridStore(db.pool, meta)
 		if err != nil {
 			return fmt.Errorf("sqlexec: attach table %q: %w", name, err)
 		}

@@ -1,11 +1,16 @@
 package sqlexec
 
 import (
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // TestMarshalAttachPages: a database serialised with MarshalPages and
@@ -13,10 +18,10 @@ import (
 // primary keys, secondary indexes and unique enforcement included — without
 // replaying any DML.
 func TestMarshalAttachPages(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
 			backend := pager.NewStore()
-			db := NewDatabase(Config{Layout: layout, Backend: backend})
+			db := NewDatabase(Config{GroupSize: shape.GroupSize, Backend: backend})
 			s := db.NewSession(newFakeSheets())
 			mustExec(t, s, "CREATE TABLE acct (id INT PRIMARY KEY, owner TEXT, bal NUMERIC)")
 			mustExec(t, s, "CREATE UNIQUE INDEX acct_bal ON acct (bal)")
@@ -37,7 +42,7 @@ func TestMarshalAttachPages(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			db2 := NewDatabase(Config{Layout: layout, Backend: backend})
+			db2 := NewDatabase(Config{GroupSize: shape.GroupSize, Backend: backend})
 			if err := db2.AttachPages(blob); err != nil {
 				t.Fatal(err)
 			}
@@ -99,5 +104,94 @@ func TestAttachPagesRejectsCorrupt(t *testing.T) {
 	}
 	if err := NewDatabase(Config{Backend: backend}).AttachPages(blob[:5]); err == nil {
 		t.Error("truncated blob attached without error")
+	}
+}
+
+// catalogWorkbook builds a small fixed workbook: a five-column table (groups
+// of four and one at the default group size) with a primary key, a secondary
+// index, a tombstoned row, an updated row, a column added and the lone column
+// of a group dropped.
+func catalogWorkbook(t *testing.T, backend pager.Backend) (*Database, *Session) {
+	t.Helper()
+	db := NewDatabase(Config{Backend: backend})
+	s := db.NewSession(newFakeSheets())
+	mustExec(t, s, "CREATE TABLE item (id INT PRIMARY KEY, name TEXT, qty NUMERIC, ok BOOL, note TEXT)")
+	mustExec(t, s, "CREATE INDEX item_qty ON item (qty)")
+	for i := 1; i <= 12; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO item VALUES (%d, 'n%02d', %d, %t, 'x')", i, i, i*3, i%2 == 0))
+	}
+	mustExec(t, s, "DELETE FROM item WHERE id = 5")
+	mustExec(t, s, "UPDATE item SET qty = 100 WHERE id = 7")
+	mustExec(t, s, "ALTER TABLE item ADD COLUMN extra INT DEFAULT 9")
+	mustExec(t, s, "ALTER TABLE item DROP COLUMN note")
+	return db, s
+}
+
+// The page catalog and zone catalog of catalogWorkbook, as written by the
+// build that still had row and column stores.
+const (
+	catalogWorkbookPages = "445350474341543347a056d401046974656d0668796272696405026964074e554d455249430200046e616d650454455854000003717479074e554d455249430000026f6b07424f4f4c45414e0000056578747261074e554d45524943000140220000000000002101040c0d0b030480010101008004000180040103050000000100020003020001050b010901bff00000000000000401086974656d5f717479046974656d0001037174790b011101c008000000000000000000000000000105"
+	catalogWorkbookZones = "44535a4e43415431bc783e4401046974656d8b0168030101040300000000000000f03f0000000000002840000000000000f03f00000000000028400400036e3031036e3132030000000000000008400000000000005940000000000000084000000000000059400a000000000000000000000000000000f03f0001010103000000000000002240000000000000224000000000000022400000000000002240"
+)
+
+// TestCatalogBytesStable pins the bytes of a hybrid table's catalog entry,
+// store meta and zone blob: a DSPGCAT3 file written before the row and
+// column stores were removed must still open, and one written now must
+// open in that build.
+func TestCatalogBytesStable(t *testing.T) {
+	backend := pager.NewStore()
+	db, s := catalogWorkbook(t, backend)
+	blob, err := db.MarshalPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(blob); got != catalogWorkbookPages {
+		t.Errorf("page catalog bytes changed:\n got %s\nwant %s", got, catalogWorkbookPages)
+	}
+	if got := hex.EncodeToString(db.MarshalZones()); got != catalogWorkbookZones {
+		t.Errorf("zone catalog bytes changed:\n got %s\nwant %s", got, catalogWorkbookZones)
+	}
+
+	pages, _ := hex.DecodeString(catalogWorkbookPages)
+	zones, _ := hex.DecodeString(catalogWorkbookZones)
+	re := NewDatabase(Config{Backend: backend})
+	if err := re.AttachPages(pages); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.AttachZones(zones); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.ValidateZones(); err != nil {
+		t.Fatal(err)
+	}
+	rs := re.NewSession(newFakeSheets())
+	for _, q := range []string{
+		"SELECT * FROM item ORDER BY id",
+		"SELECT id FROM item WHERE qty = 100",
+		"SELECT COUNT(*), SUM(extra) FROM item WHERE ok",
+	} {
+		if diff := resultsEqual(mustExec(t, s, q), mustExec(t, rs, q)); diff != "" {
+			t.Fatalf("%s: %s", q, diff)
+		}
+	}
+}
+
+// TestAttachPagesRefusesRowAndColumnTables: catalogs written by the build
+// that also had row and column stores, each holding one such table
+// "legacy (a INT, b TEXT)" of three rows, are refused as corrupt, naming the
+// table and its layout, rather than attached.
+func TestAttachPagesRefusesRowAndColumnTables(t *testing.T) {
+	for layout, blobHex := range map[string]string{
+		"row":    "445350474341543308bd3a7e01066c656761637903726f77020161074e554d4552494300000162045445585400000e0102040303010103010002000300000000",
+		"column": "44535047434154334641fad601066c656761637906636f6c756d6e020161074e554d4552494300000162045445585400000a01030403020101010200000000",
+	} {
+		blob, _ := hex.DecodeString(blobHex)
+		err := NewDatabase(Config{Backend: pager.NewStore()}).AttachPages(blob)
+		if !errors.Is(err, dberr.ErrCorrupt) {
+			t.Fatalf("%s catalog: err = %v, want ErrCorrupt", layout, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"legacy"`) || !strings.Contains(msg, `"`+layout+`"`) {
+			t.Errorf("%s catalog: error %q does not name the table and its layout", layout, msg)
+		}
 	}
 }

@@ -175,10 +175,10 @@ func TestErrorCapableConjunctsNotHoisted(t *testing.T) {
 // --- projection pruning ---
 
 // TestProjectionPruningReadsFewerBlocks verifies that a narrow projection
-// over a column layout touches only the referenced columns' blocks.
+// with one column per group touches only the referenced columns' blocks.
 func TestProjectionPruningReadsFewerBlocks(t *testing.T) {
 	ps := pager.NewStore()
-	db := NewDatabase(Config{Layout: LayoutColumn, Backend: ps, BufferPoolPages: new(int)}) // 0 pages: every read hits the store
+	db := NewDatabase(Config{GroupSize: 1, Backend: ps, BufferPoolPages: new(int)}) // 0 pages: every read hits the store
 	s := db.NewSession(nil)
 	cols := make([]string, 8)
 	for i := range cols {

@@ -6,9 +6,10 @@ import (
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
-// Zone-map golden tests: for every query shape and every physical layout,
+// Zone-map golden tests: for every query shape and every group shape,
 // the zone-pruned scan must be row-for-row identical to the forced
 // unskipped scan (SetForceNoSkip), including after in-place mutations and a
 // marshal/attach cycle — and selective predicates must actually skip pages.
@@ -17,9 +18,9 @@ import (
 // (so its page zones are tight and prunable), val is scattered (wide zones),
 // and cat is low-NDV text (dictionary-encoded). A sprinkle of NULLs
 // exercises the NULL-never-matches rule; ts is deliberately NOT indexed.
-func newZoneDB(t *testing.T, layout Layout, backend pager.Backend) (*Database, *Session) {
+func newZoneDB(t *testing.T, groupSize int, backend pager.Backend) (*Database, *Session) {
 	t.Helper()
-	db := NewDatabase(Config{Layout: layout, Backend: backend})
+	db := NewDatabase(Config{GroupSize: groupSize, Backend: backend})
 	s := db.NewSession(newFakeSheets())
 	mustExec(t, s, "CREATE TABLE ev (id INT PRIMARY KEY, ts NUMERIC, val NUMERIC, cat TEXT)")
 	cats := []string{"alpha", "beta", "gamma", "delta"}
@@ -83,9 +84,9 @@ func runSkippedVsUnskipped(t *testing.T, db *Database, s *Session, queries []str
 }
 
 func TestZoneMapGoldenEquivalence(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db, s := newZoneDB(t, layout, nil)
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			db, s := newZoneDB(t, shape.GroupSize, nil)
 			if err := db.ValidateZones(); err != nil {
 				t.Fatal(err)
 			}
@@ -117,9 +118,9 @@ func TestZoneMapGoldenEquivalence(t *testing.T) {
 // churn has rewritten and tombstoned sealed pages, then validates every
 // surviving summary against its page's decoded contents.
 func TestZoneMapEquivalenceAfterChurn(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db, s := newZoneDB(t, layout, nil)
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			db, s := newZoneDB(t, shape.GroupSize, nil)
 			mustExec(t, s, "UPDATE ev SET ts = 5000 WHERE id = 123")
 			mustExec(t, s, "UPDATE ev SET cat = 'omega' WHERE ts > 1800")
 			mustExec(t, s, "DELETE FROM ev WHERE ts BETWEEN 300 AND 400")
@@ -145,9 +146,9 @@ func TestZoneMapEquivalenceAfterChurn(t *testing.T) {
 // DELETE) must refresh the page's summary, so a value that moved OUTSIDE the
 // old zone is still found by the pruned scan.
 func TestZoneMapStaleSummaryRegression(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
-			db, s := newZoneDB(t, layout, nil)
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
+			db, s := newZoneDB(t, shape.GroupSize, nil)
 			// id 700 sits in a sealed page whose ts zone is ~[672, 768).
 			// Move its ts far outside that range via the pk point path.
 			mustExec(t, s, "UPDATE ev SET ts = 99999 WHERE id = 700")
@@ -181,10 +182,10 @@ func TestZoneMapStaleSummaryRegression(t *testing.T) {
 // attached to a page-attached twin must prune correctly there — and a
 // corrupted blob must degrade to "no skipping", never to wrong results.
 func TestMarshalAttachZones(t *testing.T) {
-	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
-		t.Run(string(layout), func(t *testing.T) {
+	for _, shape := range tablestore.Shapes {
+		t.Run(shape.Name, func(t *testing.T) {
 			backend := pager.NewStore()
-			db, s := newZoneDB(t, layout, backend)
+			db, s := newZoneDB(t, shape.GroupSize, backend)
 			pagesBlob, err := db.MarshalPages()
 			if err != nil {
 				t.Fatal(err)
@@ -193,7 +194,7 @@ func TestMarshalAttachZones(t *testing.T) {
 
 			attach := func(t *testing.T) (*Database, *Session) {
 				t.Helper()
-				db2 := NewDatabase(Config{Layout: layout, Backend: backend})
+				db2 := NewDatabase(Config{GroupSize: shape.GroupSize, Backend: backend})
 				if err := db2.AttachPages(pagesBlob); err != nil {
 					t.Fatal(err)
 				}
@@ -247,7 +248,7 @@ func TestMarshalAttachZones(t *testing.T) {
 // the parallel threshold, scanned with multiple workers, must agree with the
 // serial unskipped scan and report workers + partitions in EXPLAIN.
 func TestZoneMapParallelEquivalence(t *testing.T) {
-	db := NewDatabase(Config{Layout: LayoutHybrid, Workers: 4})
+	db := NewDatabase(Config{Workers: 4})
 	s := db.NewSession(newFakeSheets())
 	mustExec(t, s, "CREATE TABLE big (id INT PRIMARY KEY, ts NUMERIC, v NUMERIC)")
 	const n = 6000 // past parMinRows
@@ -290,7 +291,7 @@ func TestZoneMapParallelEquivalence(t *testing.T) {
 // TestSetForceNoSkipToggles sanity-checks the switch itself: with skipping
 // forced off, a selective scan reports no skipped pages.
 func TestSetForceNoSkipToggles(t *testing.T) {
-	db, s := newZoneDB(t, LayoutHybrid, nil)
+	db, s := newZoneDB(t, tablestore.DefaultGroupSize, nil)
 	db.SetForceNoSkip(true)
 	db.ResetScanStats()
 	mustExec(t, s, "SELECT id FROM ev WHERE ts = 1500")

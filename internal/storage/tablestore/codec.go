@@ -14,7 +14,7 @@ import (
 // point reads surface it instead of silently decoding garbage rows.
 var ErrPageChecksum = errors.New("tablestore: page checksum mismatch (corrupt page)")
 
-// Tuple and value serialisation shared by the physical layouts. Values are
+// Tuple and value serialisation of the attribute-group pages. Values are
 // the unified sheet.Value dynamic type: DataSpread types relational columns
 // from observed values (paper §2.2 "Data typing"), so the storage layer keeps
 // the dynamic representation and the catalog layer enforces/infers column
@@ -118,19 +118,6 @@ func decodeTuples(buf []byte) (ids []RowID, rows [][]sheet.Value, err error) {
 		return nil, nil, ErrPageChecksum
 	}
 	return decodeTuplesV2(body)
-}
-
-// decodeColumn verifies a column page's DSZ2 container and decodes it (see
-// decodeTuples).
-func decodeColumn(buf []byte) ([]sheet.Value, error) {
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	body, ok := unsealPageV2(buf)
-	if !ok {
-		return nil, ErrPageChecksum
-	}
-	return decodeColumnV2(body)
 }
 
 // cloneRow copies a tuple so callers cannot alias stored data.

@@ -9,7 +9,7 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
-// v2 page container: zone-mapped, optionally compressed tuple/column pages.
+// v2 page container: zone-mapped, optionally compressed tuple pages.
 //
 // Layout:
 //
@@ -17,19 +17,15 @@ import (
 //	[4:8)  CRC32-IEEE (little-endian) over the body
 //	[8:)   body
 //
-// Every tuple and column page is written in this container; the decoders
-// accept nothing else (a zero-length, never-written page aside), so a page
-// whose magic or checksum fails surfaces ErrPageChecksum.
+// Every page of every attribute group is written in this container; the
+// decoder accepts nothing else (a zero-length, never-written page aside), so
+// a page whose magic or checksum fails surfaces ErrPageChecksum.
 //
 // Tuple body:
 //
 //	uvarint count, uvarint width
 //	count RowIDs as zigzag varint deltas (first absolute)
 //	per column: ColZone, then a value vector
-//
-// Column body:
-//
-//	uvarint count, ColZone, value vector
 //
 // A value vector is a tag byte plus one of three encodings, chosen per page
 // at encode time:
@@ -506,30 +502,4 @@ func decodeTuplesV2(body []byte) ([]RowID, [][]sheet.Value, error) {
 		}
 	}
 	return ids, rows, nil
-}
-
-// encodeColumnV2 serialises a column page in the v2 container and returns the
-// page's (single-column) zone summary.
-func encodeColumnV2(vals []sheet.Value) ([]byte, *pageZones) {
-	z := zoneOf(vals)
-	body := appendUvarint(nil, uint64(len(vals)))
-	body = appendZone(body, &z)
-	body = appendVector(body, vals)
-	return sealPageV2(body), &pageZones{cols: []ColZone{z}}
-}
-
-// decodeColumnV2 reverses encodeColumnV2 given a verified v2 body.
-func decodeColumnV2(body []byte) ([]sheet.Value, error) {
-	d := &valueDecoder{buf: body}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(body))*8 {
-		return nil, fmt.Errorf("tablestore: implausible column page count %d", n)
-	}
-	if _, err := d.zone(); err != nil {
-		return nil, err
-	}
-	return d.vector(int(n))
 }

@@ -7,10 +7,23 @@ import (
 	"github.com/dataspread/dataspread/internal/storage/pager"
 )
 
-// DefaultGroupSize is the number of attributes per group when a hybrid table
-// is created. Experiment A1 sweeps this parameter: size 1 behaves like a
-// column store, size >= #columns behaves like a row store.
+// DefaultGroupSize is the number of attributes per group when a table is
+// created. Experiment A1 sweeps this parameter: size 1 behaves like a column
+// store, size >= #columns behaves like a row store.
 const DefaultGroupSize = 4
+
+// Shape names a group size after the classic layout it reproduces.
+type Shape struct {
+	Name      string
+	GroupSize int
+}
+
+// Shapes are the group sizes the golden suites run every table under, since
+// results must not depend on grouping: "row" keeps whole tuples of any
+// table up to 64 columns together, "column" stores every column apart, and
+// "hybrid" pairs columns, so a 4-column table gets two multi-column groups
+// (at DefaultGroupSize it would be one group, the same as "row").
+var Shapes = []Shape{{"row", 64}, {"column", 1}, {"hybrid", 2}}
 
 // HybridStore is the paper's relational storage manager: attributes are
 // partitioned into groups, and each group is stored together in its own chain
@@ -102,9 +115,6 @@ func NewHybridStore(pool *pager.BufferPool, columns int, opts ...HybridOption) *
 	}
 	return s
 }
-
-// Layout implements Store.
-func (s *HybridStore) Layout() string { return "hybrid" }
 
 // ColumnCount implements Store.
 func (s *HybridStore) ColumnCount() int { return len(s.colMap) }

@@ -16,14 +16,10 @@ import (
 // backend ids) and OpenStore reattaches a store to existing pages in
 // O(meta), not O(history).
 //
-// Encodings are uvarint-based, one self-describing blob per store, with a
-// per-layout version byte so formats can evolve independently.
+// Encodings are uvarint-based, one self-describing blob per store, led by a
+// version byte so the format can evolve.
 
-const (
-	rowMetaVersion    = 1
-	colMetaVersion    = 1
-	hybridMetaVersion = 1
-)
+const hybridMetaVersion = 1
 
 type metaWriter struct{ buf []byte }
 
@@ -91,145 +87,6 @@ func sortedRowIDs(m map[RowID]bool) []RowID {
 	return out
 }
 
-// OpenStore attaches a store of the named layout to the pages its marshalled
-// meta references. The pool must sit on the backend that owns those pages.
-func OpenStore(pool *pager.BufferPool, layout string, meta []byte) (Store, error) {
-	switch layout {
-	case "row":
-		return OpenRowStore(pool, meta)
-	case "column":
-		return OpenColStore(pool, meta)
-	case "hybrid":
-		return OpenHybridStore(pool, meta)
-	default:
-		return nil, fmt.Errorf("tablestore: unknown layout %q", layout)
-	}
-}
-
-// --- RowStore ---
-
-// MarshalMeta implements Store.
-func (s *RowStore) MarshalMeta() []byte {
-	w := &metaWriter{}
-	w.uint(rowMetaVersion)
-	w.uint(uint64(s.width))
-	w.uint(uint64(s.nextID))
-	w.uint(uint64(s.rowCount))
-	w.uint(uint64(s.tailCount))
-	w.pages(s.pool, s.pages)
-	// The row directory, sorted by RowID for deterministic output.
-	ids := make([]RowID, 0, len(s.dir))
-	for id := range s.dir {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.uint(uint64(len(ids)))
-	for _, id := range ids {
-		w.uint(uint64(id))
-		w.uint(uint64(s.dir[id]))
-	}
-	return w.buf
-}
-
-// OpenRowStore attaches a RowStore to existing pages.
-func OpenRowStore(pool *pager.BufferPool, meta []byte) (*RowStore, error) {
-	r := &metaReader{buf: meta}
-	if v := r.uint(); r.err == nil && v != rowMetaVersion {
-		return nil, fmt.Errorf("tablestore: unsupported row meta version %d", v)
-	}
-	s := &RowStore{
-		pool:  pool,
-		width: int(r.uint()),
-	}
-	s.nextID = RowID(r.uint())
-	s.rowCount = int(r.uint())
-	s.tailCount = int(r.uint())
-	s.pages = r.pageList()
-	n, ok := r.count("row-directory")
-	if !ok {
-		return nil, r.err
-	}
-	s.dir = make(map[RowID]int, n)
-	for i := 0; i < n; i++ {
-		id := RowID(r.uint())
-		pi := int(r.uint())
-		if r.err == nil && pi >= len(s.pages) {
-			return nil, fmt.Errorf("tablestore: row %d maps to missing page index %d", id, pi)
-		}
-		s.dir[id] = pi
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return s, nil
-}
-
-// Pages implements Store.
-func (s *RowStore) Pages() []pager.PageID { return resolveAll(s.pool, s.pages) }
-
-// --- ColStore ---
-
-// MarshalMeta implements Store.
-func (s *ColStore) MarshalMeta() []byte {
-	w := &metaWriter{}
-	w.uint(colMetaVersion)
-	w.uint(uint64(s.slotCount))
-	w.uint(uint64(s.nextID))
-	w.uint(uint64(s.rowCount))
-	w.uint(uint64(len(s.cols)))
-	for _, c := range s.cols {
-		w.pages(s.pool, c.pages)
-	}
-	dead := sortedRowIDs(s.deleted)
-	w.uint(uint64(len(dead)))
-	for _, id := range dead {
-		w.uint(uint64(id))
-	}
-	return w.buf
-}
-
-// OpenColStore attaches a ColStore to existing pages.
-func OpenColStore(pool *pager.BufferPool, meta []byte) (*ColStore, error) {
-	r := &metaReader{buf: meta}
-	if v := r.uint(); r.err == nil && v != colMetaVersion {
-		return nil, fmt.Errorf("tablestore: unsupported column meta version %d", v)
-	}
-	s := &ColStore{pool: pool, deleted: make(map[RowID]bool)}
-	s.slotCount = int(r.uint())
-	s.nextID = RowID(r.uint())
-	s.rowCount = int(r.uint())
-	ncols, ok := r.count("column")
-	if !ok {
-		return nil, r.err
-	}
-	s.cols = make([]colPages, ncols)
-	for i := range s.cols {
-		s.cols[i].pages = r.pageList()
-	}
-	ndead, ok := r.count("tombstone")
-	if !ok {
-		return nil, r.err
-	}
-	for i := 0; i < ndead; i++ {
-		s.deleted[RowID(r.uint())] = true
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return s, nil
-}
-
-// Pages implements Store.
-func (s *ColStore) Pages() []pager.PageID {
-	var all []pager.PageID
-	for _, c := range s.cols {
-		all = append(all, c.pages...)
-	}
-	return resolveAll(s.pool, all)
-}
-
-// --- HybridStore ---
-
 // MarshalMeta implements Store.
 func (s *HybridStore) MarshalMeta() []byte {
 	w := &metaWriter{}
@@ -257,7 +114,8 @@ func (s *HybridStore) MarshalMeta() []byte {
 	return w.buf
 }
 
-// OpenHybridStore attaches a HybridStore to existing pages.
+// OpenHybridStore attaches a HybridStore to the pages its marshalled meta
+// references. The pool must sit on the backend that owns those pages.
 func OpenHybridStore(pool *pager.BufferPool, meta []byte) (*HybridStore, error) {
 	r := &metaReader{buf: meta}
 	if v := r.uint(); r.err == nil && v != hybridMetaVersion {

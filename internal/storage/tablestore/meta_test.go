@@ -8,27 +8,16 @@ import (
 	"github.com/dataspread/dataspread/internal/storage/pager"
 )
 
-func newStoreOf(layout string, pool *pager.BufferPool, columns int) Store {
-	switch layout {
-	case "row":
-		return NewRowStore(pool, columns)
-	case "column":
-		return NewColStore(pool, columns)
-	default:
-		return NewHybridStore(pool, columns, WithGroupSize(2))
-	}
-}
-
-// TestMetaAttachRoundTrip: for every layout, MarshalMeta + OpenStore over a
-// fresh pool on the same backend must see the exact same rows — including
+// TestMetaAttachRoundTrip: for every group shape, MarshalMeta +
+// OpenHybridStore over a fresh pool on the same backend must see the exact same rows — including
 // tombstones, schema evolution and post-attach inserts continuing the RowID
 // sequence.
 func TestMetaAttachRoundTrip(t *testing.T) {
-	for _, layout := range []string{"row", "column", "hybrid"} {
-		t.Run(layout, func(t *testing.T) {
+	for _, sh := range Shapes {
+		t.Run(sh.Name, func(t *testing.T) {
 			backend := pager.NewStore()
 			pool := pager.NewBufferPool(backend, 64)
-			s := newStoreOf(layout, pool, 3)
+			s := NewHybridStore(pool, 3, WithGroupSize(sh.GroupSize))
 			var kept []RowID
 			for i := 0; i < 200; i++ {
 				id, err := s.Insert([]sheet.Value{
@@ -69,7 +58,7 @@ func TestMetaAttachRoundTrip(t *testing.T) {
 			meta := s.MarshalMeta()
 
 			pool2 := pager.NewBufferPool(backend, 64)
-			re, err := OpenStore(pool2, s.Layout(), meta)
+			re, err := OpenHybridStore(pool2, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,23 +111,20 @@ func TestMetaRejectsCorrupt(t *testing.T) {
 		}
 	}
 	meta := s.MarshalMeta()
-	if _, err := OpenStore(pool, "hybrid", meta[:len(meta)/2]); err == nil {
+	if _, err := OpenHybridStore(pool, meta[:len(meta)/2]); err == nil {
 		t.Error("truncated meta attached without error")
-	}
-	if _, err := OpenStore(pool, "sideways", meta); err == nil {
-		t.Error("unknown layout attached without error")
 	}
 }
 
 // TestDecodedCacheInvalidatesOnPageReuse is the regression test for the
-// stale-decode bug: a page freed by one column and recycled by a later
+// stale-decode bug: a page freed by one column's group and recycled by a later
 // AddColumn (which writes through pool.Put, not the store's writePage) used
 // to keep serving the old column's decode. Version-validated entries must
 // re-decode.
 func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 	backend := pager.NewStore()
 	pool := pager.NewBufferPool(backend, 64)
-	s := NewColStore(pool, 2)
+	s := NewHybridStore(pool, 2, WithGroupSize(1))
 	for i := 0; i < 600; i++ { // > valuesPerPage, so real pages exist
 		if _, err := s.Insert([]sheet.Value{sheet.Number(float64(i)), sheet.String_("old")}); err != nil {
 			t.Fatal(err)
@@ -176,7 +162,7 @@ func TestDecodedCacheInvalidatesOnPageReuse(t *testing.T) {
 	}
 	defer fs.Close()
 	fpool := pager.NewBufferPool(fs, 64)
-	s2 := NewColStore(fpool, 2)
+	s2 := NewHybridStore(fpool, 2, WithGroupSize(1))
 	for i := 0; i < 600; i++ {
 		if _, err := s2.Insert([]sheet.Value{sheet.Number(float64(i)), sheet.String_("old")}); err != nil {
 			t.Fatal(err)
@@ -218,10 +204,5 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 				t.Fatalf("flip@%d decoded silently wrong data", pos)
 			}
 		}
-	}
-	col, _ := encodeColumnV2([]sheet.Value{sheet.String_("x")})
-	col[len(col)-1] ^= 0x01
-	if _, err := decodeColumn(col); err == nil {
-		t.Fatal("corrupt column page decoded without error")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // decodedCacheCap bounds the number of decoded pages one store keeps. At the
-// default packing (~64 tuples or ~512 values per block) this covers a few
-// hundred thousand rows per table before eviction sets in.
+// default packing (~512 values per block) this covers a few hundred thousand
+// rows per table before eviction sets in.
 const decodedCacheCap = 4096
 
 // decodedCacheShards spreads entries over independently locked shards so
@@ -39,7 +39,6 @@ type decodedCache struct {
 type cacheShard struct {
 	mu     sync.Mutex
 	tuples map[cacheKey]tupleEntry
-	cols   map[cacheKey]colEntry
 }
 
 type cacheKey struct {
@@ -50,10 +49,6 @@ type cacheKey struct {
 type tupleEntry struct {
 	ids  []RowID
 	rows [][]sheet.Value
-}
-
-type colEntry struct {
-	vals []sheet.Value
 }
 
 func (c *decodedCache) shard(id pager.PageID) *cacheShard {
@@ -95,66 +90,22 @@ func (sh *cacheShard) addTuples(key cacheKey, data []byte) ([]RowID, [][]sheet.V
 	if sh.tuples == nil {
 		sh.tuples = make(map[cacheKey]tupleEntry)
 	}
-	sh.evictIfFull(len(sh.tuples))
+	sh.evictIfFull()
 	sh.tuples[key] = tupleEntry{ids: ids, rows: rows}
 	sh.mu.Unlock()
 	return ids, rows, nil
-}
-
-// getColumnAt is getTuplesAt for a column page.
-func (c *decodedCache) getColumnAt(pool *pager.BufferPool, epoch uint64, id pager.PageID) ([]sheet.Value, error) {
-	sh := c.shard(id)
-	if ver, ok := pool.VersionAt(epoch, id); ok {
-		sh.mu.Lock()
-		e, hit := sh.cols[cacheKey{id, ver}]
-		sh.mu.Unlock()
-		if hit {
-			return e.vals, nil
-		}
-	}
-	data, ver, err := pool.GetAt(epoch, id)
-	if err != nil {
-		return nil, err
-	}
-	return sh.addColumn(cacheKey{id, ver}, data)
-}
-
-func (sh *cacheShard) addColumn(key cacheKey, data []byte) ([]sheet.Value, error) {
-	vals, err := decodeColumn(data)
-	if err != nil {
-		return nil, err
-	}
-	sh.mu.Lock()
-	if sh.cols == nil {
-		sh.cols = make(map[cacheKey]colEntry)
-	}
-	sh.evictIfFull(len(sh.cols))
-	sh.cols[key] = colEntry{vals: vals}
-	sh.mu.Unlock()
-	return vals, nil
 }
 
 // evictIfFull drops arbitrary entries while the shard is at its share of
 // the capacity (caller holds sh.mu). Scans repopulate in page order, so
 // losing a random victim only costs one re-decode; superseded page versions
 // age out the same way once their snapshot readers drain.
-func (sh *cacheShard) evictIfFull(n int) {
+func (sh *cacheShard) evictIfFull() {
 	const shardCap = decodedCacheCap / decodedCacheShards
-	if n < shardCap {
-		return
-	}
 	for key := range sh.tuples {
+		if len(sh.tuples) < shardCap {
+			return
+		}
 		delete(sh.tuples, key)
-		n--
-		if n < shardCap {
-			return
-		}
-	}
-	for key := range sh.cols {
-		delete(sh.cols, key)
-		n--
-		if n < shardCap {
-			return
-		}
 	}
 }

@@ -6,70 +6,10 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
-// Page-level data skipping: the per-layout arithmetic behind
-// TableSnap.Partitions and the bounds argument of Store.GetCols. Each layout
-// answers two questions from its zone catalog — which partition-space runs
-// can a scan with these bounds not skip, and how many physical pages do they
-// cover — in its own partition units.
-
-// --- row layout (page-index space) ---
-
-// rowPageSkips reports whether any bound proves page pi matchless.
-func rowPageSkips(zones []*pageZones, pi int, bounds []ZoneBound) bool {
-	if pi >= len(zones) || zones[pi] == nil {
-		return false
-	}
-	pz := zones[pi]
-	for i := range bounds {
-		b := &bounds[i]
-		if b.Col >= 0 && b.Col < len(pz.cols) && pz.cols[b.Col].Skips(*b) {
-			return true
-		}
-	}
-	return false
-}
-
-func rowKeptPages(zones []*pageZones, nPages int, bounds []ZoneBound) []Partition {
-	skip := skipIntervalsFor(nPages, 1, nPages, func(pi int) bool {
-		return rowPageSkips(zones, pi, bounds)
-	})
-	return complementParts(nPages, skip)
-}
-
-// --- column layout (slot space, uniform valuesPerPage granularity) ---
-
-// colChunkSkips reports whether any bound proves slot chunk ci matchless.
-func colChunkSkips(cols []colPages, ci int, bounds []ZoneBound) bool {
-	for i := range bounds {
-		b := &bounds[i]
-		if b.Col < 0 || b.Col >= len(cols) {
-			continue
-		}
-		zs := cols[b.Col].zones
-		if ci < len(zs) && zs[ci] != nil && len(zs[ci].cols) == 1 && zs[ci].cols[0].Skips(*b) {
-			return true
-		}
-	}
-	return false
-}
-
-func colKeptRuns(cols []colPages, slotCount int, bounds []ZoneBound) []Partition {
-	nChunks := (slotCount + valuesPerPage - 1) / valuesPerPage
-	skip := skipIntervalsFor(nChunks, valuesPerPage, slotCount, func(ci int) bool {
-		return colChunkSkips(cols, ci, bounds)
-	})
-	return complementParts(slotCount, skip)
-}
-
-// colPageStats converts kept slot runs into physical page counts over the
-// wanted columns.
-func colPageStats(kept []Partition, slotCount, wantCols int) (total, read int) {
-	nChunks := (slotCount + valuesPerPage - 1) / valuesPerPage
-	readChunks := overlapCount(kept, valuesPerPage, nChunks)
-	return nChunks * wantCols, readChunks * wantCols
-}
-
-// --- hybrid layout (slot space, per-group granularity) ---
+// Page-level data skipping: the arithmetic behind TableSnap.Partitions and
+// the bounds argument of Store.GetCols. From the zone catalog it answers two
+// questions in slot space — which runs can a scan with these bounds not
+// skip, and how many physical pages do they cover.
 
 // hybridSkipRuns unions each bound's skippable slot intervals; bounds land
 // on different groups with different rows-per-page, so intervals are
@@ -151,49 +91,6 @@ func hybridSlotSkips(groups []attrGroup, colMap []colLocation, slot int, bounds 
 // --- zone validation (fuzz/test support) ---
 
 // ValidateZones implements Store.
-func (s *RowStore) ValidateZones() error {
-	for pi := range s.pages {
-		if pi >= len(s.zones) || s.zones[pi] == nil {
-			continue
-		}
-		_, rows, err := s.readPage(pi)
-		if err != nil {
-			return err
-		}
-		if err := validateTuplZones(s.zones[pi], rows, s.width, "row", pi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ValidateZones implements Store.
-func (s *ColStore) ValidateZones() error {
-	for c := range s.cols {
-		for pi := range s.cols[c].pages {
-			zs := s.cols[c].zones
-			if pi >= len(zs) || zs[pi] == nil {
-				continue
-			}
-			vals, err := s.readColPage(c, pi)
-			if err != nil {
-				return err
-			}
-			if len(zs[pi].cols) != 1 {
-				return fmt.Errorf("tablestore: column %d page %d zone has %d columns", c, pi, len(zs[pi].cols))
-			}
-			z := &zs[pi].cols[0]
-			for off, v := range vals {
-				if !z.covers(v) {
-					return fmt.Errorf("tablestore: column %d page %d slot %d: zone does not cover %v", c, pi, off, v)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateZones implements Store.
 func (s *HybridStore) ValidateZones() error {
 	for gi := range s.groups {
 		g := &s.groups[gi]
@@ -201,30 +98,24 @@ func (s *HybridStore) ValidateZones() error {
 			if pi >= len(g.zones) || g.zones[pi] == nil {
 				continue
 			}
+			pz := g.zones[pi]
+			if len(pz.cols) != g.width {
+				return fmt.Errorf("tablestore: group %d page %d zone has %d columns, want %d", gi, pi, len(pz.cols), g.width)
+			}
 			_, rows, err := s.readGroupPage(gi, pi)
 			if err != nil {
 				return err
 			}
-			if err := validateTuplZones(g.zones[pi], rows, g.width, fmt.Sprintf("group %d", gi), pi); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func validateTuplZones(pz *pageZones, rows [][]sheet.Value, width int, what string, pi int) error {
-	if len(pz.cols) != width {
-		return fmt.Errorf("tablestore: %s page %d zone has %d columns, want %d", what, pi, len(pz.cols), width)
-	}
-	for i, row := range rows {
-		for c := 0; c < width; c++ {
-			v := sheet.Empty()
-			if c < len(row) {
-				v = row[c]
-			}
-			if !pz.cols[c].covers(v) {
-				return fmt.Errorf("tablestore: %s page %d row %d col %d: zone does not cover %v", what, pi, i, c, v)
+			for i, row := range rows {
+				for c := 0; c < g.width; c++ {
+					v := sheet.Empty()
+					if c < len(row) {
+						v = row[c]
+					}
+					if !pz.cols[c].covers(v) {
+						return fmt.Errorf("tablestore: group %d page %d row %d col %d: zone does not cover %v", gi, pi, i, c, v)
+					}
+				}
 			}
 		}
 	}

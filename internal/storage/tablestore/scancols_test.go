@@ -10,12 +10,11 @@ import (
 )
 
 func newScanStores() map[string]Store {
-	mk := func() *pager.BufferPool { return pager.NewBufferPool(pager.NewStore(), 64) }
-	return map[string]Store{
-		"row":    NewRowStore(mk(), 4),
-		"column": NewColStore(mk(), 4),
-		"hybrid": NewHybridStore(mk(), 4, WithGroupSize(2)),
+	out := make(map[string]Store)
+	for _, sh := range Shapes {
+		out[sh.Name] = NewHybridStore(pager.NewBufferPool(pager.NewStore(), 64), 4, WithGroupSize(sh.GroupSize))
 	}
+	return out
 }
 
 // scanCols drives the one read contract the way the executor's serial
@@ -57,7 +56,7 @@ func fillStore(t *testing.T, s Store, n int) {
 }
 
 func TestScanColsSubsets(t *testing.T) {
-	const n = 1500 // spans several pages in every layout
+	const n = 1500 // spans several pages in every shape
 	for name, s := range newScanStores() {
 		t.Run(name, func(t *testing.T) {
 			fillStore(t, s, n)
@@ -117,7 +116,7 @@ func TestScanColsSubsets(t *testing.T) {
 }
 
 // TestScanColsStableContract verifies that rows from a stable scan remain
-// valid after the scan, and that layouts only claim stability when they
+// valid after the scan, and that stores only claim stability when they
 // deliver it.
 func TestScanColsStableContract(t *testing.T) {
 	for name, s := range newScanStores() {
@@ -225,22 +224,14 @@ func TestScanSeesWrites(t *testing.T) {
 	}
 }
 
-// TestGetCols checks the point read against Get on every layout: the subset
+// TestGetCols checks the point read against Get in every shape: the subset
 // values must match the full tuple, missing rows must error, and deleted
 // rows must be invisible.
 func TestGetCols(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(pool *pager.BufferPool) Store
-	}{
-		{"row", func(p *pager.BufferPool) Store { return NewRowStore(p, 5) }},
-		{"column", func(p *pager.BufferPool) Store { return NewColStore(p, 5) }},
-		{"hybrid", func(p *pager.BufferPool) Store { return NewHybridStore(p, 5, WithGroupSize(2)) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pool := pager.NewBufferPool(pager.NewStore(), 64)
-			s := tc.mk(pool)
-			const n = 700 // spans multiple pages in every layout
+	for _, sh := range Shapes {
+		t.Run(sh.Name, func(t *testing.T) {
+			s := NewHybridStore(pager.NewBufferPool(pager.NewStore(), 64), 5, WithGroupSize(sh.GroupSize))
+			const n = 700 // spans multiple pages in every shape
 			for i := 0; i < n; i++ {
 				row := make([]sheet.Value, 5)
 				for c := range row {
@@ -298,31 +289,23 @@ func TestGetCols(t *testing.T) {
 // so re-scanning a table far larger than its pool — through a pinned
 // snapshot or through Store.Scan's borrowed view — reads no page.
 func TestDecodedHitSkipsPoolRead(t *testing.T) {
-	pools := map[string]*pager.BufferPool{}
-	mk := func(name string) *pager.BufferPool {
-		pools[name] = pager.NewBufferPool(pager.NewStore(), 2)
-		return pools[name]
-	}
-	stores := map[string]Store{
-		"row":    NewRowStore(mk("row"), 4),
-		"column": NewColStore(mk("column"), 4),
-		"hybrid": NewHybridStore(mk("hybrid"), 4, WithGroupSize(2)),
-	}
-	for name, s := range stores {
-		t.Run(name, func(t *testing.T) {
+	for _, sh := range Shapes {
+		t.Run(sh.Name, func(t *testing.T) {
+			pool := pager.NewBufferPool(pager.NewStore(), 2)
+			s := NewHybridStore(pool, 4, WithGroupSize(sh.GroupSize))
 			fillStore(t, s, 1500)
 			all := func(RowID, []sheet.Value) bool { return true }
 			if err := scanCols(s, nil, all); err != nil {
 				t.Fatal(err)
 			}
-			before := pools[name].Stats()
+			before := pool.Stats()
 			if err := scanCols(s, nil, all); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Scan(all); err != nil {
 				t.Fatal(err)
 			}
-			if after := pools[name].Stats(); after != before {
+			if after := pool.Stats(); after != before {
 				t.Fatalf("warm re-scan touched the pool: %+v -> %+v", before, after)
 			}
 		})

@@ -32,18 +32,17 @@ import (
 // bounds are given. A skip is taken only when a page's zone summary PROVES
 // no stored value can satisfy a bound, so pruned and unpruned scans are
 // row-for-row identical once the caller re-applies its predicates. Partition
-// bounds are in layout-defined units (page indexes for the row layout, slots
-// for the column and hybrid layouts); callers treat them as opaque.
+// bounds are slot numbers; callers treat them as opaque.
 //
-// Each layout has exactly one tuple loop, its snapshot's ScanColsRange. The
+// There is exactly one tuple loop, the snapshot's ScanColsRange. The
 // store's own Scan runs it through view(): a borrowed snapshot that shares
 // the live structures instead of copying them and reads current page
 // versions (liveEpoch) instead of pinning an epoch — valid only while the
 // caller excludes writers, which every Store call already requires.
 
 // Partition is one contiguous range of a snapshot's row space, [Lo, Hi) in
-// units the layout defines. Obtain partitions from TableSnap.Partitions and
-// pass them back to ScanColsRange unchanged.
+// slots. Obtain partitions from TableSnap.Partitions and pass them back to
+// ScanColsRange unchanged.
 type Partition struct {
 	Lo, Hi int
 }
@@ -69,9 +68,9 @@ type TableSnap interface {
 	Partitions(n int, cols []int, bounds []ZoneBound) (parts []Partition, pagesRead, pagesSkipped int)
 	// ScanColsRange calls fn for every live tuple of one partition in RowID
 	// order, materializing only the columns listed in cols (nil means all
-	// columns, in schema order), so layouts that store columns apart never
-	// page in blocks of unreferenced columns: row[i] holds the value of
-	// column cols[i]. It stops early if fn returns false. Unless
+	// columns, in schema order), so attribute groups that hold no listed
+	// column are never paged in: row[i] holds the value of column cols[i].
+	// It stops early if fn returns false. Unless
 	// ScanColsStable(cols) reports true the row slice is reused between
 	// calls: fn must copy any value it retains, and must never modify the
 	// slice contents. Distinct partitions may be scanned concurrently from
@@ -100,15 +99,7 @@ type TableSnap interface {
 // BufferPool.GetAt serves the current content and version of every page.
 const liveEpoch = ^uint64(0)
 
-// scanOwned is the Store.Scan body shared by the layouts: the full-width
-// tuple loop over a borrowed view, handing fn rows it owns.
-func scanOwned(view TableSnap, fn func(id RowID, row []sheet.Value) bool) error {
-	return view.ScanColsRange(wholeTable, nil, func(id RowID, row []sheet.Value) bool {
-		return fn(id, cloneRow(row))
-	})
-}
-
-// epochPin funnels the release-once discipline shared by all snapshots.
+// epochPin funnels a snapshot's release-once discipline.
 type epochPin struct {
 	pool    *pager.BufferPool
 	epoch   uint64
@@ -182,242 +173,6 @@ func splitRange(total, n int) []Partition {
 	return parts
 }
 
-// --- row layout ---
-
-type rowSnap struct {
-	epochPin
-	cache    *decodedCache
-	width    int
-	pages    []pager.PageID
-	zones    []*pageZones
-	rowCount int
-}
-
-// view borrows the store's current state (see the file comment).
-func (s *RowStore) view() *rowSnap {
-	return &rowSnap{
-		epochPin: epochPin{pool: s.pool, epoch: liveEpoch},
-		cache:    &s.cache,
-		width:    s.width,
-		pages:    s.pages,
-		zones:    s.zones,
-		rowCount: s.rowCount,
-	}
-}
-
-// Scan implements Store.
-func (s *RowStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
-	return scanOwned(s.view(), fn)
-}
-
-// Snapshot implements Store.
-func (s *RowStore) Snapshot() TableSnap {
-	snap := s.view()
-	snap.epoch = s.pool.OpenEpoch()
-	snap.pages = append([]pager.PageID(nil), s.pages...)
-	snap.zones = cloneZones(s.zones)
-	return snap
-}
-
-func (s *rowSnap) RowCount() int    { return s.rowCount }
-func (s *rowSnap) ColumnCount() int { return s.width }
-
-// Partitions splits by page index: pages enumerate rows in scan order, so
-// kept page runs translate directly.
-func (s *rowSnap) Partitions(n int, _ []int, bounds []ZoneBound) ([]Partition, int, int) {
-	total := len(s.pages)
-	if len(bounds) == 0 {
-		return splitRange(total, n), 0, 0
-	}
-	kept := rowKeptPages(s.zones, total, bounds)
-	read := 0
-	for _, p := range kept {
-		read += p.Hi - p.Lo
-	}
-	return splitRuns(kept, n), read, total - read
-}
-
-// AdmittedPages implements TableSnap.
-func (s *rowSnap) AdmittedPages(_ []int, bounds []ZoneBound) []PageVersion {
-	return s.admit(nil, rowKeptPages(s.zones, len(s.pages), bounds), 1, s.pages)
-}
-
-// ScanColsStable: full-width scans hand out the decoded page rows
-// themselves.
-func (s *rowSnap) ScanColsStable(cols []int) bool { return cols == nil }
-
-// ScanColsRange implements TableSnap. Row layouts decode whole tuples
-// regardless, so the column subset only narrows what is copied into the
-// scratch row.
-func (s *rowSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	for _, c := range cols {
-		if c < 0 || c >= s.width {
-			return fmt.Errorf("%w: %d", ErrColumnRange, c)
-		}
-	}
-	var scratch []sheet.Value
-	if cols != nil {
-		scratch = make([]sheet.Value, len(cols))
-	}
-	for pi := p.Lo; pi < p.Hi && pi < len(s.pages); pi++ {
-		ids, rows, err := s.cache.getTuplesAt(s.pool, s.epoch, s.pages[pi])
-		if err != nil {
-			return err
-		}
-		for i, id := range ids {
-			row := rows[i]
-			if cols != nil {
-				for j, c := range cols {
-					if c < len(row) {
-						scratch[j] = row[c]
-					} else {
-						scratch[j] = sheet.Empty()
-					}
-				}
-				row = scratch
-			}
-			if !fn(id, row) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// --- column layout ---
-
-type colSnap struct {
-	epochPin
-	cache     *decodedCache
-	cols      []colPages
-	deleted   map[RowID]bool
-	slotCount int
-	rowCount  int
-}
-
-// view borrows the store's current state (see the file comment).
-func (s *ColStore) view() *colSnap {
-	return &colSnap{
-		epochPin:  epochPin{pool: s.pool, epoch: liveEpoch},
-		cache:     &s.cache,
-		cols:      s.cols,
-		deleted:   s.deleted,
-		slotCount: s.slotCount,
-		rowCount:  s.rowCount,
-	}
-}
-
-// Scan implements Store.
-func (s *ColStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
-	return scanOwned(s.view(), fn)
-}
-
-// Snapshot implements Store.
-func (s *ColStore) Snapshot() TableSnap {
-	snap := s.view()
-	snap.epoch = s.pool.OpenEpoch()
-	// The outer slice is deep-copied: DropColumn splices it in place. The
-	// inner page-id slices are append-only, so sharing their backing arrays
-	// up to the captured length is safe. Zone slices are NOT append-only —
-	// writeColPage replaces entries in place — so each column's zones are
-	// copied too.
-	snap.cols = append([]colPages(nil), s.cols...)
-	for c := range snap.cols {
-		snap.cols[c].zones = cloneZones(snap.cols[c].zones)
-	}
-	snap.deleted = cloneDeleted(s.deleted)
-	return snap
-}
-
-func (s *colSnap) RowCount() int    { return s.rowCount }
-func (s *colSnap) ColumnCount() int { return len(s.cols) }
-
-// Partitions splits by slot.
-func (s *colSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
-	if len(bounds) == 0 {
-		return splitRange(s.slotCount, n), 0, 0
-	}
-	want := len(cols)
-	if cols == nil {
-		want = len(s.cols)
-	}
-	kept := colKeptRuns(s.cols, s.slotCount, bounds)
-	total, read := colPageStats(kept, s.slotCount, want)
-	return splitRuns(kept, n), read, total - read
-}
-
-// AdmittedPages implements TableSnap.
-func (s *colSnap) AdmittedPages(cols []int, bounds []ZoneBound) []PageVersion {
-	want, err := wantCols(cols, len(s.cols))
-	if err != nil {
-		return nil
-	}
-	kept := colKeptRuns(s.cols, s.slotCount, bounds)
-	var out []PageVersion
-	for _, c := range want {
-		out = s.admit(out, kept, valuesPerPage, s.cols[c].pages)
-	}
-	return out
-}
-
-// ScanColsStable: column layouts always assemble tuples in a reused scratch
-// row.
-func (s *colSnap) ScanColsStable([]int) bool { return false }
-
-// ScanColsRange implements TableSnap. Only the blocks of the requested
-// columns are read — the pure-column layout prunes I/O at attribute
-// granularity — and pages are visited chunk-wise so each block is read once.
-func (s *colSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, row []sheet.Value) bool) error {
-	want, err := wantCols(cols, len(s.cols))
-	if err != nil {
-		return err
-	}
-	lo, hi := p.Lo, p.Hi
-	if hi > s.slotCount {
-		hi = s.slotCount
-	}
-	scratch := make([]sheet.Value, len(want))
-	chunk := make([][]sheet.Value, len(want))
-	hasDeleted := len(s.deleted) > 0
-	for base := lo - lo%valuesPerPage; base < hi; base += valuesPerPage {
-		pi := base / valuesPerPage
-		for j, c := range want {
-			vals, err := s.cache.getColumnAt(s.pool, s.epoch, s.cols[c].pages[pi])
-			if err != nil {
-				return err
-			}
-			chunk[j] = vals
-		}
-		start, end := base, base+valuesPerPage
-		if start < lo {
-			start = lo
-		}
-		if end > hi {
-			end = hi
-		}
-		for slot := start; slot < end; slot++ {
-			id := RowID(slot + 1)
-			if hasDeleted && s.deleted[id] {
-				continue
-			}
-			off := slot - base
-			for j := range want {
-				if off < len(chunk[j]) {
-					scratch[j] = chunk[j][off]
-				} else {
-					scratch[j] = sheet.Empty()
-				}
-			}
-			if !fn(id, scratch) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// --- hybrid layout ---
-
 type hybridSnap struct {
 	epochPin
 	cache     *decodedCache
@@ -441,9 +196,12 @@ func (s *HybridStore) view() *hybridSnap {
 	}
 }
 
-// Scan implements Store.
+// Scan implements Store: the full-width tuple loop over a borrowed view,
+// handing fn rows it owns.
 func (s *HybridStore) Scan(fn func(id RowID, row []sheet.Value) bool) error {
-	return scanOwned(s.view(), fn)
+	return s.view().ScanColsRange(wholeTable, nil, func(id RowID, row []sheet.Value) bool {
+		return fn(id, cloneRow(row))
+	})
 }
 
 // Snapshot implements Store.
@@ -651,8 +409,4 @@ func cloneDeleted(m map[RowID]bool) map[RowID]bool {
 	return out
 }
 
-var (
-	_ Store = (*RowStore)(nil)
-	_ Store = (*ColStore)(nil)
-	_ Store = (*HybridStore)(nil)
-)
+var _ Store = (*HybridStore)(nil)

@@ -34,16 +34,13 @@ func snapStores() map[string]struct {
 		pool  *pager.BufferPool
 		store Store
 	})
-	add := func(name string, mk func(p *pager.BufferPool) Store) {
+	for _, sh := range Shapes {
 		p := pager.NewBufferPool(pager.NewStore(), 256)
-		out[name] = struct {
+		out[sh.Name] = struct {
 			pool  *pager.BufferPool
 			store Store
-		}{p, mk(p)}
+		}{p, NewHybridStore(p, 4, WithGroupSize(sh.GroupSize))}
 	}
-	add("row", func(p *pager.BufferPool) Store { return NewRowStore(p, 4) })
-	add("column", func(p *pager.BufferPool) Store { return NewColStore(p, 4) })
-	add("hybrid", func(p *pager.BufferPool) Store { return NewHybridStore(p, 4, WithGroupSize(2)) })
 	return out
 }
 

@@ -1,27 +1,27 @@
-// Package tablestore implements the relational storage manager. Three
-// physical layouts are provided behind one interface:
+// Package tablestore implements the relational storage manager: the paper's
+// hybrid layout (§2.2), where attributes are grouped and each group is
+// stored together in its own chain of blocks. HybridStore is the one implementation of Store. The
+// attribute-group size spans the whole spectrum between the classic layouts:
 //
-//   - RowStore: classic N-ary (slotted-page) row storage. Tuple operations
-//     touch one block; a schema change rewrites every block.
-//   - ColStore: pure column storage. A schema change touches only the new
-//     column's blocks, but a tuple insert or full-row update touches one
-//     block per column.
-//   - HybridStore: the paper's design — columns are organised into
-//     attribute groups, each group stored together. Schema changes add a new
-//     group (touching only the new column's blocks, like a column store)
-//     while tuple operations touch one block per group (close to a row
-//     store). This is what makes "schema change … almost as efficient as
-//     changes to tuples" (paper §2.2) while keeping tuple updates cheap.
+//   - group size 1 stores every column apart, like a column store: a schema
+//     change touches only the new column's blocks, but a full-row insert or
+//     update touches one block per column;
+//   - a group size at least the table's width stores whole tuples together,
+//     like a row store: tuple operations touch one block;
+//   - in between (DefaultGroupSize), tuple operations touch one block per
+//     group while adding a column still writes only that column's new group.
+//     This is what makes "schema change … almost as efficient as changes to
+//     tuples" (§2.2) while keeping tuple updates cheap.
 //
-// All layouts persist through a pager.BufferPool so experiments can compare
-// block-touch counts (experiment A1).
+// Stores persist through a pager.BufferPool so experiments can compare
+// block-touch counts (experiment A1 sweeps the group size).
 //
-// Every layout reads rows through ONE contract: Store.Snapshot pins a
-// point-in-time TableSnap, TableSnap.Partitions cuts it into contiguous
-// ranges — dropping the pages the zone maps prove matchless when the caller
-// passes bounds — and TableSnap.ScanColsRange is the single tuple loop per
-// layout. The store's own Scan (DML targets, index builds) runs that same
-// loop through a borrowed view of the live structures.
+// Rows are read through ONE contract: Store.Snapshot pins a point-in-time
+// TableSnap, TableSnap.Partitions cuts it into contiguous ranges — dropping
+// the pages the zone maps prove matchless when the caller passes bounds —
+// and TableSnap.ScanColsRange is the single tuple loop. The store's own Scan
+// (DML targets, index builds) runs that same loop through a borrowed view of
+// the live structures.
 package tablestore
 
 import (
@@ -44,8 +44,9 @@ var ErrRowNotFound = errors.New("tablestore: row not found")
 // ErrColumnRange is returned when a column index is out of range.
 var ErrColumnRange = errors.New("tablestore: column index out of range")
 
-// Store is the interface shared by all physical layouts. Implementations are
-// not safe for concurrent mutation; the database layer serialises access.
+// Store is a table's storage manager. It hides the page format from the
+// executor. Implementations are not safe for concurrent mutation; the
+// database layer serialises access.
 type Store interface {
 	// Insert appends a tuple and returns its RowID. The tuple must have
 	// exactly ColumnCount values.
@@ -54,9 +55,9 @@ type Store interface {
 	Get(id RowID) ([]sheet.Value, error)
 	// GetCols returns a copy of the tuple materializing only the columns
 	// listed in cols (nil means all columns, in schema order): row[i] holds
-	// the value of column cols[i]. Layouts that store columns apart —
-	// ColStore, HybridStore — only page in blocks that hold a requested
-	// column, which is what makes index scans cheap: the access-path layer
+	// the value of column cols[i]. Only the blocks of attribute groups that
+	// hold a requested column are paged in, which is what makes index scans
+	// cheap: the access-path layer
 	// fetches candidate rows by RowID with exactly the referenced columns.
 	// With bounds, the zone maps of the page(s) holding id are consulted
 	// first: when one proves the row cannot match, GetCols returns a nil
@@ -86,13 +87,10 @@ type Store interface {
 	ColumnCount() int
 	// RowCount returns the number of live tuples.
 	RowCount() int
-	// Layout returns a short name of the physical layout ("row",
-	// "column", "hybrid") for diagnostics and experiments.
-	Layout() string
 	// MarshalMeta serialises the store's page directory — page lists,
 	// counters, tombstones — with page ids resolved to their physical
-	// backend ids. OpenStore(pool, Layout(), meta) attaches a store to the
-	// same pages without replaying any history (meta.go).
+	// backend ids. OpenHybridStore(pool, meta) attaches a store to the same
+	// pages without replaying any history (meta.go).
 	MarshalMeta() []byte
 	// Pages returns the physical backend pages the store currently
 	// references, for checkpoint reachability and protection sets.
@@ -109,14 +107,11 @@ type Store interface {
 	ValidateZones() error
 }
 
-// rowsPerPage / valuesPerPage control how many entries are packed per block.
-// They approximate PageSize for typical numeric tuples; the pager charges
-// oversized blocks as multiple writes so wide text rows are still accounted
-// for.
-const (
-	rowsPerPage   = 64
-	valuesPerPage = 512
-)
+// valuesPerPage controls how many values are packed per block: a group of
+// width w packs valuesPerPage/w tuples. It approximates PageSize for typical
+// numeric tuples; the pager charges oversized blocks as multiple writes so
+// wide text rows are still accounted for.
+const valuesPerPage = 512
 
 // checkWidth validates tuple width against the schema.
 func checkWidth(row []sheet.Value, want int) error {

@@ -10,26 +10,21 @@ import (
 	"github.com/dataspread/dataspread/internal/storage/pager"
 )
 
-// newStores builds one store of each layout with the given column count over
-// its own pager, returning stores keyed by layout name along with the page
-// stores for block accounting.
+// newStores builds one store of each shape with the given column count over
+// its own pager, returning stores keyed by shape name along with the page
+// stores for block accounting. "hybrid" groups three columns here, so the
+// 12-column cost test compares 4 groups against 12.
 func newStores(columns int) (map[string]Store, map[string]*pager.Store) {
 	stores := make(map[string]Store)
 	pagers := make(map[string]*pager.Store)
-	{
+	for _, sh := range Shapes {
+		size := sh.GroupSize
+		if sh.Name == "hybrid" {
+			size = 3
+		}
 		ps := pager.NewStore()
-		stores["row"] = NewRowStore(pager.NewBufferPool(ps, 0), columns)
-		pagers["row"] = ps
-	}
-	{
-		ps := pager.NewStore()
-		stores["column"] = NewColStore(pager.NewBufferPool(ps, 0), columns)
-		pagers["column"] = ps
-	}
-	{
-		ps := pager.NewStore()
-		stores["hybrid"] = NewHybridStore(pager.NewBufferPool(ps, 0), columns, WithGroupSize(3))
-		pagers["hybrid"] = ps
+		stores[sh.Name] = NewHybridStore(pager.NewBufferPool(ps, 0), columns, WithGroupSize(size))
+		pagers[sh.Name] = ps
 	}
 	return stores, pagers
 }
@@ -74,10 +69,34 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// oneColumnPage encodes vals as the page of a one-attribute group — what a
+// column-shaped store (group size 1) writes — with RowIDs 1..len(vals).
+func oneColumnPage(vals []sheet.Value) ([]byte, *pageZones) {
+	ids := make([]RowID, len(vals))
+	rows := make([][]sheet.Value, len(vals))
+	for i, v := range vals {
+		ids[i], rows[i] = RowID(i+1), []sheet.Value{v}
+	}
+	return encodeTuplesV2(ids, rows, 1)
+}
+
+// oneColumnValues decodes a one-attribute group page back to its values.
+func oneColumnValues(buf []byte) ([]sheet.Value, error) {
+	_, rows, err := decodeTuples(buf)
+	if err != nil || rows == nil {
+		return nil, err
+	}
+	out := make([]sheet.Value, len(rows))
+	for i, r := range rows {
+		out[i] = r[0]
+	}
+	return out, nil
+}
+
 func TestColumnCodecRoundTrip(t *testing.T) {
 	vals := []sheet.Value{sheet.Number(1), sheet.String_("x"), sheet.Bool_(true), sheet.Empty(), sheet.ErrNA}
-	page, _ := encodeColumnV2(vals)
-	got, err := decodeColumn(page)
+	page, _ := oneColumnPage(vals)
+	got, err := oneColumnValues(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +108,7 @@ func TestColumnCodecRoundTrip(t *testing.T) {
 			t.Errorf("val %d = %+v", i, got[i])
 		}
 	}
-	if vals, err := decodeColumn(nil); err != nil || vals != nil {
+	if vals, err := oneColumnValues(nil); err != nil || vals != nil {
 		t.Error("empty column decode wrong")
 	}
 }
@@ -98,9 +117,6 @@ func TestStoreConformanceCRUD(t *testing.T) {
 	stores, _ := newStores(3)
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
-			if s.Layout() != name {
-				t.Errorf("Layout = %q", s.Layout())
-			}
 			if s.ColumnCount() != 3 || s.RowCount() != 0 {
 				t.Fatal("initial counts wrong")
 			}
@@ -275,7 +291,7 @@ func TestStoreConformanceSchemaChange(t *testing.T) {
 	}
 }
 
-// TestStoresAgainstReference runs randomized operations on all layouts and a
+// TestStoresAgainstReference runs randomized operations on every group shape and a
 // simple in-memory reference, verifying they always agree.
 func TestStoresAgainstReference(t *testing.T) {
 	stores, _ := newStores(2)
@@ -384,10 +400,9 @@ func TestStoresAgainstReference(t *testing.T) {
 }
 
 // TestSchemaChangeBlockCosts verifies the paper's central storage claim as a
-// *shape*: adding a column to a populated table touches O(table) blocks in a
-// row store but only O(new column) blocks in the hybrid and column layouts,
-// while a point update touches fewer blocks in hybrid than in a pure column
-// store.
+// *shape*: adding a column to a populated table touches only O(new column)
+// blocks at every group size, while a point update touches fewer blocks with
+// multi-column groups than with one column per group.
 func TestSchemaChangeBlockCosts(t *testing.T) {
 	const rows = 5000
 	const cols = 12
@@ -413,12 +428,8 @@ func TestSchemaChangeBlockCosts(t *testing.T) {
 		addCost[name] = pagers[name].Stats().Writes
 		pagers[name].ResetStats()
 	}
-	if addCost["row"] < 4*addCost["hybrid"] {
-		t.Errorf("row-store schema change (%d writes) should cost much more than hybrid (%d writes)",
-			addCost["row"], addCost["hybrid"])
-	}
 	if addCost["hybrid"] > 2*addCost["column"] {
-		t.Errorf("hybrid schema change (%d writes) should be close to column store (%d writes)",
+		t.Errorf("hybrid schema change (%d writes) should be close to one column per group (%d writes)",
 			addCost["hybrid"], addCost["column"])
 	}
 	// Point full-row update cost.
@@ -435,11 +446,11 @@ func TestSchemaChangeBlockCosts(t *testing.T) {
 		updCost[name] = pagers[name].Stats().BlocksTouched()
 	}
 	if updCost["column"] < 2*updCost["hybrid"] {
-		t.Errorf("column-store row update (%d blocks) should cost much more than hybrid (%d blocks)",
+		t.Errorf("column-shaped row update (%d blocks) should cost much more than hybrid (%d blocks)",
 			updCost["column"], updCost["hybrid"])
 	}
 	if updCost["row"] > updCost["hybrid"] {
-		t.Errorf("row-store row update (%d blocks) should not cost more than hybrid (%d blocks)",
+		t.Errorf("row-shaped row update (%d blocks) should not cost more than hybrid (%d blocks)",
 			updCost["row"], updCost["hybrid"])
 	}
 }
@@ -496,48 +507,23 @@ func TestHybridDropColumnWithinGroup(t *testing.T) {
 	if len(got) != 3 || got[0].Num != 49 || got[1].Num != 147 || got[2].Num != 196 {
 		t.Errorf("after in-group drop row = %v", got)
 	}
-	// Dropping the only column of its group frees it.
+	// Dropping the only column of its group frees the group's pages.
+	pages := s.PageCount()
 	if err := s.AddColumn(sheet.Number(9)); err != nil {
 		t.Fatal(err)
+	}
+	if s.PageCount() != pages+1 {
+		t.Fatalf("AddColumn over 100 rows: %d pages, want %d", s.PageCount(), pages+1)
 	}
 	newCol := s.ColumnCount() - 1
 	if err := s.DropColumn(newCol); err != nil {
 		t.Fatal(err)
 	}
+	if s.PageCount() != pages {
+		t.Errorf("DropColumn kept its group's pages: %d, want %d", s.PageCount(), pages)
+	}
 	got, _ = s.Get(50)
 	if len(got) != 3 {
 		t.Errorf("after dropping new column width = %d", len(got))
-	}
-}
-
-func TestRowStorePageGrowth(t *testing.T) {
-	ps := pager.NewStore()
-	s := NewRowStore(pager.NewBufferPool(ps, 0), 1)
-	for i := 0; i < rowsPerPage*2+1; i++ {
-		_, _ = s.Insert(row(i))
-	}
-	if s.PageCount() != 3 {
-		t.Errorf("PageCount = %d, want 3", s.PageCount())
-	}
-}
-
-func TestColStorePageAccounting(t *testing.T) {
-	ps := pager.NewStore()
-	s := NewColStore(pager.NewBufferPool(ps, 0), 3)
-	for i := 0; i < 100; i++ {
-		_, _ = s.Insert(row(i, i, i))
-	}
-	if s.PageCount() != 3 {
-		t.Errorf("PageCount = %d, want 3 (one page per column)", s.PageCount())
-	}
-	if err := s.DropColumn(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.PageCount() != 2 || s.ColumnCount() != 2 {
-		t.Error("DropColumn should free the column's pages")
-	}
-	got, _ := s.Get(10)
-	if len(got) != 2 || got[0].Num != 9 {
-		t.Errorf("after drop row = %v", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // Zone maps: per-page, per-column value summaries for data skipping.
 //
-// Every sealed v2 tuple/column page carries one ColZone per stored column,
+// Every sealed v2 tuple page carries one ColZone per stored column,
 // computed by the codec at encode time. The stores mirror those summaries in
 // an in-memory catalog parallel to their page lists (rebuilt on every page
 // write, persisted in the checkpoint zone blob), and the scan paths consult
@@ -234,22 +234,12 @@ func (z *ColZone) Skips(b ZoneBound) bool {
 	return z.skips(b.Op, b.Val)
 }
 
-// pageZones is one page's summary: one ColZone per stored column (physical
-// columns for the row layout, group offsets for hybrid, a single entry for
-// column pages). Instances are immutable after construction — writers
+// pageZones is one page's summary: one ColZone per attribute of the page's
+// group, by offset within the group. Instances are immutable after construction — writers
 // replace whole pointers in the catalogs, so snapshots can share them by
 // copying the pointer slices.
 type pageZones struct {
 	cols []ColZone
-}
-
-// zoneOf summarises one column page's values.
-func zoneOf(vals []sheet.Value) ColZone {
-	var z ColZone
-	for _, v := range vals {
-		z.add(v)
-	}
-	return z
 }
 
 // zonesOfTuples summarises a tuple page column by column.
@@ -280,8 +270,7 @@ func setZone(zones []*pageZones, pi int, pz *pageZones) []*pageZones {
 
 // --- interval arithmetic over Partition runs ---
 //
-// Pruning works in the layout's partition space (page indexes for the row
-// layout, slots for column/hybrid): each bound yields merged skippable
+// Pruning works in slot space: each bound yields merged skippable
 // intervals at its own page granularity, the intervals union across bounds,
 // and the complement is the list of kept runs a pruned scan visits.
 

@@ -164,8 +164,8 @@ func TestColumnV2VectorEncodings(t *testing.T) {
 
 	for name, vals := range cases {
 		t.Run(name, func(t *testing.T) {
-			buf, pz := encodeColumnV2(vals)
-			got, err := decodeColumn(buf)
+			buf, pz := oneColumnPage(vals)
+			got, err := oneColumnValues(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,8 +186,13 @@ func TestColumnV2VectorEncodings(t *testing.T) {
 	// The compressed encodings must actually be smaller than the legacy
 	// per-value codec for their target shapes.
 	for _, name := range []string{"delta", "dict"} {
-		v2, _ := encodeColumnV2(cases[name])
-		legacy := legacyColumnPage(cases[name])
+		v2, _ := oneColumnPage(cases[name])
+		ids := make([]RowID, len(cases[name]))
+		rows := make([][]sheet.Value, len(cases[name]))
+		for i, v := range cases[name] {
+			ids[i], rows[i] = RowID(i+1), []sheet.Value{v}
+		}
+		legacy := legacyTuplePage(ids, rows, 1)
 		if len(v2) >= len(legacy) {
 			t.Errorf("%s page: v2 %d bytes >= legacy %d bytes", name, len(v2), len(legacy))
 		}
@@ -199,16 +204,6 @@ func TestColumnV2VectorEncodings(t *testing.T) {
 func legacyPage(payload []byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))
 	return append(out, payload...)
-}
-
-// legacyColumnPage encodes vals as a pre-DSZ2 column page: a count, then each
-// value in the standard appendValue form.
-func legacyColumnPage(vals []sheet.Value) []byte {
-	out := appendUvarint(nil, uint64(len(vals)))
-	for _, v := range vals {
-		out = appendValue(out, v)
-	}
-	return legacyPage(out)
 }
 
 // legacyTuplePage encodes rows as a pre-DSZ2 tuple page: count and width,
@@ -238,15 +233,8 @@ func TestLegacyPagesRefused(t *testing.T) {
 	if _, _, err := decodeTuples(legacyTuplePage(ids, rows, 2)); !errors.Is(err, ErrPageChecksum) {
 		t.Fatalf("legacy tuple page: err = %v, want ErrPageChecksum", err)
 	}
-	vals := []sheet.Value{sheet.Number(7), sheet.String_("x")}
-	if _, err := decodeColumn(legacyColumnPage(vals)); !errors.Is(err, ErrPageChecksum) {
-		t.Fatalf("legacy column page: err = %v, want ErrPageChecksum", err)
-	}
 	if gotIDs, gotRows, err := decodeTuples([]byte{}); err != nil || gotIDs != nil || gotRows != nil {
 		t.Fatalf("empty tuple page: %v %v %v", gotIDs, gotRows, err)
-	}
-	if got, err := decodeColumn([]byte{}); err != nil || got != nil {
-		t.Fatalf("empty column page: %v %v", got, err)
 	}
 }
 
@@ -257,11 +245,11 @@ func TestV2RejectsCorruption(t *testing.T) {
 	for i := range vals {
 		vals[i] = sheet.Number(float64(i))
 	}
-	buf, _ := encodeColumnV2(vals)
+	buf, _ := oneColumnPage(vals)
 	for pos := 0; pos < len(buf); pos += 3 {
 		corrupt := append([]byte(nil), buf...)
 		corrupt[pos] ^= 0x10
-		got, err := decodeColumn(corrupt)
+		got, err := oneColumnValues(corrupt)
 		if err != nil {
 			continue
 		}
@@ -277,6 +265,15 @@ func TestV2RejectsCorruption(t *testing.T) {
 			}
 		}
 	}
+}
+
+// zoneOf summarises one column's values.
+func zoneOf(vals []sheet.Value) ColZone {
+	var z ColZone
+	for _, v := range vals {
+		z.add(v)
+	}
+	return z
 }
 
 // modelMatches replicates the executor's bound-predicate semantics

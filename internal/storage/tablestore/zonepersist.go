@@ -11,11 +11,9 @@ import "fmt"
 // store's page lists and rejects the whole payload on any mismatch, leaving
 // the store with no summaries (= no skipping), never with wrong ones.
 
-const (
-	zoneLayoutRow    = 'r'
-	zoneLayoutCol    = 'c'
-	zoneLayoutHybrid = 'h'
-)
+// zoneBlobTag leads every store's blob. It dates from when row and
+// column stores wrote their own; it keeps the bytes of existing files valid.
+const zoneBlobTag = 'h'
 
 // appendZoneList serialises one page chain's summaries: count, then per page
 // a presence byte and, when present, the column zones.
@@ -80,73 +78,8 @@ func (d *valueDecoder) zoneList(nPages int, what string) ([]*pageZones, error) {
 }
 
 // MarshalZones implements Store.
-func (s *RowStore) MarshalZones() []byte {
-	dst := []byte{zoneLayoutRow}
-	return appendZoneList(dst, s.zones)
-}
-
-// AttachZones implements Store.
-func (s *RowStore) AttachZones(data []byte) error {
-	s.zones = nil
-	if len(data) == 0 || data[0] != zoneLayoutRow {
-		return fmt.Errorf("tablestore: zone blob layout mismatch for row store")
-	}
-	d := &valueDecoder{buf: data, pos: 1}
-	zs, err := d.zoneList(len(s.pages), "row store")
-	if err != nil {
-		return err
-	}
-	if d.pos != len(data) {
-		return fmt.Errorf("tablestore: %d trailing bytes in row zone blob", len(data)-d.pos)
-	}
-	s.zones = zs
-	return nil
-}
-
-// MarshalZones implements Store.
-func (s *ColStore) MarshalZones() []byte {
-	dst := []byte{zoneLayoutCol}
-	dst = appendUvarint(dst, uint64(len(s.cols)))
-	for c := range s.cols {
-		dst = appendZoneList(dst, s.cols[c].zones)
-	}
-	return dst
-}
-
-// AttachZones implements Store.
-func (s *ColStore) AttachZones(data []byte) error {
-	for c := range s.cols {
-		s.cols[c].zones = nil
-	}
-	if len(data) == 0 || data[0] != zoneLayoutCol {
-		return fmt.Errorf("tablestore: zone blob layout mismatch for column store")
-	}
-	d := &valueDecoder{buf: data, pos: 1}
-	n, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if n != uint64(len(s.cols)) {
-		return fmt.Errorf("tablestore: zone blob has %d columns, store has %d", n, len(s.cols))
-	}
-	fresh := make([][]*pageZones, len(s.cols))
-	for c := range s.cols {
-		if fresh[c], err = d.zoneList(len(s.cols[c].pages), fmt.Sprintf("column %d", c)); err != nil {
-			return err
-		}
-	}
-	if d.pos != len(data) {
-		return fmt.Errorf("tablestore: %d trailing bytes in column zone blob", len(data)-d.pos)
-	}
-	for c := range s.cols {
-		s.cols[c].zones = fresh[c]
-	}
-	return nil
-}
-
-// MarshalZones implements Store.
 func (s *HybridStore) MarshalZones() []byte {
-	dst := []byte{zoneLayoutHybrid}
+	dst := []byte{zoneBlobTag}
 	dst = appendUvarint(dst, uint64(len(s.groups)))
 	for gi := range s.groups {
 		dst = appendZoneList(dst, s.groups[gi].zones)
@@ -159,8 +92,8 @@ func (s *HybridStore) AttachZones(data []byte) error {
 	for gi := range s.groups {
 		s.groups[gi].zones = nil
 	}
-	if len(data) == 0 || data[0] != zoneLayoutHybrid {
-		return fmt.Errorf("tablestore: zone blob layout mismatch for hybrid store")
+	if len(data) == 0 || data[0] != zoneBlobTag {
+		return fmt.Errorf("tablestore: zone blob lacks its 'h' tag")
 	}
 	d := &valueDecoder{buf: data, pos: 1}
 	n, err := d.uvarint()
