@@ -96,7 +96,8 @@ servecheck:
 
 # fuzz runs the durability fuzz suites (fixed seeds: the same trials replay
 # every run) — WAL truncation/bit-flips, checkpoint kill points, heap-file
-# corruption, the shadow-paged root-flip kill points, and the zone-map
-# insert/update/delete/checkpoint/reopen interleavings.
+# corruption, the shadow-paged root-flip kill points, the zone-map
+# insert/update/delete/checkpoint/reopen interleavings, and the live-versus-log
+# oracle over failing statements, rollbacks and schema changes.
 fuzz:
-	$(GO) test ./internal/core/ -run 'TestCrashRecoveryFuzz|TestCheckpointCrashFuzz|TestHeapCorruptionFuzz|TestRootFlipAtomicKillPoints|TestZoneMapFuzz' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestCrashRecoveryFuzz|TestCheckpointCrashFuzz|TestHeapCorruptionFuzz|TestRootFlipAtomicKillPoints|TestZoneMapFuzz|TestLiveMatchesLogFuzz' -count=1 -v

@@ -12,7 +12,8 @@ import (
 // Conn is one SQL session: it carries explicit-transaction state (BEGIN /
 // COMMIT / ROLLBACK) and must not be used from multiple goroutines at once.
 // Any number of Conns may run concurrently against the same DB; writes are
-// serialized by the engine.
+// serialized by the engine. Every statement is atomic: one that fails leaves
+// no change behind, inside a transaction or not.
 type Conn struct {
 	db *DB
 	c  *core.Conn
@@ -69,7 +70,11 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*Rows, error
 }
 
 // Begin opens an explicit transaction on this connection (ErrTxOpen if one
-// is already open).
+// is already open). Inside it, schema changes roll back like data changes,
+// except DROP TABLE and ALTER TABLE ... DROP COLUMN: those cannot be undone,
+// so they fail with ErrUnsupported without effect and the transaction stays
+// open. A statement that fails inside the transaction is undone by itself;
+// the transaction stays open with the earlier statements' changes.
 func (c *Conn) Begin(ctx context.Context) error {
 	_, err := c.Exec(ctx, "BEGIN")
 	return err
@@ -81,8 +86,10 @@ func (c *Conn) Commit(ctx context.Context) error {
 	return err
 }
 
-// Rollback rolls back the connection's open transaction (ErrNoTx without
-// one).
+// Rollback undoes every change of the connection's open transaction, newest
+// first, and ends it (ErrNoTx without one). Nothing of the transaction
+// reaches the write-ahead log. Should an undo step itself fail, the database
+// degrades to read-only (ErrReadOnly on later writes) until it is reopened.
 func (c *Conn) Rollback(ctx context.Context) error {
 	_, err := c.Exec(ctx, "ROLLBACK")
 	return err

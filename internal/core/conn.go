@@ -58,7 +58,8 @@ func (c *Conn) QueryContext(ctx context.Context, sql string, args ...sheet.Value
 // guards its storage with a reader/writer lock); mutating statements
 // serialize with the instance's other writers and are WAL-logged with their
 // bindings — inside an explicit transaction they buffer and reach the WAL
-// as one record at COMMIT (nothing is logged on ROLLBACK).
+// as one record at COMMIT (nothing is logged on ROLLBACK). A statement that
+// fails has undone its own changes and is not logged.
 func (c *Conn) ExecutePrepared(ctx context.Context, p *sqlexec.Prepared, args ...sheet.Value) (*sqlexec.Result, error) {
 	if !sqlparser.Mutates(p.Statement()) {
 		return c.sess.ExecutePreparedContext(ctx, p, args...)

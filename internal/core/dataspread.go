@@ -404,16 +404,13 @@ func sqlOp(sql string, args []sheet.Value) txn.Op {
 // statement by statement. Caller holds cmdMu.
 func (ds *DataSpread) logExecuted(stmt sqlparser.Statement, sess *sqlexec.Session, pending *[]txn.Op, sql string, args []sheet.Value) error {
 	switch stmt.(type) {
-	case *sqlparser.BeginStmt:
-		*pending = (*pending)[:0]
+	case *sqlparser.BeginStmt, *sqlparser.RollbackStmt:
+		*pending = nil
 		return nil
 	case *sqlparser.CommitStmt:
 		ops := *pending
 		*pending = nil
-		return ds.logCommands(ops)
-	case *sqlparser.RollbackStmt:
-		*pending = nil
-		return nil
+		return ds.logCommand(ops...)
 	}
 	if !sqlparser.Mutates(stmt) {
 		return nil
@@ -425,35 +422,10 @@ func (ds *DataSpread) logExecuted(stmt sqlparser.Statement, sess *sqlexec.Sessio
 	return ds.logCommand(sqlOp(sql, args))
 }
 
-// logCommands appends a batch of user-level commands as one committed WAL
-// record (the commit point of an explicit transaction). A no-op for empty
-// batches, in-memory instances and during recovery replay.
-func (ds *DataSpread) logCommands(ops []txn.Op) error {
-	if ds.wal == nil || ds.replaying || len(ops) == 0 {
-		return nil
-	}
-	if err := ds.wal.Run(func(t *txn.Txn) error {
-		for _, op := range ops {
-			if err := t.Log(op, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		// The commands are applied in memory but their WAL record did not
-		// commit: a reopen would lose them, so the workbook degrades to
-		// read-only rather than letting the histories diverge further.
-		ds.poison(err)
-		return err
-	}
-	ds.maybeTriggerCheckpoint()
-	return nil
-}
-
 // QueryScript executes a semicolon-separated SQL script. Each statement is
-// its own transaction, so a failing statement does not undo the ones before
-// it — a mutating script is therefore logged even on error, and replay
-// deterministically re-runs the same committed prefix. Scripts do not
+// its own transaction, so a failing statement undoes only itself, not the
+// ones before it — a mutating script is therefore logged even on error, and
+// replay deterministically re-runs the same committed prefix. Scripts do not
 // accept placeholders.
 func (ds *DataSpread) QueryScript(sql string) (*sqlexec.Result, error) {
 	ds.cmdMu.Lock()

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
 
@@ -61,11 +62,13 @@ func (ds *DataSpread) checkWritable() error {
 
 // notePoison inspects a command failure: an error classified under
 // dberr.ErrIO means a write to the page heap or the WAL failed mid-command,
-// so the in-memory and on-disk states can disagree and the workbook is
-// poisoned. Other failures (constraint violations, syntax errors) leave it
-// healthy. Returns err unchanged for convenient chaining.
+// and one under sqlexec.ErrUndo means a failed statement or a ROLLBACK could
+// not reverse its changes; either way the in-memory and on-disk states can
+// disagree and the workbook is poisoned. Other failures (constraint
+// violations, syntax errors) were unwound and leave it healthy. Returns err
+// unchanged for convenient chaining.
 func (ds *DataSpread) notePoison(err error) error {
-	if err != nil && errors.Is(err, dberr.ErrIO) {
+	if err != nil && (errors.Is(err, dberr.ErrIO) || errors.Is(err, sqlexec.ErrUndo)) {
 		ds.poison(err)
 	}
 	return err

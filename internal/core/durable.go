@@ -27,9 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
-	"github.com/dataspread/dataspread/internal/catalog"
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/interfacemgr"
 	"github.com/dataspread/dataspread/internal/sheet"
@@ -288,16 +286,19 @@ func (ds *DataSpread) Close() error {
 	return err
 }
 
-// logCommand appends one user-level command to the WAL and nudges the
+// logCommand appends user-level commands to the WAL as one committed record
+// (several at the commit point of an explicit transaction) and nudges the
 // background checkpointer when the log has grown past its threshold. It is a
-// no-op for in-memory instances and while recovery is replaying history.
-func (ds *DataSpread) logCommand(op txn.Op) error {
+// no-op for no commands, for in-memory instances and while recovery is
+// replaying history.
+func (ds *DataSpread) logCommand(ops ...txn.Op) error {
 	if ds.wal == nil || ds.replaying {
 		return nil
 	}
-	if err := ds.wal.Run(func(t *txn.Txn) error { return t.Log(op, nil) }); err != nil {
-		// Applied in memory, not durably logged: degrade to read-only (see
-		// logCommands).
+	if err := ds.wal.Append(ops...); err != nil {
+		// The commands are applied in memory but their WAL record did not
+		// commit: a reopen would lose them, so the workbook degrades to
+		// read-only rather than letting the histories diverge further.
 		ds.poison(err)
 		return err
 	}
@@ -423,35 +424,6 @@ func (ds *DataSpread) applyOp(op txn.Op) error {
 			PrimaryKey: args[4:],
 		})
 		return err
-	case txn.OpCreateTable:
-		args, err := opArgs(op, 1)
-		if err != nil {
-			return err
-		}
-		cols := make([]catalog.Column, 0, len(args)-1)
-		for _, enc := range args[1:] {
-			col, err := decodeColumn(enc)
-			if err != nil {
-				return err
-			}
-			cols = append(cols, col)
-		}
-		return ds.db.CreateTable(args[0], cols)
-	case txn.OpInsert:
-		args, err := opArgs(op, 1)
-		if err != nil {
-			return err
-		}
-		row := make([]sheet.Value, 0, len(args)-1)
-		for _, enc := range args[1:] {
-			v, err := decodeValue(enc)
-			if err != nil {
-				return err
-			}
-			row = append(row, v)
-		}
-		_, err = ds.db.Insert(args[0], row)
-		return err
 	}
 	return nil
 }
@@ -566,38 +538,4 @@ func decodeValue(s string) (sheet.Value, error) {
 	default:
 		return sheet.Empty(), fmt.Errorf("unknown value encoding %q: %w", s, dberr.ErrCorrupt)
 	}
-}
-
-// colSep separates column fields; the unit separator never occurs in
-// identifiers or type names, and the default value is kept last so SplitN
-// tolerates one embedded in a string default.
-const colSep = "\x1f"
-
-func encodeColumn(c catalog.Column) string {
-	notNull, pk := "0", "0"
-	if c.NotNull {
-		notNull = "1"
-	}
-	if c.PrimaryKey {
-		pk = "1"
-	}
-	return strings.Join([]string{c.Name, c.Type.String(), notNull, pk, encodeValue(c.Default)}, colSep)
-}
-
-func decodeColumn(s string) (catalog.Column, error) {
-	parts := strings.SplitN(s, colSep, 5)
-	if len(parts) != 5 {
-		return catalog.Column{}, fmt.Errorf("bad column encoding %q: %w", s, dberr.ErrCorrupt)
-	}
-	def, err := decodeValue(parts[4])
-	if err != nil {
-		return catalog.Column{}, err
-	}
-	return catalog.Column{
-		Name:       parts[0],
-		Type:       catalog.ParseType(parts[1]),
-		NotNull:    parts[2] == "1",
-		PrimaryKey: parts[3] == "1",
-		Default:    def,
-	}, nil
 }

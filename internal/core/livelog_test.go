@@ -1,0 +1,443 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/sqlexec"
+)
+
+// The tests in this file hold one invariant: for one session, a statement's
+// effects are live if and only if the statement reaches the WAL. They compare
+// the live instance against a crash copy (the heap and WAL as a crash at that
+// instant would leave them), reopened.
+
+// dumpDB renders every table's schema, its secondary indexes and its rows.
+// Rows and indexes are sorted: a rolled-back DELETE re-inserts its row under
+// a new RowID, and a rolled-back DROP INDEX re-creates the index last, so
+// neither scan order nor index order is part of the state compared.
+func dumpDB(t *testing.T, ds *DataSpread) string {
+	t.Helper()
+	var b strings.Builder
+	for _, tbl := range ds.db.Tables() {
+		fmt.Fprintf(&b, "table %s (", tbl.Name)
+		for _, c := range tbl.Columns {
+			fmt.Fprintf(&b, "%s %s notnull=%v pk=%v default=%q, ", c.Name, c.Type, c.NotNull, c.PrimaryKey, c.Default.String())
+		}
+		b.WriteString(")\n")
+		var idx []string
+		for _, d := range ds.db.Indexes(tbl.Name) {
+			idx = append(idx, fmt.Sprintf("index %s %v unique=%v\n", d.Name, d.Columns, d.Unique))
+		}
+		slices.Sort(idx)
+		b.WriteString(strings.Join(idx, ""))
+		res, err := ds.Query("SELECT * FROM " + tbl.Name)
+		if err != nil {
+			t.Fatalf("dump %s: %v", tbl.Name, err)
+		}
+		rows := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			rows[i] = fmt.Sprintln(r)
+		}
+		slices.Sort(rows)
+		b.WriteString(strings.Join(rows, ""))
+	}
+	return b.String()
+}
+
+// crashDump reopens a crash copy of the live workbook at path and dumps it,
+// failing on any recovery error: every logged statement must replay.
+func crashDump(t *testing.T, path string) string {
+	t.Helper()
+	dir := filepath.Join(filepath.Dir(path), "crash")
+	re, err := OpenFile(copyWorkbook(t, path, dir), Options{CheckpointWALBytes: -1})
+	if err != nil {
+		t.Fatalf("open crash copy: %v", err)
+	}
+	defer func() {
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if errs := re.RecoveryErrors(); len(errs) != 0 {
+		t.Fatalf("crash copy recovery errors: %v", errs)
+	}
+	return dumpDB(t, re)
+}
+
+// liveMatchesLog fails unless the live state equals the crash copy's and
+// returns the dump.
+func liveMatchesLog(t *testing.T, ds *DataSpread, path, when string) string {
+	t.Helper()
+	live, logged := dumpDB(t, ds), crashDump(t, path)
+	if live != logged {
+		t.Fatalf("%s: live state differs from the log\nlive:\n%s\nlog:\n%s", when, live, logged)
+	}
+	return live
+}
+
+func openLiveLog(t *testing.T) (*DataSpread, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "book.dsp")
+	ds, err := OpenFile(path, Options{CheckpointWALBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ds.Close() })
+	if _, err := ds.QueryScript(`
+		CREATE TABLE t (id INT PRIMARY KEY, v INT);
+		CREATE TABLE u (x INT);
+		INSERT INTO t VALUES (1, 1), (2, 2), (3, 3);`); err != nil {
+		t.Fatal(err)
+	}
+	return ds, path
+}
+
+func mustQuery(t *testing.T, ds *DataSpread, sql string) {
+	t.Helper()
+	if _, err := ds.Query(sql); err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+}
+
+// TestFailedStatementLeavesNoTrace: a statement that fails part-way — after
+// it has moved or inserted rows — leaves the live state as it was, in
+// autocommit and inside a transaction, and a checkpoint cannot make its
+// partial effect durable.
+func TestFailedStatementLeavesNoTrace(t *testing.T) {
+	ds, path := openLiveLog(t)
+	want := liveMatchesLog(t, ds, path, "setup")
+	for _, sql := range []string{
+		"UPDATE t SET id = 100 WHERE id < 5",
+		"INSERT INTO t VALUES (7, 7), (8, 8), (7, 9)",
+	} {
+		if _, err := ds.Query(sql); !errors.Is(err, dberr.ErrUniqueViolation) {
+			t.Fatalf("%s = %v, want ErrUniqueViolation", sql, err)
+		}
+		if got := liveMatchesLog(t, ds, path, sql); got != want {
+			t.Fatalf("%s: failed statement changed the state:\n%s\nwant:\n%s", sql, got, want)
+		}
+	}
+	mustQuery(t, ds, "BEGIN")
+	if _, err := ds.Query("UPDATE t SET id = 100 WHERE id < 5"); !errors.Is(err, dberr.ErrUniqueViolation) {
+		t.Fatalf("in transaction: %v, want ErrUniqueViolation", err)
+	}
+	mustQuery(t, ds, "COMMIT")
+	if got := liveMatchesLog(t, ds, path, "COMMIT"); got != want {
+		t.Fatalf("after COMMIT:\n%s\nwant:\n%s", got, want)
+	}
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openDurable(t, path)
+	defer re.Close()
+	if got := dumpDB(t, re); got != want {
+		t.Fatalf("after checkpoint and reopen:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRollbackUndoesSchemaChanges: ROLLBACK reverses every schema change a
+// transaction accepted, and DROP COLUMN and DROP TABLE, which cannot be
+// reversed, are refused without effect and leave the transaction open.
+func TestRollbackUndoesSchemaChanges(t *testing.T) {
+	ds, path := openLiveLog(t)
+	mustQuery(t, ds, "CREATE INDEX t_v ON t (v)")
+	want := liveMatchesLog(t, ds, path, "setup")
+	mustQuery(t, ds, "BEGIN")
+	for _, sql := range []string{"ALTER TABLE t DROP COLUMN v", "DROP TABLE u", "DROP TABLE IF EXISTS u"} {
+		if _, err := ds.Query(sql); !errors.Is(err, dberr.ErrUnsupported) {
+			t.Fatalf("%s inside a transaction = %v, want ErrUnsupported", sql, err)
+		}
+	}
+	if got := dumpDB(t, ds); got != want || !ds.session.InTransaction() {
+		t.Fatal("a refused statement must change nothing and leave the transaction open")
+	}
+	for _, sql := range []string{
+		"CREATE INDEX t_id2 ON t (id)",
+		"ALTER TABLE t RENAME COLUMN v TO w",
+		"DROP INDEX t_v",
+		"CREATE UNIQUE INDEX t_w ON t (w)",
+		"ALTER TABLE t ADD COLUMN z INT DEFAULT 5",
+		"UPDATE t SET z = 0",
+		"CREATE TABLE d (k INT PRIMARY KEY)",
+		"INSERT INTO d VALUES (1)",
+	} {
+		mustQuery(t, ds, sql)
+	}
+	mustQuery(t, ds, "ROLLBACK")
+	if got := liveMatchesLog(t, ds, path, "ROLLBACK"); got != want {
+		t.Fatalf("after ROLLBACK:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRollbackCreateTableAsSelect: the table a rolled-back CREATE TABLE ... AS
+// SELECT made is gone, and the ROLLBACK reports no error.
+func TestRollbackCreateTableAsSelect(t *testing.T) {
+	ds, path := openLiveLog(t)
+	want := liveMatchesLog(t, ds, path, "setup")
+	mustQuery(t, ds, "BEGIN")
+	mustQuery(t, ds, "CREATE TABLE c AS SELECT id FROM t")
+	if _, err := ds.Query("ROLLBACK"); err != nil {
+		t.Fatalf("ROLLBACK: %v", err)
+	}
+	if got := liveMatchesLog(t, ds, path, "ROLLBACK"); got != want {
+		t.Fatalf("after ROLLBACK:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFailedUndoDegradesWorkbook: when a ROLLBACK cannot reverse a change,
+// live state matches no log, so the workbook degrades to read-only. Two
+// sessions make an undo step fail: A deletes a row, B re-inserts its key,
+// and A's rollback cannot put the row back.
+func TestFailedUndoDegradesWorkbook(t *testing.T) {
+	ds, _ := openLiveLog(t)
+	ctx := t.Context()
+	a, b := ds.NewConn(), ds.NewConn()
+	for _, step := range []struct {
+		c   *Conn
+		sql string
+	}{{a, "BEGIN"}, {a, "DELETE FROM t WHERE id = 2"}, {b, "INSERT INTO t VALUES (2, 20)"}} {
+		if _, err := step.c.QueryContext(ctx, step.sql); err != nil {
+			t.Fatalf("%s: %v", step.sql, err)
+		}
+	}
+	if _, err := a.QueryContext(ctx, "ROLLBACK"); !errors.Is(err, sqlexec.ErrUndo) {
+		t.Fatalf("ROLLBACK = %v, want ErrUndo", err)
+	}
+	if err := ds.Health(); !errors.Is(err, dberr.ErrReadOnly) {
+		t.Fatalf("Health after a failed undo = %v, want ErrReadOnly", err)
+	}
+	if _, err := b.QueryContext(ctx, "INSERT INTO t VALUES (4, 4)"); !errors.Is(err, dberr.ErrReadOnly) {
+		t.Fatalf("write after a failed undo = %v, want ErrReadOnly", err)
+	}
+}
+
+// liveLogGen draws single-session statements over table t, whose primary
+// key and UNIQUE secondary index make multi-row statements fail part-way,
+// plus every kind of schema change. It reads the live schema before each
+// draw, so most statements name columns that exist.
+type liveLogGen struct {
+	rng *rand.Rand
+	ds  *DataSpread
+	n   int // name counter for new columns, indexes and tables
+}
+
+func (g *liveLogGen) pick(xs []string) string { return xs[g.rng.Intn(len(xs))] }
+
+// columns returns t's key column, its other columns, and those of them that
+// DROP COLUMN may draw: every one but the column of t_u, which is never
+// dropped, so that unique violations stay possible.
+func (g *liveLogGen) columns() (key string, rest, droppable []string) {
+	tbl, err := g.ds.db.Table("t")
+	if err != nil {
+		return "id", nil, nil
+	}
+	unique := ""
+	for _, d := range g.ds.db.Indexes("t") {
+		if d.Name == "t_u" {
+			unique = d.Columns[0]
+		}
+	}
+	for _, c := range tbl.Columns {
+		switch {
+		case c.PrimaryKey:
+			key = c.Name
+		case c.Name == unique:
+			rest = append(rest, c.Name)
+		default:
+			rest = append(rest, c.Name)
+			droppable = append(droppable, c.Name)
+		}
+	}
+	return key, rest, droppable
+}
+
+func (g *liveLogGen) value() string {
+	if g.rng.Intn(25) == 0 {
+		return "'x'" // a type mismatch for every INT column
+	}
+	return fmt.Sprint(g.rng.Intn(12))
+}
+
+func (g *liveLogGen) keyRange(key string) string {
+	lo := g.rng.Intn(12)
+	return fmt.Sprintf("%s BETWEEN %d AND %d", key, lo, lo+g.rng.Intn(4))
+}
+
+func (g *liveLogGen) sideTables() []string {
+	var out []string
+	for _, tbl := range g.ds.db.Tables() {
+		if tbl.Name != "t" {
+			out = append(out, tbl.Name)
+		}
+	}
+	return out
+}
+
+func (g *liveLogGen) statement() string {
+	key, rest, droppable := g.columns()
+	g.n++
+	switch r := g.rng.Intn(100); {
+	case r < 25: // one to four rows, which may repeat a key or a unique value
+		tbl, _ := g.ds.db.Table("t")
+		rows := make([]string, 1+g.rng.Intn(4))
+		for i := range rows {
+			vals := make([]string, len(tbl.Columns))
+			for j := range vals {
+				vals[j] = g.value()
+			}
+			rows[i] = "(" + strings.Join(vals, ", ") + ")"
+		}
+		return "INSERT INTO t VALUES " + strings.Join(rows, ", ")
+	case r < 30:
+		return fmt.Sprintf("INSERT INTO t (%s) SELECT %s + %d FROM t WHERE %s", key, key, 1+g.rng.Intn(12), g.keyRange(key))
+	case r < 40: // fails part-way whenever the range holds two rows
+		return fmt.Sprintf("UPDATE t SET %s = %d WHERE %s", key, g.rng.Intn(14), g.keyRange(key))
+	case r < 55 && len(rest) > 0:
+		return fmt.Sprintf("UPDATE t SET %s = %s WHERE %s", g.pick(rest), g.value(), g.keyRange(key))
+	case r < 65:
+		return fmt.Sprintf("DELETE FROM t WHERE %s", g.keyRange(key))
+	case r < 70:
+		return fmt.Sprintf("ALTER TABLE t ADD COLUMN c%d INT DEFAULT %d", g.n, g.rng.Intn(3))
+	case r < 74 && len(droppable) > 0:
+		return fmt.Sprintf("ALTER TABLE t DROP COLUMN %s", g.pick(droppable))
+	case r < 79 && len(rest) > 0:
+		return fmt.Sprintf("ALTER TABLE t RENAME COLUMN %s TO r%d", g.pick(rest), g.n)
+	case r < 84 && len(rest) > 0:
+		unique := ""
+		if g.rng.Intn(2) == 0 {
+			unique = "UNIQUE "
+		}
+		return fmt.Sprintf("CREATE %sINDEX i%d ON t (%s)", unique, g.n, g.pick(rest))
+	case r < 88:
+		var names []string
+		for _, d := range g.ds.db.AllIndexes() {
+			if d.Name != "t_u" {
+				names = append(names, d.Name)
+			}
+		}
+		if len(names) > 0 {
+			return "DROP INDEX " + g.pick(names)
+		}
+		return "DROP INDEX IF EXISTS i0"
+	case r < 92:
+		return fmt.Sprintf("CREATE TABLE s%d AS SELECT %s FROM t WHERE %s", g.n, strings.Join(append([]string{key}, rest...), ", "), g.keyRange(key))
+	case r < 94:
+		return fmt.Sprintf("CREATE TABLE s%d (a INT PRIMARY KEY, b INT)", g.n)
+	case r < 97:
+		if side := g.sideTables(); len(side) > 0 {
+			return "DROP TABLE " + g.pick(side)
+		}
+		return "DROP TABLE IF EXISTS s0"
+	default:
+		return fmt.Sprintf("DELETE FROM t WHERE %s", key+" = "+g.value())
+	}
+}
+
+// TestLiveMatchesLogFuzz drives seeded single-session histories: autocommit
+// statements and BEGIN ... COMMIT/ROLLBACK runs, many of which fail part-way
+// or are refused, with checkpoints between them. After every autocommit
+// statement and every transaction the live state must equal a reopened
+// crash copy; inside a transaction a failed statement must leave the live
+// state as it was; at the end a clean reopen must equal it too.
+//
+// Out of scope: several sessions interleaving, and checkpoints while a
+// transaction is open.
+func TestLiveMatchesLogFuzz(t *testing.T) {
+	seeds, steps := []int64{1, 2, 3, 4, 5, 6}, 100
+	if raceEnabled {
+		seeds = seeds[:3]
+	}
+	start := time.Now()
+	for _, seed := range seeds {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "book.dsp")
+			ds, err := OpenFile(path, Options{CheckpointWALBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ds.Close() }()
+			if _, err := ds.QueryScript(`
+				CREATE TABLE t (id INT PRIMARY KEY, u INT, v INT);
+				CREATE UNIQUE INDEX t_u ON t (u);
+				INSERT INTO t VALUES (1, 1, 1), (2, 2, 2), (3, 3, 3), (5, 5, 5), (8, 8, 8);`); err != nil {
+				t.Fatal(err)
+			}
+			g := &liveLogGen{rng: rand.New(rand.NewSource(seed)), ds: ds}
+			var history []string
+			exec := func(sql string) error {
+				_, err := ds.Query(sql)
+				history = append(history, fmt.Sprintf("%s -> %v", sql, err))
+				return err
+			}
+			check := func() {
+				t.Helper()
+				live, logged := dumpDB(t, ds), crashDump(t, path)
+				if live != logged {
+					t.Fatalf("live state differs from the log after:\n%s\nlive:\n%s\nlog:\n%s",
+						strings.Join(history, "\n"), live, logged)
+				}
+			}
+			for step := 0; step < steps; step++ {
+				switch r := g.rng.Intn(10); {
+				case r == 0:
+					if err := ds.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					history = append(history, "checkpoint")
+				case r < 5:
+					_ = exec(g.statement())
+				default:
+					if err := exec("BEGIN"); err != nil {
+						t.Fatal(err)
+					}
+					for k := 1 + g.rng.Intn(5); k > 0; k-- {
+						before := dumpDB(t, ds)
+						if exec(g.statement()) != nil {
+							if after := dumpDB(t, ds); after != before {
+								t.Fatalf("a failed statement changed the live state:\n%s\nbefore:\n%s\nafter:\n%s",
+									strings.Join(history, "\n"), before, after)
+							}
+						}
+					}
+					end := "COMMIT"
+					if g.rng.Intn(2) == 0 {
+						end = "ROLLBACK"
+					}
+					if err := exec(end); err != nil {
+						t.Fatalf("%s: %v", end, err)
+					}
+				}
+				check()
+			}
+			failed := 0
+			for _, h := range history {
+				if !strings.HasSuffix(h, "-> <nil>") && h != "checkpoint" {
+					failed++
+				}
+			}
+			t.Logf("%d statements, %d failed", len(history), failed)
+			live := dumpDB(t, ds)
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := openDurable(t, path)
+			defer re.Close()
+			if got := dumpDB(t, re); got != live {
+				t.Fatalf("clean reopen differs from the live state:\n%s\nlive:\n%s\nreopen:\n%s",
+					strings.Join(history, "\n"), live, got)
+			}
+		})
+	}
+	t.Logf("%d seeds in %v", len(seeds), time.Since(start))
+}

@@ -31,6 +31,9 @@ type execEnv struct {
 	// (poller), so concurrent pullers share no counter. Stage boundaries
 	// call cancel.now().
 	cancel poller
+	// undo collects the steps that reverse this statement's changes
+	// (undo.go).
+	undo undoLog
 }
 
 // ctxCheckInterval is how many processed rows pass between context polls; a

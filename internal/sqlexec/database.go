@@ -19,7 +19,6 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
-	"github.com/dataspread/dataspread/internal/txn"
 )
 
 // Config configures a Database.
@@ -69,7 +68,7 @@ type listener struct {
 }
 
 // Database is the embedded relational engine: catalog, per-table storage,
-// primary-key indexes, transactions and change notification. It is safe for
+// primary-key indexes and change notification. It is safe for
 // concurrent use; writes are serialised by an internal mutex.
 type Database struct {
 	mu           sync.RWMutex // dslint:lock(engine)
@@ -78,7 +77,6 @@ type Database struct {
 	pkIndex      map[string]*btree.Tree
 	pageStore    pager.Backend
 	pool         *pager.BufferPool
-	txns         *txn.Manager
 	cfg          Config
 	listeners    []listener
 	nextListener int64
@@ -141,7 +139,6 @@ func NewDatabase(cfg Config) *Database {
 		deletes:     make(map[string]uint64),
 		pageStore:   ps,
 		pool:        pager.NewBufferPool(ps, poolPages),
-		txns:        txn.NewManager(),
 		cfg:         cfg,
 	}
 }
@@ -193,9 +190,6 @@ func (db *Database) ResetScanStats() {
 
 // Catalog returns the schema catalog.
 func (db *Database) Catalog() *catalog.Catalog { return db.cat }
-
-// TxnManager returns the transaction manager.
-func (db *Database) TxnManager() *txn.Manager { return db.txns }
 
 // PagerStats returns block-level I/O statistics for the whole database.
 func (db *Database) PagerStats() pager.Stats { return db.pageStore.Stats() }
@@ -375,7 +369,7 @@ func (db *Database) Insert(table string, row []sheet.Value) (tablestore.RowID, e
 	return db.insert(table, row, nil)
 }
 
-func (db *Database) insert(table string, row []sheet.Value, tx *txn.Txn) (tablestore.RowID, error) {
+func (db *Database) insert(table string, row []sheet.Value, undo *undoLog) (tablestore.RowID, error) {
 	tbl, err := db.cat.MustGet(table)
 	if err != nil {
 		return 0, err
@@ -430,11 +424,7 @@ func (db *Database) insert(table string, row []sheet.Value, tx *txn.Txn) (tables
 	}
 	db.dataVers[tkey(table)]++
 	db.mu.Unlock()
-	if tx != nil {
-		_ = tx.Log(txn.Op{Kind: txn.OpInsert, Table: table, Detail: fmt.Sprintf("row %d", id)}, func() error {
-			return db.Delete(table, id)
-		})
-	}
+	undo.push(func(moved rowMoves) error { return db.Delete(table, moved.id(table, id)) })
 	db.notify(ChangeEvent{Table: table, Kind: ChangeInsert, RowID: id})
 	return id, nil
 }
@@ -453,7 +443,7 @@ func (db *Database) Update(table string, id tablestore.RowID, row []sheet.Value)
 	return db.update(table, id, row, nil)
 }
 
-func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value, tx *txn.Txn) error {
+func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value, undo *undoLog) error {
 	tbl, err := db.cat.MustGet(table)
 	if err != nil {
 		return err
@@ -511,12 +501,8 @@ func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value,
 	}
 	db.dataVers[tkey(table)]++
 	db.mu.Unlock()
-	if tx != nil {
-		oldCopy := append([]sheet.Value(nil), old...)
-		_ = tx.Log(txn.Op{Kind: txn.OpUpdate, Table: table, Detail: fmt.Sprintf("row %d", id)}, func() error {
-			return db.Update(table, id, oldCopy)
-		})
-	}
+	// Store.Get returned old as a copy, so the undo step can keep it.
+	undo.push(func(moved rowMoves) error { return db.Update(table, moved.id(table, id), old) })
 	db.notify(ChangeEvent{Table: table, Kind: ChangeUpdate, RowID: id})
 	return nil
 }
@@ -577,7 +563,7 @@ func (db *Database) Delete(table string, id tablestore.RowID) error {
 	return db.delete(table, id, nil)
 }
 
-func (db *Database) delete(table string, id tablestore.RowID, tx *txn.Txn) error {
+func (db *Database) delete(table string, id tablestore.RowID, undo *undoLog) error {
 	tbl, err := db.cat.MustGet(table)
 	if err != nil {
 		return err
@@ -610,13 +596,13 @@ func (db *Database) delete(table string, id tablestore.RowID, tx *txn.Txn) error
 	db.dataVers[tkey(table)]++
 	db.deletes[tkey(table)]++
 	db.mu.Unlock()
-	if tx != nil {
-		oldCopy := append([]sheet.Value(nil), old...)
-		_ = tx.Log(txn.Op{Kind: txn.OpDelete, Table: table, Detail: fmt.Sprintf("row %d", id)}, func() error {
-			_, err := db.Insert(table, oldCopy)
-			return err
-		})
-	}
+	undo.push(func(moved rowMoves) error {
+		newID, err := db.Insert(table, old)
+		if err == nil {
+			moved[rowRef{tkey(table), id}] = newID
+		}
+		return err
+	})
 	db.notify(ChangeEvent{Table: table, Kind: ChangeDelete, RowID: id})
 	return nil
 }
@@ -658,7 +644,7 @@ func (db *Database) AddColumn(table string, col catalog.Column, defaultValue she
 	return db.addColumn(table, col, defaultValue, nil)
 }
 
-func (db *Database) addColumn(table string, col catalog.Column, defaultValue sheet.Value, tx *txn.Txn) error {
+func (db *Database) addColumn(table string, col catalog.Column, defaultValue sheet.Value, undo *undoLog) error {
 	s, err := db.store(table)
 	if err != nil {
 		return err
@@ -674,11 +660,7 @@ func (db *Database) addColumn(table string, col catalog.Column, defaultValue she
 		_, _ = db.cat.DropColumn(table, col.Name)
 		return err
 	}
-	if tx != nil {
-		_ = tx.Log(txn.Op{Kind: txn.OpAddColumn, Table: table, Detail: col.Name}, func() error {
-			return db.DropColumn(table, col.Name)
-		})
-	}
+	undo.push(func(rowMoves) error { return db.DropColumn(table, col.Name) })
 	db.invalidatePlans()
 	db.notify(ChangeEvent{Table: table, Kind: ChangeSchema})
 	return nil

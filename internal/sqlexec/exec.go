@@ -11,7 +11,6 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlparser"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
-	"github.com/dataspread/dataspread/internal/txn"
 )
 
 // Result is the outcome of executing a statement: a relation for queries, an
@@ -24,11 +23,11 @@ type Result struct {
 
 // Session executes statements against a database, carrying per-caller state:
 // the spreadsheet accessor used to resolve positional constructs and the
-// current explicit transaction (if any).
+// undo log of the current explicit transaction (nil outside one; undo.go).
 type Session struct {
 	db     *Database
 	sheets SheetAccessor
-	tx     *txn.Txn
+	tx     *undoLog
 }
 
 // NewSession creates a session. sheets may be nil when positional constructs
@@ -124,8 +123,24 @@ func (s *Session) Execute(stmt sqlparser.Statement) (*Result, error) {
 }
 
 // executeWith runs one parsed statement under the given execution
-// environment.
+// environment, atomically: a statement that fails unwinds its own changes
+// before the error returns, and one that succeeds inside an explicit
+// transaction hands its undo steps to the transaction.
 func (s *Session) executeWith(stmt sqlparser.Statement, env *execEnv) (*Result, error) {
+	res, err := s.execute(stmt, env)
+	if err != nil {
+		if uerr := env.undo.unwind(); uerr != nil {
+			err = errors.Join(err, uerr)
+		}
+		return nil, err
+	}
+	if s.tx != nil {
+		*s.tx = append(*s.tx, env.undo...)
+	}
+	return res, nil
+}
+
+func (s *Session) execute(stmt sqlparser.Statement, env *execEnv) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		return s.db.executeSelect(st, env)
@@ -142,37 +157,30 @@ func (s *Session) executeWith(stmt sqlparser.Statement, env *execEnv) (*Result, 
 	case *sqlparser.DropTableStmt:
 		return s.executeDropTable(st)
 	case *sqlparser.CreateIndexStmt:
-		if err := s.db.CreateIndex(st.Name, st.Table, st.Columns, st.Unique, st.IfNotExists); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return &Result{}, s.db.createIndex(st.Name, st.Table, st.Columns, st.Unique, st.IfNotExists, &env.undo)
 	case *sqlparser.DropIndexStmt:
-		if err := s.db.DropIndex(st.Name, st.IfExists); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return &Result{}, s.db.dropIndex(st.Name, st.IfExists, &env.undo)
 	case *sqlparser.ExplainStmt:
 		return s.executeExplain(st, env)
 	case *sqlparser.BeginStmt:
 		if s.tx != nil {
 			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrTxOpen)
 		}
-		s.tx = s.db.txns.Begin()
+		s.tx = &undoLog{}
 		return &Result{}, nil
 	case *sqlparser.CommitStmt:
 		if s.tx == nil {
 			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
 		}
-		err := s.tx.Commit()
 		s.tx = nil
-		return &Result{}, err
+		return &Result{}, nil
 	case *sqlparser.RollbackStmt:
 		if s.tx == nil {
 			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
 		}
-		err := s.tx.Rollback()
+		tx := s.tx
 		s.tx = nil
-		return &Result{}, err
+		return &Result{}, tx.unwind()
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported statement %T: %w", stmt, dberr.ErrUnsupported)
 	}
@@ -298,7 +306,7 @@ func (s *Session) executeInsert(st *sqlparser.InsertStmt, env *execEnv) (*Result
 		if err != nil {
 			return err
 		}
-		if _, err := s.db.insert(st.Table, row, s.tx); err != nil {
+		if _, err := s.db.insert(st.Table, row, &env.undo); err != nil {
 			return err
 		}
 		affected++
@@ -403,7 +411,7 @@ func (s *Session) executeUpdate(st *sqlparser.UpdateStmt, env *execEnv) (*Result
 		return nil, err
 	}
 	for _, u := range updates {
-		if err := s.db.update(st.Table, u.id, u.row, s.tx); err != nil {
+		if err := s.db.update(st.Table, u.id, u.row, &env.undo); err != nil {
 			return nil, err
 		}
 	}
@@ -446,7 +454,7 @@ func (s *Session) executeDelete(st *sqlparser.DeleteStmt, env *execEnv) (*Result
 		if err := poll.check(); err != nil {
 			return nil, err
 		}
-		if err := s.db.delete(st.Table, id, s.tx); err != nil {
+		if err := s.db.delete(st.Table, id, &env.undo); err != nil {
 			return nil, err
 		}
 	}
@@ -479,23 +487,19 @@ func (s *Session) executeCreateTable(st *sqlparser.CreateTableStmt, env *execEnv
 			}
 			cols[i] = catalog.Column{Name: name, Type: t}
 		}
-		if err := s.db.CreateTable(st.Name, cols); err != nil {
+		if err := s.createTable(st.Name, cols, env); err != nil {
 			return nil, err
 		}
+		// Dropping the table undoes its rows too, so they push no steps.
 		for _, row := range res.Rows {
 			if err := poll.check(); err != nil {
 				return nil, err
 			}
 			padded := make([]sheet.Value, len(cols))
 			copy(padded, row)
-			if _, err := s.db.insert(st.Name, padded, s.tx); err != nil {
+			if _, err := s.db.insert(st.Name, padded, nil); err != nil {
 				return nil, err
 			}
-		}
-		if s.tx != nil {
-			_ = s.tx.Log(txn.Op{Kind: txn.OpCreateTable, Table: st.Name}, func() error {
-				return s.db.DropTable(st.Name)
-			})
 		}
 		return &Result{Affected: len(res.Rows)}, nil
 	}
@@ -516,15 +520,15 @@ func (s *Session) executeCreateTable(st *sqlparser.CreateTableStmt, env *execEnv
 		}
 		cols[i] = col
 	}
-	if err := s.db.CreateTable(st.Name, cols); err != nil {
-		return nil, err
+	return &Result{}, s.createTable(st.Name, cols, env)
+}
+
+func (s *Session) createTable(name string, cols []catalog.Column, env *execEnv) error {
+	if err := s.db.CreateTable(name, cols); err != nil {
+		return err
 	}
-	if s.tx != nil {
-		_ = s.tx.Log(txn.Op{Kind: txn.OpCreateTable, Table: st.Name}, func() error {
-			return s.db.DropTable(st.Name)
-		})
-	}
-	return &Result{}, nil
+	env.undo.push(func(rowMoves) error { return s.db.DropTable(name) })
+	return nil
 }
 
 func (s *Session) executeAlterTable(st *sqlparser.AlterTableStmt, env *execEnv) (*Result, error) {
@@ -546,34 +550,42 @@ func (s *Session) executeAlterTable(st *sqlparser.AlterTableStmt, env *execEnv) 
 			col.Default = v
 			def = v
 		}
-		if err := s.db.addColumn(st.Table, col, def, s.tx); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		return &Result{}, s.db.addColumn(st.Table, col, def, &env.undo)
 	case st.DropColumn != "":
-		if err := s.db.DropColumn(st.Table, st.DropColumn); err != nil {
+		if err := s.refuseInTransaction("ALTER TABLE DROP COLUMN"); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return &Result{}, s.db.DropColumn(st.Table, st.DropColumn)
 	case st.RenameColumn != nil:
-		if err := s.db.RenameColumn(st.Table, st.RenameColumn[0], st.RenameColumn[1]); err != nil {
+		from, to := st.RenameColumn[0], st.RenameColumn[1]
+		if err := s.db.RenameColumn(st.Table, from, to); err != nil {
 			return nil, err
 		}
+		env.undo.push(func(rowMoves) error { return s.db.RenameColumn(st.Table, to, from) })
 		return &Result{}, nil
 	default:
 		return nil, fmt.Errorf("sqlexec: empty ALTER TABLE: %w", dberr.ErrSyntax)
 	}
 }
 
+// refuseInTransaction rejects, inside an explicit transaction, a schema
+// change the table store cannot undo.
+func (s *Session) refuseInTransaction(what string) error {
+	if s.tx != nil {
+		return fmt.Errorf("sqlexec: %s cannot be rolled back, so it is refused inside a transaction: %w", what, dberr.ErrUnsupported)
+	}
+	return nil
+}
+
 func (s *Session) executeDropTable(st *sqlparser.DropTableStmt) (*Result, error) {
+	if err := s.refuseInTransaction("DROP TABLE"); err != nil {
+		return nil, err
+	}
 	if _, exists := s.db.cat.Get(st.Name); !exists {
 		if st.IfExists {
 			return &Result{}, nil
 		}
 		return nil, catalog.ErrNoTable{Name: st.Name}
 	}
-	if err := s.db.DropTable(st.Name); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	return &Result{}, s.db.DropTable(st.Name)
 }

@@ -16,8 +16,8 @@ import (
 // scan over the value's key prefix. The database maintains every index of a
 // table inside the same critical section as the base-table mutation, so a
 // reader holding db.mu (or arriving after it is released) always observes
-// table and indexes in agreement — including across transaction rollback,
-// whose undo actions run through the same Insert/Update/Delete paths.
+// table and indexes in agreement — including across an unwind (undo.go),
+// whose steps run through the same Insert/Update/Delete paths.
 
 // IndexDef describes a secondary index for catalog listings and EXPLAIN.
 type IndexDef struct {
@@ -63,6 +63,10 @@ func (si *secIndex) hasNull(row []sheet.Value) bool {
 // CreateIndex builds a secondary index over existing rows and registers it.
 // With ifNotExists set, an existing index of the same name is left untouched.
 func (db *Database) CreateIndex(name, table string, columns []string, unique, ifNotExists bool) error {
+	return db.createIndex(name, table, columns, unique, ifNotExists, nil)
+}
+
+func (db *Database) createIndex(name, table string, columns []string, unique, ifNotExists bool, undo *undoLog) error {
 	if strings.TrimSpace(name) == "" {
 		return fmt.Errorf("sqlexec: empty index name: %w", dberr.ErrInvalidSchema)
 	}
@@ -125,12 +129,17 @@ func (db *Database) CreateIndex(name, table string, columns []string, unique, if
 	tk := tkey(table)
 	db.secIndexes[tk] = append(db.secIndexes[tk], si)
 	db.invalidatePlans()
+	undo.push(func(rowMoves) error { return db.DropIndex(name, false) })
 	return nil
 }
 
 // DropIndex removes a secondary index. With ifExists set, a missing index is
 // not an error.
 func (db *Database) DropIndex(name string, ifExists bool) error {
+	return db.dropIndex(name, ifExists, nil)
+}
+
+func (db *Database) dropIndex(name string, ifExists bool, undo *undoLog) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	si, ok := db.indexByName[ikey(name)]
@@ -143,6 +152,8 @@ func (db *Database) DropIndex(name string, ifExists bool) error {
 	delete(db.indexByName, ikey(name))
 	db.dropTableIndexLocked(tkey(si.def.Table), si)
 	db.invalidatePlans()
+	def := si.def
+	undo.push(func(rowMoves) error { return db.CreateIndex(def.Name, def.Table, def.Columns, def.Unique, false) })
 	return nil
 }
 

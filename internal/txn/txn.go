@@ -1,13 +1,12 @@
-// Package txn provides the transaction layer of the embedded relational
-// engine: begin/commit/rollback with logical undo, and an append-only
-// write-ahead log of committed work.
+// Package txn is the durable command log of a workbook: an append-only
+// write-ahead log of committed records, each a batch of user-level commands
+// (a cell edit, a SQL statement, a binding) that recovery replays in commit
+// order (see core.OpenFile).
 //
-// The paper points out that in stock relational systems a schema change "is
-// considered as 'data definition language' and generally cannot participate
-// in transactions". DataSpread's engine therefore treats DDL (ADD/DROP
-// COLUMN, CREATE/DROP TABLE) as ordinary logged, undoable operations so a
-// spreadsheet interaction that mixes schema and data edits can be applied or
-// rolled back atomically.
+// Undo is not kept here. The SQL engine reverses a failed statement or a
+// rolled-back transaction itself (sqlexec's undo log), schema changes
+// included — except DROP TABLE and ALTER TABLE DROP COLUMN, which it refuses
+// inside an explicit transaction — so only committed work reaches this log.
 //
 // dslint:errdomain
 // dslint:vfsonly
@@ -15,11 +14,8 @@ package txn
 
 import (
 	"bufio"
-	"errors"
-	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
@@ -27,21 +23,10 @@ import (
 // OpKind classifies a logged operation.
 type OpKind string
 
-// Operation kinds. DDL kinds participate in transactions exactly like DML.
-const (
-	OpInsert      OpKind = "insert"
-	OpUpdate      OpKind = "update"
-	OpDelete      OpKind = "delete"
-	OpAddColumn   OpKind = "add_column"
-	OpDropColumn  OpKind = "drop_column"
-	OpCreateTable OpKind = "create_table"
-	OpDropTable   OpKind = "drop_table"
-	OpCellSet     OpKind = "cell_set"
-)
-
 // Command kinds logged by the core durability layer: each record replays a
 // user-level command against a recovered workbook (see core.OpenFile).
 const (
+	OpCellSet     OpKind = "cell_set"     // cell input, parsed as typed
 	OpCellValue   OpKind = "cell_value"   // typed literal cell write
 	OpSQL         OpKind = "sql"          // single SQL statement
 	OpSQLScript   OpKind = "sql_script"   // semicolon-separated SQL script
@@ -51,21 +36,12 @@ const (
 	OpExportRange OpKind = "export_range" // range -> table export
 )
 
-// IsDDL reports whether the operation kind is a schema operation.
-func (k OpKind) IsDDL() bool {
-	switch k {
-	case OpAddColumn, OpDropColumn, OpCreateTable, OpDropTable:
-		return true
-	}
-	return false
-}
-
-// Op is one logical operation within a transaction.
+// Op is one logged command.
 type Op struct {
 	Kind  OpKind
 	Table string
-	// Detail is a human-readable description used by diagnostics and the
-	// WAL dump (e.g. "row 42", "column score NUMERIC").
+	// Detail is a human-readable description used by diagnostics (e.g. the
+	// statement text).
 	Detail string
 	// Args carries the machine-readable arguments needed to re-apply the
 	// operation during recovery (WAL replay). Nil for operations that are
@@ -80,40 +56,14 @@ type Record struct {
 	Ops   []Op
 }
 
-// State is the lifecycle state of a transaction.
-type State int
-
-const (
-	// StateActive means the transaction can accept more operations.
-	StateActive State = iota
-	// StateCommitted means Commit succeeded.
-	StateCommitted
-	// StateAborted means Rollback ran (successfully or not).
-	StateAborted
-)
-
-// ErrNotActive is returned when operating on a finished transaction.
-var ErrNotActive = errors.New("txn: transaction is not active")
-
-// Txn is a single transaction. It is not safe for concurrent use by multiple
-// goroutines; the engine runs one writer at a time.
-type Txn struct {
-	id    uint64
-	mgr   *Manager
-	state State
-	ops   []Op
-	undo  []func() error
-}
-
-// Manager creates transactions and owns the WAL. By default the log is an
-// in-memory slice; AttachLog (or RecoverFile) adds a durable append-only sink
-// that every committed record is serialized to (see wal.go).
+// Manager owns the WAL. By default the log is an in-memory slice; AttachLog
+// (or RecoverFileVFS) adds a durable append-only sink that every committed
+// record is serialized to (see wal.go).
 type Manager struct {
 	mu      sync.Mutex
 	nextTxn uint64
 	nextLSN uint64
 	wal     []Record
-	active  int64
 
 	// Durable log state (wal.go). All guarded by mu.
 	sink      io.Writer
@@ -137,22 +87,6 @@ func NewManager() *Manager {
 	return &Manager{nextTxn: 1, nextLSN: 1}
 }
 
-// Begin starts a new transaction.
-func (m *Manager) Begin() *Txn {
-	m.mu.Lock()
-	id := m.nextTxn
-	m.nextTxn++
-	m.mu.Unlock()
-	atomic.AddInt64(&m.active, 1)
-	return &Txn{id: id, mgr: m, state: StateActive}
-}
-
-// ActiveCount returns the number of transactions that have begun but not yet
-// committed or rolled back.
-func (m *Manager) ActiveCount() int {
-	return int(atomic.LoadInt64(&m.active))
-}
-
 // WAL returns a copy of the committed log in commit order.
 func (m *Manager) WAL() []Record {
 	m.mu.Lock()
@@ -162,82 +96,19 @@ func (m *Manager) WAL() []Record {
 	return out
 }
 
-// ID returns the transaction id.
-func (t *Txn) ID() uint64 { return t.id }
-
-// State returns the transaction state.
-func (t *Txn) State() State { return t.state }
-
-// Ops returns the operations logged so far.
-func (t *Txn) Ops() []Op {
-	out := make([]Op, len(t.ops))
-	copy(out, t.ops)
-	return out
-}
-
-// Log records an operation and its compensating undo action. The undo
-// actions are applied in reverse order on Rollback. A nil undo is allowed
-// for operations that need no compensation (e.g. reads promoted to the log
-// for auditing).
-func (t *Txn) Log(op Op, undo func() error) error {
-	if t.state != StateActive {
-		return ErrNotActive
-	}
-	t.ops = append(t.ops, op)
-	if undo != nil {
-		t.undo = append(t.undo, undo)
-	}
-	return nil
-}
-
-// Commit appends the transaction's operations to the WAL and finishes the
-// transaction. Committing an empty transaction is a no-op that still
-// transitions the state.
-func (t *Txn) Commit() error {
-	if t.state != StateActive {
-		return ErrNotActive
-	}
-	t.state = StateCommitted
-	atomic.AddInt64(&t.mgr.active, -1)
-	if len(t.ops) == 0 {
+// Append commits ops as one record under the next LSN and transaction id
+// and writes it to the durable sink, if one is attached. Appending no ops
+// writes nothing. The log keeps ops: callers must not modify them afterwards.
+// dslint:critical
+func (m *Manager) Append(ops ...Op) error {
+	if len(ops) == 0 {
 		return nil
 	}
-	t.mgr.mu.Lock()
-	defer t.mgr.mu.Unlock()
-	rec := Record{LSN: t.mgr.nextLSN, TxnID: t.id, Ops: append([]Op(nil), t.ops...)}
-	t.mgr.nextLSN++
-	t.mgr.wal = append(t.mgr.wal, rec)
-	return t.mgr.appendDurableLocked(rec)
-}
-
-// Rollback applies the registered undo actions in reverse order. If any undo
-// fails the remaining ones are still attempted and the first error is
-// returned; the transaction always ends in StateAborted.
-func (t *Txn) Rollback() error {
-	if t.state != StateActive {
-		return ErrNotActive
-	}
-	t.state = StateAborted
-	atomic.AddInt64(&t.mgr.active, -1)
-	var firstErr error
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		if err := t.undo[i](); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("txn %d: undo %d failed: %w", t.id, i, err)
-		}
-	}
-	return firstErr
-}
-
-// Run executes fn inside a fresh transaction: if fn returns an error the
-// transaction is rolled back and the error returned; otherwise it is
-// committed.
-func (m *Manager) Run(fn func(t *Txn) error) error {
-	t := m.Begin()
-	if err := fn(t); err != nil {
-		if rbErr := t.Rollback(); rbErr != nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
-		}
-		return err
-	}
-	return t.Commit()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rec := Record{LSN: m.nextLSN, TxnID: m.nextTxn, Ops: ops}
+	m.nextLSN++
+	m.nextTxn++
+	m.wal = append(m.wal, rec)
+	return m.appendDurableLocked(rec)
 }

@@ -1,205 +1,83 @@
 package txn
 
 import (
-	"errors"
+	"bytes"
+	"encoding/hex"
 	"sync"
 	"testing"
 )
 
-func TestBeginCommitWAL(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	if tx.State() != StateActive || tx.ID() == 0 {
-		t.Fatal("new txn should be active with an id")
-	}
-	if m.ActiveCount() != 1 {
-		t.Fatal("ActiveCount should be 1")
-	}
-	if err := tx.Log(Op{Kind: OpInsert, Table: "t", Detail: "row 1"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Log(Op{Kind: OpAddColumn, Table: "t", Detail: "col c"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if tx.State() != StateCommitted || m.ActiveCount() != 0 {
-		t.Error("state after commit wrong")
-	}
-	wal := m.WAL()
-	if len(wal) != 1 || wal[0].TxnID != tx.ID() || len(wal[0].Ops) != 2 {
-		t.Fatalf("WAL = %+v", wal)
-	}
-	if wal[0].LSN != 1 {
-		t.Error("first LSN should be 1")
-	}
-	// DDL inside the transaction is first-class.
-	if !wal[0].Ops[1].Kind.IsDDL() || wal[0].Ops[0].Kind.IsDDL() {
-		t.Error("IsDDL classification wrong")
-	}
-}
-
 func TestCommitEmptyTxnProducesNoWAL(t *testing.T) {
+	var buf bytes.Buffer
 	m := NewManager()
-	tx := m.Begin()
-	if err := tx.Commit(); err != nil {
+	m.AttachLog(&buf)
+	if err := m.Append(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.WAL()) != 0 {
-		t.Error("empty commit should not append to WAL")
-	}
-}
-
-func TestRollbackRunsUndoInReverse(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	var order []int
-	for i := 1; i <= 3; i++ {
-		i := i
-		_ = tx.Log(Op{Kind: OpUpdate, Table: "t"}, func() error {
-			order = append(order, i)
-			return nil
-		})
-	}
-	if err := tx.Rollback(); err != nil {
+	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != 3 || order[2] != 1 {
-		t.Errorf("undo order = %v, want [3 2 1]", order)
+	if len(m.WAL()) != 0 || buf.Len() != 0 {
+		t.Errorf("empty append wrote %d records, %d bytes", len(m.WAL()), buf.Len())
 	}
-	if tx.State() != StateAborted {
-		t.Error("state should be aborted")
-	}
-	if len(m.WAL()) != 0 {
-		t.Error("rolled-back txn must not reach the WAL")
-	}
-	if m.ActiveCount() != 0 {
-		t.Error("ActiveCount should be 0 after rollback")
+	if m.LastLSN() != 0 {
+		t.Errorf("empty append consumed LSN %d", m.LastLSN())
 	}
 }
 
-func TestRollbackContinuesPastFailingUndo(t *testing.T) {
+// TestAppendPinnedFrame pins the WAL's byte format: two appends, the first
+// of a parameterized SQL statement and a cell edit, the second of one more
+// command, must frame to exactly these bytes (LSN and transaction id 1, then
+// 2). Logs written by earlier builds replay only while this holds.
+func TestAppendPinnedFrame(t *testing.T) {
+	const want = "790000008276fdd50101020373716c001f5550444154452074205345542076203d203f205748455245206964203d203f031f5550444154452074205345542076203d203f205748455245206964203d203f034e3432065348656c6c6f0863656c6c5f73657400095368656574312141310306536865657431024131053d42312b31" +
+		"1d000000d6c1ee1b020201096164645f736865657400065368656574320106536865657432"
+	var buf bytes.Buffer
 	m := NewManager()
-	tx := m.Begin()
-	ran := 0
-	_ = tx.Log(Op{Kind: OpDelete}, func() error { ran++; return nil })
-	_ = tx.Log(Op{Kind: OpDelete}, func() error { return errors.New("boom") })
-	_ = tx.Log(Op{Kind: OpDelete}, func() error { ran++; return nil })
-	err := tx.Rollback()
-	if err == nil {
-		t.Fatal("rollback should report the undo failure")
-	}
-	if ran != 2 {
-		t.Errorf("remaining undos should still run, ran = %d", ran)
-	}
-}
-
-func TestFinishedTxnRejectsFurtherUse(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	_ = tx.Commit()
-	if err := tx.Log(Op{Kind: OpInsert}, nil); !errors.Is(err, ErrNotActive) {
-		t.Error("Log after commit should fail")
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrNotActive) {
-		t.Error("double commit should fail")
-	}
-	if err := tx.Rollback(); !errors.Is(err, ErrNotActive) {
-		t.Error("rollback after commit should fail")
-	}
-}
-
-func TestOpsSnapshot(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	_ = tx.Log(Op{Kind: OpInsert, Table: "a"}, nil)
-	ops := tx.Ops()
-	ops[0].Table = "mutated"
-	if tx.Ops()[0].Table != "a" {
-		t.Error("Ops must return a copy")
-	}
-	_ = tx.Rollback()
-}
-
-func TestRunCommitsOnSuccessRollsBackOnError(t *testing.T) {
-	m := NewManager()
-	undone := false
-	err := m.Run(func(t *Txn) error {
-		return t.Log(Op{Kind: OpInsert, Table: "ok"}, nil)
-	})
-	if err != nil {
+	m.AttachLog(&buf)
+	if err := m.Append(
+		Op{Kind: OpSQL, Detail: "UPDATE t SET v = ? WHERE id = ?", Args: []string{"UPDATE t SET v = ? WHERE id = ?", "N42", "SHello"}},
+		Op{Kind: OpCellSet, Detail: "Sheet1!A1", Args: []string{"Sheet1", "A1", "=B1+1"}},
+	); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.WAL()) != 1 {
-		t.Fatal("successful Run should commit")
+	if err := m.Append(Op{Kind: OpAddSheet, Detail: "Sheet2", Args: []string{"Sheet2"}}); err != nil {
+		t.Fatal(err)
 	}
-	err = m.Run(func(t *Txn) error {
-		_ = t.Log(Op{Kind: OpInsert, Table: "bad"}, func() error { undone = true; return nil })
-		return errors.New("fail")
-	})
-	if err == nil || !undone {
-		t.Error("failing Run should roll back and return the error")
-	}
-	if len(m.WAL()) != 1 {
-		t.Error("failed Run must not append to WAL")
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("WAL frames changed:\n got %s\nwant %s", got, want)
 	}
 }
 
-func TestWALOrderingAndIsolationOfCopies(t *testing.T) {
-	m := NewManager()
-	for i := 0; i < 5; i++ {
-		tx := m.Begin()
-		_ = tx.Log(Op{Kind: OpInsert, Table: "t"}, nil)
-		_ = tx.Commit()
-	}
-	wal := m.WAL()
-	for i := 1; i < len(wal); i++ {
-		if wal[i].LSN <= wal[i-1].LSN {
-			t.Fatal("LSNs must be strictly increasing")
-		}
-	}
-	wal[0].Ops[0].Table = "mutated"
-	if m.WAL()[0].Ops[0].Table != "t" {
-		// Note: Record.Ops shares the underlying slice header copy; the
-		// slice itself is owned by the manager. Mutating through the copy
-		// is visible, so we document the WAL as read-only. This assertion
-		// accepts either behaviour but ensures no panic.
-		t.Skip("WAL entries are documented read-only")
-	}
-}
-
+// TestConcurrentTransactions: appends from many goroutines each commit one
+// record, under distinct transaction ids and strictly increasing LSNs.
 func TestConcurrentTransactions(t *testing.T) {
 	m := NewManager()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tx := m.Begin()
-				_ = tx.Log(Op{Kind: OpInsert, Table: "t"}, nil)
-				if i%2 == 0 {
-					_ = tx.Commit()
-				} else {
-					_ = tx.Rollback()
+			for i := 0; i < 25; i++ {
+				if err := m.Append(Op{Kind: OpSQL, Args: []string{"DELETE FROM t"}}); err != nil {
+					t.Error(err)
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if m.ActiveCount() != 0 {
-		t.Errorf("ActiveCount = %d after all txns finished", m.ActiveCount())
+	wal := m.WAL()
+	if len(wal) != 16*25 {
+		t.Errorf("WAL has %d records, want %d", len(wal), 16*25)
 	}
-	if len(m.WAL()) != 16*25 {
-		t.Errorf("WAL has %d records, want %d", len(m.WAL()), 16*25)
-	}
-	// Transaction ids are unique.
 	seen := make(map[uint64]bool)
-	for _, r := range m.WAL() {
+	for i, r := range wal {
 		if seen[r.TxnID] {
 			t.Fatal("duplicate txn id in WAL")
 		}
 		seen[r.TxnID] = true
+		if i > 0 && r.LSN <= wal[i-1].LSN {
+			t.Fatal("LSNs must be strictly increasing")
+		}
 	}
 }

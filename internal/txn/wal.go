@@ -12,7 +12,7 @@
 // bytes.
 //
 // Replay tolerates a torn final frame (a crash mid-append): the valid prefix
-// is returned and the tail is discarded; RecoverFile additionally truncates
+// is returned and the tail is discarded; RecoverFileVFS additionally truncates
 // the file back to the valid prefix so appends resume cleanly. A checksum or
 // decode failure on a fully present frame is corruption and is rejected with
 // ErrCorruptLog.
@@ -315,10 +315,11 @@ func (m *Manager) Replay(r io.Reader) ([]Record, int64, error) {
 	return recs, valid, err
 }
 
-// RecoverFile opens (creating if necessary) the log file at path, replays it,
-// truncates any torn or corrupt tail, and attaches the file as the durable
-// sink so new commits append after the recovered prefix. The manager owns the
-// file until Close.
+// RecoverFileVFS opens (creating if necessary) the log file at path on fsys,
+// replays it, truncates any torn or corrupt tail, and attaches the file as
+// the durable sink so new commits append after the recovered prefix. The
+// manager owns the file until Close and keeps using fsys for later
+// compaction renames.
 //
 // Unlike Replay, detected corruption (a checksum mismatch or undecodable
 // frame, e.g. after a partial disk write or media bit flip) is not an error
@@ -327,12 +328,6 @@ func (m *Manager) Replay(r io.Reader) ([]Record, int64, error) {
 // standard crash-recovery reading of an append-only log — each frame's CRC
 // covers its payload, so the longest valid prefix is exactly the committed
 // history.
-func (m *Manager) RecoverFile(path string) ([]Record, error) {
-	return m.RecoverFileVFS(vfs.OS(), path)
-}
-
-// RecoverFileVFS is RecoverFile over an injectable filesystem; the manager
-// keeps using it for later compaction renames.
 func (m *Manager) RecoverFileVFS(fsys vfs.FS, path string) ([]Record, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -490,25 +485,8 @@ func (m *Manager) resetLogFileLocked() error {
 	return nil
 }
 
-// ResetLog discards the durable log contents (after a checkpoint has made
-// them redundant) and clears the in-memory WAL. LSNs keep increasing so
-// later records never collide with checkpointed ones.
-func (m *Manager) ResetLog() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.wal = nil
-	if m.logFile == nil {
-		if m.bw != nil {
-			m.bw = bufio.NewWriter(m.sink)
-			m.pending = 0
-		}
-		return nil
-	}
-	return m.resetLogFileLocked()
-}
-
 // Close flushes and syncs the durable log and closes the underlying file
-// when the manager owns one (RecoverFile). Safe to call multiple times.
+// when the manager owns one (RecoverFileVFS). Safe to call multiple times.
 // dslint:critical
 func (m *Manager) Close() error {
 	m.mu.Lock()

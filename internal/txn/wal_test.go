@@ -8,18 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
 
 func commitOps(t *testing.T, m *Manager, ops ...Op) {
 	t.Helper()
-	if err := m.Run(func(tx *Txn) error {
-		for _, op := range ops {
-			if err := tx.Log(op, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := m.Append(ops...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -31,7 +26,7 @@ func TestWALRoundTrip(t *testing.T) {
 	commitOps(t, m, Op{Kind: OpCellSet, Table: "", Detail: "Sheet1!A1", Args: []string{"Sheet1", "A1", "42"}})
 	commitOps(t, m,
 		Op{Kind: OpSQL, Detail: "ddl", Args: []string{"CREATE TABLE t (a INT)"}},
-		Op{Kind: OpInsert, Table: "t", Args: []string{"t", "N1"}},
+		Op{Kind: OpSQL, Detail: "insert", Args: []string{"INSERT INTO t VALUES (?)", "N1"}},
 	)
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
@@ -166,7 +161,7 @@ func TestRecoverFileTruncatesAndAppends(t *testing.T) {
 	}
 
 	m := NewManager()
-	recs, err := m.RecoverFile(path)
+	recs, err := m.RecoverFileVFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,45 +188,16 @@ func TestRecoverFileTruncatesAndAppends(t *testing.T) {
 	}
 }
 
-func TestResetLogClearsDurableState(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reset.wal")
-	m := NewManager()
-	if _, err := m.RecoverFile(path); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	commitOps(t, m, Op{Kind: OpCellSet, Args: []string{"Sheet1", "A1", "1"}})
-	if info, _ := os.Stat(path); info.Size() == 0 {
-		t.Fatal("commit not written")
-	}
-	if err := m.ResetLog(); err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := os.Stat(path); info.Size() != 0 {
-		t.Errorf("ResetLog left %d bytes", info.Size())
-	}
-	if len(m.WAL()) != 0 {
-		t.Error("ResetLog left in-memory records")
-	}
-	commitOps(t, m, Op{Kind: OpCellSet, Args: []string{"Sheet1", "A2", "2"}})
-	recs, _, err := NewManager().Replay(bytes.NewReader(mustRead(t, path)))
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("replay after reset: %d records, %v", len(recs), err)
-	}
-}
-
 // TestTruncateThroughKeepsTail: compaction through a watermark drops covered
 // records but preserves — durably — everything committed above it.
 func TestTruncateThroughKeepsTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
 	m := NewManager()
-	if _, err := m.RecoverFile(path); err != nil {
+	if _, err := m.RecoverFileVFS(vfs.OS(), path); err != nil {
 		t.Fatal(err)
 	}
 	commit := func(detail string) uint64 {
-		if err := m.Run(func(tx *Txn) error {
-			return tx.Log(Op{Kind: OpInsert, Detail: detail}, nil)
-		}); err != nil {
+		if err := m.Append(Op{Kind: OpSQL, Detail: detail}); err != nil {
 			t.Fatal(err)
 		}
 		return m.LastLSN()
@@ -251,7 +217,7 @@ func TestTruncateThroughKeepsTail(t *testing.T) {
 	}
 
 	re := NewManager()
-	recs, err := re.RecoverFile(path)
+	recs, err := re.RecoverFileVFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +239,11 @@ func TestTruncateThroughKeepsTail(t *testing.T) {
 func TestTruncateThroughRepeatedCompactions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.wal")
 	m := NewManager()
-	if _, err := m.RecoverFile(path); err != nil {
+	if _, err := m.RecoverFileVFS(vfs.OS(), path); err != nil {
 		t.Fatal(err)
 	}
 	commit := func(detail string) uint64 {
-		if err := m.Run(func(tx *Txn) error {
-			return tx.Log(Op{Kind: OpInsert, Detail: detail}, nil)
-		}); err != nil {
+		if err := m.Append(Op{Kind: OpSQL, Detail: detail}); err != nil {
 			t.Fatal(err)
 		}
 		return m.LastLSN()
@@ -298,7 +262,7 @@ func TestTruncateThroughRepeatedCompactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	re := NewManager()
-	recs, err := re.RecoverFile(path)
+	recs, err := re.RecoverFileVFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
 
 // TestErrCorruptLogClassification pins the sentinel taxonomy: every WAL
@@ -33,7 +34,7 @@ func TestErrCorruptLogClassification(t *testing.T) {
 	}
 }
 
-// TestRecoverFileTruncatesCorruptTail verifies that RecoverFile treats a
+// TestRecoverFileTruncatesCorruptTail verifies that RecoverFileVFS treats a
 // corrupt tail as end-of-log (the committed prefix survives, the tail is
 // truncated) rather than propagating ErrCorruptLog — and that the manager is
 // left attached and usable, i.e. the error-join rewrite of the failure paths
@@ -56,9 +57,9 @@ func TestRecoverFileTruncatesCorruptTail(t *testing.T) {
 	}
 
 	m := NewManager()
-	recs, err := m.RecoverFile(path)
+	recs, err := m.RecoverFileVFS(vfs.OS(), path)
 	if err != nil {
-		t.Fatalf("RecoverFile: %v", err)
+		t.Fatalf("RecoverFileVFS: %v", err)
 	}
 	if len(recs) != 1 || recs[0].LSN != 1 {
 		t.Fatalf("recovered %v, want the single committed record with LSN 1", recs)

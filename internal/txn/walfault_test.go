@@ -22,9 +22,7 @@ func TestWALDisabledAfterSyncFailure(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	commit := func() error {
-		return mgr.Run(func(tx *Txn) error {
-			return tx.Log(Op{Kind: OpSQL, Detail: "INSERT", Args: []string{"INSERT"}}, nil)
-		})
+		return mgr.Append(Op{Kind: OpSQL, Detail: "INSERT", Args: []string{"INSERT"}})
 	}
 	if err := commit(); err != nil {
 		t.Fatalf("healthy commit: %v", err)
@@ -56,7 +54,7 @@ func TestWALDisabledAfterSyncFailure(t *testing.T) {
 	// or may not survive — both are legal outcomes for an unacknowledged
 	// commit. Never more than those two.
 	re := NewManager()
-	recs, err := re.RecoverFile(path)
+	recs, err := re.RecoverFileVFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -78,9 +76,7 @@ func TestWALCompactionFailureKeepsOldLog(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := mgr.Run(func(tx *Txn) error {
-			return tx.Log(Op{Kind: OpSQL, Detail: "INSERT", Args: []string{"INSERT"}}, nil)
-		}); err != nil {
+		if err := mgr.Append(Op{Kind: OpSQL, Detail: "INSERT", Args: []string{"INSERT"}}); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
@@ -91,16 +87,14 @@ func TestWALCompactionFailureKeepsOldLog(t *testing.T) {
 		t.Fatalf("compaction = %v, want ErrIO", err)
 	}
 	// Nothing durable was touched: the next commit still works.
-	if err := mgr.Run(func(tx *Txn) error {
-		return tx.Log(Op{Kind: OpSQL, Detail: "INSERT", Args: []string{"INSERT"}}, nil)
-	}); err != nil {
+	if err := mgr.Append(Op{Kind: OpSQL, Detail: "INSERT", Args: []string{"INSERT"}}); err != nil {
 		t.Fatalf("commit after failed compaction: %v", err)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	re := NewManager()
-	recs, err := re.RecoverFile(path)
+	recs, err := re.RecoverFileVFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
