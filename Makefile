@@ -36,8 +36,9 @@ loc:
 # racecheck runs the race detector over the packages whose code runs without
 # the engine lock — the scan kernel's pullers (internal/sqlexec), the snapshot
 # scans they drive (internal/storage/tablestore), the DBSQL refreshes that
-# change-feed callbacks run next to them (internal/interfacemgr) and the
-# compute engine's background recalc pass that un-waited edits overlap
+# each published change set runs next to them on the writer's goroutine,
+# once its statement, COMMIT or ROLLBACK is done (internal/interfacemgr), and
+# the compute engine's background recalc pass that un-waited edits overlap
 # (internal/compute) — so `verify` guards lock-freedom locally; CI (and
 # `make race`) runs it over every package.
 racecheck:

@@ -119,6 +119,68 @@ func BenchmarkF2cTwoWaySync(b *testing.B) {
 	}
 }
 
+// BenchmarkF2dBoundBulkWrite measures Figure 2c's sync under bulk writes: a
+// 1000-row UPDATE and a 100-row DELETE inside ids 1–2000 of a 20k-row table
+// that is unbound, read by a DBSQL aggregate over those ids, or bound as a
+// DBTABLE region. A statement publishes its changes once, so a bound write
+// pays one refresh per statement, not one per row, and stays near the
+// unbound one.
+func BenchmarkF2dBoundBulkWrite(b *testing.B) {
+	for _, binding := range []string{"none", "dbsql", "table"} {
+		for _, op := range []string{"update1000", "delete100"} {
+			b.Run(binding+"/"+op, func(b *testing.B) { benchmarkF2dBoundBulkWrite(b, binding, op) })
+		}
+	}
+}
+
+func benchmarkF2dBoundBulkWrite(b *testing.B, binding, op string) {
+	ds := core.New(core.Options{})
+	if _, err := ds.Query("CREATE TABLE t (id INT PRIMARY KEY, a NUMERIC, b NUMERIC)"); err != nil {
+		b.Fatal(err)
+	}
+	row := func(id int) []sheet.Value {
+		return []sheet.Value{sheet.Number(float64(id)), sheet.Number(float64(id % 97)), sheet.Number(1)}
+	}
+	for id := 1; id <= 20_000; id++ {
+		if _, err := ds.DB().Insert("t", row(id)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	switch binding {
+	case "dbsql":
+		wait, err := ds.SetCell("Sheet1", "A1", `=DBSQL("SELECT SUM(b) FROM t WHERE id >= 1 AND id <= 2000")`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wait()
+	case "table":
+		if _, err := ds.ImportTable("Sheet1", "A1", "t"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if op == "update1000" {
+			lo := 1 + i%2*1000
+			if _, err := ds.Query(fmt.Sprintf("UPDATE t SET b = b + 1 WHERE id >= %d AND id < %d", lo, lo+1000)); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		lo := 1 + i%20*100
+		if _, err := ds.Query(fmt.Sprintf("DELETE FROM t WHERE id >= %d AND id < %d", lo, lo+100)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for id := lo; id < lo+100; id++ {
+			if _, err := ds.DB().Insert("t", row(id)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+}
+
 // M1: interaction latency at scale — panning a window over a large bound
 // table (DataSpread) vs fetching a window from a naive flat spreadsheet.
 func benchmarkM1DataSpread(b *testing.B, rows int) {

@@ -3,6 +3,7 @@ package dataspread
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"github.com/dataspread/dataspread/internal/catalog"
 	"github.com/dataspread/dataspread/internal/core"
@@ -255,10 +256,20 @@ func tableInfo(t *catalog.Table) TableInfo {
 }
 
 // Listen subscribes to data-change notifications for bound-region refresh or
-// cache invalidation. The callback runs synchronously on the mutating
+// cache invalidation. fn runs once per changed table after each statement,
+// COMMIT or ROLLBACK that changed it, and never for a statement that failed
+// or whose transaction is still open. It runs synchronously on the mutating
 // goroutine; keep it fast. The returned cancel removes the subscription.
 func (db *DB) Listen(fn func(table string)) (cancel func()) {
-	return db.ds.DB().Listen(func(ev sqlexec.ChangeEvent) { fn(ev.Table) })
+	return db.ds.DB().Listen(func(changes []sqlexec.ChangeEvent) {
+		seen := map[string]bool{}
+		for _, ev := range changes {
+			if t := strings.ToLower(ev.Table); !seen[t] {
+				seen[t] = true
+				fn(ev.Table)
+			}
+		}
+	})
 }
 
 // PlanCacheStats reports prepared-plan cache counters (size, hits, misses).

@@ -19,10 +19,9 @@ import (
 // the live instance against a crash copy (the heap and WAL as a crash at that
 // instant would leave them), reopened.
 
-// dumpDB renders every table's schema, its secondary indexes and its rows.
-// Rows and indexes are sorted: a rolled-back DELETE re-inserts its row under
-// a new RowID, and a rolled-back DROP INDEX re-creates the index last, so
-// neither scan order nor index order is part of the state compared.
+// dumpDB renders every table's schema, its secondary indexes and its rows
+// in scan order. Indexes are sorted: a rolled-back DROP INDEX re-creates the
+// index last, so index order is not part of the state compared.
 func dumpDB(t *testing.T, ds *DataSpread) string {
 	t.Helper()
 	var b strings.Builder
@@ -42,12 +41,9 @@ func dumpDB(t *testing.T, ds *DataSpread) string {
 		if err != nil {
 			t.Fatalf("dump %s: %v", tbl.Name, err)
 		}
-		rows := make([]string, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = fmt.Sprintln(r)
+		for _, r := range res.Rows {
+			fmt.Fprintln(&b, r)
 		}
-		slices.Sort(rows)
-		b.WriteString(strings.Join(rows, ""))
 	}
 	return b.String()
 }
@@ -195,30 +191,66 @@ func TestRollbackCreateTableAsSelect(t *testing.T) {
 	}
 }
 
+// TestRolledBackDeleteReplays: a rolled-back DELETE leaves its row where it
+// was, so a statement whose outcome depends on scan order has the same
+// outcome live as on replay. The key move below visits (1,1) before (2,2)
+// and collides; had id 1 come back behind 2, it would succeed live while
+// replay, which never saw the DELETE, fails.
+func TestRolledBackDeleteReplays(t *testing.T) {
+	ds, path := openLiveLog(t)
+	for _, sql := range []string{"DELETE FROM t WHERE id = 3", "BEGIN", "DELETE FROM t WHERE id = 1", "ROLLBACK"} {
+		mustQuery(t, ds, sql)
+	}
+	if _, err := ds.Query("UPDATE t SET id = id + 1"); !errors.Is(err, dberr.ErrUniqueViolation) {
+		t.Fatalf("key move = %v, want ErrUniqueViolation", err)
+	}
+	live := liveMatchesLog(t, ds, path, "key move after ROLLBACK")
+	if !strings.Contains(live, ")\n[1 1]\n[2 2]\ntable u") {
+		t.Fatalf("after the key move:\n%s\nwant t's rows [1 1] and [2 2] in scan order", live)
+	}
+}
+
 // TestFailedUndoDegradesWorkbook: when a ROLLBACK cannot reverse a change,
-// live state matches no log, so the workbook degrades to read-only. Two
-// sessions make an undo step fail: A deletes a row, B re-inserts its key,
-// and A's rollback cannot put the row back.
+// live state matches no log, so the workbook degrades to read-only. A
+// second session makes the undo of A's DELETE fail: it re-inserts the key,
+// drops the table, or drops it and creates it again. The rollback must fail
+// with ErrUndo, neither crash nor write into the new table's indexes.
 func TestFailedUndoDegradesWorkbook(t *testing.T) {
-	ds, _ := openLiveLog(t)
-	ctx := t.Context()
-	a, b := ds.NewConn(), ds.NewConn()
-	for _, step := range []struct {
-		c   *Conn
-		sql string
-	}{{a, "BEGIN"}, {a, "DELETE FROM t WHERE id = 2"}, {b, "INSERT INTO t VALUES (2, 20)"}} {
-		if _, err := step.c.QueryContext(ctx, step.sql); err != nil {
-			t.Fatalf("%s: %v", step.sql, err)
-		}
-	}
-	if _, err := a.QueryContext(ctx, "ROLLBACK"); !errors.Is(err, sqlexec.ErrUndo) {
-		t.Fatalf("ROLLBACK = %v, want ErrUndo", err)
-	}
-	if err := ds.Health(); !errors.Is(err, dberr.ErrReadOnly) {
-		t.Fatalf("Health after a failed undo = %v, want ErrReadOnly", err)
-	}
-	if _, err := b.QueryContext(ctx, "INSERT INTO t VALUES (4, 4)"); !errors.Is(err, dberr.ErrReadOnly) {
-		t.Fatalf("write after a failed undo = %v, want ErrReadOnly", err)
+	for name, meanwhile := range map[string][]string{
+		"key taken":  {"INSERT INTO t VALUES (2, 20)"},
+		"dropped":    {"DROP TABLE t"},
+		"re-created": {"DROP TABLE t", "CREATE TABLE t (id INT PRIMARY KEY, v INT)"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ds, _ := openLiveLog(t)
+			ctx := t.Context()
+			a, b := ds.NewConn(), ds.NewConn()
+			for _, sql := range []string{"BEGIN", "DELETE FROM t WHERE id = 2"} {
+				if _, err := a.QueryContext(ctx, sql); err != nil {
+					t.Fatalf("A %s: %v", sql, err)
+				}
+			}
+			for _, sql := range meanwhile {
+				if _, err := b.QueryContext(ctx, sql); err != nil {
+					t.Fatalf("B %s: %v", sql, err)
+				}
+			}
+			if _, err := a.QueryContext(ctx, "ROLLBACK"); !errors.Is(err, sqlexec.ErrUndo) {
+				t.Fatalf("ROLLBACK = %v, want ErrUndo", err)
+			}
+			if err := ds.Health(); !errors.Is(err, dberr.ErrReadOnly) {
+				t.Fatalf("Health after a failed undo = %v, want ErrReadOnly", err)
+			}
+			if _, err := b.QueryContext(ctx, "INSERT INTO u VALUES (4)"); !errors.Is(err, dberr.ErrReadOnly) {
+				t.Fatalf("write after a failed undo = %v, want ErrReadOnly", err)
+			}
+			if len(meanwhile) == 2 {
+				res, err := b.QueryContext(ctx, "SELECT id FROM t WHERE id = 2")
+				if err != nil || len(res.Rows) != 0 {
+					t.Fatalf("new t by key 2 = %v, %v; want no row", res, err)
+				}
+			}
+		})
 	}
 }
 
@@ -301,8 +333,10 @@ func (g *liveLogGen) statement() string {
 		return "INSERT INTO t VALUES " + strings.Join(rows, ", ")
 	case r < 30:
 		return fmt.Sprintf("INSERT INTO t (%s) SELECT %s + %d FROM t WHERE %s", key, key, 1+g.rng.Intn(12), g.keyRange(key))
-	case r < 40: // fails part-way whenever the range holds two rows
+	case r < 36: // fails part-way whenever the range holds two rows
 		return fmt.Sprintf("UPDATE t SET %s = %d WHERE %s", key, g.rng.Intn(14), g.keyRange(key))
+	case r < 40: // succeeds or fails by the order the rows are visited in
+		return fmt.Sprintf("UPDATE t SET %s = %s + %d WHERE %s", key, key, 1+g.rng.Intn(3), g.keyRange(key))
 	case r < 55 && len(rest) > 0:
 		return fmt.Sprintf("UPDATE t SET %s = %s WHERE %s", g.pick(rest), g.value(), g.keyRange(key))
 	case r < 65:

@@ -87,16 +87,6 @@ type Binding struct {
 	hasExt bool
 }
 
-// reads reports whether a query binding's SQL reads the table.
-func (b *Binding) reads(table string) bool {
-	for _, t := range b.tables {
-		if strings.EqualFold(t, table) {
-			return true
-		}
-	}
-	return false
-}
-
 // Extent returns the currently materialised region and whether any cells are
 // materialised.
 func (b *Binding) Extent() (sheet.Range, bool) { return b.extent, b.hasExt }
@@ -120,20 +110,18 @@ type Stats struct {
 
 // Manager owns all bindings of a workbook.
 type Manager struct {
-	mu        sync.Mutex
-	db        *sqlexec.Database
-	book      *sheet.Book
-	engine    *compute.Engine
-	windows   *window.Manager
-	runQuery  QueryRunner
-	sheets    sqlexec.SheetAccessor // what runQuery resolves RANGEVALUE with
-	bindings  map[int64]*Binding
-	nextID    int64
-	allLimit  int
-	stats     Stats
-	suppress  bool // true while the manager itself writes to the database
-	listening bool
-	unlisten  func() // cancels the database change subscription
+	mu       sync.Mutex
+	db       *sqlexec.Database
+	book     *sheet.Book
+	engine   *compute.Engine
+	windows  *window.Manager
+	runQuery QueryRunner
+	sheets   sqlexec.SheetAccessor // what runQuery resolves RANGEVALUE with
+	bindings map[int64]*Binding
+	nextID   int64
+	allLimit int
+	stats    Stats
+	unlisten func() // cancels the database change subscription
 }
 
 // New creates an interface manager. SetQueryRunner must be called before
@@ -148,8 +136,7 @@ func New(db *sqlexec.Database, book *sheet.Book, engine *compute.Engine, windows
 		nextID:   1,
 		allLimit: DefaultMaterializeAllLimit,
 	}
-	m.unlisten = db.Listen(m.onDBChange)
-	m.listening = true
+	m.unlisten = db.Listen(m.onDBChanges)
 	return m
 }
 
@@ -161,7 +148,6 @@ func (m *Manager) Close() {
 	if m.unlisten != nil {
 		m.unlisten()
 		m.unlisten = nil
-		m.listening = false
 	}
 }
 

@@ -121,8 +121,40 @@ func TestSheetEditRoutesToDatabase(t *testing.T) {
 
 func TestDBChangesRefreshBinding(t *testing.T) {
 	m, db, book := newFixture(t)
-	if _, err := m.BindTable("Sheet1", sheet.Addr(0, 0), "people"); err != nil {
+	first, err := m.BindTable("Sheet1", sheet.Addr(0, 0), "people")
+	if err != nil {
 		t.Fatal(err)
+	}
+	// A ROLLBACK restores a deleted row at its own RowID. The binding,
+	// re-materialised without it meanwhile, must put it back in RowID order.
+	sess := db.NewSession(nil)
+	for _, sql := range []string{"BEGIN", "DELETE FROM people WHERE id = 1"} {
+		if _, err := sess.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.RefreshBinding(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Query("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	for ref, want := range map[string]string{"B2": "ann", "B3": "bo", "B4": "cy"} {
+		if got := val(t, book, ref).Str; got != want {
+			t.Errorf("after ROLLBACK %s = %q, want %q", ref, got, want)
+		}
+	}
+	// A sheet edit through one binding reaches a second binding of the
+	// table as the published update, applied in place: no re-materialising.
+	if _, err := m.BindTable("Sheet1", sheet.MustParseAddress("F1"), "people"); err != nil {
+		t.Fatal(err)
+	}
+	refreshes := m.Stats().Refreshes
+	if _, err := m.HandleSheetEdit("Sheet1", sheet.MustParseAddress("C3"), sheet.Number(42)); err != nil {
+		t.Fatal(err)
+	}
+	if val(t, book, "H3").Num != 42 || m.Stats().Refreshes != refreshes {
+		t.Errorf("second binding after an edit through the first: H3 = %v, refreshes %d -> %d", val(t, book, "H3"), refreshes, m.Stats().Refreshes)
 	}
 	// Back-end update.
 	if err := db.UpdateColumn("people", 1, 2, sheet.Number(31)); err != nil {
@@ -146,14 +178,14 @@ func TestDBChangesRefreshBinding(t *testing.T) {
 		t.Errorf("delete refresh wrong: B2=%v B5=%v", val(t, book, "B2"), val(t, book, "B5"))
 	}
 	// Schema change adds the new column to the header.
-	if err := db.AddColumn("people", catalog.Column{Name: "city", Type: catalog.TypeText}, sheet.String_("urbana")); err != nil {
+	if _, err := db.NewSession(nil).Query("ALTER TABLE people ADD COLUMN city TEXT DEFAULT 'urbana'"); err != nil {
 		t.Fatal(err)
 	}
 	if val(t, book, "D1").Str != "city" || val(t, book, "D2").Str != "urbana" {
 		t.Error("schema change not reflected")
 	}
 	// Dropping the table removes the binding and its cells.
-	if err := db.DropTable("people"); err != nil {
+	if _, err := db.NewSession(nil).Query("DROP TABLE people"); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Bindings()) != 0 {

@@ -91,7 +91,7 @@ func TestQueryBindingMemoization(t *testing.T) {
 	}
 
 	// Schema DDL (e.g. a new index) invalidates the memo once.
-	if err := db.CreateIndex("pa", "people", []string{"age"}, false, false); err != nil {
+	if _, err := db.NewSession(nil).Query("CREATE INDEX pa ON people (age)"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RefreshBinding(b.ID); err != nil {

@@ -21,11 +21,11 @@ import (
 
 // The generated equivalence oracle for memoized DBSQL refreshes: a seeded
 // stream of writes — SQL UPDATEs of key and non-key columns, multi-row
-// UPDATEs, INSERTs, DELETEs, edits of a two-way bound table region, edits of
-// RANGEVALUE parameter cells, index DDL, writes and parameter edits that land
-// while a binding's query runs, and one checkpoint + reopen — runs against
-// one DBSQL binding
-// per query shape, and after every operation every spilled cell must equal a
+// UPDATEs, INSERTs, DELETEs, explicit transactions that COMMIT or ROLLBACK,
+// edits of a two-way bound table region, edits of RANGEVALUE parameter cells,
+// index DDL, writes and parameter edits that land while a binding's query
+// runs, and one checkpoint + reopen — runs against one DBSQL binding per
+// query shape, and after every operation every spilled cell must equal a
 // direct execution of its binding's SQL.
 //
 // Table t holds oracleRows rows with even ids 2..2*oracleRows; a = id plus a
@@ -234,24 +234,24 @@ func (o *oracle) step(op, ops int) string {
 		return "checkpoint + reopen"
 	}
 	switch r := o.rng.Intn(100); {
-	case r < 20: // non-key UPDATE in place: a keeps tracking id
+	case r < 14: // non-key UPDATE in place: a keeps tracking id
 		if id := o.existing(2, 2*oracleRows); id > 0 {
 			o.exec("UPDATE t SET a = ?, b = ? WHERE id = ?", num(id+o.rng.Intn(10)), num(o.rng.Intn(1000)), num(id))
 		}
 		return "update"
-	case r < 26: // key UPDATE: the row may move into or out of every id range
+	case r < 20: // key UPDATE: the row may move into or out of every id range
 		if id := o.existing(2, 1998); id > 0 {
 			o.exec("UPDATE t SET id = ? WHERE id = ?", num(o.unused(1, 1999)), num(id))
 		}
 		return "update key"
-	case r < 30: // a matching a-value moves onto a page the a-range skipped
+	case r < 24: // a matching a-value moves onto a page the a-range skipped
 		if id := o.existing(1400, 1998); id > 0 {
 			o.exec("UPDATE t SET a = ? WHERE id = ?", num(600+o.rng.Intn(700)), num(id))
 		}
 		return "update a into range"
-	case r < 38:
+	case r < 32:
 		return o.multiRowUpdate()
-	case r < 48:
+	case r < 42:
 		id, a := o.fresh, o.fresh
 		if o.rng.Intn(2) == 0 {
 			id = o.unused(1, 1999)
@@ -264,12 +264,12 @@ func (o *oracle) step(op, ops int) string {
 		}
 		o.exec("INSERT INTO t VALUES (?, ?, ?, ?, ?)", o.tuple(id, a)...)
 		return "insert"
-	case r < 56:
+	case r < 50:
 		if id := o.existing(2, 2*oracleRows); id > 0 {
 			o.exec("DELETE FROM t WHERE id = ?", num(id))
 		}
 		return "delete"
-	case r < 64: // a two-way bound cell, edited on the sheet
+	case r < 58: // a two-way bound cell, edited on the sheet
 		pos := o.rng.Intn(min(15, o.table.RowCount()))
 		col := 1 + o.rng.Intn(4)
 		v := num(o.rng.Intn(1000))
@@ -280,32 +280,34 @@ func (o *oracle) step(op, ops int) string {
 			o.t.Fatal(err)
 		}
 		return "sheet edit"
-	case r < 68:
+	case r < 62:
 		o.exec("UPDATE u SET w = ? WHERE k = ?", num(o.rng.Intn(100)), num(o.rng.Intn(5)))
 		return "update u"
-	case r < 73: // a RANGEVALUE parameter cell: its binding refreshes through the engine
+	case r < 67: // a RANGEVALUE parameter cell: its binding refreshes through the engine
 		addr := []string{"A1", "B1"}[o.rng.Intn(2)]
 		o.engine.SetValue("Sheet3", sheet.MustParseAddress(addr), num(o.rng.Intn(2000)))()
 		return "parameter edit"
-	case r < 76:
+	case r < 70:
 		col := []string{"a", "b", "g"}[o.rng.Intn(3)]
 		if _, err := o.writer.Query(fmt.Sprintf("CREATE INDEX i%d ON t (%s)", op, col)); err != nil {
 			o.t.Fatal(err)
 		}
 		return "create index"
-	case r < 84:
+	case r < 78:
 		return o.writeAfterRun()
-	case r < 88:
+	case r < 82:
 		return o.paramDuringRun()
+	case r < 90:
+		return o.transaction()
 	default:
 		return o.transientMove()
 	}
 }
 
-// multiRowUpdate changes b of a run of rows with one statement: one change
-// event per row. Inside a sketch every event re-executes the binding, as it
-// always has (per-statement coalescing would show up here); in the quiet
-// region no sketched binding executes at all.
+// multiRowUpdate changes b of a run of rows with one statement, which
+// publishes one change set: inside a sketch it executes a binding that reads
+// the rows exactly once; in the quiet region no sketched binding executes at
+// all.
 func (o *oracle) multiRowUpdate() string {
 	k := 2 + o.rng.Intn(7)
 	quiet := o.rng.Intn(2) == 0
@@ -326,11 +328,78 @@ func (o *oracle) multiRowUpdate() string {
 		switch {
 		case quiet && q.quiet && got != 0:
 			o.t.Fatalf("%d-row UPDATE outside every sketch executed %q %d times", res.Affected, q.sql, got)
-		case !quiet && (i == 0 || i == 2) && got != res.Affected: // the pk-range and no-WHERE cells read every such row
-			o.t.Fatalf("%d-row UPDATE inside the sketch executed %q %d times, want one per row", res.Affected, q.sql, got)
+		case !quiet && (i == 0 || i == 2) && got != 1: // the pk-range and no-WHERE cells read every such row
+			o.t.Fatalf("%d-row UPDATE inside the sketch executed %q %d times, want once", res.Affected, q.sql, got)
 		}
 	}
 	return fmt.Sprintf("%d-row update, quiet=%v", res.Affected, quiet)
+}
+
+// transaction makes two to five writes inside the pk range of the first
+// binding in one explicit transaction, sometimes refreshes every binding
+// half-way, and ends with COMMIT or ROLLBACK. Only the end publishes: no
+// binding executes before it except through the explicit refreshes, and
+// each executes at most once at the end. A refresh half-way spills
+// uncommitted rows, which a ROLLBACK must take back off the sheet.
+func (o *oracle) transaction() string {
+	var writes []string
+	k, refreshAt := 2+o.rng.Intn(4), -1
+	if o.rng.Intn(2) == 0 {
+		refreshAt = o.rng.Intn(k)
+	}
+	executed := 0
+	before := o.snapshotRuns()
+	o.exec("BEGIN")
+	for i := 0; i < k; i++ {
+		switch id := o.existing(200, 900); {
+		case o.rng.Intn(3) == 0 || id == 0:
+			o.exec("INSERT INTO t VALUES (?, ?, ?, ?, ?)", o.tuple(o.unused(201, 899), 200+o.rng.Intn(700))...)
+			writes = append(writes, "insert")
+		case o.rng.Intn(2) == 0:
+			o.exec("DELETE FROM t WHERE id = ?", num(id))
+			writes = append(writes, "delete")
+		default:
+			o.exec("UPDATE t SET b = ? WHERE id = ?", num(o.rng.Intn(1000)), num(id))
+			writes = append(writes, "update")
+		}
+		if i == refreshAt {
+			for _, n := range o.runsSince(before) {
+				executed += n
+			}
+			for _, b := range o.binds {
+				if err := o.m.RefreshBinding(b.ID); err != nil {
+					o.t.Fatal(err)
+				}
+			}
+			before = o.snapshotRuns()
+			writes = append(writes, "refresh")
+		}
+	}
+	for _, n := range o.runsSince(before) {
+		executed += n
+	}
+	if executed != 0 {
+		o.t.Fatalf("transaction %v executed bindings %d times before its end", writes, executed)
+	}
+	end := []string{"COMMIT", "ROLLBACK"}[o.rng.Intn(2)]
+	o.exec(end)
+	o.engine.Wait()
+	for i, n := range o.runsSince(before) {
+		if n > 1 {
+			o.t.Fatalf("%s of %v executed %q %d times, want at most once", end, writes, oracleQueries[i].sql, n)
+		}
+	}
+	return fmt.Sprintf("transaction %v %s", writes, end)
+}
+
+// runsSince returns each binding's executions since snapshotRuns returned
+// before.
+func (o *oracle) runsSince(before []int) []int {
+	now := o.snapshotRuns()
+	for i := range now {
+		now[i] -= before[i]
+	}
+	return now
 }
 
 func (o *oracle) snapshotRuns() []int {

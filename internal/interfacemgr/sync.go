@@ -2,6 +2,7 @@ package interfacemgr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dataspread/dataspread/internal/compute"
@@ -269,29 +270,14 @@ func (m *Manager) HandleSheetEdit(sheetName string, a sheet.Address, v sheet.Val
 	if col < 0 || col >= len(b.Columns) {
 		return true, fmt.Errorf("interfacemgr: column %d outside the bound table", col)
 	}
-	m.mu.Lock()
-	m.suppress = true
-	m.mu.Unlock()
 	err = m.db.UpdateColumn(b.Table, tablestore.RowID(payload), col, v)
 	m.mu.Lock()
-	m.suppress = false
 	m.stats.EditsPushed++
 	m.mu.Unlock()
-	if err != nil {
-		return true, err
-	}
-	// Write the (possibly coerced) stored value back onto the sheet so the
-	// display matches the database, and notify the compute engine.
-	row, gerr := m.db.Get(b.Table, tablestore.RowID(payload))
-	if gerr == nil && col < len(row) {
-		if sh, found := m.book.Sheet(b.SheetName); found {
-			sh.SetCell(a, sheet.Cell{Value: row[col], Origin: sheet.Origin{Kind: sheet.OriginTable, BindingID: b.ID}})
-		}
-		m.engine.NotifyChanged(compute.CellID{Sheet: b.SheetName, Addr: a})
-	}
-	// Other bindings over the same table refresh through onDBChange.
-	m.refreshSiblings(b)
-	return true, nil
+	// The update UpdateColumn published has rewritten the row, with the
+	// stored (possibly coerced) values, in every binding of the table that
+	// shows it, this one included.
+	return true, err
 }
 
 // LocationOfKey maps a tuple's primary key to its current display location
@@ -315,78 +301,79 @@ func (m *Manager) LocationOfKey(bindingID int64, key []sheet.Value) (sheet.Addre
 
 // --- database -> sheet (back-end changes) ---
 
-// onDBChange reacts to database change notifications by keeping bound
-// regions in sync. Inserts and updates are handled incrementally; deletes and
-// schema changes trigger a full refresh of affected bindings.
-func (m *Manager) onDBChange(ev sqlexec.ChangeEvent) {
+// onDBChanges keeps bound regions in step with one published change set: a
+// statement's, a COMMIT's or a ROLLBACK's (sqlexec/undo.go). A query binding
+// whose SQL reads a table whose rows changed refreshes once per set, and its
+// memo decides whether the query runs again. A table binding applies
+// inserts and updates in place, re-materialises once when the set deletes
+// rows of its table, changes its schema or restores a row applyRow cannot
+// append in order, and unbinds when the table is gone.
+func (m *Manager) onDBChanges(changes []sqlexec.ChangeEvent) {
 	m.mu.Lock()
 	var targets []*Binding
 	for _, b := range m.bindings {
-		if b.Kind == KindTable && strings.EqualFold(b.Table, ev.Table) {
-			targets = append(targets, b)
-		}
-		if b.Kind == KindQuery && ev.Kind != sqlexec.ChangeSchema && b.reads(ev.Table) {
-			// Only a binding whose SQL reads the table can see the change;
-			// its memo then decides whether the query runs again.
+		if slices.ContainsFunc(changes, b.changedBy) {
 			targets = append(targets, b)
 		}
 	}
 	m.mu.Unlock()
 	for _, b := range targets {
-		switch {
-		case b.Kind == KindQuery:
+		if b.Kind == KindQuery {
 			_ = m.refreshQuery(b)
-		case ev.Kind == sqlexec.ChangeInsert:
-			m.applyInsert(b, ev.RowID)
-		case ev.Kind == sqlexec.ChangeUpdate:
-			m.applyUpdate(b, ev.RowID)
-		case ev.Kind == sqlexec.ChangeDelete:
-			_ = m.RefreshBinding(b.ID)
-		case ev.Kind == sqlexec.ChangeDropTable:
+			continue
+		}
+		tbl, err := m.db.Table(b.Table)
+		if err != nil {
 			m.Unbind(b.ID)
-		default: // schema change
-			b.Columns = nil
-			if tbl, err := m.db.Table(b.Table); err == nil {
-				b.Columns = tbl.ColumnNames()
+			continue
+		}
+		inPlace := !slices.ContainsFunc(changes, func(ev sqlexec.ChangeEvent) bool {
+			return b.changedBy(ev) && (ev.Kind == sqlexec.ChangeDelete || ev.Kind == sqlexec.ChangeSchema)
+		})
+		for _, ev := range changes {
+			if inPlace && b.changedBy(ev) { // an insert or update
+				inPlace = m.applyRow(b, ev.RowID)
 			}
+		}
+		if !inPlace {
+			b.Columns = tbl.ColumnNames()
 			_ = m.RefreshBinding(b.ID)
 		}
 	}
 }
 
-// applyInsert appends the new row at the end of the binding.
-func (m *Manager) applyInsert(b *Binding, id tablestore.RowID) {
-	if _, exists := b.positions.PositionOf(uint64(id)); exists {
-		return
+// changedBy reports whether a change concerns the binding: any change of a
+// table binding's table, and a row change or drop of a table a query
+// binding's SQL reads.
+func (b *Binding) changedBy(ev sqlexec.ChangeEvent) bool {
+	if b.Kind == KindTable {
+		return strings.EqualFold(b.Table, ev.Table)
 	}
-	_ = b.positions.Append(uint64(id))
-	pos := b.positions.Len() - 1
-	m.mu.Lock()
-	m.stats.IncrementalOps++
-	m.mu.Unlock()
-	if b.WindowOnly && m.windows != nil {
-		if !m.windows.Contains(b.SheetName, sheet.Addr(b.Anchor.Row+1+pos, b.Anchor.Col)) {
-			return // not visible; will be materialised when scrolled to
-		}
-	}
-	m.writeRow(b, pos, id)
+	return ev.Kind != sqlexec.ChangeSchema && slices.ContainsFunc(b.tables, func(t string) bool { return strings.EqualFold(t, ev.Table) })
 }
 
-// applyUpdate rewrites the cells of the updated row if it is materialised.
-func (m *Manager) applyUpdate(b *Binding, id tablestore.RowID) {
+// applyRow rewrites the cells of an inserted or updated row if they are
+// materialised, first appending a row the binding does not hold yet. It
+// reports false, changing nothing, for a missing row that appending would
+// put out of RowID order: a ROLLBACK restores a deleted row at its own
+// RowID, which a binding re-materialised meanwhile has passed.
+func (m *Manager) applyRow(b *Binding, id tablestore.RowID) bool {
 	pos, ok := b.positions.PositionOf(uint64(id))
 	if !ok {
-		return
+		pos = b.positions.Len()
+		if last, ok := b.positions.Get(pos - 1); ok && last >= uint64(id) {
+			return false
+		}
+		_ = b.positions.Append(uint64(id))
 	}
 	m.mu.Lock()
 	m.stats.IncrementalOps++
 	m.mu.Unlock()
-	if b.WindowOnly && m.windows != nil {
-		if !m.windows.Contains(b.SheetName, sheet.Addr(b.Anchor.Row+1+pos, b.Anchor.Col)) {
-			return
-		}
+	if b.WindowOnly && m.windows != nil && !m.windows.Contains(b.SheetName, sheet.Addr(b.Anchor.Row+1+pos, b.Anchor.Col)) {
+		return true // not visible; will be materialised when scrolled to
 	}
 	m.writeRow(b, pos, id)
+	return true
 }
 
 // writeRow materialises one data row of a table binding.
@@ -416,21 +403,5 @@ func (m *Manager) writeRow(b *Binding, pos int, id tablestore.RowID) {
 	}
 	if m.engine != nil {
 		m.engine.NotifyChanged(changed...)
-	}
-}
-
-// refreshSiblings refreshes other table bindings bound to the same table as
-// b (after a front-end edit routed through b).
-func (m *Manager) refreshSiblings(b *Binding) {
-	m.mu.Lock()
-	var targets []*Binding
-	for _, other := range m.bindings {
-		if other.ID != b.ID && other.Kind == KindTable && strings.EqualFold(other.Table, b.Table) {
-			targets = append(targets, other)
-		}
-	}
-	m.mu.Unlock()
-	for _, other := range targets {
-		_ = m.RefreshBinding(other.ID)
 	}
 }

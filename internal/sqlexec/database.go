@@ -9,6 +9,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,7 @@ type Config struct {
 	Workers int
 }
 
-// ChangeKind classifies a data-change notification.
+// ChangeKind classifies a change.
 type ChangeKind int
 
 // Change kinds delivered to listeners.
@@ -51,9 +52,9 @@ const (
 	ChangeDropTable
 )
 
-// ChangeEvent notifies listeners (the interface manager) that a table
-// changed, so bound spreadsheet regions can be refreshed (paper Feature 3:
-// two-way sync).
+// ChangeEvent is one change of a table. Listeners (the interface manager)
+// receive them in change sets, so bound spreadsheet regions can be refreshed
+// (paper Feature 3: two-way sync).
 type ChangeEvent struct {
 	Table string
 	Kind  ChangeKind
@@ -64,7 +65,7 @@ type ChangeEvent struct {
 // a cancel func that removes exactly this registration.
 type listener struct {
 	id int64
-	fn func(ChangeEvent)
+	fn func([]ChangeEvent)
 }
 
 // Database is the embedded relational engine: catalog, per-table storage,
@@ -202,12 +203,14 @@ func (db *Database) EpochStats() (pinned, retained int) { return db.pool.EpochSt
 // ResetPagerStats zeroes the block-level counters.
 func (db *Database) ResetPagerStats() { db.pageStore.ResetStats() }
 
-// Listen registers a change listener. Listeners are called synchronously
-// after each successful data or schema change, in registration order. The
+// Listen registers a change listener. Listeners run in registration order on
+// the writer's goroutine, outside the engine lock, with one change set after
+// each autocommit statement, COMMIT, ROLLBACK (what its unwind changed) or
+// exported mutator call, and never for failed or uncommitted work. The
 // returned cancel func removes the registration; long-lived embedders must
 // call it when done listening or the database retains the closure forever.
 // Cancelling twice is harmless.
-func (db *Database) Listen(fn func(ChangeEvent)) (cancel func()) {
+func (db *Database) Listen(fn func([]ChangeEvent)) (cancel func()) {
 	db.mu.Lock()
 	db.nextListener++
 	id := db.nextListener
@@ -225,13 +228,21 @@ func (db *Database) Listen(fn func(ChangeEvent)) (cancel func()) {
 	}
 }
 
-func (db *Database) notify(ev ChangeEvent) {
+// publish hands the log's changes to every listener as one set (undo.go).
+// dslint:locks(engine)
+func (db *Database) publish(log undoLog) {
+	if len(log) == 0 {
+		return
+	}
+	changes := make([]ChangeEvent, len(log))
+	for i, e := range log {
+		changes[i] = e.ChangeEvent
+	}
 	db.mu.RLock()
-	ls := make([]listener, len(db.listeners))
-	copy(ls, db.listeners)
+	ls := slices.Clone(db.listeners)
 	db.mu.RUnlock()
 	for _, l := range ls {
-		l.fn(ev)
+		l.fn(changes)
 	}
 }
 
@@ -242,8 +253,21 @@ func (db *Database) newStore(columns int) tablestore.Store {
 	return tablestore.NewHybridStore(db.pool, columns, tablestore.WithGroupSize(db.cfg.GroupSize))
 }
 
+// autocommit runs an exported mutator as a statement of one change, which it
+// publishes when it returns.
+func (db *Database) autocommit(change func(*undoLog) error) error {
+	var log undoLog
+	err := change(&log)
+	db.publish(log)
+	return err
+}
+
 // CreateTable registers a table and its storage.
 func (db *Database) CreateTable(name string, cols []catalog.Column) error {
+	return db.autocommit(func(u *undoLog) error { return db.createTable(name, cols, u) })
+}
+
+func (db *Database) createTable(name string, cols []catalog.Column, undo *undoLog) error {
 	if _, err := db.cat.Create(name, cols); err != nil {
 		return err
 	}
@@ -252,12 +276,12 @@ func (db *Database) CreateTable(name string, cols []catalog.Column) error {
 	db.pkIndex[tkey(name)] = btree.New()
 	db.mu.Unlock()
 	db.invalidatePlans()
-	db.notify(ChangeEvent{Table: name, Kind: ChangeSchema})
+	undo.push(ChangeEvent{Table: name, Kind: ChangeSchema}, func() error { return db.dropTable(name, nil) })
 	return nil
 }
 
-// DropTable removes a table, its storage and indexes.
-func (db *Database) DropTable(name string) error {
+// dropTable removes a table, its storage and indexes.
+func (db *Database) dropTable(name string, undo *undoLog) error {
 	if err := db.cat.Drop(name); err != nil {
 		return err
 	}
@@ -269,7 +293,7 @@ func (db *Database) DropTable(name string) error {
 	db.secOnDropTableLocked(name)
 	db.mu.Unlock()
 	db.invalidatePlans()
-	db.notify(ChangeEvent{Table: name, Kind: ChangeDropTable})
+	undo.push(ChangeEvent{Table: name, Kind: ChangeDropTable}, nil)
 	return nil
 }
 
@@ -365,8 +389,9 @@ func encodeKeyValue(v sheet.Value) []byte {
 
 // Insert validates and appends a tuple, maintaining the primary-key index,
 // and returns the new RowID. A duplicate primary key is rejected.
-func (db *Database) Insert(table string, row []sheet.Value) (tablestore.RowID, error) {
-	return db.insert(table, row, nil)
+func (db *Database) Insert(table string, row []sheet.Value) (id tablestore.RowID, err error) {
+	err = db.autocommit(func(u *undoLog) error { id, err = db.insert(table, row, u); return err })
+	return id, err
 }
 
 func (db *Database) insert(table string, row []sheet.Value, undo *undoLog) (tablestore.RowID, error) {
@@ -383,50 +408,59 @@ func (db *Database) insert(table string, row []sheet.Value, undo *undoLog) (tabl
 		return 0, err
 	}
 	db.mu.Lock()
-	idx := db.pkIndex[tkey(table)]
-	key := pkKey(tbl, coerced)
-	if key != nil {
-		_, dup, err := idx.Get(key)
-		if err == nil && dup {
-			err = fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", table, dberr.ErrUniqueViolation)
-		}
-		if err != nil {
-			db.mu.Unlock()
-			return 0, err
-		}
-	}
-	if err := db.secCheckInsertLocked(table, coerced); err != nil {
-		db.mu.Unlock()
+	defer db.mu.Unlock()
+	if err := db.checkKeysLocked(tbl, coerced); err != nil {
 		return 0, err
 	}
 	id, err := s.Insert(coerced)
 	if err != nil {
-		db.mu.Unlock()
 		return 0, err
 	}
-	// The RowID completes the secondary keys, so their leaves can only be
-	// reached now. One that fails to load takes the row back out: its
-	// entries (none under the failing leaf) and the tuple.
+	if err := db.addKeysLocked(tbl, coerced, id); err != nil {
+		_ = s.Delete(id) // best effort: the row was just inserted
+		return 0, err
+	}
+	db.dataVers[tkey(table)]++
+	undo.push(ChangeEvent{Table: table, Kind: ChangeInsert, RowID: id}, func() error { return db.delete(table, id, nil) })
+	return id, nil
+}
+
+// checkKeysLocked refuses a row whose primary key or unique secondary key
+// another row holds.
+// dslint:requires(engine)
+func (db *Database) checkKeysLocked(tbl *catalog.Table, row []sheet.Value) error {
+	if key := pkKey(tbl, row); key != nil {
+		_, dup, err := db.pkIndex[tkey(tbl.Name)].Get(key)
+		if err == nil && dup {
+			err = fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", tbl.Name, dberr.ErrUniqueViolation)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return db.secCheckInsertLocked(tbl.Name, row)
+}
+
+// addKeysLocked adds the index entries of the stored row id, whose RowID
+// completes the secondary keys. When a leaf fails to load it takes back out
+// the entries it added (none under the failing leaf).
+// dslint:requires(engine)
+func (db *Database) addKeysLocked(tbl *catalog.Table, row []sheet.Value, id tablestore.RowID) error {
+	idx, key := db.pkIndex[tkey(tbl.Name)], pkKey(tbl, row)
+	var err error
 	if key != nil {
 		err = idx.Set(key, uint64(id))
 	}
 	if err == nil {
-		err = db.secInsertLocked(table, coerced, id)
+		err = db.secInsertLocked(tbl.Name, row, id)
 	}
 	if err != nil {
 		if key != nil {
-			_, _ = idx.Delete(key) // best effort: the leaf loaded for the duplicate check above
+			_, _ = idx.Delete(key) // best effort: the leaf loaded for checkKeysLocked
 		}
-		_ = db.secDeleteLocked(table, coerced, id) // best effort: skips the leaf that failed
-		_ = s.Delete(id)                           // best effort: the row was just inserted
-		db.mu.Unlock()
-		return 0, err
+		_ = db.secDeleteLocked(tbl.Name, row, id) // best effort: skips the leaf that failed
 	}
-	db.dataVers[tkey(table)]++
-	db.mu.Unlock()
-	undo.push(func(moved rowMoves) error { return db.Delete(table, moved.id(table, id)) })
-	db.notify(ChangeEvent{Table: table, Kind: ChangeInsert, RowID: id})
-	return id, nil
+	return err
 }
 
 // Get returns a tuple by RowID.
@@ -440,7 +474,7 @@ func (db *Database) Get(table string, id tablestore.RowID) ([]sheet.Value, error
 
 // Update replaces a tuple, keeping the primary-key index in sync.
 func (db *Database) Update(table string, id tablestore.RowID, row []sheet.Value) error {
-	return db.update(table, id, row, nil)
+	return db.autocommit(func(u *undoLog) error { return db.update(table, id, row, u) })
 }
 
 func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value, undo *undoLog) error {
@@ -461,6 +495,7 @@ func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value,
 		return err
 	}
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	idx := db.pkIndex[tkey(table)]
 	oldKey, newKey := pkKey(tbl, old), pkKey(tbl, coerced)
 	if newKey != nil && string(oldKey) != string(newKey) {
@@ -469,12 +504,10 @@ func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value,
 			err = fmt.Errorf("sqlexec: duplicate primary key in table %q: %w", table, dberr.ErrUniqueViolation)
 		}
 		if err != nil {
-			db.mu.Unlock()
 			return err
 		}
 	}
 	if err := db.secCheckUpdateLocked(table, old, coerced, id); err != nil {
-		db.mu.Unlock()
 		return err
 	}
 	// Every leaf the index maintenance below writes is loaded before the
@@ -496,19 +529,22 @@ func (db *Database) update(table string, id tablestore.RowID, row []sheet.Value,
 		err = db.secUpdateLocked(table, old, coerced, id)
 	}
 	if err != nil {
-		db.mu.Unlock()
 		return err
 	}
 	db.dataVers[tkey(table)]++
-	db.mu.Unlock()
 	// Store.Get returned old as a copy, so the undo step can keep it.
-	undo.push(func(moved rowMoves) error { return db.Update(table, moved.id(table, id), old) })
-	db.notify(ChangeEvent{Table: table, Kind: ChangeUpdate, RowID: id})
+	undo.push(ChangeEvent{Table: table, Kind: ChangeUpdate, RowID: id}, func() error { return db.update(table, id, old, nil) })
 	return nil
 }
 
 // UpdateColumn updates a single attribute of a tuple.
 func (db *Database) UpdateColumn(table string, id tablestore.RowID, col int, v sheet.Value) error {
+	return db.autocommit(func(u *undoLog) error { return db.updateColumn(table, id, col, v, u) })
+}
+
+// updateColumn's in-place write pushes its change without an undo step: no
+// statement runs it, so no unwind reaches it.
+func (db *Database) updateColumn(table string, id tablestore.RowID, col int, v sheet.Value, undo *undoLog) error {
 	tbl, err := db.cat.MustGet(table)
 	if err != nil {
 		return err
@@ -524,43 +560,32 @@ func (db *Database) UpdateColumn(table string, id tablestore.RowID, col int, v s
 	if err != nil {
 		return err
 	}
-	// Primary-key and secondary-indexed columns must go through Update so
+	// Primary-key and secondary-indexed columns must go through update so
 	// the indexes stay valid.
-	indexed := false
-	for _, pkIdx := range tbl.PrimaryKey() {
-		if pkIdx == col {
-			indexed = true
-		}
-	}
-	if !indexed {
-		db.mu.RLock()
-		indexed = db.secColumnIndexedLocked(table, col)
-		db.mu.RUnlock()
-	}
+	db.mu.RLock()
+	indexed := slices.Contains(tbl.PrimaryKey(), col) || db.secColumnIndexedLocked(table, col)
+	db.mu.RUnlock()
 	if indexed {
 		row, err := s.Get(id)
 		if err != nil {
 			return err
 		}
 		row[col] = cv
-		return db.Update(table, id, row)
+		return db.update(table, id, row, undo)
 	}
 	db.mu.Lock()
-	err = s.UpdateColumn(id, col, cv)
-	if err == nil {
-		db.dataVers[tkey(table)]++
-	}
-	db.mu.Unlock()
-	if err != nil {
+	defer db.mu.Unlock()
+	if err := s.UpdateColumn(id, col, cv); err != nil {
 		return err
 	}
-	db.notify(ChangeEvent{Table: table, Kind: ChangeUpdate, RowID: id})
+	db.dataVers[tkey(table)]++
+	undo.push(ChangeEvent{Table: table, Kind: ChangeUpdate, RowID: id}, nil)
 	return nil
 }
 
 // Delete removes a tuple and its index entry.
 func (db *Database) Delete(table string, id tablestore.RowID) error {
-	return db.delete(table, id, nil)
+	return db.autocommit(func(u *undoLog) error { return db.delete(table, id, u) })
 }
 
 func (db *Database) delete(table string, id tablestore.RowID, undo *undoLog) error {
@@ -577,6 +602,7 @@ func (db *Database) delete(table string, id tablestore.RowID, undo *undoLog) err
 		return err
 	}
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	idx, key := db.pkIndex[tkey(table)], pkKey(tbl, old)
 	// As in update: load the leaves first, then change the tuple.
 	err = db.loadEntriesLocked(table, idx, key, old, id)
@@ -590,20 +616,43 @@ func (db *Database) delete(table string, id tablestore.RowID, undo *undoLog) err
 		err = db.secDeleteLocked(table, old, id)
 	}
 	if err != nil {
-		db.mu.Unlock()
 		return err
 	}
 	db.dataVers[tkey(table)]++
 	db.deletes[tkey(table)]++
-	db.mu.Unlock()
-	undo.push(func(moved rowMoves) error {
-		newID, err := db.Insert(table, old)
-		if err == nil {
-			moved[rowRef{tkey(table), id}] = newID
-		}
+	undo.push(ChangeEvent{Table: table, Kind: ChangeDelete, RowID: id}, func() error { return db.restore(tbl, s, id) })
+	return nil
+}
+
+// restore undoes a DELETE in place: the row comes back at its own RowID, so
+// scan order stays what replaying the log rebuilds. Its keys are checked
+// again, since another session may have taken them meanwhile. The delete
+// counter advances as for a delete: a restore rewrites no page either, and
+// a memo that saw the row gone must see it come back (sketch.go). A table
+// that another session dropped, or dropped and created again, since the
+// delete has no slot to restore: the undo fails.
+func (db *Database) restore(tbl *catalog.Table, s tablestore.Store, id tablestore.RowID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.stores[tkey(tbl.Name)] != s {
+		return catalog.ErrNoTable{Name: tbl.Name}
+	}
+	if err := s.Restore(id); err != nil {
 		return err
-	})
-	db.notify(ChangeEvent{Table: table, Kind: ChangeDelete, RowID: id})
+	}
+	row, err := s.Get(id)
+	if err == nil {
+		err = db.checkKeysLocked(tbl, row)
+	}
+	if err == nil {
+		err = db.addKeysLocked(tbl, row, id)
+	}
+	if err != nil {
+		_ = s.Delete(id) // best effort: the tombstone was cleared just above
+		return err
+	}
+	db.dataVers[tkey(tbl.Name)]++
+	db.deletes[tkey(tbl.Name)]++
 	return nil
 }
 
@@ -639,11 +688,7 @@ func (db *Database) FindByKey(table string, key []sheet.Value) (tablestore.RowID
 	return tablestore.RowID(id), ok, err
 }
 
-// AddColumn evolves the schema: catalog first, then the storage backfill.
-func (db *Database) AddColumn(table string, col catalog.Column, defaultValue sheet.Value) error {
-	return db.addColumn(table, col, defaultValue, nil)
-}
-
+// addColumn evolves the schema: catalog first, then the storage backfill.
 func (db *Database) addColumn(table string, col catalog.Column, defaultValue sheet.Value, undo *undoLog) error {
 	s, err := db.store(table)
 	if err != nil {
@@ -660,15 +705,14 @@ func (db *Database) addColumn(table string, col catalog.Column, defaultValue she
 		_, _ = db.cat.DropColumn(table, col.Name)
 		return err
 	}
-	undo.push(func(rowMoves) error { return db.DropColumn(table, col.Name) })
 	db.invalidatePlans()
-	db.notify(ChangeEvent{Table: table, Kind: ChangeSchema})
+	undo.push(ChangeEvent{Table: table, Kind: ChangeSchema}, func() error { return db.dropColumn(table, col.Name, nil) })
 	return nil
 }
 
-// DropColumn evolves the schema, removing the column from catalog and
+// dropColumn evolves the schema, removing the column from catalog and
 // storage.
-func (db *Database) DropColumn(table, column string) error {
+func (db *Database) dropColumn(table, column string, undo *undoLog) error {
 	s, err := db.store(table)
 	if err != nil {
 		return err
@@ -687,12 +731,12 @@ func (db *Database) DropColumn(table, column string) error {
 		return err
 	}
 	db.invalidatePlans()
-	db.notify(ChangeEvent{Table: table, Kind: ChangeSchema})
+	undo.push(ChangeEvent{Table: table, Kind: ChangeSchema}, nil)
 	return nil
 }
 
-// RenameColumn renames a column (catalog only; storage is positional).
-func (db *Database) RenameColumn(table, oldName, newName string) error {
+// renameColumn renames a column (catalog only; storage is positional).
+func (db *Database) renameColumn(table, oldName, newName string, undo *undoLog) error {
 	if err := db.cat.RenameColumn(table, oldName, newName); err != nil {
 		return err
 	}
@@ -700,6 +744,6 @@ func (db *Database) RenameColumn(table, oldName, newName string) error {
 	db.secOnRenameColumnLocked(table, oldName, newName)
 	db.mu.Unlock()
 	db.invalidatePlans()
-	db.notify(ChangeEvent{Table: table, Kind: ChangeSchema})
+	undo.push(ChangeEvent{Table: table, Kind: ChangeSchema}, func() error { return db.renameColumn(table, newName, oldName, nil) })
 	return nil
 }

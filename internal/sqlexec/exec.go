@@ -124,18 +124,21 @@ func (s *Session) Execute(stmt sqlparser.Statement) (*Result, error) {
 
 // executeWith runs one parsed statement under the given execution
 // environment, atomically: a statement that fails unwinds its own changes
-// before the error returns, and one that succeeds inside an explicit
-// transaction hands its undo steps to the transaction.
+// before the error returns, one that succeeds inside an explicit transaction
+// hands its log to the transaction, and any other that succeeds publishes
+// its changes (undo.go).
 func (s *Session) executeWith(stmt sqlparser.Statement, env *execEnv) (*Result, error) {
 	res, err := s.execute(stmt, env)
 	if err != nil {
-		if uerr := env.undo.unwind(); uerr != nil {
+		if _, uerr := env.undo.unwind(); uerr != nil {
 			err = errors.Join(err, uerr)
 		}
 		return nil, err
 	}
 	if s.tx != nil {
 		*s.tx = append(*s.tx, env.undo...)
+	} else {
+		s.db.publish(env.undo)
 	}
 	return res, nil
 }
@@ -155,7 +158,7 @@ func (s *Session) execute(stmt sqlparser.Statement, env *execEnv) (*Result, erro
 	case *sqlparser.AlterTableStmt:
 		return s.executeAlterTable(st, env)
 	case *sqlparser.DropTableStmt:
-		return s.executeDropTable(st)
+		return s.executeDropTable(st, env)
 	case *sqlparser.CreateIndexStmt:
 		return &Result{}, s.db.createIndex(st.Name, st.Table, st.Columns, st.Unique, st.IfNotExists, &env.undo)
 	case *sqlparser.DropIndexStmt:
@@ -172,15 +175,17 @@ func (s *Session) execute(stmt sqlparser.Statement, env *execEnv) (*Result, erro
 		if s.tx == nil {
 			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
 		}
-		s.tx = nil
+		// COMMIT's own statement publishes the transaction's changes.
+		env.undo, s.tx = *s.tx, nil
 		return &Result{}, nil
 	case *sqlparser.RollbackStmt:
 		if s.tx == nil {
 			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
 		}
-		tx := s.tx
+		undone, err := s.tx.unwind()
 		s.tx = nil
-		return &Result{}, tx.unwind()
+		s.db.publish(undone)
+		return &Result{}, err
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported statement %T: %w", stmt, dberr.ErrUnsupported)
 	}
@@ -487,7 +492,7 @@ func (s *Session) executeCreateTable(st *sqlparser.CreateTableStmt, env *execEnv
 			}
 			cols[i] = catalog.Column{Name: name, Type: t}
 		}
-		if err := s.createTable(st.Name, cols, env); err != nil {
+		if err := s.db.createTable(st.Name, cols, &env.undo); err != nil {
 			return nil, err
 		}
 		// Dropping the table undoes its rows too, so they push no steps.
@@ -520,15 +525,7 @@ func (s *Session) executeCreateTable(st *sqlparser.CreateTableStmt, env *execEnv
 		}
 		cols[i] = col
 	}
-	return &Result{}, s.createTable(st.Name, cols, env)
-}
-
-func (s *Session) createTable(name string, cols []catalog.Column, env *execEnv) error {
-	if err := s.db.CreateTable(name, cols); err != nil {
-		return err
-	}
-	env.undo.push(func(rowMoves) error { return s.db.DropTable(name) })
-	return nil
+	return &Result{}, s.db.createTable(st.Name, cols, &env.undo)
 }
 
 func (s *Session) executeAlterTable(st *sqlparser.AlterTableStmt, env *execEnv) (*Result, error) {
@@ -555,14 +552,9 @@ func (s *Session) executeAlterTable(st *sqlparser.AlterTableStmt, env *execEnv) 
 		if err := s.refuseInTransaction("ALTER TABLE DROP COLUMN"); err != nil {
 			return nil, err
 		}
-		return &Result{}, s.db.DropColumn(st.Table, st.DropColumn)
+		return &Result{}, s.db.dropColumn(st.Table, st.DropColumn, &env.undo)
 	case st.RenameColumn != nil:
-		from, to := st.RenameColumn[0], st.RenameColumn[1]
-		if err := s.db.RenameColumn(st.Table, from, to); err != nil {
-			return nil, err
-		}
-		env.undo.push(func(rowMoves) error { return s.db.RenameColumn(st.Table, to, from) })
-		return &Result{}, nil
+		return &Result{}, s.db.renameColumn(st.Table, st.RenameColumn[0], st.RenameColumn[1], &env.undo)
 	default:
 		return nil, fmt.Errorf("sqlexec: empty ALTER TABLE: %w", dberr.ErrSyntax)
 	}
@@ -577,7 +569,7 @@ func (s *Session) refuseInTransaction(what string) error {
 	return nil
 }
 
-func (s *Session) executeDropTable(st *sqlparser.DropTableStmt) (*Result, error) {
+func (s *Session) executeDropTable(st *sqlparser.DropTableStmt, env *execEnv) (*Result, error) {
 	if err := s.refuseInTransaction("DROP TABLE"); err != nil {
 		return nil, err
 	}
@@ -587,5 +579,5 @@ func (s *Session) executeDropTable(st *sqlparser.DropTableStmt) (*Result, error)
 		}
 		return nil, catalog.ErrNoTable{Name: st.Name}
 	}
-	return &Result{}, s.db.DropTable(st.Name)
+	return &Result{}, s.db.dropTable(st.Name, &env.undo)
 }

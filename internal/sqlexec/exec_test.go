@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -555,24 +556,51 @@ func TestAmbiguousColumnsAndQualifiedStar(t *testing.T) {
 	}
 }
 
+// TestChangeNotifications: listeners hear one change set per autocommit
+// statement, COMMIT and ROLLBACK, and nothing from a failed statement or one
+// inside an open transaction.
 func TestChangeNotifications(t *testing.T) {
 	db, s := newTestDB(t)
-	var events []ChangeEvent
-	db.Listen(func(ev ChangeEvent) { events = append(events, ev) })
-	mustExec(t, s, "CREATE TABLE t (a INT PRIMARY KEY)")
-	mustExec(t, s, "INSERT INTO t VALUES (1)")
-	mustExec(t, s, "UPDATE t SET a = 2 WHERE a = 1")
-	mustExec(t, s, "DELETE FROM t WHERE a = 2")
-	mustExec(t, s, "ALTER TABLE t ADD COLUMN b INT")
-	mustExec(t, s, "DROP TABLE t")
-	kinds := make(map[ChangeKind]int)
-	for _, ev := range events {
-		kinds[ev.Kind]++
+	var sets [][]ChangeEvent
+	db.Listen(func(changes []ChangeEvent) { sets = append(sets, changes) })
+	step := func(sql string, want ...ChangeEvent) {
+		t.Helper()
+		before := len(sets)
+		stmt, fails := strings.CutPrefix(sql, "fail:")
+		if _, err := s.Query(stmt); (err != nil) != fails {
+			t.Fatalf("%s: error %v", sql, err)
+		}
+		var got []ChangeEvent
+		switch len(sets) - before {
+		case 0:
+		case 1:
+			got = sets[before]
+		default:
+			t.Fatalf("%s published %d change sets, want at most one", sql, len(sets)-before)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s published %v, want %v", sql, got, want)
+		}
 	}
-	if kinds[ChangeInsert] != 1 || kinds[ChangeUpdate] != 1 || kinds[ChangeDelete] != 1 ||
-		kinds[ChangeSchema] != 2 || kinds[ChangeDropTable] != 1 {
-		t.Errorf("event kinds = %v", kinds)
+	ev := func(kind ChangeKind, id tablestore.RowID) ChangeEvent {
+		return ChangeEvent{Table: "t", Kind: kind, RowID: id}
 	}
+	step("CREATE TABLE t (a INT PRIMARY KEY)", ev(ChangeSchema, 0))
+	step("INSERT INTO t VALUES (1), (2), (3)", ev(ChangeInsert, 1), ev(ChangeInsert, 2), ev(ChangeInsert, 3))
+	step("UPDATE t SET a = a + 10 WHERE a < 3", ev(ChangeUpdate, 1), ev(ChangeUpdate, 2))
+	step("DELETE FROM t WHERE a = 3", ev(ChangeDelete, 3))
+	step("fail:INSERT INTO t VALUES (4), (11)")
+	step("ALTER TABLE t ADD COLUMN b INT", ev(ChangeSchema, 0))
+	step("BEGIN")
+	step("INSERT INTO t VALUES (6, 6)")
+	step("DELETE FROM t WHERE a = 11")
+	step("fail:UPDATE t SET a = 12 WHERE a = 6")
+	step("COMMIT", ev(ChangeInsert, 5), ev(ChangeDelete, 1)) // the failed INSERT took RowID 4
+	step("BEGIN")
+	step("INSERT INTO t VALUES (7, 7)")
+	step("UPDATE t SET b = 1 WHERE a = 12")
+	step("ROLLBACK", ev(ChangeUpdate, 2), ev(ChangeDelete, 6))
+	step("DROP TABLE t", ev(ChangeDropTable, 0))
 }
 
 func TestDatabaseLowLevelAPI(t *testing.T) {

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dataspread/dataspread/internal/dberr"
@@ -17,7 +18,7 @@ import (
 // table inside the same critical section as the base-table mutation, so a
 // reader holding db.mu (or arriving after it is released) always observes
 // table and indexes in agreement — including across an unwind (undo.go),
-// whose steps run through the same Insert/Update/Delete paths.
+// whose steps run through the same insert/update/delete/restore paths.
 
 // IndexDef describes a secondary index for catalog listings and EXPLAIN.
 type IndexDef struct {
@@ -52,20 +53,11 @@ func (si *secIndex) rowKey(row []sheet.Value, id tablestore.RowID) []byte {
 // hasNull reports whether any indexed column of the row is NULL; unique
 // enforcement skips such rows (SQL permits repeated NULLs in unique indexes).
 func (si *secIndex) hasNull(row []sheet.Value) bool {
-	for _, c := range si.cols {
-		if row[c].IsEmpty() {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(si.cols, func(c int) bool { return row[c].IsEmpty() })
 }
 
-// CreateIndex builds a secondary index over existing rows and registers it.
+// createIndex builds a secondary index over existing rows and registers it.
 // With ifNotExists set, an existing index of the same name is left untouched.
-func (db *Database) CreateIndex(name, table string, columns []string, unique, ifNotExists bool) error {
-	return db.createIndex(name, table, columns, unique, ifNotExists, nil)
-}
-
 func (db *Database) createIndex(name, table string, columns []string, unique, ifNotExists bool, undo *undoLog) error {
 	if strings.TrimSpace(name) == "" {
 		return fmt.Errorf("sqlexec: empty index name: %w", dberr.ErrInvalidSchema)
@@ -129,16 +121,12 @@ func (db *Database) createIndex(name, table string, columns []string, unique, if
 	tk := tkey(table)
 	db.secIndexes[tk] = append(db.secIndexes[tk], si)
 	db.invalidatePlans()
-	undo.push(func(rowMoves) error { return db.DropIndex(name, false) })
+	undo.push(ChangeEvent{Table: tbl.Name, Kind: ChangeSchema}, func() error { return db.dropIndex(name, false, nil) })
 	return nil
 }
 
-// DropIndex removes a secondary index. With ifExists set, a missing index is
+// dropIndex removes a secondary index. With ifExists set, a missing index is
 // not an error.
-func (db *Database) DropIndex(name string, ifExists bool) error {
-	return db.dropIndex(name, ifExists, nil)
-}
-
 func (db *Database) dropIndex(name string, ifExists bool, undo *undoLog) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -153,7 +141,7 @@ func (db *Database) dropIndex(name string, ifExists bool, undo *undoLog) error {
 	db.dropTableIndexLocked(tkey(si.def.Table), si)
 	db.invalidatePlans()
 	def := si.def
-	undo.push(func(rowMoves) error { return db.CreateIndex(def.Name, def.Table, def.Columns, def.Unique, false) })
+	undo.push(ChangeEvent{Table: def.Table, Kind: ChangeSchema}, func() error { return db.createIndex(def.Name, def.Table, def.Columns, def.Unique, false, nil) })
 	return nil
 }
 
@@ -318,14 +306,7 @@ func (db *Database) secUpdateLocked(table string, old, new []sheet.Value, id tab
 // path so entries stay in sync).
 // dslint:requires(engine)
 func (db *Database) secColumnIndexedLocked(table string, col int) bool {
-	for _, si := range db.secIndexes[tkey(table)] {
-		for _, c := range si.cols {
-			if c == col {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(db.secIndexes[tkey(table)], func(si *secIndex) bool { return slices.Contains(si.cols, col) })
 }
 
 // secOnDropColumnLocked adjusts indexes after column idx was removed from

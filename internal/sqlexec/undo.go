@@ -4,16 +4,19 @@ import (
 	"fmt"
 
 	"github.com/dataspread/dataspread/internal/dberr"
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
-// Statement atomicity and transactions share one undo mechanism. Every
-// change a statement makes pushes the step that reverses it onto the
-// statement's own log (execEnv.undo). A statement that fails unwinds that log
-// before its error returns; one that succeeds inside BEGIN appends it to the
-// session's transaction log, which COMMIT drops and ROLLBACK unwinds. So a
-// session's state holds a statement's effects exactly when the statement
-// succeeded and was not rolled back — the statements the command WAL logs.
+// Statement atomicity, transactions and the change feed share one log. Every
+// change a statement makes pushes an entry onto the statement's own log
+// (execEnv.undo): the change and the step that reverses it. A statement that
+// fails unwinds its log, newest first; one that succeeds inside BEGIN appends
+// it to the session's transaction log, which ROLLBACK unwinds. The changes
+// are published once (Database.publish): after an autocommit statement
+// succeeds, at COMMIT, and at ROLLBACK, which publishes what its unwind
+// changed. So a session's state holds a statement's effects exactly when the
+// statement succeeded and was not rolled back — the statements the command
+// WAL logs — and listeners hear of no change half-way through a statement or
+// before its transaction ends.
 //
 // The paper notes that in stock relational systems a schema change "is
 // considered as 'data definition language' and generally cannot participate
@@ -27,48 +30,43 @@ import (
 // the state before the statement or transaction nor anything a log holds.
 var ErrUndo = fmt.Errorf("sqlexec: undo failed: %w", dberr.ErrInternal)
 
-// undoStep reverses one change. A rolled-back DELETE re-inserts its row under
-// a new RowID and records it in moved, so that the older steps of the same
-// unwind find the row there.
-type undoStep func(moved rowMoves) error
+// undoEntry is one change and the step that reverses it. DROP TABLE and DROP
+// COLUMN have none: they are refused inside a transaction and end their
+// statement, so no unwind reaches them. Nor has Database.UpdateColumn's
+// in-place write, which no statement makes.
+type undoEntry struct {
+	ChangeEvent
+	undo func() error
+}
 
-// undoLog is a stack of undo steps. Pushing onto a nil log is a no-op: the
-// exported Database mutators keep no undo.
-type undoLog []undoStep
+// undoLog is a stack of entries. Pushing onto a nil log is a no-op: an undo
+// step's own changes are neither undone nor published by themselves.
+type undoLog []undoEntry
 
-func (u *undoLog) push(step undoStep) {
+func (u *undoLog) push(ev ChangeEvent, undo func() error) {
 	if u != nil {
-		*u = append(*u, step)
+		*u = append(*u, undoEntry{ev, undo})
 	}
 }
 
-// unwind runs the steps newest first and empties the log. It goes on past a
-// failing step, so that as much as possible is reversed, and reports the
-// first failure under ErrUndo.
-func (u *undoLog) unwind() error {
-	moved := rowMoves{}
+// unwind runs the steps newest first, empties the log and returns the
+// changes the steps made. It goes on past a failing step, so that as much as
+// possible is reversed, and reports the first failure under ErrUndo.
+func (u *undoLog) unwind() (undone undoLog, _ error) {
 	var first error
 	for i := len(*u) - 1; i >= 0; i-- {
-		if err := (*u)[i](moved); err != nil && first == nil {
+		e := (*u)[i]
+		if err := e.undo(); err != nil && first == nil {
 			first = fmt.Errorf("%w: step %d: %w", ErrUndo, i, err)
 		}
+		switch e.Kind {
+		case ChangeInsert:
+			e.Kind = ChangeDelete
+		case ChangeDelete:
+			e.Kind = ChangeInsert
+		}
+		undone = append(undone, e)
 	}
 	*u = nil
-	return first
-}
-
-type rowRef struct {
-	table string
-	id    tablestore.RowID
-}
-
-// rowMoves maps the rows an unwind has re-inserted to their new RowIDs.
-type rowMoves map[rowRef]tablestore.RowID
-
-// id returns where the row the table knew as id lives now.
-func (m rowMoves) id(table string, id tablestore.RowID) tablestore.RowID {
-	if moved, ok := m[rowRef{tkey(table), id}]; ok {
-		return moved
-	}
-	return id
+	return undone, first
 }

@@ -9,39 +9,51 @@ import (
 
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 func TestRollbackRunsUndoInReverse(t *testing.T) {
 	var log undoLog
 	var order []int
 	for i := 1; i <= 3; i++ {
-		log.push(func(rowMoves) error {
+		log.push(ChangeEvent{Table: "t", Kind: ChangeKind(i), RowID: tablestore.RowID(i)}, func() error {
 			order = append(order, i)
 			return nil
 		})
 	}
-	if err := log.unwind(); err != nil {
+	undone, err := log.unwind()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(order, []int{3, 2, 1}) {
 		t.Errorf("undo order = %v, want [3 2 1]", order)
 	}
+	// The undone changes, newest first: a reversed DELETE is an insert.
+	want := []ChangeEvent{{"t", ChangeSchema, 3}, {"t", ChangeInsert, 2}, {"t", ChangeUpdate, 1}}
+	if len(undone) != len(want) {
+		t.Fatalf("unwind returned %d changes, want %d", len(undone), len(want))
+	}
+	for i, e := range undone {
+		if e.ChangeEvent != want[i] {
+			t.Errorf("undone change %d = %v, want %v", i, e.ChangeEvent, want[i])
+		}
+	}
 	if len(log) != 0 {
 		t.Error("unwind must empty the log")
 	}
 	var none *undoLog
-	none.push(func(rowMoves) error { t.Error("a nil log keeps no steps"); return nil })
+	none.push(ChangeEvent{}, func() error { t.Error("a nil log keeps no steps"); return nil })
 }
 
 func TestRollbackContinuesPastFailingUndo(t *testing.T) {
 	var log undoLog
 	older, newer := errors.New("older"), errors.New("newer")
 	ran := 0
-	log.push(func(rowMoves) error { ran++; return nil })
-	log.push(func(rowMoves) error { return older })
-	log.push(func(rowMoves) error { ran++; return nil })
-	log.push(func(rowMoves) error { return newer })
-	err := log.unwind()
+	log.push(ChangeEvent{}, func() error { ran++; return nil })
+	log.push(ChangeEvent{}, func() error { return older })
+	log.push(ChangeEvent{}, func() error { ran++; return nil })
+	log.push(ChangeEvent{}, func() error { return newer })
+	_, err := log.unwind()
 	if ran != 2 {
 		t.Errorf("steps past a failure must still run, ran = %d", ran)
 	}
@@ -99,11 +111,11 @@ func TestStatementCommitsOnSuccessUnwindsOnError(t *testing.T) {
 	}
 }
 
-// TestRollbackFollowsReinsertedRows: rolling back a DELETE re-inserts the
-// row under a new RowID, and the older steps of the same rollback that
-// touch the row must follow it there.
-func TestRollbackFollowsReinsertedRows(t *testing.T) {
-	_, s := newTestDB(t)
+// TestRollbackRestoresRowsInPlace: rolling back a DELETE brings the row back
+// at its own RowID, where the older steps of the same rollback find it, so
+// the rolled-back table scans in its old order.
+func TestRollbackRestoresRowsInPlace(t *testing.T) {
+	db, s := newTestDB(t)
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
 	mustExec(t, s, "INSERT INTO t VALUES (1, 1), (2, 2)")
 	mustExec(t, s, "BEGIN")
@@ -119,6 +131,13 @@ func TestRollbackFollowsReinsertedRows(t *testing.T) {
 	}
 	if got, want := dumpRows(t, s, "SELECT id, v FROM t ORDER BY id"), "[[1 1] [2 2]]"; got != want {
 		t.Fatalf("after ROLLBACK: %s, want %s", got, want)
+	}
+	var ids []tablestore.RowID
+	if err := db.Scan("t", func(id tablestore.RowID, _ []sheet.Value) bool { ids = append(ids, id); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ids, []tablestore.RowID{1, 2}) {
+		t.Fatalf("rows after ROLLBACK live at RowIDs %v, want [1 2]", ids)
 	}
 }
 

@@ -334,6 +334,17 @@ func (s *HybridStore) Delete(id RowID) error {
 	return nil
 }
 
+// Restore implements Store: it clears the tombstone, since the slot's
+// values never left its pages.
+func (s *HybridStore) Restore(id RowID) error {
+	if !s.deleted[id] {
+		return fmt.Errorf("%w: %d is not deleted", ErrRowNotFound, id)
+	}
+	delete(s.deleted, id)
+	s.rowCount++
+	return nil
+}
+
 // AddColumn implements Store. A new single-attribute group is created and
 // backfilled; no existing block is touched, which is the paper's headline
 // storage property.

@@ -69,6 +69,8 @@ type Store interface {
 	UpdateColumn(id RowID, col int, v sheet.Value) error
 	// Delete removes the tuple.
 	Delete(id RowID) error
+	// Restore brings back a tuple Delete removed, at its own RowID.
+	Restore(id RowID) error
 	// Scan calls fn for every live tuple in RowID order; it stops early if
 	// fn returns false. The row passed to fn is owned by the caller. Like
 	// every other Store call it needs writers excluded for its duration.
