@@ -96,9 +96,12 @@ servecheck:
 	bash bench/run.sh --workload served_oltp --seconds 2
 
 # fuzz runs the durability fuzz suites (fixed seeds: the same trials replay
-# every run) — WAL truncation/bit-flips, checkpoint kill points, heap-file
-# corruption, the shadow-paged root-flip kill points, the zone-map
-# insert/update/delete/checkpoint/reopen interleavings, and the live-versus-log
-# oracle over failing statements, rollbacks and schema changes.
+# every run) — WAL truncation/bit-flips, checkpoint kill points (the
+# slot-map write included), heap-file corruption, the shadow-paged root-flip
+# kill points, the zone-map insert/update/delete/checkpoint/reopen
+# interleavings, and the live-versus-log oracle over failing statements,
+# rollbacks and schema changes — then the checked-in corpus of every native
+# fuzz target (testdata/fuzz; `go test -fuzz <target>` explores further).
 fuzz:
 	$(GO) test ./internal/core/ -run 'TestCrashRecoveryFuzz|TestCheckpointCrashFuzz|TestHeapCorruptionFuzz|TestRootFlipAtomicKillPoints|TestZoneMapFuzz|TestLiveMatchesLogFuzz' -count=1 -v
+	$(GO) test ./internal/storage/pager/ -run 'FuzzSlotMapDecode' -count=1 -v

@@ -590,13 +590,16 @@ func BenchmarkD1DurableAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkD2ColdOpen measures recovery cost. With the page-rooted catalog,
-// opening a checkpointed workbook attaches to its table pages and — through
-// the fence lists — to the leaf pages of its primary-key and secondary
-// indexes without reading them, so cold-open time tracks the *dirty* work
-// since the last checkpoint (the WAL tail), not the total row count: the
-// 10k/100k pair shows how flat it is. The replay-only variant (no
-// checkpoint) is the old O(history) behaviour for contrast.
+// BenchmarkD2ColdOpen measures recovery cost. Opening a checkpointed
+// workbook reads the root slots and the blobs the root names — the heap's
+// slot map, the page catalog, the zone maps, the sheet snapshot — and
+// replays the WAL tail. It reads no slot header (the slot map rebuilds the
+// heap's free list) and no table or index page (the catalog's page lists
+// and fence lists attach to them unread). So open time follows the catalog,
+// whose page lists and zone entries grow with the table's pages, plus the
+// dirty work since the checkpoint; the 10k/100k/300k series shows that
+// slope. The replay-only variant (no checkpoint) is the O(history)
+// behaviour for contrast.
 func BenchmarkD2ColdOpen(b *testing.B) {
 	build := func(b *testing.B, rows, tail int) string {
 		b.Helper()
@@ -638,6 +641,7 @@ func BenchmarkD2ColdOpen(b *testing.B) {
 	}{
 		{"checkpointed-10k-rows-dirty-0", 10000, 0},
 		{"checkpointed-100k-rows-dirty-0", 100000, 0},
+		{"checkpointed-300k-rows-dirty-0", 300000, 0},
 		{"checkpointed-10k-rows-dirty-500", 10000, 500},
 		{"replay-only-10k-rows", 0, 10000},
 	}

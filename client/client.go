@@ -89,7 +89,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 		return nil, c.fatal(wire.DecodeError(payload))
 	}
 	if typ != wire.MsgHelloOK {
-		return nil, c.fatal(fmt.Errorf("client: unexpected handshake reply %#x: %w", typ, dberr.ErrCorrupt))
+		return nil, c.fatal(fmt.Errorf("client: unexpected handshake reply %#x: %w", typ, dberr.ErrProtocol))
 	}
 	r := wire.NewReader(payload)
 	version := r.Uvarint()
@@ -218,7 +218,7 @@ func (c *Client) prepareLocked(sql string) (*Stmt, error) {
 		return nil, wire.DecodeError(payload)
 	}
 	if typ != wire.MsgPrepareOK {
-		return nil, fmt.Errorf("client: unexpected prepare reply %#x: %w", typ, dberr.ErrCorrupt)
+		return nil, fmt.Errorf("client: unexpected prepare reply %#x: %w", typ, dberr.ErrProtocol)
 	}
 	r := wire.NewReader(payload)
 	gotID := r.Uvarint()
@@ -231,7 +231,7 @@ func (c *Client) prepareLocked(sql string) (*Stmt, error) {
 		return nil, fmt.Errorf("client: malformed prepare reply: %w", err)
 	}
 	if gotID != id {
-		return nil, fmt.Errorf("client: prepare reply for statement %d, want %d: %w", gotID, id, dberr.ErrCorrupt)
+		return nil, fmt.Errorf("client: prepare reply for statement %d, want %d: %w", gotID, id, dberr.ErrProtocol)
 	}
 	return &Stmt{c: c, id: id, sql: sql, nargs: n, pnames: names}, nil
 }
@@ -343,7 +343,7 @@ func (c *Client) awaitDone() (int, error) {
 		case wire.MsgError:
 			return 0, wire.DecodeError(payload)
 		default:
-			return 0, fmt.Errorf("client: unexpected frame %#x awaiting completion: %w", typ, dberr.ErrCorrupt)
+			return 0, fmt.Errorf("client: unexpected frame %#x awaiting completion: %w", typ, dberr.ErrProtocol)
 		}
 	}
 }
@@ -383,7 +383,7 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if typ != wire.MsgRowHeader {
 		stop()
 		s.c.mu.Unlock()
-		return nil, fmt.Errorf("client: unexpected query reply %#x: %w", typ, dberr.ErrCorrupt)
+		return nil, fmt.Errorf("client: unexpected query reply %#x: %w", typ, dberr.ErrProtocol)
 	}
 	r := wire.NewReader(payload)
 	ncols := int(r.Uvarint())
@@ -448,7 +448,7 @@ func (r *Rows) Next() bool {
 			r.finish()
 			return false
 		default:
-			r.err = fmt.Errorf("client: unexpected frame %#x in stream: %w", typ, dberr.ErrCorrupt)
+			r.err = fmt.Errorf("client: unexpected frame %#x in stream: %w", typ, dberr.ErrProtocol)
 			r.finish()
 			return false
 		}
@@ -601,7 +601,7 @@ func (c *Client) Ping() error {
 		return wire.DecodeError(payload)
 	}
 	if typ != wire.MsgPong {
-		return fmt.Errorf("client: unexpected ping reply %#x: %w", typ, dberr.ErrCorrupt)
+		return fmt.Errorf("client: unexpected ping reply %#x: %w", typ, dberr.ErrProtocol)
 	}
 	return nil
 }
@@ -625,7 +625,7 @@ func (c *Client) ServerStats() (map[string]any, error) {
 		return nil, wire.DecodeError(payload)
 	}
 	if typ != wire.MsgStatsReply {
-		return nil, fmt.Errorf("client: unexpected stats reply %#x: %w", typ, dberr.ErrCorrupt)
+		return nil, fmt.Errorf("client: unexpected stats reply %#x: %w", typ, dberr.ErrProtocol)
 	}
 	var out map[string]any
 	if err := json.Unmarshal(payload, &out); err != nil {

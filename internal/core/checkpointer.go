@@ -14,7 +14,9 @@
 //	         snapshot and the watermark. Nothing the old root references
 //	         was touched, and the work follows the dirty set: the catalog
 //	         lists pages, not rows.
-//	write    (off-lock)    write the two blobs to fresh pages and sync.
+//	write    (off-lock)    write the catalog, snapshot and zone blobs to
+//	         fresh pages, then the heap's slot map — the slot states the
+//	         new root reaches, its own page included — and sync.
 //	flip     (off-lock)    write the next root — generation+1, watermark,
 //	         blob pages — into the ping-pong slot the previous root does
 //	         NOT occupy, and sync. This single page write is the commit
@@ -56,17 +58,12 @@ const (
 
 // ckptState carries one checkpoint through its stages.
 type ckptState struct {
-	watermark uint64
 	metaBlob  []byte
 	snapBlob  []byte
 	zoneBlob  []byte
 	dataPages []pager.PageID
-	metaPage  pager.PageID
-	snapPage  pager.PageID
-	zonePage  pager.PageID
-	prevMeta  pager.PageID
-	prevSnap  pager.PageID
-	prevZone  pager.PageID
+	root      rootInfo // the root this checkpoint commits
+	prev      rootInfo // the root it replaced, once flipped
 }
 
 // startCheckpointer launches the background goroutine. A negative threshold
@@ -200,72 +197,80 @@ func (ds *DataSpread) ckptCapture() (*ckptState, error) {
 	if ds.wal == nil {
 		return nil, fmt.Errorf("core: checkpoint requires a durable workbook: %w", dberr.ErrUnsupported)
 	}
-	st := &ckptState{watermark: ds.wal.LastLSN()}
+	st := &ckptState{root: rootInfo{gen: ds.root.gen + 1, watermark: ds.wal.LastLSN()}}
 	var err error
 	if st.metaBlob, err = ds.db.MarshalPages(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint flush: %w", err)
 	}
 	st.zoneBlob = ds.db.MarshalZones()
-	st.snapBlob = txn.EncodeRecords([]txn.Record{{LSN: st.watermark, Ops: ds.snapshotOps()}})
+	st.snapBlob = txn.EncodeRecords([]txn.Record{{LSN: st.root.watermark, Ops: ds.snapshotOps()}})
 	st.dataPages = ds.db.DurablePageIDs()
 	ds.db.Pool().BeginCheckpoint(st.dataPages)
 	return st, nil
 }
 
-// ckptWrite lands the catalog and snapshot blobs on fresh pages and syncs.
-// Old state is untouched; a crash here only leaks pages, which the next open
-// sweeps.
+// ckptWrite lands the catalog, snapshot, zone and slot-map blobs on fresh
+// pages and syncs. Old state is untouched; a crash here only leaks pages,
+// which the next open sweeps.
 func (ds *DataSpread) ckptWrite(st *ckptState) error {
-	be := ds.backend
-	if st.metaPage = be.Allocate(); st.metaPage == pager.InvalidPage {
+	be, r := ds.backend, &st.root
+	if r.metaPage = be.Allocate(); r.metaPage == pager.InvalidPage {
 		return allocErr(be)
 	}
-	if st.snapPage = be.Allocate(); st.snapPage == pager.InvalidPage {
+	if r.snapPage = be.Allocate(); r.snapPage == pager.InvalidPage {
 		return allocErr(be)
 	}
-	if err := be.WritePage(st.metaPage, st.metaBlob); err != nil {
+	if err := be.WritePage(r.metaPage, st.metaBlob); err != nil {
 		return fmt.Errorf("core: write page catalog: %w", err)
 	}
-	if err := be.WritePage(st.snapPage, st.snapBlob); err != nil {
+	if err := be.WritePage(r.snapPage, st.snapBlob); err != nil {
 		return fmt.Errorf("core: write sheet snapshot: %w", err)
 	}
-	// The zone-map catalog is advisory: a reopen without it just rebuilds
-	// summaries lazily. So its page is best-effort — an allocation or write
-	// failure drops the blob from this checkpoint instead of failing it.
-	// (A latched backend I/O error still surfaces at the Sync below, exactly
-	// as it would for the mandatory blobs.)
-	if st.zonePage = be.Allocate(); st.zonePage != pager.InvalidPage {
-		if err := be.WritePage(st.zonePage, st.zoneBlob); err != nil {
-			be.Free(st.zonePage)
-			st.zonePage = 0
-		}
-	} else {
-		st.zonePage = 0
-	}
+	r.zonePage = advisoryPage(be, func(pager.PageID) ([]byte, error) { return st.zoneBlob, nil })
+	// The slot map comes last: it records the pages the new root reaches,
+	// the blobs above among them, as the heap holds them now. Slots that
+	// writers allocate or free from here on are unreachable from this root,
+	// and a reopen rebuilds them as free.
+	r.mapPage = advisoryPage(be, func(id pager.PageID) ([]byte, error) {
+		return be.MarshalSlotMap(id, r.reach(st.dataPages))
+	})
 	if err := be.Sync(); err != nil {
 		return fmt.Errorf("core: sync checkpoint pages: %w", err)
 	}
 	return nil
 }
 
+// advisoryPage writes an advisory blob — the zone maps or the slot map,
+// which a reopen can do without — to a fresh page and returns it. An
+// allocation, marshal or write failure drops the blob from this checkpoint
+// (page 0) instead of failing it; a latched backend I/O error still surfaces
+// at the Sync that follows, exactly as it would for the mandatory blobs.
+func advisoryPage(be *pager.FileStore, marshal func(id pager.PageID) ([]byte, error)) pager.PageID {
+	id := be.Allocate()
+	if id == pager.InvalidPage {
+		return 0
+	}
+	blob, err := marshal(id)
+	if err == nil {
+		err = be.WritePage(id, blob)
+	}
+	if err != nil {
+		be.Free(id)
+		return 0
+	}
+	return id
+}
+
 // ckptFlip atomically commits the checkpoint: one root-slot write plus sync.
 func (ds *DataSpread) ckptFlip(st *ckptState) error {
-	newRoot := rootInfo{
-		gen:       ds.root.gen + 1,
-		watermark: st.watermark,
-		metaPage:  st.metaPage,
-		snapPage:  st.snapPage,
-		zonePage:  st.zonePage,
-	}
-	if err := writeRoot(ds.backend, rootSlotFor(newRoot.gen), newRoot); err != nil {
+	if err := writeRoot(ds.backend, rootSlotFor(st.root.gen), st.root); err != nil {
 		return err
 	}
 	if err := ds.backend.Sync(); err != nil {
 		return fmt.Errorf("core: sync root flip: %w", err)
 	}
 	// Commit point passed: from here on the checkpoint is durable.
-	st.prevMeta, st.prevSnap, st.prevZone = ds.root.metaPage, ds.root.snapPage, ds.root.zonePage
-	ds.root = newRoot
+	st.prev, ds.root = ds.root, st.root
 	return nil
 }
 
@@ -285,16 +290,10 @@ func (ds *DataSpread) ckptAdopt(st *ckptState) error {
 		firstErr = fmt.Errorf("core: sync root mirror: %w", err)
 	}
 	ds.db.Pool().CommitCheckpoint()
-	if st.prevMeta != 0 {
-		ds.backend.Free(st.prevMeta)
+	for _, id := range st.prev.blobs() {
+		ds.backend.Free(id)
 	}
-	if st.prevSnap != 0 {
-		ds.backend.Free(st.prevSnap)
-	}
-	if st.prevZone != 0 {
-		ds.backend.Free(st.prevZone)
-	}
-	if err := ds.wal.TruncateThrough(st.watermark); err != nil && firstErr == nil {
+	if err := ds.wal.TruncateThrough(st.root.watermark); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("core: compact WAL: %w", err)
 	}
 	return firstErr
@@ -318,13 +317,7 @@ func allocErr(be pager.Backend) error {
 // write may have landed, nothing the new root references can be released.
 func (ds *DataSpread) ckptAbort(st *ckptState) {
 	ds.db.Pool().AbortCheckpoint()
-	if st.metaPage != 0 {
-		ds.backend.Free(st.metaPage)
-	}
-	if st.snapPage != 0 {
-		ds.backend.Free(st.snapPage)
-	}
-	if st.zonePage != 0 {
-		ds.backend.Free(st.zonePage)
+	for _, id := range st.root.blobs() {
+		ds.backend.Free(id)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/storage/pager"
+	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
 
 // TestSingleWriterLock verifies the flock-based single-writer rule: a second
@@ -147,7 +150,10 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 //     old WAL coexist, so recovery must not replay records the snapshot
 //     already covers (the watermark rule);
 //   - K3: after the log reset, before any new command;
-//   - K4: a random truncation of the post-checkpoint WAL tail.
+//   - K4: a random truncation of the post-checkpoint WAL tail;
+//   - K5: power cut inside the slot-map write, its head slot torn — once
+//     under the first checkpoint (the old root has no map, so the open
+//     scans) and once under a second one (the old root's map serves).
 //
 // In every case recovery must yield exactly a committed prefix — never a
 // lost committed command before the kill point, never a duplicated insert,
@@ -163,7 +169,8 @@ func TestCheckpointCrashFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, "book.dsp")
-		ds, err := OpenFile(path, Options{})
+		cut := &slotMapCutFS{FS: vfs.OS(), heap: path}
+		ds, err := OpenFile(path, Options{FS: cut})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,10 +241,64 @@ func TestCheckpointCrashFuzz(t *testing.T) {
 		verify("pre-snapshot", nil, walPre, n1, n1)
 		verify("pre-reset", heapPost, walPre, n1, n1)
 		verify("post-reset", heapPost, nil, n1, n1)
-		cut := rng.Intn(len(walTail) + 1)
-		verify("tail-truncate", heapFinal, walTail[:cut], n1, n1+n2)
+		at := rng.Intn(len(walTail) + 1)
+		verify("tail-truncate", heapFinal, walTail[:at], n1, n1+n2)
 		verify("final", heapFinal, walTail, n1+n2, n1+n2)
+		verify("torn-slot-map", cut.heapImg, cut.walImg, n1, n1)
+
+		cut2 := &slotMapCutFS{FS: vfs.OS(), heap: path}
+		ds, err = OpenFile(path, Options{FS: cut2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		verify("torn-slot-map-gen2", cut2.heapImg, cut2.walImg, n1+n2, n1+n2)
 	}
+}
+
+// slotMapCutFS cuts power inside a checkpoint's slot-map write. When the
+// write of the map's head slot — the last slot of its chain to land —
+// reaches the heap, it records the heap and the WAL as a crash at that
+// instant leaves them, with the first sector of the write torn in, then
+// lets the write through.
+type slotMapCutFS struct {
+	vfs.FS
+	heap            string
+	heapImg, walImg []byte
+}
+
+func (fs *slotMapCutFS) OpenFile(path string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(path, flag, perm)
+	if err != nil || path != fs.heap {
+		return f, err
+	}
+	return &slotMapCutFile{File: f, fs: fs}, nil
+}
+
+type slotMapCutFile struct {
+	vfs.File
+	fs *slotMapCutFS
+}
+
+func (f *slotMapCutFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.heapImg == nil && len(p) == pager.PageSize && bytes.HasPrefix(p[16:], []byte("DSSLOTM1")) {
+		img, err := os.ReadFile(f.fs.heap)
+		if err != nil {
+			return 0, err
+		}
+		img = append(img, make([]byte, max(0, off+512-int64(len(img))))...)
+		copy(img[off:], p[:512])
+		if f.fs.walImg, err = os.ReadFile(WALPath(f.fs.heap)); err != nil {
+			return 0, err
+		}
+		f.fs.heapImg = img
+	}
+	return f.File.WriteAt(p, off)
 }
 
 // TestIndexDDLSurvivesCheckpoint: CREATE INDEX must be part of both the WAL

@@ -95,7 +95,7 @@ type DataSpread struct {
 	// checkpoint capture cannot interleave with a command that would then
 	// be in neither the checkpoint nor the surviving WAL tail.
 	cmdMu        sync.Mutex
-	backend      pager.Backend
+	backend      *pager.FileStore
 	wal          *txn.Manager
 	unlock       func() error // releases the single-writer workbook lock
 	replaying    bool

@@ -66,19 +66,26 @@ func OpenFile(path string, opts Options) (*DataSpread, error) {
 	fail := func(err error) (*DataSpread, error) {
 		return nil, errors.Join(err, be.Close(), unlock())
 	}
+	// Pick the root, then rebuild the heap's slot states from its slot map.
+	// Without a usable map (a fresh file, a root from before slot maps, a
+	// torn blob) the heap scans every slot header instead.
+	root, staleSlot, fresh := loadRoots(be)
+	var slotMap []byte
+	if root.mapPage != 0 {
+		slotMap, _ = be.ReadPage(root.mapPage)
+	}
+	if _, err := be.Attach(slotMap); err != nil {
+		return fail(fmt.Errorf("core: read heap slot headers: %w", err))
+	}
 	// Reserve the two root slots; on a fresh file they are the first pages
 	// ever allocated. Reclaim (rather than Allocate) registers a slot whose
 	// on-disk header a torn write left as garbage: an unreadable root slot
 	// must not brick a file whose sibling slot still holds a valid root.
 	for _, slot := range []pager.PageID{rootSlotA, rootSlotB} {
-		if be.Exists(slot) {
-			continue
-		}
 		if err := be.Reclaim(slot); err != nil {
 			return fail(fmt.Errorf("core: reclaim root slot %d: %w", slot, err))
 		}
 	}
-	root, staleSlot, fresh := loadRoots(be)
 	if fresh {
 		// No valid root. That is only legitimate for a file that provably
 		// holds no committed data: nothing beyond the root slots
@@ -145,9 +152,10 @@ func OpenFile(path string, opts Options) (*DataSpread, error) {
 	// Protect the attached pages against in-place overwrite, re-mirror the
 	// chosen root into a stale sibling slot (a crash may have left it
 	// behind — only the sibling is rewritten, never the slot holding the
-	// sole valid root), then sweep pages no root references — the shadow
-	// pages of a checkpoint that never committed, or the superseded pages
-	// of one that committed but crashed before cleanup.
+	// sole valid root), then free every slot the root does not reach — the
+	// shadow pages of a checkpoint that never committed, the superseded
+	// pages of one that committed but crashed before cleanup, or pages
+	// written after it. A slot-map attach holds only what the root reaches.
 	dataPages := ds.db.DurablePageIDs()
 	ds.db.Pool().SetDurable(dataPages)
 	if staleSlot != 0 {
@@ -158,7 +166,7 @@ func OpenFile(path string, opts Options) (*DataSpread, error) {
 			return fail(err)
 		}
 	}
-	ds.sweepUnreachable(dataPages)
+	be.Retain(root.reach(dataPages))
 
 	// Apply the sheet-snapshot commands (cells, sheets, bindings).
 	if root.snapPage != 0 {
@@ -194,30 +202,6 @@ func OpenFile(path string, opts Options) (*DataSpread, error) {
 	ds.Wait()
 	ds.startCheckpointer()
 	return ds, nil
-}
-
-// sweepUnreachable frees every allocated page the current root does not
-// reach: root slots, catalog/snapshot blobs and table pages are reachable,
-// anything else is debris from a crashed or un-cleaned checkpoint.
-func (ds *DataSpread) sweepUnreachable(dataPages []pager.PageID) {
-	reachable := map[pager.PageID]bool{rootSlotA: true, rootSlotB: true}
-	if ds.root.metaPage != 0 {
-		reachable[ds.root.metaPage] = true
-	}
-	if ds.root.snapPage != 0 {
-		reachable[ds.root.snapPage] = true
-	}
-	if ds.root.zonePage != 0 {
-		reachable[ds.root.zonePage] = true
-	}
-	for _, id := range dataPages {
-		reachable[id] = true
-	}
-	for _, id := range ds.backend.PageIDs() {
-		if !reachable[id] {
-			ds.backend.Free(id)
-		}
-	}
 }
 
 // WAL returns the durable command log manager, or nil for in-memory

@@ -20,10 +20,9 @@ import (
 // Tests of the page-resident index leaves as a durable workbook sees them:
 // what an open reads, what a checkpoint frees, and what a damaged leaf does.
 
-// tapFS passes every payload read of the workbook heap — a ReadAt that
-// starts right behind a slot header — to onRead with the slot number, which
-// may fail it. Slot-header reads (the open-time scan, chain walks) are not
-// payload reads.
+// tapFS passes every page read of the workbook heap — a ReadAt of a whole
+// slot — to onRead with the slot number, which may fail it. Slot-header
+// reads (the header-scan fallback) are not page reads.
 type tapFS struct {
 	vfs.FS
 	heap   string
@@ -44,7 +43,7 @@ type tapFile struct {
 }
 
 func (f *tapFile) ReadAt(p []byte, off int64) (int, error) {
-	if off%pager.PageSize == 16 {
+	if len(p) == pager.PageSize {
 		if err := f.fs.onRead(off / pager.PageSize); err != nil {
 			return 0, &vfs.OpError{Op: vfs.OpRead, Path: f.fs.heap, Err: err}
 		}
@@ -53,19 +52,24 @@ func (f *tapFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // leafSlots returns the heap slots of a closed workbook that hold index leaf
-// pages, recognised by their page magic.
+// pages: the live pages, as a reopen attaches them from the root's slot map,
+// whose payload carries the leaf magic.
 func leafSlots(t *testing.T, path string) map[int64]bool {
 	t.Helper()
-	heap, err := os.ReadFile(path)
+	be, err := pager.OpenFileStoreVFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer be.Close()
+	root, _, _ := loadRoots(be)
+	slotMap, _ := be.ReadPage(root.mapPage)
+	if _, err := be.Attach(slotMap); err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[int64]bool)
-	for slot := int64(1); (slot+1)*pager.PageSize <= int64(len(heap)); slot++ {
-		hdr := heap[slot*pager.PageSize:]
-		// Live chain heads only: flag byte 0, payload "DSBL…".
-		if hdr[12] == 0 && bytes.HasPrefix(hdr[16:], []byte("DSBL")) {
-			out[slot] = true
+	for _, id := range be.PageIDs() {
+		if buf, err := be.ReadPage(id); err == nil && bytes.HasPrefix(buf, []byte("DSBL")) {
+			out[int64(id)] = true
 		}
 	}
 	return out

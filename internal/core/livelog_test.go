@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlexec"
 )
 
@@ -21,7 +22,9 @@ import (
 
 // dumpDB renders every table's schema, its secondary indexes and its rows
 // in scan order. Indexes are sorted: a rolled-back DROP INDEX re-creates the
-// index last, so index order is not part of the state compared.
+// index last, so index order is not part of the state compared. It also
+// fails unless a bare COUNT(*), which answers from the store's row count
+// instead of scanning, equals the rows the scan returned.
 func dumpDB(t *testing.T, ds *DataSpread) string {
 	t.Helper()
 	var b strings.Builder
@@ -43,6 +46,13 @@ func dumpDB(t *testing.T, ds *DataSpread) string {
 		}
 		for _, r := range res.Rows {
 			fmt.Fprintln(&b, r)
+		}
+		count, err := ds.Query("SELECT COUNT(*) FROM " + tbl.Name)
+		if err != nil {
+			t.Fatalf("count %s: %v", tbl.Name, err)
+		}
+		if got, want := count.Rows[0][0], sheet.Number(float64(len(res.Rows))); got != want {
+			t.Fatalf("%s: SELECT COUNT(*) = %v, the scan returned %d rows", tbl.Name, got, len(res.Rows))
 		}
 	}
 	return b.String()

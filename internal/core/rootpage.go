@@ -12,8 +12,9 @@ import (
 // ping-pong pair of root slots. Each slot is a tiny, CRC-protected record
 // naming the current checkpoint: a generation number, the WAL watermark the
 // checkpoint covers, and the pages holding the page-catalog blob
-// (sqlexec.MarshalPages) and the sheet-snapshot blob (txn.EncodeRecords of
-// the non-relational commands).
+// (sqlexec.MarshalPages), the sheet-snapshot blob (txn.EncodeRecords of the
+// non-relational commands), and the two advisory blobs: the zone maps and
+// the heap's slot map (pager.MarshalSlotMap).
 //
 // The pair is what makes checkpoints shadow-paged end to end: a checkpoint
 // writes all of its content — relocated data pages, catalog blob, snapshot
@@ -29,7 +30,11 @@ const (
 	rootSlotA pager.PageID = 1
 	rootSlotB pager.PageID = 2
 
-	rootRecordSize = 52
+	// A root is the 52-byte record from before slot maps (CRC of [0:48] at
+	// [48:52]), then mapPage and a CRC of [0:60]; without that tail it
+	// decodes with no map and opens through the heap's header scan.
+	rootRecordSizeV1 = 52
+	rootRecordSize   = 64
 )
 
 var rootMagic = [8]byte{'D', 'S', 'R', 'O', 'O', 'T', '0', '1'}
@@ -42,6 +47,19 @@ type rootInfo struct {
 	metaPage  pager.PageID // page-catalog blob (0 = none)
 	snapPage  pager.PageID // sheet-snapshot blob (0 = none)
 	zonePage  pager.PageID // zone-map catalog blob (0 = none; advisory — see sqlexec.AttachZones)
+	mapPage   pager.PageID // heap slot map (0 = none; advisory — see pager.FileStore.Attach)
+}
+
+// blobs lists the blob pages the root names, 0 for none.
+func (r rootInfo) blobs() []pager.PageID {
+	return []pager.PageID{r.metaPage, r.snapPage, r.zonePage, r.mapPage}
+}
+
+// reach lists every page the root references: both root slots, its blobs,
+// and dataPages, the table and index pages of its catalog.
+func (r rootInfo) reach(dataPages []pager.PageID) []pager.PageID {
+	out := append([]pager.PageID{rootSlotA, rootSlotB}, r.blobs()...)
+	return append(out, dataPages...)
 }
 
 // rootSlotFor returns the slot a given generation is written to; successive
@@ -62,32 +80,35 @@ func encodeRoot(r rootInfo) []byte {
 	binary.LittleEndian.PutUint64(buf[32:40], uint64(r.snapPage))
 	binary.LittleEndian.PutUint64(buf[40:48], uint64(r.zonePage))
 	binary.LittleEndian.PutUint32(buf[48:52], crc32.ChecksumIEEE(buf[0:48]))
+	binary.LittleEndian.PutUint64(buf[52:60], uint64(r.mapPage))
+	binary.LittleEndian.PutUint32(buf[60:64], crc32.ChecksumIEEE(buf[0:60]))
 	return buf
 }
 
 func decodeRoot(buf []byte) (rootInfo, bool) {
-	if len(buf) < rootRecordSize || [8]byte(buf[0:8]) != rootMagic {
+	if len(buf) < rootRecordSizeV1 || [8]byte(buf[0:8]) != rootMagic {
 		return rootInfo{}, false
 	}
 	if crc32.ChecksumIEEE(buf[0:48]) != binary.LittleEndian.Uint32(buf[48:52]) {
 		return rootInfo{}, false
 	}
-	return rootInfo{
+	r := rootInfo{
 		gen:       binary.LittleEndian.Uint64(buf[8:16]),
 		watermark: binary.LittleEndian.Uint64(buf[16:24]),
 		metaPage:  pager.PageID(binary.LittleEndian.Uint64(buf[24:32])),
 		snapPage:  pager.PageID(binary.LittleEndian.Uint64(buf[32:40])),
 		zonePage:  pager.PageID(binary.LittleEndian.Uint64(buf[40:48])),
-	}, true
+	}
+	if len(buf) >= rootRecordSize && crc32.ChecksumIEEE(buf[0:60]) == binary.LittleEndian.Uint32(buf[60:64]) {
+		r.mapPage = pager.PageID(binary.LittleEndian.Uint64(buf[52:60]))
+	}
+	return r, true
 }
 
 // readRoot loads and validates one root slot; a missing page or failed CRC
 // reports !ok rather than an error (the caller decides whether the sibling
-// slot can serve).
+// slot can serve). It works before the heap's slot states are attached.
 func readRoot(be pager.Backend, slot pager.PageID) (rootInfo, bool) {
-	if !be.Exists(slot) {
-		return rootInfo{}, false
-	}
 	buf, err := be.ReadPage(slot)
 	if err != nil {
 		return rootInfo{}, false

@@ -153,6 +153,9 @@ func TestZoneBlobCorruptionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := be.Attach(nil); err != nil {
+		t.Fatal(err)
+	}
 	root, _, fresh := loadRoots(be)
 	if fresh {
 		t.Fatal("no valid root after checkpoint")

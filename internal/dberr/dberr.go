@@ -88,13 +88,18 @@ var (
 	// bounded wait queue is full or the wait timed out. The request was not
 	// executed; retrying after backoff is safe.
 	ErrOverloaded = errors.New("server overloaded")
+	// ErrProtocol reports a malformed network frame: a length beyond the
+	// frame limit, a truncated or undecodable field, an absurd count, or a
+	// frame type the exchange does not expect. Network input is never
+	// ErrCorrupt, which is on-disk state only.
+	ErrProtocol = errors.New("malformed network frame")
 )
 
 // Storage and durability errors.
 var (
 	// ErrCorrupt reports on-disk state that fails validation: bad value or
 	// column encodings in the WAL, unrecognised workbook pages, invalid
-	// root slots. The WAL's own ErrCorruptLog matches it through errors.Is.
+	// root slots. Malformed network input is ErrProtocol instead. The WAL's own ErrCorruptLog matches it through errors.Is.
 	ErrCorrupt = errors.New("corrupt on-disk state")
 	// ErrInternal reports a broken engine invariant — always a bug, never
 	// a user error.

@@ -51,6 +51,7 @@ var oracleQueries = []struct {
 	{`SELECT COUNT(*), SUM(b) FROM t WHERE id >= 200 AND id <= 900`, true},                                     // pk range: index path
 	{`SELECT COUNT(*), SUM(b), MIN(id) FROM t WHERE a >= 600 AND a < 1300`, true},                              // non-key range: pruned scan
 	{`SELECT COUNT(*), SUM(a) FROM t`, false},                                                                  // no WHERE
+	{`SELECT COUNT(*) FROM t`, false},                                                                          // bare COUNT(*): the snapshot's row count
 	{`SELECT g, COUNT(*), SUM(b) FROM t WHERE id <= 1000 GROUP BY g ORDER BY g`, true},                         // GROUP BY
 	{`SELECT t.id, u.w FROM t JOIN u ON t.g = u.k WHERE t.id >= 300 AND t.id <= 340 ORDER BY t.id`, true},      // two-table join
 	{`SELECT COUNT(*), SUM(b) FROM t WHERE s = 's7'`, false},                                                   // text: not sargable

@@ -685,8 +685,8 @@ func TestDecodeArgsAllocationBoundedByFrame(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, err := decodeArgs(wire.NewReader(payload))
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, dberr.ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		if !errors.Is(err, dberr.ErrProtocol) {
+			t.Fatalf("%s: err = %v, want ErrProtocol", name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(payload), grew)

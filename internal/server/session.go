@@ -128,7 +128,7 @@ func (s *session) handshake() error {
 		return fmt.Errorf("server: clear handshake deadline: %w", classifyNetErr(err))
 	}
 	if typ != wire.MsgHello {
-		return s.fatal(fmt.Errorf("server: expected HELLO, got frame type %#x: %w", typ, dberr.ErrCorrupt))
+		return s.fatal(fmt.Errorf("server: expected HELLO, got frame type %#x: %w", typ, dberr.ErrProtocol))
 	}
 	r := wire.NewReader(payload)
 	version := r.Uvarint()
@@ -354,7 +354,7 @@ func decodeArgs(r *wire.Reader) ([]any, error) {
 	// left is malformed; refusing it bounds the allocation by the frame.
 	npos := r.Uvarint()
 	if npos > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("server: absurd positional arg count %d: %w", npos, dberr.ErrCorrupt)
+		return nil, fmt.Errorf("server: absurd positional arg count %d: %w", npos, dberr.ErrProtocol)
 	}
 	args := make([]any, 0, npos)
 	for i := uint64(0); i < npos && r.Err() == nil; i++ {
@@ -362,7 +362,7 @@ func decodeArgs(r *wire.Reader) ([]any, error) {
 	}
 	nnamed := r.Uvarint()
 	if nnamed > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("server: absurd named arg count %d: %w", nnamed, dberr.ErrCorrupt)
+		return nil, fmt.Errorf("server: absurd named arg count %d: %w", nnamed, dberr.ErrProtocol)
 	}
 	for i := uint64(0); i < nnamed && r.Err() == nil; i++ {
 		name := r.String()

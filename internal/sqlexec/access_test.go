@@ -166,6 +166,52 @@ func TestAccessPathGoldenEquivalence(t *testing.T) {
 	})
 }
 
+// TestBareCountGolden: a bare COUNT(*) answers from the pinned snapshot's
+// row count without pulling a page; it must equal the count a scan folds —
+// the same statement with WHERE TRUE — in every group shape, at every worker
+// count, on the built table and on one reopened from its checkpoint, with
+// deleted rows in both.
+func TestBareCountGolden(t *testing.T) {
+	pairs := [][2]string{
+		{"SELECT COUNT(*) FROM items", "SELECT COUNT(*) FROM items WHERE TRUE"},
+		{"SELECT COUNT(*) + 1, COUNT(*) AS n FROM items", "SELECT COUNT(*) + 1, COUNT(*) AS n FROM items WHERE TRUE"},
+		{"SELECT COUNT(*) FROM items HAVING COUNT(*) > 1000", "SELECT COUNT(*) FROM items WHERE TRUE HAVING COUNT(*) > 1000"},
+		{"SELECT DISTINCT COUNT(*) FROM items", "SELECT DISTINCT COUNT(*) FROM items WHERE TRUE"},
+		{"SELECT COUNT(*) FROM empty", "SELECT COUNT(*) FROM empty WHERE TRUE"},
+		// No group at all over an empty table, where the bare answer's one
+		// group would read 0.
+		{"SELECT COUNT(*) FROM empty GROUP BY 'k'", "SELECT COUNT(*) FROM empty WHERE TRUE GROUP BY 'k'"},
+	}
+	for _, shape := range tablestore.Shapes {
+		for _, src := range []string{"built", "reopened"} {
+			t.Run(shape.Name+"/"+src, func(t *testing.T) {
+				db, s := newAccessDB(t, shape.GroupSize)
+				mustExec(t, s, "DELETE FROM items WHERE id % 9 = 4")
+				mustExec(t, s, "CREATE TABLE empty (x INT)")
+				if src == "reopened" {
+					db = reopenDB(t, db)
+					s = db.NewSession(newFakeSheets())
+				}
+				mustExec(t, s, "INSERT INTO items VALUES (1000, 1, 1, 'new')")
+				for _, workers := range []int{1, 2, 3, 8} {
+					db.SetWorkers(workers)
+					for _, q := range pairs {
+						want := mustExec(t, s, q[1])
+						before := db.Pool().Stats()
+						got := mustExec(t, s, q[0])
+						if touched := db.Pool().Stats().Sub(before); touched.Hits+touched.Misses != 0 {
+							t.Errorf("%d workers, %s: pulled %d pages", workers, q[0], touched.Hits+touched.Misses)
+						}
+						if diff := resultsEqual(want, got); diff != "" {
+							t.Errorf("%d workers, %s: differs from the scanned count: %s", workers, q[0], diff)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestConcurrentFirstTouchGolden: eight sessions open on a freshly reopened
 // database run the golden queries at once, so their first index probes load
 // the same leaves concurrently under the shared engine read lock. Every

@@ -106,8 +106,11 @@ func (db *Database) openSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis, e
 	}
 	var rows [][]sheet.Value
 	if an.grouped {
-		var groups []*groupState
-		if groups, err = foldGroups(src, projs, env); err == nil {
+		groups, ok := bareCount(stmt, p, src)
+		if !ok {
+			groups, err = foldGroups(src, projs, env)
+		}
+		if err == nil {
 			rows, err = groupRows(groups, p, env)
 		}
 	} else {
@@ -1018,6 +1021,24 @@ func (ps *projectSource) pull(w int, env *execEnv, emit emitFunc) error {
 		}
 		return emit(part, out)
 	})
+}
+
+// bareCount folds the one group of a statement whose only aggregates are
+// COUNT(*) over a single table scan (no join, WHERE, GROUP BY or column read)
+// from the pinned snapshot's row count, without pulling a partition.
+func bareCount(stmt *sqlparser.SelectStmt, p *projector, src rowSource) ([]*groupState, bool) {
+	ts, ok := src.(*tableScan)
+	if !ok || stmt.Where != nil || len(stmt.GroupBy) > 0 || ts.cols == nil || len(ts.cols) > 0 {
+		return nil, false
+	}
+	g := &groupState{accs: make([]aggState, len(p.reg.specs))}
+	for i, sp := range p.reg.specs {
+		if !sp.star || sp.name != "COUNT" {
+			return nil, false
+		}
+		g.accs[i].n = ts.snap.RowCount()
+	}
+	return []*groupState{g}, true
 }
 
 // groupRows projects the folded groups, in group order, dropping the groups

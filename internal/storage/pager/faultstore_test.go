@@ -119,6 +119,9 @@ func TestFileStoreReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	if _, err := re.Attach(nil); err != nil {
+		t.Fatal(err)
+	}
 	defer re.Close()
 	for _, id := range []PageID{a, b, c, far} {
 		if !re.Exists(id) {

@@ -74,6 +74,9 @@ func TestFileStoreFreeDefersSlotWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := reopened.Attach(nil); err != nil {
+		t.Fatal(err)
+	}
 	defer reopened.Close()
 	if got := reopened.Allocate(); got != ids[0] {
 		t.Fatalf("Allocate after reopen = %d, want recycled slot %d", got, ids[0])
@@ -102,6 +105,9 @@ func TestFileStoreCloseFlushesFrees(t *testing.T) {
 
 	reopened, err := OpenFileStore(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reopened.Attach(nil); err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()

@@ -107,6 +107,9 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := re.Attach(nil); err != nil {
+		t.Fatal(err)
+	}
 	defer re.Close()
 	if got, err := re.ReadPage(a); err != nil || !bytes.Equal(got, []byte("alpha")) {
 		t.Fatalf("page a after reopen = %q, %v", got, err)

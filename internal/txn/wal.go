@@ -486,7 +486,9 @@ func (m *Manager) resetLogFileLocked() error {
 }
 
 // Close flushes and syncs the durable log and closes the underlying file
-// when the manager owns one (RecoverFileVFS). Safe to call multiple times.
+// when the manager owns one (RecoverFileVFS). A log with no frame appended
+// since its last sync is closed without a flush or fsync. Safe to call
+// multiple times.
 // dslint:critical
 func (m *Manager) Close() error {
 	m.mu.Lock()
@@ -494,7 +496,10 @@ func (m *Manager) Close() error {
 	if m.bw == nil {
 		return nil
 	}
-	err := m.flushSyncLocked()
+	var err error
+	if m.ioErr != nil || m.pending > 0 {
+		err = m.flushSyncLocked()
+	}
 	if m.logFile != nil {
 		if cErr := m.logFile.Close(); err == nil {
 			err = cErr

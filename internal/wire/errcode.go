@@ -43,6 +43,7 @@ const (
 	CodeOverloaded
 	CodeCanceled
 	CodeDeadline
+	CodeProtocol
 )
 
 // codeTable orders sentinels most-specific first: ErrDiskFull wraps ErrIO,
@@ -74,6 +75,7 @@ var codeTable = []struct {
 	{CodeInternal, dberr.ErrInternal},
 	{CodeReadOnly, dberr.ErrReadOnly},
 	{CodeAuth, dberr.ErrAuth},
+	{CodeProtocol, dberr.ErrProtocol},
 	{CodeOverloaded, dberr.ErrOverloaded},
 	{CodeDiskFull, dberr.ErrDiskFull},
 	{CodeIO, dberr.ErrIO},

@@ -142,7 +142,7 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxFrameLen {
-		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d: %w", n, MaxFrameLen, dberr.ErrCorrupt)
+		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d: %w", n, MaxFrameLen, dberr.ErrProtocol)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -202,7 +202,7 @@ func (b *Buf) Value(v sheet.Value) {
 }
 
 // Reader decodes a frame payload. The first malformed read latches an
-// ErrCorrupt-classified error; subsequent reads return zero values, so a
+// ErrProtocol-classified error; subsequent reads return zero values, so a
 // decoder can run straight through and check Err once at the end.
 type Reader struct {
 	b   []byte
@@ -212,12 +212,12 @@ type Reader struct {
 // NewReader wraps a payload.
 func NewReader(payload []byte) *Reader { return &Reader{b: payload} }
 
-// Err returns the first decode failure, classified under dberr.ErrCorrupt.
+// Err returns the first decode failure, classified under dberr.ErrProtocol.
 func (r *Reader) Err() error { return r.err }
 
 func (r *Reader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated or malformed %s: %w", what, dberr.ErrCorrupt)
+		r.err = fmt.Errorf("wire: truncated or malformed %s: %w", what, dberr.ErrProtocol)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameTooLargeRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{1, 0xff, 0xff, 0xff, 0xff})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, dberr.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	if _, _, err := ReadFrame(&buf); !errors.Is(err, dberr.ErrProtocol) {
+		t.Fatalf("err = %v, want ErrProtocol", err)
 	}
 }
 
@@ -83,13 +83,13 @@ func TestValueRoundTrip(t *testing.T) {
 func TestReaderLatchesMalformedInput(t *testing.T) {
 	r := NewReader([]byte{byte(sheet.KindNumber), 1, 2}) // truncated float
 	_ = r.Value()
-	if err := r.Err(); !errors.Is(err, dberr.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	if err := r.Err(); !errors.Is(err, dberr.ErrProtocol) {
+		t.Fatalf("err = %v, want ErrProtocol", err)
 	}
 	// Subsequent reads stay safe.
 	_ = r.String()
 	_ = r.Uvarint()
-	if err := r.Err(); !errors.Is(err, dberr.ErrCorrupt) {
+	if err := r.Err(); !errors.Is(err, dberr.ErrProtocol) {
 		t.Fatalf("latched err = %v", err)
 	}
 }
