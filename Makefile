@@ -101,7 +101,10 @@ servecheck:
 # kill points, the zone-map insert/update/delete/checkpoint/reopen
 # interleavings, and the live-versus-log oracle over failing statements,
 # rollbacks and schema changes — then the checked-in corpus of every native
-# fuzz target (testdata/fuzz; `go test -fuzz <target>` explores further).
+# fuzz target (testdata/fuzz): the checkpoint's slot map (FuzzSlotMapDecode)
+# and its page catalog (FuzzAttachPages). `go test -fuzz <target>` explores
+# further.
 fuzz:
 	$(GO) test ./internal/core/ -run 'TestCrashRecoveryFuzz|TestCheckpointCrashFuzz|TestHeapCorruptionFuzz|TestRootFlipAtomicKillPoints|TestZoneMapFuzz|TestLiveMatchesLogFuzz' -count=1 -v
 	$(GO) test ./internal/storage/pager/ -run 'FuzzSlotMapDecode' -count=1 -v
+	$(GO) test ./internal/sqlexec/ -run 'FuzzAttachPages' -count=1 -v

@@ -2,7 +2,8 @@ package dataspread
 
 // One benchmark per reproduced experiment (see DESIGN.md §4): the paper's
 // demonstration scenarios (F2a–c), motivating claims (M1–M4) and
-// architecture claims (A1–A5), plus the engine's own access-path,
+// architecture claims (A1, A2, A4, A5; A3's interface storage manager was
+// deleted, see DESIGN.md §Experiments), plus the engine's own access-path,
 // durability and cold-open workloads. Each regenerates its headline
 // comparison in a form that `go test -bench=.` runs end to end; sweeps are
 // sub-benchmarks over the swept parameter. The end-to-end benchmark every
@@ -19,7 +20,6 @@ import (
 	"github.com/dataspread/dataspread/internal/datagen"
 	"github.com/dataspread/dataspread/internal/index/positional"
 	"github.com/dataspread/dataspread/internal/sheet"
-	"github.com/dataspread/dataspread/internal/storage/cellstore"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
@@ -429,45 +429,6 @@ func BenchmarkA2DenseRenumber(b *testing.B) {
 		_ = sum
 	}
 }
-
-// A3: window fetch over ad-hoc interface data — proximity-blocked store vs
-// insertion-ordered flat store (block reads per window).
-func benchmarkA3Window(b *testing.B, blocked bool) {
-	ps := pager.NewStore()
-	pool := pager.NewBufferPool(ps, 0)
-	var store sheet.CellStore
-	if blocked {
-		store = cellstore.NewBlockedStore(pool, cellstore.WithTileCache(4))
-	} else {
-		store = cellstore.NewFlatStore(pool)
-	}
-	// 200k cells laid out densely over 20k rows x 10 cols, inserted in
-	// column-major order so insertion order differs from window order.
-	for c := 0; c < 10; c++ {
-		for r := 0; r < 20_000; r++ {
-			store.Set(sheet.Addr(r, c), sheet.Cell{Value: sheet.Number(float64(r*10 + c))})
-		}
-	}
-	if bs, ok := store.(*cellstore.BlockedStore); ok {
-		if err := bs.DropCache(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ps.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := (i * 613) % (20_000 - 50)
-		n := 0
-		store.GetRange(sheet.RangeOf(start, 0, start+49, 9), func(sheet.Address, sheet.Cell) { n++ })
-		if n == 0 {
-			b.Fatal("empty window")
-		}
-	}
-	b.ReportMetric(float64(ps.Stats().Reads)/float64(b.N), "blockreads/op")
-}
-
-func BenchmarkA3InterfaceStorageBlocked(b *testing.B) { benchmarkA3Window(b, true) }
-func BenchmarkA3InterfaceStorageFlat(b *testing.B)    { benchmarkA3Window(b, false) }
 
 // A4: visible-first prioritisation — time until the visible window is
 // consistent after an edit, with and without a window provider.

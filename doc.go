@@ -118,6 +118,6 @@
 // and cancellation invariants are mechanically enforced by `make lint`,
 // which runs the project-specific analyzer suite in internal/lint via
 // cmd/dslint (DESIGN.md §Static Analysis). The paper's experiments
-// (F2a–c, M1–M4, A1–A5) are testing.B benchmarks in bench_test.go, and
+// (F2a–c, M1–M4, A1, A2, A4, A5) are testing.B benchmarks in bench_test.go, and
 // `make bench` runs every package's benchmarks once.
 package dataspread

@@ -113,7 +113,7 @@ func (s *Spreadsheet) RecalcAll() {
 // Window returns the dense values of a rectangular region. The naive engine
 // has no index: it probes every address in the region against the flat map
 // (or scans the whole map when the region is larger), which is the cost the
-// interface storage manager's blocked layout avoids.
+// positional index avoids for a bound table.
 func (s *Spreadsheet) Window(r sheet.Range) [][]sheet.Value {
 	out := make([][]sheet.Value, r.Rows())
 	for i := range out {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 	"github.com/dataspread/dataspread/internal/storage/vfs"
@@ -128,9 +129,9 @@ func queryNums(t *testing.T, ds *DataSpread, sql string) []int {
 func indexMatchesScan(t *testing.T, ds *DataSpread, desc string, queries ...string) {
 	t.Helper()
 	for _, q := range queries {
-		ds.DB().SetForceFullScan(true)
+		ds.DB().SetPlanHint(sqlexec.PlanHint{FullScan: true})
 		want := queryNums(t, ds, q)
-		ds.DB().SetForceFullScan(false)
+		ds.DB().SetPlanHint(sqlexec.PlanHint{})
 		if got := queryNums(t, ds, q); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: %s: index path returns %d rows %v, full scan %d rows %v", desc, q, len(got), head(got), len(want), head(want))
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
@@ -31,9 +32,9 @@ func zoneFuzzQuery(t *testing.T, ds *DataSpread, q string) {
 		}
 		return sb.String()
 	}
-	ds.db.SetForceNoSkip(true)
+	ds.db.SetPlanHint(sqlexec.PlanHint{NoSkip: true})
 	want := render()
-	ds.db.SetForceNoSkip(false)
+	ds.db.SetPlanHint(sqlexec.PlanHint{})
 	got := render()
 	if want != got {
 		t.Fatalf("%s: pruned scan diverges from unskipped scan:\nskipped:\n%s\nfull:\n%s", q, got, want)

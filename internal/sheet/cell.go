@@ -48,36 +48,8 @@ func (c Cell) IsEmpty() bool {
 	return c.Value.IsEmpty() && c.Formula == "" && c.Origin == Origin{}
 }
 
-// CellStore abstracts the physical storage of a sheet's cells. The default
-// implementation is an in-memory map; the interface storage manager
-// (internal/storage/cellstore) provides a proximity-blocked, 2-D indexed
-// store as described in the paper.
-type CellStore interface {
-	// Get returns the cell at the address and whether one is stored there.
-	Get(a Address) (Cell, bool)
-	// Set stores the cell at the address, replacing any previous content.
-	Set(a Address, c Cell)
-	// Delete removes any cell stored at the address.
-	Delete(a Address)
-	// GetRange returns all stored (non-empty) cells within the range,
-	// invoking fn for each. Iteration order is unspecified.
-	GetRange(r Range, fn func(Address, Cell))
-	// Len returns the number of stored cells.
-	Len() int
-	// Bounds returns the smallest range containing every stored cell and
-	// false when the store is empty.
-	Bounds() (Range, bool)
-	// InsertRows shifts all cells at or below `row` down by `count`
-	// (count may be negative to delete rows, dropping cells that fall in
-	// the deleted band).
-	InsertRows(row, count int)
-	// InsertCols shifts all cells at or right of `col` right by `count`
-	// (count may be negative to delete columns).
-	InsertCols(col, count int)
-}
-
-// MapCellStore is the simplest CellStore: a Go map keyed by address. It is
-// the baseline the paper's interface storage manager is compared against.
+// MapCellStore holds a sheet's cells: a Go map keyed by address, storing
+// only non-empty cells.
 type MapCellStore struct {
 	cells map[Address]Cell
 }
@@ -87,13 +59,14 @@ func NewMapCellStore() *MapCellStore {
 	return &MapCellStore{cells: make(map[Address]Cell)}
 }
 
-// Get implements CellStore.
+// Get returns the cell at the address and whether one is stored there.
 func (m *MapCellStore) Get(a Address) (Cell, bool) {
 	c, ok := m.cells[a]
 	return c, ok
 }
 
-// Set implements CellStore.
+// Set stores the cell at the address, replacing any previous content; an
+// empty cell deletes it.
 func (m *MapCellStore) Set(a Address, c Cell) {
 	if c.IsEmpty() {
 		delete(m.cells, a)
@@ -102,16 +75,15 @@ func (m *MapCellStore) Set(a Address, c Cell) {
 	m.cells[a] = c
 }
 
-// Delete implements CellStore.
+// Delete removes any cell stored at the address.
 func (m *MapCellStore) Delete(a Address) { delete(m.cells, a) }
 
-// GetRange implements CellStore. It scans every stored cell, which is what
-// makes the flat map the slow baseline for windowed access on large sheets.
+// GetRange invokes fn for every stored cell within the range, in no
+// particular order.
 func (m *MapCellStore) GetRange(r Range, fn func(Address, Cell)) {
 	// For small ranges on large stores, probing each address directly is
 	// cheaper than scanning the whole map; pick whichever touches fewer
-	// entries. This mirrors what a reasonable non-indexed implementation
-	// would do and keeps the baseline honest.
+	// entries.
 	if r.Size() < len(m.cells) {
 		for row := r.Start.Row; row <= r.End.Row; row++ {
 			for col := r.Start.Col; col <= r.End.Col; col++ {
@@ -130,10 +102,11 @@ func (m *MapCellStore) GetRange(r Range, fn func(Address, Cell)) {
 	}
 }
 
-// Len implements CellStore.
+// Len returns the number of stored cells.
 func (m *MapCellStore) Len() int { return len(m.cells) }
 
-// Bounds implements CellStore.
+// Bounds returns the smallest range containing every stored cell and
+// false when the store is empty.
 func (m *MapCellStore) Bounds() (Range, bool) {
 	if len(m.cells) == 0 {
 		return Range{}, false
@@ -151,7 +124,8 @@ func (m *MapCellStore) Bounds() (Range, bool) {
 	return b, true
 }
 
-// InsertRows implements CellStore.
+// InsertRows shifts all cells at or below row down by count; a negative
+// count deletes rows, dropping the cells in the deleted band.
 func (m *MapCellStore) InsertRows(row, count int) {
 	if count == 0 {
 		return
@@ -172,7 +146,8 @@ func (m *MapCellStore) InsertRows(row, count int) {
 	}
 }
 
-// InsertCols implements CellStore.
+// InsertCols shifts all cells at or right of col right by count; a
+// negative count deletes columns.
 func (m *MapCellStore) InsertCols(col, count int) {
 	if count == 0 {
 		return

@@ -13,22 +13,13 @@ import (
 type Sheet struct {
 	mu      sync.RWMutex
 	name    string
-	store   CellStore
+	store   *MapCellStore
 	version uint64
 }
 
-// New creates a sheet with the given name backed by a map cell store.
+// New creates an empty sheet with the given name.
 func New(name string) *Sheet {
-	return NewWithStore(name, NewMapCellStore())
-}
-
-// NewWithStore creates a sheet backed by an arbitrary CellStore, typically
-// the interface storage manager's blocked store.
-func NewWithStore(name string, store CellStore) *Sheet {
-	if store == nil {
-		store = NewMapCellStore()
-	}
-	return &Sheet{name: name, store: store}
+	return &Sheet{name: name, store: NewMapCellStore()}
 }
 
 // Name returns the sheet's name.
@@ -42,10 +33,6 @@ func (s *Sheet) Version() uint64 {
 	defer s.mu.RUnlock()
 	return s.version
 }
-
-// Store exposes the underlying cell store (used by benchmarks and the
-// interface manager; normal callers use the accessor methods).
-func (s *Sheet) Store() CellStore { return s.store }
 
 // Get returns the cell stored at the address; empty cells return the zero
 // Cell.
@@ -217,23 +204,14 @@ type Book struct {
 	mu     sync.RWMutex
 	sheets map[string]*Sheet // by FoldName
 	order  []string
-	// newStore builds the cell store for each newly added sheet, allowing
-	// a workbook to be configured to use the interface storage manager.
-	newStore func() CellStore
 }
 
 // FoldName is the case-folded key a sheet name is looked up by.
 func FoldName(name string) string { return strings.ToLower(name) }
 
-// NewBook creates an empty workbook whose sheets use map cell stores.
+// NewBook creates an empty workbook.
 func NewBook() *Book {
-	return NewBookWithStore(func() CellStore { return NewMapCellStore() })
-}
-
-// NewBookWithStore creates an empty workbook whose sheets use cell stores
-// produced by the given factory.
-func NewBookWithStore(factory func() CellStore) *Book {
-	return &Book{sheets: make(map[string]*Sheet), newStore: factory}
+	return &Book{sheets: make(map[string]*Sheet)}
 }
 
 // AddSheet creates and returns a new sheet with the given name. If a sheet
@@ -245,7 +223,7 @@ func (b *Book) AddSheet(name string) *Sheet {
 	if sh, ok := b.sheets[key]; ok {
 		return sh
 	}
-	sh := NewWithStore(name, b.newStore())
+	sh := New(name)
 	b.sheets[key] = sh
 	b.order = append(b.order, name)
 	return sh

@@ -267,21 +267,3 @@ func TestBookSheets(t *testing.T) {
 	}
 	b.RemoveSheet("nope") // no-op
 }
-
-func TestBookWithCustomStore(t *testing.T) {
-	calls := 0
-	b := NewBookWithStore(func() CellStore { calls++; return NewMapCellStore() })
-	b.AddSheet("a")
-	b.AddSheet("b")
-	if calls != 2 {
-		t.Errorf("store factory called %d times, want 2", calls)
-	}
-}
-
-func TestNewWithStoreNilFallsBack(t *testing.T) {
-	sh := NewWithStore("x", nil)
-	sh.SetValue(Addr(0, 0), Number(1))
-	if sh.Value(Addr(0, 0)).Num != 1 {
-		t.Error("nil store fallback broken")
-	}
-}

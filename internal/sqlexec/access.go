@@ -249,7 +249,7 @@ func zoneBoundsOf(sargs []sarg) []tablestore.ZoneBound {
 // path; pathFull means "stream the storage manager".
 func (db *Database) chooseAccessPath(tbl *catalog.Table, cols []colDesc, pushed []sqlparser.Expr, env *execEnv, ord orderReq) *accessPath {
 	full := &accessPath{kind: pathFull, display: "full scan"}
-	if db.forceFullScan.Load() {
+	if db.planHint().FullScan {
 		full.display = "full scan (forced)"
 		return full
 	}

@@ -147,9 +147,9 @@ func TestAccessPathGoldenEquivalence(t *testing.T) {
 	forEachAccessDB(t, func(t *testing.T, open func(*testing.T) (*Database, *Session)) {
 		db, s := open(t)
 		for _, q := range goldenQueries {
-			db.SetForceFullScan(true)
+			db.SetPlanHint(PlanHint{FullScan: true})
 			want := mustExec(t, s, q.sql)
-			db.SetForceFullScan(false)
+			db.SetPlanHint(PlanHint{})
 			got := mustExec(t, s, q.sql)
 			if diff := resultsEqual(want, got); diff != "" {
 				t.Errorf("%s: index path diverges from full scan: %s", q.sql, diff)
@@ -194,7 +194,7 @@ func TestBareCountGolden(t *testing.T) {
 				}
 				mustExec(t, s, "INSERT INTO items VALUES (1000, 1, 1, 'new')")
 				for _, workers := range []int{1, 2, 3, 8} {
-					db.SetWorkers(workers)
+					db.SetPlanHint(PlanHint{Workers: workers})
 					for _, q := range pairs {
 						want := mustExec(t, s, q[1])
 						before := db.Pool().Stats()
@@ -220,7 +220,7 @@ func TestConcurrentFirstTouchGolden(t *testing.T) {
 	for _, shape := range tablestore.Shapes {
 		t.Run(shape.Name, func(t *testing.T) {
 			built, bs := newAccessDB(t, shape.GroupSize)
-			built.SetForceFullScan(true)
+			built.SetPlanHint(PlanHint{FullScan: true})
 			want := make([]*Result, len(goldenQueries))
 			for i, q := range goldenQueries {
 				want[i] = mustExec(t, bs, q.sql)
@@ -283,9 +283,9 @@ func TestAccessPathAfterMutations(t *testing.T) {
 			"SELECT id FROM items WHERE grp = 3 AND v > 1",
 			"SELECT id FROM items ORDER BY id DESC LIMIT 12",
 		} {
-			db.SetForceFullScan(true)
+			db.SetPlanHint(PlanHint{FullScan: true})
 			want := mustExec(t, s, sql)
-			db.SetForceFullScan(false)
+			db.SetPlanHint(PlanHint{})
 			got := mustExec(t, s, sql)
 			if diff := resultsEqual(want, got); diff != "" {
 				t.Errorf("%s after mutations: %s", sql, diff)
@@ -305,11 +305,11 @@ func TestDMLAccessPaths(t *testing.T) {
 func dmlAccessPaths(t *testing.T, open func(*testing.T, int) (*Database, *Session)) {
 	run := func(force bool) *Result {
 		db, s := open(t, tablestore.DefaultGroupSize)
-		db.SetForceFullScan(force)
+		db.SetPlanHint(PlanHint{FullScan: force})
 		mustExec(t, s, "UPDATE items SET v = -1 WHERE id = 42")
 		mustExec(t, s, "UPDATE items SET v = -2 WHERE id BETWEEN 200 AND 210")
 		mustExec(t, s, "DELETE FROM items WHERE grp = 5 AND id < 100")
-		db.SetForceFullScan(true) // read back identically in both runs
+		db.SetPlanHint(PlanHint{FullScan: true}) // read back identically in both runs
 		return mustExec(t, s, "SELECT * FROM items ORDER BY id")
 	}
 	want, got := run(true), run(false)
@@ -426,9 +426,9 @@ func TestIndexesSurviveSchemaEvolution(t *testing.T) {
 		t.Fatalf("after dropping an indexed column: %d indexes, want 1 (cascade)", got)
 	}
 	// eb's resolved position must have shifted with the schema.
-	db.SetForceFullScan(true)
+	db.SetPlanHint(PlanHint{FullScan: true})
 	want := mustExec(t, s, "SELECT id FROM e WHERE b = 200")
-	db.SetForceFullScan(false)
+	db.SetPlanHint(PlanHint{})
 	got := mustExec(t, s, "SELECT id FROM e WHERE b = 200")
 	if diff := resultsEqual(want, got); diff != "" {
 		t.Fatalf("index eb broken after column drop: %s", diff)
@@ -458,9 +458,9 @@ func TestOrderedScanTieOrder(t *testing.T) {
 		"SELECT a, b FROM ct ORDER BY a LIMIT 2",
 	} {
 		db := s.db
-		db.SetForceFullScan(true)
+		db.SetPlanHint(PlanHint{FullScan: true})
 		want := mustExec(t, s, q)
-		db.SetForceFullScan(false)
+		db.SetPlanHint(PlanHint{})
 		got := mustExec(t, s, q)
 		if diff := resultsEqual(want, got); diff != "" {
 			t.Errorf("%s: composite-index elision broke tie order: %s", q, diff)
@@ -479,9 +479,9 @@ func TestOrderedScanTieOrder(t *testing.T) {
 		"SELECT id FROM un ORDER BY v LIMIT 2",
 	} {
 		db := s.db
-		db.SetForceFullScan(true)
+		db.SetPlanHint(PlanHint{FullScan: true})
 		want := mustExec(t, s, q)
-		db.SetForceFullScan(false)
+		db.SetPlanHint(PlanHint{})
 		got := mustExec(t, s, q)
 		if diff := resultsEqual(want, got); diff != "" {
 			t.Errorf("%s: NULL-group tie order diverges: %s", q, diff)

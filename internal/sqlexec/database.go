@@ -98,18 +98,7 @@ type Database struct {
 	plans       planCache
 	schemaEpoch atomic.Uint64
 
-	// forceFullScan disables index access paths (golden tests and the
-	// benchmark baseline compare against forced full scans).
-	forceFullScan atomic.Bool
-
-	// workersOverride, when non-zero, replaces cfg.Workers at plan time so
-	// benchmarks can sweep worker counts over one loaded dataset and golden
-	// tests can hold parallel plans to the serial executor (1).
-	workersOverride atomic.Int32
-
-	// forceNoSkip disables zone-map page skipping (golden tests and the
-	// benchmark baseline compare skipped scans against forced full reads).
-	forceNoSkip atomic.Bool
+	hint atomic.Pointer[PlanHint] // set by SetPlanHint; nil plans freely
 
 	// pagesRead / pagesSkipped count the physical pages pruned scans chose to
 	// read and proved skippable, across all queries since the last reset.
@@ -157,23 +146,23 @@ func (db *Database) TableDataVersion(name string) uint64 {
 	return db.dataVers[tkey(name)]
 }
 
-// SetForceFullScan disables (true) or re-enables (false) index access
-// paths: with the flag set every scan is a filtered full scan. It is a test
-// switch: the access-path golden tests use it as the reference answer for
-// the planner-chosen index path on identical data.
-func (db *Database) SetForceFullScan(force bool) { db.forceFullScan.Store(force) }
+// PlanHint forces the reference plans the golden tests compare each
+// optimised plan against on identical data; the zero value plans freely.
+type PlanHint struct {
+	Workers  int  // replaces Config.Workers when non-zero; 1 runs serially
+	FullScan bool // disables index access paths
+	NoSkip   bool // disables zone-map page skipping
+}
 
-// SetWorkers overrides the configured worker-pool width for subsequent
-// queries (0 restores Config.Workers). With 1, every scan, aggregation and
-// join runs on the calling goroutine: the parallel golden tests use it as
-// the serial reference and sweep wider counts over one loaded dataset.
-func (db *Database) SetWorkers(n int) { db.workersOverride.Store(int32(n)) }
+// SetPlanHint installs h for subsequent queries, replacing the last hint.
+func (db *Database) SetPlanHint(h PlanHint) { db.hint.Store(&h) }
 
-// SetForceNoSkip disables (true) or re-enables (false) zone-map page
-// skipping: with the flag set every scan reads every page, ignoring the
-// per-page summaries. It is a test switch: the zone-map golden tests use it
-// as the reference answer for pruned scans on identical data.
-func (db *Database) SetForceNoSkip(force bool) { db.forceNoSkip.Store(force) }
+func (db *Database) planHint() PlanHint {
+	if h := db.hint.Load(); h != nil {
+		return *h
+	}
+	return PlanHint{}
+}
 
 // ScanStats reports the zone-map skipping counters: physical pages pruned
 // scans read and pages they proved skippable, cumulative since the last

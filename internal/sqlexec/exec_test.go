@@ -56,7 +56,7 @@ func newTestDB(t *testing.T) (*Database, *Session) {
 	return db, s
 }
 
-func mustExec(t *testing.T, s *Session, sql string) *Result {
+func mustExec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
 	res, err := s.Query(sql)
 	if err != nil {

@@ -143,7 +143,7 @@ func (s *Session) explainDML(verb, table string, where sqlparser.Expr, env *exec
 	path := s.dmlAccessPath(tbl, where, env)
 	if path == nil {
 		display := "full scan"
-		if s.db.forceFullScan.Load() {
+		if s.db.planHint().FullScan {
 			display = "full scan (forced)"
 		}
 		return fmt.Sprintf("%s %s: %s", verb, tbl.Name, display), nil

@@ -26,9 +26,9 @@ import (
 //   - Partition order is row order. Collected rows concatenate in partition
 //     order; per-partition GROUP BY tables merge in partition order, keeping
 //     first-appearance group order; partitioned hash-join builds are probed
-//     in partition order so matches surface in build-row order. The
-//     SetWorkers(1) golden tests hold every puller count to byte equality —
-//     with one caveat: SUM/AVG over non-integral floats re-associate across
+//     in partition order so matches surface in build-row order. Golden
+//     tests hold every puller count to the serial plan's bytes — with one
+//     caveat: SUM/AVG over non-integral floats re-associate across
 //     partitions, so their last bits may differ between puller counts.
 //
 // Compiled expression trees (boundExpr) carry per-tree scratch buffers, so
@@ -45,10 +45,10 @@ const parMinRows = 4096
 const morselsPerWorker = 4
 
 // parWorkers returns the worker-pool size for parallel fragments: the
-// SetWorkers override, else Config.Workers, defaulting to GOMAXPROCS. A
+// PlanHint's Workers, else Config.Workers, defaulting to GOMAXPROCS. A
 // width of 1 keeps every fragment on the calling goroutine.
 func (db *Database) parWorkers() int {
-	w := int(db.workersOverride.Load())
+	w := db.planHint().Workers
 	if w <= 0 {
 		w = db.cfg.Workers
 	}

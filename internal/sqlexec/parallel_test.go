@@ -14,7 +14,7 @@ import (
 )
 
 // The parallel executor must be output-equivalent to the serial one: every
-// query here runs once under SetWorkers(1) (the golden) and once in
+// query here runs once under PlanHint{Workers: 1} (the golden) and once in
 // parallel mode, on identical data, and the results must match row for row.
 // Integer-valued data keeps SUM/AVG exact, so the reassociation a parallel
 // fold introduces cannot perturb float results.
@@ -170,7 +170,7 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 			db := newParDB(t, shape.GroupSize)
 			sess := db.NewSession(nil)
 			for _, q := range parGoldenQueries {
-				db.SetWorkers(1)
+				db.SetPlanHint(PlanHint{Workers: 1})
 				want, err := sess.Query(q)
 				if err != nil {
 					t.Fatalf("serial %s: %v", q, err)
@@ -178,7 +178,7 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 				// 0 is the fixture's pool of 4; odd counts move the partition
 				// boundaries, 8 over-splits the 5.3k rows.
 				for _, workers := range []int{0, 2, 3, 8} {
-					db.SetWorkers(workers)
+					db.SetPlanHint(PlanHint{Workers: workers})
 					got, err := sess.Query(q)
 					if err != nil {
 						t.Fatalf("%d workers %s: %v", workers, q, err)
@@ -191,7 +191,7 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 							q, workers, len(got.Rows), len(want.Rows))
 					}
 				}
-				db.SetWorkers(0)
+				db.SetPlanHint(PlanHint{})
 				text := planText(mustExec(t, sess, "EXPLAIN "+q))
 				for _, sub := range parGoldenExplain[q] {
 					if !strings.Contains(text, sub) {
@@ -257,23 +257,23 @@ func TestParallelStreamGoldenEquivalence(t *testing.T) {
 		name    string
 		open    func(*testing.T, int) *Database
 		queries []string
-		// ref switches the suite's reference path on or off.
-		ref func(db *Database, on bool)
+		// ref returns the hint that turns the suite's reference path on or off.
+		ref func(on bool) PlanHint
 	}{
-		{"parallel", newParDB, parGoldenQueries, func(db *Database, on bool) {
-			db.SetWorkers(0)
+		{"parallel", newParDB, parGoldenQueries, func(on bool) PlanHint {
 			if on {
-				db.SetWorkers(1)
+				return PlanHint{Workers: 1}
 			}
+			return PlanHint{}
 		}},
 		{"zone", func(t *testing.T, groupSize int) *Database {
 			db, _ := newZoneDB(t, groupSize, pager.NewStore())
 			return db
-		}, zoneQueries, (*Database).SetForceNoSkip},
+		}, zoneQueries, func(on bool) PlanHint { return PlanHint{NoSkip: on} }},
 		{"access", func(t *testing.T, groupSize int) *Database {
 			db, _ := newAccessDB(t, groupSize)
 			return db
-		}, accessSQL, (*Database).SetForceFullScan},
+		}, accessSQL, func(on bool) PlanHint { return PlanHint{FullScan: on} }},
 	}
 	for _, suite := range suites {
 		for _, shape := range tablestore.Shapes {
@@ -289,10 +289,10 @@ func TestParallelStreamGoldenEquivalence(t *testing.T) {
 					}
 					s := db.NewSession(newFakeSheets())
 					for _, q := range suite.queries {
-						suite.ref(db, true)
+						db.SetPlanHint(suite.ref(true))
 						want := mustExec(t, s, q)
 						for _, on := range []bool{true, false} {
-							suite.ref(db, on)
+							db.SetPlanHint(suite.ref(on))
 							if diff := resultsEqual(want, streamResult(t, s, q)); diff != "" {
 								t.Errorf("%s (reference path %v): streamed rows diverge from the materialised result: %s", q, on, diff)
 							}
@@ -316,7 +316,7 @@ func TestParallelCancelReleasesPins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		db.SetWorkers(workers)
+		db.SetPlanHint(PlanHint{Workers: workers})
 		for _, q := range parGoldenQueries {
 			if _, err := sess.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
 				t.Errorf("%d workers %s: err = %v, want context.Canceled", workers, q, err)
@@ -334,13 +334,13 @@ func TestParallelWorkersConfig(t *testing.T) {
 	if got := db.parWorkers(); got != 3 {
 		t.Fatalf("parWorkers = %d, want 3", got)
 	}
-	db.SetWorkers(7)
+	db.SetPlanHint(PlanHint{Workers: 7})
 	if got := db.parWorkers(); got != 7 {
-		t.Fatalf("parWorkers after SetWorkers(7) = %d, want 7", got)
+		t.Fatalf("parWorkers under PlanHint{Workers: 7} = %d, want 7", got)
 	}
-	db.SetWorkers(0)
+	db.SetPlanHint(PlanHint{})
 	if got := db.parWorkers(); got != 3 {
-		t.Fatalf("parWorkers after SetWorkers(0) = %d, want Config value 3", got)
+		t.Fatalf("parWorkers under the zero PlanHint = %d, want Config value 3", got)
 	}
 	if got := NewDatabase(Config{}).parWorkers(); got < 1 {
 		t.Fatalf("default parWorkers = %d, want >= 1", got)

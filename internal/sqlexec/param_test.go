@@ -44,9 +44,9 @@ func TestPlaceholderAccessPathsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", c.sql, err)
 				}
-				db.SetForceFullScan(true)
+				db.SetPlanHint(PlanHint{FullScan: true})
 				full, err := s.ExecutePreparedContext(ctx, p, c.args...)
-				db.SetForceFullScan(false)
+				db.SetPlanHint(PlanHint{})
 				if err != nil {
 					t.Fatalf("%s (full scan): %v", c.sql, err)
 				}

@@ -72,10 +72,12 @@ func (r *pagesReader) uint() uint64 {
 	return v
 }
 
+// count reads an element count no larger than the bytes left, or 0.
 func (r *pagesReader) count(what string) int {
 	n := r.uint()
-	if r.err == nil && n > uint64(len(r.buf)-r.pos) {
+	if r.err != nil || n > uint64(len(r.buf)-r.pos) {
 		r.fail("implausible %s count %d", what, n)
+		return 0
 	}
 	return int(n)
 }
@@ -286,7 +288,7 @@ func (db *Database) AttachPages(blob []byte) error {
 			break
 		}
 		if _, err := cat.Create(name, cols); err != nil {
-			return fmt.Errorf("sqlexec: attach table %q: %w", name, err)
+			return fmt.Errorf("%w: table %q: %v", ErrCorruptPages, name, err)
 		}
 		if layout != tableLayout {
 			return fmt.Errorf("%w: table %q has layout %q; only %q tables are supported",
@@ -294,7 +296,7 @@ func (db *Database) AttachPages(blob []byte) error {
 		}
 		s, err := tablestore.OpenHybridStore(db.pool, meta)
 		if err != nil {
-			return fmt.Errorf("sqlexec: attach table %q: %w", name, err)
+			return fmt.Errorf("%w: table %q: %v", ErrCorruptPages, name, err)
 		}
 		if s.ColumnCount() != len(cols) {
 			return fmt.Errorf("%w: table %q store has %d columns, catalog has %d",
@@ -319,7 +321,7 @@ func (db *Database) AttachPages(blob []byte) error {
 		}
 		tbl, err := cat.MustGet(table)
 		if err != nil {
-			return fmt.Errorf("sqlexec: attach index %q: %w", name, err)
+			return fmt.Errorf("%w: index %q: %v", ErrCorruptPages, name, err)
 		}
 		si := &secIndex{
 			def:  IndexDef{Name: name, Table: tbl.Name, Columns: colNames, Unique: flags&1 != 0},

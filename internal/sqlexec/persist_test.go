@@ -1,9 +1,12 @@
 package sqlexec
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,7 +114,7 @@ func TestAttachPagesRejectsCorrupt(t *testing.T) {
 // of four and one at the default group size) with a primary key, a secondary
 // index, a tombstoned row, an updated row, a column added and the lone column
 // of a group dropped.
-func catalogWorkbook(t *testing.T, backend pager.Backend) (*Database, *Session) {
+func catalogWorkbook(t testing.TB, backend pager.Backend) (*Database, *Session) {
 	t.Helper()
 	db := NewDatabase(Config{Backend: backend})
 	s := db.NewSession(newFakeSheets())
@@ -194,4 +197,54 @@ func TestAttachPagesRefusesRowAndColumnTables(t *testing.T) {
 			t.Errorf("%s catalog: error %q does not name the table and its layout", layout, msg)
 		}
 	}
+}
+
+// FuzzAttachPages: whatever a catalog body says, attaching it never panics,
+// allocates at most a small multiple of its size, and every refusal is
+// classed ErrCorrupt. A catalog that attaches answers COUNT(*) and a full
+// scan of each table, or refuses them as corrupt or as naming a page the
+// backend does not hold. Each input is a body that the target seals with
+// the magic and a fresh checksum, so mutations reach the decoder rather than
+// the checksum test; the backend holds catalogWorkbook's pages, so a catalog
+// that names them drives the page decoders too.
+func FuzzAttachPages(f *testing.F) {
+	backend := pager.NewStore()
+	db, _ := catalogWorkbook(f, backend)
+	if _, err := db.MarshalPages(); err != nil { // flushes the pages
+		f.Fatal(err)
+	}
+	pages, _ := hex.DecodeString(catalogWorkbookPages)
+	f.Add(pages[12:])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		blob := binary.LittleEndian.AppendUint32(pagesMagic[:], crc32.ChecksumIEEE(body))
+		blob = append(blob, body...)
+		db := NewDatabase(Config{Backend: backend})
+		// TotalAlloc is process-wide, so the bound carries slack for what
+		// the fuzzing engine allocates meanwhile.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := db.AttachPages(blob)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(body))+1<<20 {
+			t.Fatalf("attaching %d bytes allocated %d", len(body), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, dberr.ErrCorrupt) {
+				t.Fatalf("refusal %v is not classed ErrCorrupt", err)
+			}
+			return
+		}
+		s := db.NewSession(newFakeSheets())
+		for _, tbl := range db.Tables() {
+			if strings.Contains(tbl.Name, `"`) {
+				continue // not expressible as a quoted identifier
+			}
+			for _, q := range []string{`SELECT COUNT(*) FROM "%s"`, `SELECT * FROM "%s"`} {
+				q = fmt.Sprintf(q, tbl.Name)
+				if _, err := s.Query(q); err != nil && !errors.Is(err, dberr.ErrCorrupt) && !errors.Is(err, pager.ErrPageNotFound) {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
+		}
+	})
 }

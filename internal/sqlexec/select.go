@@ -354,7 +354,7 @@ func (db *Database) planInput(stmt *sqlparser.SelectStmt, an *selectAnalysis, en
 		// Zone-map bounds come from the same sarg extraction the access path
 		// uses; skipping stays valid whichever path wins, because both the
 		// full scan and index fetches re-evaluate the pushed conjuncts.
-		if !db.forceNoSkip.Load() {
+		if !db.planHint().NoSkip {
 			s.zoneBounds = zoneBoundsOf(extractSargs(s.pushed, s.cols, s.tbl, env))
 		}
 	}

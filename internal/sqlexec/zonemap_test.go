@@ -11,7 +11,7 @@ import (
 
 // Zone-map golden tests: for every query shape and every group shape,
 // the zone-pruned scan must be row-for-row identical to the forced
-// unskipped scan (SetForceNoSkip), including after in-place mutations and a
+// unskipped scan (PlanHint.NoSkip), including after in-place mutations and a
 // marshal/attach cycle — and selective predicates must actually skip pages.
 
 // newZoneDB builds a table whose ts column is clustered with insertion order
@@ -69,13 +69,13 @@ var zoneQueries = []string{
 }
 
 // runSkippedVsUnskipped executes each query twice — once with zone-map
-// skipping live, once with SetForceNoSkip — and fails on any divergence.
+// skipping live, once with PlanHint.NoSkip — and fails on any divergence.
 func runSkippedVsUnskipped(t *testing.T, db *Database, s *Session, queries []string, when string) {
 	t.Helper()
 	for _, q := range queries {
-		db.SetForceNoSkip(true)
+		db.SetPlanHint(PlanHint{NoSkip: true})
 		want := mustExec(t, s, q)
-		db.SetForceNoSkip(false)
+		db.SetPlanHint(PlanHint{})
 		got := mustExec(t, s, q)
 		if diff := resultsEqual(want, got); diff != "" {
 			t.Errorf("%s (%s): pruned scan diverges from unskipped scan: %s", q, when, diff)
@@ -94,7 +94,7 @@ func TestZoneMapGoldenEquivalence(t *testing.T) {
 
 			// A selective predicate over the clustered column must actually
 			// drop pages, not just agree with the full scan.
-			db.SetForceNoSkip(false)
+			db.SetPlanHint(PlanHint{})
 			db.ResetScanStats()
 			mustExec(t, s, "SELECT id FROM ev WHERE ts = 1500")
 			read, skipped := db.ScanStats()
@@ -155,7 +155,7 @@ func TestZoneMapStaleSummaryRegression(t *testing.T) {
 			if err := db.ValidateZones(); err != nil {
 				t.Fatalf("stale summary after UPDATE: %v", err)
 			}
-			db.SetForceNoSkip(false)
+			db.SetPlanHint(PlanHint{})
 			res := mustExec(t, s, "SELECT id FROM ev WHERE ts = 99999")
 			if len(res.Rows) != 1 || res.Rows[0][0].String() != "700" {
 				t.Fatalf("pruned scan lost the updated row (stale zone false skip): %v", res.Rows)
@@ -209,7 +209,7 @@ func TestMarshalAttachZones(t *testing.T) {
 				t.Fatal(err)
 			}
 			runSkippedVsUnskipped(t, db2, s2, zoneQueries, "after attach")
-			db2.SetForceNoSkip(false)
+			db2.SetPlanHint(PlanHint{})
 			db2.ResetScanStats()
 			mustExec(t, s2, "SELECT id FROM ev WHERE ts = 1500")
 			if _, skipped := db2.ScanStats(); skipped == 0 {
@@ -228,7 +228,7 @@ func TestMarshalAttachZones(t *testing.T) {
 						t.Fatalf("flip@%d: corrupt blob attached unsound summaries: %v", pos, err)
 					}
 				}
-				db3.SetForceNoSkip(false)
+				db3.SetPlanHint(PlanHint{})
 				res := mustExec(t, s3, "SELECT COUNT(*) FROM ev WHERE ts >= 0")
 				want := mustExec(t, s, "SELECT COUNT(*) FROM ev WHERE ts >= 0")
 				if diff := resultsEqual(want, res); diff != "" {
@@ -265,9 +265,9 @@ func TestZoneMapParallelEquivalence(t *testing.T) {
 		"SELECT COUNT(*) FROM big WHERE ts BETWEEN 2000 AND 2100 AND v = 3",
 		"SELECT COUNT(*) FROM big WHERE ts = 123456",
 	} {
-		db.SetForceNoSkip(true)
+		db.SetPlanHint(PlanHint{NoSkip: true})
 		want := mustExec(t, s, q)
-		db.SetForceNoSkip(false)
+		db.SetPlanHint(PlanHint{})
 		got := mustExec(t, s, q)
 		if diff := resultsEqual(want, got); diff != "" {
 			t.Errorf("%s: parallel pruned scan diverges: %s", q, diff)
@@ -288,11 +288,11 @@ func TestZoneMapParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSetForceNoSkipToggles sanity-checks the switch itself: with skipping
+// TestPlanHintNoSkipToggles sanity-checks the switch itself: with skipping
 // forced off, a selective scan reports no skipped pages.
-func TestSetForceNoSkipToggles(t *testing.T) {
+func TestPlanHintNoSkipToggles(t *testing.T) {
 	db, s := newZoneDB(t, tablestore.DefaultGroupSize, nil)
-	db.SetForceNoSkip(true)
+	db.SetPlanHint(PlanHint{NoSkip: true})
 	db.ResetScanStats()
 	mustExec(t, s, "SELECT id FROM ev WHERE ts = 1500")
 	if read, skipped := db.ScanStats(); read != 0 || skipped != 0 {

@@ -1,9 +1,9 @@
 package pager
 
 // Backend is the physical page device a BufferPool sits on: a set of
-// fixed-size pages addressed by PageID. The in-memory Store models a disk for
-// block-count experiments; FileStore is a real single-file heap so the same
-// benchmarks can run against actual I/O. Implementations are safe for
+// fixed-size pages addressed by PageID. The in-memory Store holds the tables
+// of an in-memory workbook and models a disk for the block-count
+// experiments; FileStore is the single-file heap of a durable workbook. Implementations are safe for
 // concurrent use.
 type Backend interface {
 	// Allocate reserves a new, empty page and returns its id.

@@ -1,5 +1,5 @@
-// Package pager provides the block-granular storage substrate shared by the
-// relational storage managers and the interface storage manager.
+// Package pager provides the block-granular storage substrate under the
+// table store, the index leaves and the workbook file.
 //
 // The paper reasons about storage efficiency in terms of how many disk blocks
 // an operation touches (e.g. "radically reducing the disk blocks that need an

@@ -2,17 +2,17 @@ package tablestore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
 // ErrPageChecksum is returned when a data page fails its CRC: the page file
 // was corrupted outside the engine (media bit flip, partial write). Scans and
 // point reads surface it instead of silently decoding garbage rows.
-var ErrPageChecksum = errors.New("tablestore: page checksum mismatch (corrupt page)")
+var ErrPageChecksum = fmt.Errorf("tablestore: page checksum mismatch (corrupt page): %w", dberr.ErrCorrupt)
 
 // Tuple and value serialisation of the attribute-group pages. Values are
 // the unified sheet.Value dynamic type: DataSpread types relational columns
@@ -108,8 +108,9 @@ func (d *valueDecoder) value() (sheet.Value, error) {
 // decodeTuples verifies a tuple page's DSZ2 container and decodes it. A
 // zero-length buffer is a freshly allocated, never-written page and decodes
 // as empty; anything else that is not a valid container — a corrupted page
-// or one in a pre-DSZ2 format — is ErrPageChecksum.
-func decodeTuples(buf []byte) (ids []RowID, rows [][]sheet.Value, err error) {
+// or one in a pre-DSZ2 format — is ErrPageChecksum. Tuples that are not
+// width values wide (a page of another group) are corrupt too.
+func decodeTuples(buf []byte, width int) (ids []RowID, rows [][]sheet.Value, err error) {
 	if len(buf) == 0 {
 		return nil, nil, nil
 	}
@@ -117,7 +118,11 @@ func decodeTuples(buf []byte) (ids []RowID, rows [][]sheet.Value, err error) {
 	if !ok {
 		return nil, nil, ErrPageChecksum
 	}
-	return decodeTuplesV2(body)
+	ids, rows, err = decodeTuplesV2(body)
+	if err == nil && len(rows) > 0 && len(rows[0]) != width {
+		return nil, nil, fmt.Errorf("tablestore: page holds %d-value tuples in a %d-wide group: %w", len(rows[0]), width, dberr.ErrCorrupt)
+	}
+	return ids, rows, err
 }
 
 // cloneRow copies a tuple so callers cannot alias stored data.

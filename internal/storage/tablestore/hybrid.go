@@ -156,13 +156,13 @@ func (s *HybridStore) readGroupPage(gi, pi int) ([]RowID, [][]sheet.Value, error
 	if err != nil {
 		return nil, nil, err
 	}
-	return decodeTuples(data)
+	return decodeTuples(data, s.groups[gi].width)
 }
 
 // readGroupPageShared returns the cached decoded page for the read-only
 // paths; callers must not modify the returned slices.
 func (s *HybridStore) readGroupPageShared(gi, pi int) ([]RowID, [][]sheet.Value, error) {
-	return s.cache.getTuplesAt(s.pool, liveEpoch, s.groups[gi].pages[pi])
+	return s.cache.getTuplesAt(s.pool, liveEpoch, s.groups[gi].pages[pi], s.groups[gi].width)
 }
 
 // writeGroupPage is the single choke point for group-page mutations: every

@@ -132,12 +132,12 @@ func OpenHybridStore(pool *pager.BufferPool, meta []byte) (*HybridStore, error) 
 	}
 	s.groups = make([]attrGroup, ngroups)
 	for i := range s.groups {
-		s.groups[i].width = int(r.uint())
-		s.groups[i].rowsPer = int(r.uint())
-		if r.err == nil && s.groups[i].width > 0 && s.groups[i].rowsPer < 1 {
-			return nil, fmt.Errorf("tablestore: group %d has invalid rowsPer", i)
+		g := &s.groups[i]
+		g.width, g.rowsPer, g.pages = int(r.uint()), int(r.uint()), r.pageList()
+		// A live group's pages hold every slot, at most a page of values each.
+		if r.err == nil && g.width > 0 && (uint(g.rowsPer-1) >= valuesPerPage || uint(len(g.pages)*g.rowsPer) < uint(s.slotCount)) {
+			return nil, fmt.Errorf("tablestore: group %d has invalid rowsPer or too few pages", i)
 		}
-		s.groups[i].pages = r.pageList()
 	}
 	ncols, ok := r.count("column-map")
 	if !ok {
@@ -147,8 +147,8 @@ func OpenHybridStore(pool *pager.BufferPool, meta []byte) (*HybridStore, error) 
 	for i := range s.colMap {
 		s.colMap[i].group = int(r.uint())
 		s.colMap[i].offset = int(r.uint())
-		if r.err == nil && s.colMap[i].group >= len(s.groups) {
-			return nil, fmt.Errorf("tablestore: column %d maps to missing group %d", i, s.colMap[i].group)
+		if loc := s.colMap[i]; r.err == nil && (uint(loc.group) >= uint(len(s.groups)) || uint(loc.offset) >= uint(s.groups[loc.group].width)) {
+			return nil, fmt.Errorf("tablestore: column %d maps to missing group %d or offset %d", i, loc.group, loc.offset)
 		}
 	}
 	ndead, ok := r.count("tombstone")
@@ -157,6 +157,9 @@ func OpenHybridStore(pool *pager.BufferPool, meta []byte) (*HybridStore, error) 
 	}
 	for i := 0; i < ndead; i++ {
 		s.deleted[RowID(r.uint())] = true
+	}
+	if r.err == nil && (s.slotCount < 0 || s.nextID != RowID(s.slotCount)+1 || s.rowCount != s.slotCount-len(s.deleted)) {
+		return nil, fmt.Errorf("tablestore: store meta counts disagree: %d slots, next id %d, %d rows, %d tombstones", s.slotCount, s.nextID, s.rowCount, len(s.deleted))
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -196,7 +196,7 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 	for pos := 0; pos < len(page); pos++ {
 		corrupt := append([]byte(nil), page...)
 		corrupt[pos] ^= 0x10
-		gotIDs, gotRows, err := decodeTuples(corrupt)
+		gotIDs, gotRows, err := decodeTuples(corrupt, 1)
 		if err == nil {
 			// Extremely unlikely CRC collision would be a test bug; any
 			// successful decode must at least equal the original.

@@ -42,8 +42,9 @@ type cacheShard struct {
 }
 
 type cacheKey struct {
-	id  pager.PageID
-	ver uint64
+	id    pager.PageID
+	ver   uint64
+	width int // the group width the decode was checked against
 }
 
 type tupleEntry struct {
@@ -61,11 +62,11 @@ func (c *decodedCache) shard(id pager.PageID) *cacheShard {
 // decoded hit costs no page read; on a miss the pool hands back the (content,
 // version) pair in one atomic step, so the entry is keyed by the bytes it
 // decodes even with no engine lock held while writers churn.
-func (c *decodedCache) getTuplesAt(pool *pager.BufferPool, epoch uint64, id pager.PageID) ([]RowID, [][]sheet.Value, error) {
+func (c *decodedCache) getTuplesAt(pool *pager.BufferPool, epoch uint64, id pager.PageID, width int) ([]RowID, [][]sheet.Value, error) {
 	sh := c.shard(id)
 	if ver, ok := pool.VersionAt(epoch, id); ok {
 		sh.mu.Lock()
-		e, hit := sh.tuples[cacheKey{id, ver}]
+		e, hit := sh.tuples[cacheKey{id, ver, width}]
 		sh.mu.Unlock()
 		if hit {
 			return e.ids, e.rows, nil
@@ -75,14 +76,14 @@ func (c *decodedCache) getTuplesAt(pool *pager.BufferPool, epoch uint64, id page
 	if err != nil {
 		return nil, nil, err
 	}
-	return sh.addTuples(cacheKey{id, ver}, data)
+	return sh.addTuples(cacheKey{id, ver, width}, data)
 }
 
 // addTuples decodes outside the shard lock (concurrent misses may decode
 // twice; last write wins, both decodes are identical) and installs the
 // entry.
 func (sh *cacheShard) addTuples(key cacheKey, data []byte) ([]RowID, [][]sheet.Value, error) {
-	ids, rows, err := decodeTuples(data)
+	ids, rows, err := decodeTuples(data, key.width)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -310,7 +310,7 @@ func (s *hybridSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, ro
 			pi, off := slot/g.rowsPer, slot%g.rowsPer
 			if cur != pi {
 				var err error
-				if _, rows, err = s.cache.getTuplesAt(s.pool, s.epoch, g.pages[pi]); err != nil {
+				if _, rows, err = s.cache.getTuplesAt(s.pool, s.epoch, g.pages[pi], g.width); err != nil {
 					return err
 				}
 				cur = pi
@@ -363,7 +363,7 @@ func (s *hybridSnap) ScanColsRange(p Partition, cols []int, fn func(id RowID, ro
 			g := &s.groups[gr.gi]
 			pi, off := slot/g.rowsPer, slot%g.rowsPer
 			if gr.pi != pi {
-				_, rows, err := s.cache.getTuplesAt(s.pool, s.epoch, g.pages[pi])
+				_, rows, err := s.cache.getTuplesAt(s.pool, s.epoch, g.pages[pi], g.width)
 				if err != nil {
 					return err
 				}

@@ -45,7 +45,7 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		row(-3, "", true),
 	}
 	page, _ := encodeTuplesV2(ids, rows, 3)
-	gotIDs, gotRows, err := decodeTuples(page)
+	gotIDs, gotRows, err := decodeTuples(page, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty buffer decodes to nothing.
-	if ids, rows, err := decodeTuples(nil); err != nil || ids != nil || rows != nil {
+	if ids, rows, err := decodeTuples(nil, 3); err != nil || ids != nil || rows != nil {
 		t.Error("empty decode wrong")
 	}
 	// Corrupt data errors.
-	if _, _, err := decodeTuples([]byte{9, 9, 9}); err == nil {
+	if _, _, err := decodeTuples([]byte{9, 9, 9}, 3); err == nil {
 		t.Error("corrupt decode should fail")
 	}
 }
@@ -82,7 +82,7 @@ func oneColumnPage(vals []sheet.Value) ([]byte, *pageZones) {
 
 // oneColumnValues decodes a one-attribute group page back to its values.
 func oneColumnValues(buf []byte) ([]sheet.Value, error) {
-	_, rows, err := decodeTuples(buf)
+	_, rows, err := decodeTuples(buf, 1)
 	if err != nil || rows == nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func TestTupleV2RoundTrip(t *testing.T) {
 		if len(pz.cols) != width {
 			t.Fatalf("trial %d: %d zone columns, want %d", trial, len(pz.cols), width)
 		}
-		gotIDs, gotRows, err := decodeTuples(buf)
+		gotIDs, gotRows, err := decodeTuples(buf, width)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -118,7 +118,7 @@ func TestTupleV2ShortRows(t *testing.T) {
 		{sheet.Number(2), sheet.String_("b"), sheet.Number(3)},
 	}
 	buf, pz := encodeTuplesV2(ids, rows, 3)
-	_, got, err := decodeTuples(buf)
+	_, got, err := decodeTuples(buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,10 @@ func TestLegacyPagesRefused(t *testing.T) {
 		{sheet.Number(2), sheet.Empty()},
 		{sheet.Number(3), sheet.Bool_(true)},
 	}
-	if _, _, err := decodeTuples(legacyTuplePage(ids, rows, 2)); !errors.Is(err, ErrPageChecksum) {
+	if _, _, err := decodeTuples(legacyTuplePage(ids, rows, 2), 2); !errors.Is(err, ErrPageChecksum) {
 		t.Fatalf("legacy tuple page: err = %v, want ErrPageChecksum", err)
 	}
-	if gotIDs, gotRows, err := decodeTuples([]byte{}); err != nil || gotIDs != nil || gotRows != nil {
+	if gotIDs, gotRows, err := decodeTuples([]byte{}, 2); err != nil || gotIDs != nil || gotRows != nil {
 		t.Fatalf("empty tuple page: %v %v %v", gotIDs, gotRows, err)
 	}
 }
