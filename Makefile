@@ -39,10 +39,12 @@ loc:
 # each published change set runs next to them on the writer's goroutine,
 # once its statement, COMMIT or ROLLBACK is done (internal/interfacemgr), and
 # the compute engine's background recalc pass that un-waited edits overlap
-# (internal/compute) — so `verify` guards lock-freedom locally; CI (and
+# (internal/compute), and the index trees whose nodes and leaves readers
+# build and load on first use under the shared engine lock
+# (internal/index/btree) — so `verify` guards lock-freedom locally; CI (and
 # `make race`) runs it over every package.
 racecheck:
-	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr ./internal/compute
+	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr ./internal/compute ./internal/index/btree
 
 # lint runs go vet plus dslint, the project-specific analyzer suite
 # (internal/lint): lockcheck (engine-lock discipline, no parking under the

@@ -556,11 +556,12 @@ func BenchmarkD1DurableAppend(b *testing.B) {
 // slot map, the page catalog, the zone maps, the sheet snapshot — and
 // replays the WAL tail. It reads no slot header (the slot map rebuilds the
 // heap's free list) and no table or index page (the catalog's page lists
-// and fence lists attach to them unread). So open time follows the catalog,
-// whose page lists and zone entries grow with the table's pages, plus the
-// dirty work since the checkpoint; the 10k/100k/300k series shows that
-// slope. The replay-only variant (no checkpoint) is the O(history)
-// behaviour for contrast.
+// and fence lists attach to them unread), and it decodes no zone entry,
+// builds no index node and allocates nothing per page: those wait for the
+// first query that needs them. So open time follows the bytes of the
+// catalogs and the slot map, plus the dirty work since the checkpoint; the
+// 10k/100k/300k series shows that slope. The replay-only variant (no
+// checkpoint) is the O(history) behaviour for contrast.
 func BenchmarkD2ColdOpen(b *testing.B) {
 	build := func(b *testing.B, rows, tail int) string {
 		b.Helper()

@@ -6,8 +6,9 @@
 // when its encoded entries outgrow one page slot, Flush writes the leaves
 // changed since the previous Flush to one CRC-sealed page each through a
 // pager.BufferPool, and Attach rebuilds a tree over such pages from a fence
-// list (first key and page of every leaf) without reading them — a leaf's
-// entries are read on first touch (paged.go). A tree that is never flushed
+// list (first key and page of every leaf) without reading them — the nodes
+// are built on first use and a leaf's entries read on first touch
+// (paged.go). A tree that is never flushed
 // needs no pool and does no I/O.
 //
 // dslint:errdomain
@@ -45,6 +46,12 @@ type Tree struct {
 	// same unloaded leaf decode it once.
 	pool    *pager.BufferPool
 	faultMu sync.Mutex
+
+	// An attached tree keeps its fence list and builds its nodes on first
+	// use (spine); unbuilt tells Leaves whether root exists yet.
+	fences  []Fence
+	build   sync.Once
+	unbuilt atomic.Bool
 }
 
 type node struct {
@@ -76,7 +83,7 @@ func (t *Tree) Len() int { return t.size }
 // seek descends to the leaf whose key range covers key (the leftmost leaf
 // for a nil key) and loads it.
 func (t *Tree) seek(key []byte) (*node, error) {
-	n := t.root
+	n := t.spine()
 	for !n.leaf {
 		if key == nil {
 			n = n.children[0]
@@ -104,7 +111,7 @@ func (t *Tree) Get(key []byte) (uint64, bool, error) {
 func (t *Tree) Set(key []byte, val uint64) error {
 	k := make([]byte, len(key))
 	copy(k, key)
-	grew, err := t.insert(t.root, k, val)
+	grew, err := t.insert(t.spine(), k, val)
 	if err != nil {
 		return err
 	}
@@ -182,7 +189,7 @@ func (t *Tree) AscendRange(lo, hi []byte, fn func(key []byte, val uint64) bool) 
 // ORDER BY ... DESC LIMIT k from an index without sorting.
 // dslint:perrow
 func (t *Tree) DescendRange(lo, hi []byte, fn func(key []byte, val uint64) bool) error {
-	_, err := t.descend(t.root, lo, hi, fn)
+	_, err := t.descend(t.spine(), lo, hi, fn)
 	return err
 }
 

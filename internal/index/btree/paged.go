@@ -23,7 +23,8 @@ import (
 // and never embeds another page's id: the leaf order lives in the fence
 // list the catalog keeps (Leaves / Attach), exactly like a table's page
 // list, so relocating a leaf copy-on-write touches no other page. Inner
-// nodes are never written; Attach rebuilds them from the fence keys.
+// nodes are never written; the first use after Attach builds them from the
+// fence keys.
 
 var leafMagic = [4]byte{'D', 'S', 'B', 'L'}
 
@@ -48,6 +49,9 @@ type Fence struct {
 // Len and Leaves to find the pages again. A failed Flush leaves the tree
 // valid and the unwritten leaves dirty, so a later Flush retries them.
 func (t *Tree) Flush(pool *pager.BufferPool) error {
+	if t.unbuilt.Load() {
+		return nil // untouched since Attach: the pages hold every leaf
+	}
 	var last *node
 	if t.root.prune(pool, &last) {
 		t.root = &node{leaf: true}
@@ -124,7 +128,11 @@ func (t *Tree) firstLeaf() *node {
 // Leaves returns the fence list: the first key and the logical page of every
 // leaf that holds entries, in key order, without loading any. Right after
 // Flush every such leaf has a page; one created since has pager.InvalidPage.
+// A tree not used since Attach returns the fences it was given.
 func (t *Tree) Leaves() []Fence {
+	if t.unbuilt.Load() {
+		return t.fences
+	}
 	var out []Fence
 	for n := t.firstLeaf(); n != nil; n = n.next {
 		switch {
@@ -138,20 +146,14 @@ func (t *Tree) Leaves() []Fence {
 }
 
 // Attach rebuilds a tree of size entries over the leaf pages a Flush wrote
-// to pool, given their fence list in key order. No leaf page is read: the
-// inner levels are built from the fence keys, and a leaf's entries are
-// loaded the first time an operation reaches it.
+// to pool, given their fence list in key order. It only checks the fences:
+// no leaf page is read and no node is built until an operation first needs
+// the tree (spine), and a leaf's entries are loaded the first time an
+// operation reaches it.
 func Attach(pool *pager.BufferPool, size int, fences []Fence) (*Tree, error) {
-	t := &Tree{size: size, pool: pool}
-	if len(fences) == 0 {
-		if size != 0 {
-			return nil, fmt.Errorf("btree: %d entries but no leaves: %w", size, dberr.ErrCorrupt)
-		}
-		t.root = &node{leaf: true}
-		return t, nil
+	if len(fences) == 0 && size != 0 {
+		return nil, fmt.Errorf("btree: %d entries but no leaves: %w", size, dberr.ErrCorrupt)
 	}
-	level := make([]*node, len(fences))
-	mins := make([][]byte, len(fences)) // smallest key under each node of level
 	for i, f := range fences {
 		if f.Page == pager.InvalidPage {
 			return nil, fmt.Errorf("btree: leaf %d has no page: %w", i, dberr.ErrCorrupt)
@@ -159,6 +161,26 @@ func Attach(pool *pager.BufferPool, size int, fences []Fence) (*Tree, error) {
 		if i > 0 && bytes.Compare(fences[i-1].First, f.First) >= 0 {
 			return nil, fmt.Errorf("btree: fence keys out of order at leaf %d: %w", i, dberr.ErrCorrupt)
 		}
+	}
+	t := &Tree{root: &node{leaf: true}, size: size, pool: pool, fences: fences}
+	t.unbuilt.Store(len(fences) > 0)
+	return t, nil
+}
+
+// spine returns the root, first building an attached tree's nodes from its
+// fences — unloaded leaves, then inner levels — once, however many readers
+// sharing the engine read lock race to the first use.
+func (t *Tree) spine() *node {
+	if t.unbuilt.Load() {
+		t.build.Do(t.buildSpine)
+	}
+	return t.root
+}
+
+func (t *Tree) buildSpine() {
+	level := make([]*node, len(t.fences))
+	mins := make([][]byte, len(t.fences)) // smallest key under each node of level
+	for i, f := range t.fences {
 		n := &node{leaf: true, page: f.Page, fence: f.First}
 		n.unloaded.Store(true)
 		if i > 0 {
@@ -180,7 +202,7 @@ func Attach(pool *pager.BufferPool, size int, fences []Fence) (*Tree, error) {
 		level, mins = up, upMins
 	}
 	t.root = level[0]
-	return t, nil
+	t.unbuilt.Store(false)
 }
 
 // load makes a leaf's entries resident. The fast path is one atomic load.

@@ -358,18 +358,27 @@ func TestAttachReadsNoLeaf(t *testing.T) {
 }
 
 // TestConcurrentFirstTouch: readers sharing the tree (the engine's read
-// lock) may all reach the same unloaded leaves at once. Run under -race.
+// lock) may all reach the unbuilt tree and the same unloaded leaves at once,
+// and Leaves answers the same before and after the nodes are built. Run
+// under -race.
 func TestConcurrentFirstTouch(t *testing.T) {
 	pool := newTestPool()
 	tr := New()
 	const n = 30000
 	fill(t, tr, rand.New(rand.NewSource(3)).Perm(n))
-	twin := reattach(t, tr, pool)
+	fs := fences(t, tr, pool)
+	twin, err := Attach(pager.NewBufferPool(pool.Store(), 64), n, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if got := twin.Leaves(); len(got) != len(fs) || !bytes.Equal(got[len(got)/2].First, fs[len(fs)/2].First) {
+				t.Errorf("reader %d: Leaves gave %d fences, want %d", g, len(got), len(fs))
+			}
 			// Every goroutine walks the same keys in the same order, so
 			// first touches collide.
 			for i := 0; i < n; i += 37 {

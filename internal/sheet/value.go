@@ -129,7 +129,14 @@ func (v Value) AsNumber() (float64, bool) {
 	case KindEmpty:
 		return 0, true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.Str), 64)
+		t := strings.TrimSpace(v.Str)
+		// Every string ParseFloat accepts starts with one of these bytes;
+		// rejecting the rest first spares the *NumError a failed parse
+		// allocates, which zone summaries and GROUP BY keys pay per text cell.
+		if t == "" || strings.IndexByte("+-.0123456789iInN", t[0]) < 0 {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(t, 64)
 		if err != nil {
 			return 0, false
 		}

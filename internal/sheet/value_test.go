@@ -1,6 +1,9 @@
 package sheet
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +60,22 @@ func TestAsNumberCoercion(t *testing.T) {
 		if got != c.want || ok != c.ok {
 			t.Errorf("AsNumber(%+v) = %v,%v want %v,%v", c.v, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// TestAsNumberMatchesParseFloat: the first-byte reject in AsNumber changes
+// no result — every text either side of it parses as ParseFloat says.
+func TestAsNumberMatchesParseFloat(t *testing.T) {
+	for _, in := range []string{"inf", "NaN", "0x1p-2", ".5", " -3 ", "1_0", "alpha", "",
+		"+Inf", "-nan", "Infinity", "1e3", "e3", "  ", "\t7\n", "0x_1p0", "_1", "--1", "ninety"} {
+		want, err := strconv.ParseFloat(strings.TrimSpace(in), 64)
+		got, ok := String_(in).AsNumber()
+		if ok != (err == nil) || (ok && got != want && !(math.IsNaN(got) && math.IsNaN(want))) {
+			t.Errorf("AsNumber(%q) = %v,%v; ParseFloat gives %v,%v", in, got, ok, want, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { String_("alpha").AsNumber() }); n != 0 {
+		t.Errorf("AsNumber on non-numeric text allocates %v times", n)
 	}
 }
 

@@ -366,14 +366,14 @@ func (db *Database) DurablePageIDs() []pager.PageID {
 	defer db.mu.RUnlock()
 	var out []pager.PageID
 	for _, s := range db.stores {
-		out = append(out, s.Pages()...)
+		out = s.AppendPages(out)
 	}
 	for _, tree := range db.indexTreesLocked() {
 		for _, f := range tree.Leaves() {
 			if f.Page != pager.InvalidPage {
-				out = append(out, db.pool.Resolve(f.Page))
+				out = append(out, f.Page)
 			}
 		}
 	}
-	return out
+	return db.pool.ResolveAll(out)
 }

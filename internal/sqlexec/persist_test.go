@@ -179,6 +179,24 @@ func TestCatalogBytesStable(t *testing.T) {
 	}
 }
 
+// TestAttachPagesMissingPagesCorrupt: a catalog attached over a backend that
+// lacks the pages it lists attaches (checking each page would make the open
+// O(pages)), but every read that reaches a missing page — a table scan, an
+// index leaf — fails as corrupt.
+func TestAttachPagesMissingPagesCorrupt(t *testing.T) {
+	pages, _ := hex.DecodeString(catalogWorkbookPages)
+	db := NewDatabase(Config{Backend: pager.NewStore()})
+	if err := db.AttachPages(pages); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession(newFakeSheets())
+	for _, q := range []string{"SELECT * FROM item", "SELECT id FROM item WHERE qty = 100"} {
+		if _, err := s.Query(q); !errors.Is(err, dberr.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", q, err)
+		}
+	}
+}
+
 // TestAttachPagesRefusesRowAndColumnTables: catalogs written by the build
 // that also had row and column stores, each holding one such table
 // "legacy (a INT, b TEXT)" of three rows, are refused as corrupt, naming the
@@ -202,8 +220,8 @@ func TestAttachPagesRefusesRowAndColumnTables(t *testing.T) {
 // FuzzAttachPages: whatever a catalog body says, attaching it never panics,
 // allocates at most a small multiple of its size, and every refusal is
 // classed ErrCorrupt. A catalog that attaches answers COUNT(*) and a full
-// scan of each table, or refuses them as corrupt or as naming a page the
-// backend does not hold. Each input is a body that the target seals with
+// scan of each table or refuses them as corrupt — naming a page the backend
+// does not hold included. Each input is a body that the target seals with
 // the magic and a fresh checksum, so mutations reach the decoder rather than
 // the checksum test; the backend holds catalogWorkbook's pages, so a catalog
 // that names them drives the page decoders too.
@@ -241,7 +259,7 @@ func FuzzAttachPages(f *testing.F) {
 			}
 			for _, q := range []string{`SELECT COUNT(*) FROM "%s"`, `SELECT * FROM "%s"`} {
 				q = fmt.Sprintf(q, tbl.Name)
-				if _, err := s.Query(q); err != nil && !errors.Is(err, dberr.ErrCorrupt) && !errors.Is(err, pager.ErrPageNotFound) {
+				if _, err := s.Query(q); err != nil && !errors.Is(err, dberr.ErrCorrupt) {
 					t.Fatalf("%s: %v", q, err)
 				}
 			}

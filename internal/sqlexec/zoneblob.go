@@ -44,10 +44,11 @@ func (db *Database) MarshalZones() []byte {
 }
 
 // AttachZones reattaches marshalled zone catalogs to the current stores.
-// Validation is two-tier: the blob frame (magic, CRC, structure) and each
-// store's own shape check against its page lists. Any failure returns an
-// error with skipping disabled for the affected stores — never a wrong
-// summary — and the database stays fully usable.
+// Validation is two-tier: the blob frame (magic, CRC, structure) here, and
+// each store's shape check against its page lists when it first decodes its
+// payload, which it keeps until then (blob must not change afterwards).
+// Either failure disables skipping for the affected stores — never a wrong
+// summary — and the database stays fully usable; only the first errors.
 func (db *Database) AttachZones(blob []byte) error {
 	if len(blob) < 12 || [8]byte(blob[0:8]) != zonesMagic {
 		return fmt.Errorf("%w: bad magic", ErrCorruptZones)

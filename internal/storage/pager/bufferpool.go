@@ -37,8 +37,8 @@ type BufferPool struct {
 	// freeAtCommit holds the portion safe to free when the in-flight
 	// checkpoint commits.
 	forward      map[PageID]PageID
-	durable      map[PageID]struct{}
-	pending      map[PageID]struct{}
+	durable      pageSet
+	pending      pageSet
 	pendingFree  []PageID
 	freeAtCommit []PageID
 	// reuse parks physical pages that cannot return to the backend free
@@ -82,7 +82,6 @@ func NewBufferPool(store Backend, capacity int) *BufferPool {
 		frames:   make(map[PageID]*frame),
 		lru:      list.New(),
 		forward:  make(map[PageID]PageID),
-		durable:  make(map[PageID]struct{}),
 		versions: make(map[PageID]uint64),
 	}
 }
@@ -108,13 +107,58 @@ func (bp *BufferPool) Resolve(id PageID) PageID {
 	return bp.physLocked(id)
 }
 
+// ResolveAll is Resolve over a list, in place and under one pool lock.
+func (bp *BufferPool) ResolveAll(ids []PageID) []PageID {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for i, id := range ids {
+		ids[i] = bp.physLocked(id)
+	}
+	return ids
+}
+
 // protectedLocked reports whether the physical page is referenced by the
 // durable root or by a checkpoint in flight (caller holds bp.mu).
 func (bp *BufferPool) protectedLocked(q PageID) bool {
-	if _, ok := bp.durable[q]; ok {
-		return true
+	return bp.durable.has(q) || bp.pending.has(q)
+}
+
+// pageSet is a set of physical page ids: a bitset, as FileStore ids are
+// dense slot numbers. Ids from denseIDs up, which only a damaged catalog
+// names in practice, go to far instead of sizing the bitset.
+const denseIDs = 1 << 24 // 2 MiB of bits covers a 64 GiB heap
+
+type pageSet struct {
+	bits []uint64
+	far  map[PageID]struct{}
+}
+
+func newPageSet(ids []PageID) pageSet {
+	var top PageID
+	for _, id := range ids {
+		if id < denseIDs {
+			top = max(top, id)
+		}
 	}
-	_, ok := bp.pending[q]
+	s := pageSet{bits: make([]uint64, top/64+1)}
+	for _, id := range ids {
+		if id < denseIDs {
+			s.bits[id/64] |= 1 << (id % 64)
+			continue
+		}
+		if s.far == nil {
+			s.far = make(map[PageID]struct{})
+		}
+		s.far[id] = struct{}{}
+	}
+	return s
+}
+
+func (s pageSet) has(id PageID) bool {
+	if id < PageID(len(s.bits))*64 {
+		return s.bits[id/64]&(1<<(id%64)) != 0
+	}
+	_, ok := s.far[id]
 	return ok
 }
 
@@ -357,12 +401,10 @@ func (bp *BufferPool) FlushAll() error {
 // SetDurable declares the physical pages referenced by the recovered
 // checkpoint root. Called once at open, before any writes.
 func (bp *BufferPool) SetDurable(ids []PageID) {
+	set := newPageSet(ids)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	bp.durable = make(map[PageID]struct{}, len(ids))
-	for _, id := range ids {
-		bp.durable[id] = struct{}{}
-	}
+	bp.durable = set
 }
 
 // BeginCheckpoint protects the captured physical pages of a checkpoint in
@@ -370,12 +412,10 @@ func (bp *BufferPool) SetDurable(ids []PageID) {
 // commit. Pages relocated or freed after this call accumulate for the
 // *next* checkpoint, since the in-flight root will reference them.
 func (bp *BufferPool) BeginCheckpoint(referenced []PageID) {
+	set := newPageSet(referenced)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	bp.pending = make(map[PageID]struct{}, len(referenced))
-	for _, id := range referenced {
-		bp.pending[id] = struct{}{}
-	}
+	bp.pending = set
 	// Append rather than replace: a previous checkpoint that failed after
 	// its flip attempt leaves its staged frees behind (neither commit nor
 	// abort ran), and they must ride along to this checkpoint's commit
@@ -391,11 +431,7 @@ func (bp *BufferPool) BeginCheckpoint(referenced []PageID) {
 // logical id (FileStore reuses ids LIFO).
 func (bp *BufferPool) CommitCheckpoint() {
 	bp.mu.Lock()
-	bp.durable = bp.pending
-	if bp.durable == nil {
-		bp.durable = make(map[PageID]struct{})
-	}
-	bp.pending = nil
+	bp.durable, bp.pending = bp.pending, pageSet{}
 	var toFree []PageID
 	for _, q := range bp.freeAtCommit {
 		if _, live := bp.forward[q]; live {
@@ -417,7 +453,7 @@ func (bp *BufferPool) CommitCheckpoint() {
 func (bp *BufferPool) AbortCheckpoint() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	bp.pending = nil
+	bp.pending = pageSet{}
 	bp.pendingFree = append(bp.pendingFree, bp.freeAtCommit...)
 	bp.freeAtCommit = nil
 }

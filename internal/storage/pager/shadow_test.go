@@ -186,3 +186,21 @@ func TestAllocateNeverCollidesWithRelocatedLogicalID(t *testing.T) {
 		t.Fatalf("relocation onto parked page lost data: %q %v", data, err)
 	}
 }
+
+// TestPageSetFarIDs: the protected set is a bitset sized by the ids it
+// holds, except that an id from denseIDs up — only a damaged catalog names
+// one — is kept aside instead of sizing the bitset to it.
+func TestPageSetFarIDs(t *testing.T) {
+	s := newPageSet([]PageID{1, 64, 1 << 40})
+	if len(s.bits) != 2 {
+		t.Fatalf("bitset holds %d words, want 2", len(s.bits))
+	}
+	for id, want := range map[PageID]bool{1: true, 64: true, 1 << 40: true, 0: false, 2: false, 65: false, 1<<40 + 1: false, denseIDs: false} {
+		if s.has(id) != want {
+			t.Errorf("has(%d) = %v, want %v", id, !want, want)
+		}
+	}
+	if (pageSet{}).has(1) {
+		t.Error("the empty set holds page 1")
+	}
+}

@@ -83,7 +83,7 @@ func (d *valueDecoder) value() (sheet.Value, error) {
 		if err != nil {
 			return v, err
 		}
-		if d.pos+int(n) > len(d.buf) {
+		if n > uint64(len(d.buf)-d.pos) {
 			return v, fmt.Errorf("tablestore: truncated string at %d", d.pos)
 		}
 		s := string(d.buf[d.pos : d.pos+int(n)])

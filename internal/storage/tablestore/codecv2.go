@@ -167,7 +167,7 @@ func (d *valueDecoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.buf) {
+	if n > uint64(len(d.buf)-d.pos) {
 		return "", fmt.Errorf("tablestore: truncated string at %d", d.pos)
 	}
 	s := string(d.buf[d.pos : d.pos+int(n)])

@@ -47,6 +47,9 @@ type HybridStore struct {
 	rowCount  int
 	groupSize int
 	cache     decodedCache
+	// attached is a zone catalog reattached at open that no writer has
+	// adopted yet; while it is set, every group's own zones are nil.
+	attached *attachedZones
 }
 
 type attrGroup struct {
@@ -152,9 +155,10 @@ func (s *HybridStore) checkID(id RowID) error {
 // readGroupPage decodes a private copy of a group page for the mutation
 // paths, which edit the returned slices in place before writing them back.
 func (s *HybridStore) readGroupPage(gi, pi int) ([]RowID, [][]sheet.Value, error) {
-	data, err := s.pool.Get(s.groups[gi].pages[pi])
+	id := s.groups[gi].pages[pi]
+	data, err := s.pool.Get(id)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, listedPageErr(id, err)
 	}
 	return decodeTuples(data, s.groups[gi].width)
 }
@@ -168,6 +172,7 @@ func (s *HybridStore) readGroupPageShared(gi, pi int) ([]RowID, [][]sheet.Value,
 // writeGroupPage is the single choke point for group-page mutations: every
 // rewrite re-encodes the page (v2 container) and replaces its zone summary.
 func (s *HybridStore) writeGroupPage(gi, pi int, ids []RowID, rows [][]sheet.Value, width int) error {
+	s.adoptZones()
 	buf, pz := encodeTuplesV2(ids, rows, width)
 	if err := s.pool.Put(s.groups[gi].pages[pi], buf); err != nil {
 		return err
@@ -233,7 +238,7 @@ func (s *HybridStore) GetCols(id RowID, cols []int, bounds []ZoneBound) ([]sheet
 		return nil, err
 	}
 	slot := int(id - 1)
-	if hybridSlotSkips(s.groups, s.colMap, slot, bounds) {
+	if hybridSlotSkips(s.groups, s.attached, s.colMap, slot, bounds) {
 		return nil, nil
 	}
 	n := len(cols)
@@ -349,6 +354,7 @@ func (s *HybridStore) Restore(id RowID) error {
 // backfilled; no existing block is touched, which is the paper's headline
 // storage property.
 func (s *HybridStore) AddColumn(defaultValue sheet.Value) error {
+	s.adoptZones()
 	gi := len(s.groups)
 	g := attrGroup{width: 1, rowsPer: groupRowsPer(1)}
 	for base := 0; base < s.slotCount; base += g.rowsPer {
@@ -385,6 +391,7 @@ func (s *HybridStore) DropColumn(col int) error {
 	if col < 0 || col >= len(s.colMap) {
 		return fmt.Errorf("%w: %d", ErrColumnRange, col)
 	}
+	s.adoptZones()
 	loc := s.colMap[col]
 	g := &s.groups[loc.group]
 	if g.width == 1 {

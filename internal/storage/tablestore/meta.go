@@ -167,19 +167,10 @@ func OpenHybridStore(pool *pager.BufferPool, meta []byte) (*HybridStore, error) 
 	return s, nil
 }
 
-// Pages implements Store.
-func (s *HybridStore) Pages() []pager.PageID {
-	var all []pager.PageID
+// AppendPages implements Store.
+func (s *HybridStore) AppendPages(dst []pager.PageID) []pager.PageID {
 	for _, g := range s.groups {
-		all = append(all, g.pages...)
+		dst = append(dst, g.pages...)
 	}
-	return resolveAll(s.pool, all)
-}
-
-func resolveAll(pool *pager.BufferPool, ids []pager.PageID) []pager.PageID {
-	out := make([]pager.PageID, len(ids))
-	for i, id := range ids {
-		out[i] = pool.Resolve(id)
-	}
-	return out
+	return dst
 }

@@ -1,8 +1,11 @@
 package tablestore
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
 )
@@ -74,9 +77,18 @@ func (c *decodedCache) getTuplesAt(pool *pager.BufferPool, epoch uint64, id page
 	}
 	data, ver, err := pool.GetAt(epoch, id)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, listedPageErr(id, err)
 	}
 	return sh.addTuples(cacheKey{id, ver, width}, data)
+}
+
+// listedPageErr classes a failed read of a page the store's page lists name:
+// a backend without it was handed a catalog that does not match it.
+func listedPageErr(id pager.PageID, err error) error {
+	if errors.Is(err, pager.ErrPageNotFound) {
+		return fmt.Errorf("tablestore: listed page %d is missing: %w: %w", id, dberr.ErrCorrupt, err)
+	}
+	return err
 }
 
 // addTuples decodes outside the shard lock (concurrent misses may decode

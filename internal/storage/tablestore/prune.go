@@ -14,7 +14,7 @@ import (
 // hybridSkipRuns unions each bound's skippable slot intervals; bounds land
 // on different groups with different rows-per-page, so intervals are
 // computed per bound and merged.
-func hybridSkipRuns(groups []attrGroup, colMap []colLocation, slotCount int, bounds []ZoneBound) []Partition {
+func hybridSkipRuns(groups []attrGroup, att *attachedZones, colMap []colLocation, slotCount int, bounds []ZoneBound) []Partition {
 	var skip []Partition
 	for i := range bounds {
 		b := &bounds[i]
@@ -26,8 +26,9 @@ func hybridSkipRuns(groups []attrGroup, colMap []colLocation, slotCount int, bou
 		if g.width == 0 || g.rowsPer <= 0 {
 			continue
 		}
-		cur := skipIntervalsFor(len(g.zones), g.rowsPer, slotCount, func(pi int) bool {
-			pz := g.zones[pi]
+		zones := att.zones(groups, loc.group)
+		cur := skipIntervalsFor(len(zones), g.rowsPer, slotCount, func(pi int) bool {
+			pz := zones[pi]
 			return pz != nil && loc.offset < len(pz.cols) && pz.cols[loc.offset].Skips(*b)
 		})
 		skip = unionParts(skip, cur)
@@ -68,7 +69,7 @@ func hybridPageStats(groups []attrGroup, colMap []colLocation, kept []Partition,
 // hybridSlotSkips reports whether any bound proves the row at slot
 // matchless, consulting the zone of the one page that holds the bound's
 // column for that slot.
-func hybridSlotSkips(groups []attrGroup, colMap []colLocation, slot int, bounds []ZoneBound) bool {
+func hybridSlotSkips(groups []attrGroup, att *attachedZones, colMap []colLocation, slot int, bounds []ZoneBound) bool {
 	for i := range bounds {
 		b := &bounds[i]
 		if b.Col < 0 || b.Col >= len(colMap) {
@@ -79,9 +80,9 @@ func hybridSlotSkips(groups []attrGroup, colMap []colLocation, slot int, bounds 
 		if g.width == 0 || g.rowsPer <= 0 {
 			continue
 		}
-		pi := slot / g.rowsPer
-		if pi < len(g.zones) && g.zones[pi] != nil && loc.offset < len(g.zones[pi].cols) &&
-			g.zones[pi].cols[loc.offset].Skips(*b) {
+		pi, zones := slot/g.rowsPer, att.zones(groups, loc.group)
+		if pi < len(zones) && zones[pi] != nil && loc.offset < len(zones[pi].cols) &&
+			zones[pi].cols[loc.offset].Skips(*b) {
 			return true
 		}
 	}
@@ -93,12 +94,12 @@ func hybridSlotSkips(groups []attrGroup, colMap []colLocation, slot int, bounds 
 // ValidateZones implements Store.
 func (s *HybridStore) ValidateZones() error {
 	for gi := range s.groups {
-		g := &s.groups[gi]
+		g, zones := &s.groups[gi], s.attached.zones(s.groups, gi)
 		for pi := range g.pages {
-			if pi >= len(g.zones) || g.zones[pi] == nil {
+			if pi >= len(zones) || zones[pi] == nil {
 				continue
 			}
-			pz := g.zones[pi]
+			pz := zones[pi]
 			if len(pz.cols) != g.width {
 				return fmt.Errorf("tablestore: group %d page %d zone has %d columns, want %d", gi, pi, len(pz.cols), g.width)
 			}

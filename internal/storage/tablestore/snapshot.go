@@ -181,6 +181,7 @@ type hybridSnap struct {
 	deleted   map[RowID]bool
 	slotCount int
 	rowCount  int
+	attached  *attachedZones
 }
 
 // view borrows the store's current state (see the file comment).
@@ -193,6 +194,7 @@ func (s *HybridStore) view() *hybridSnap {
 		deleted:   s.deleted,
 		slotCount: s.slotCount,
 		rowCount:  s.rowCount,
+		attached:  s.attached,
 	}
 }
 
@@ -212,7 +214,8 @@ func (s *HybridStore) Snapshot() TableSnap {
 	// the slice of structs is deep-copied; page-id slices within are
 	// append-only and share safely. Zone slices are NOT append-only —
 	// writeGroupPage replaces entries in place — so each group's zones are
-	// copied too.
+	// copied too. A pending attached catalog is shared as is: it is
+	// immutable once decoded.
 	snap.groups = append([]attrGroup(nil), s.groups...)
 	for gi := range snap.groups {
 		snap.groups[gi].zones = cloneZones(snap.groups[gi].zones)
@@ -230,7 +233,7 @@ func (s *hybridSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partit
 	if len(bounds) == 0 {
 		return splitRange(s.slotCount, n), 0, 0
 	}
-	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
+	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.attached, s.colMap, s.slotCount, bounds))
 	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
 	return splitRuns(kept, n), read, total - read
 }
@@ -242,7 +245,7 @@ func (s *hybridSnap) AdmittedPages(cols []int, bounds []ZoneBound) []PageVersion
 	if err != nil {
 		return nil
 	}
-	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
+	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.attached, s.colMap, s.slotCount, bounds))
 	var out []PageVersion
 	seen := make([]bool, len(s.groups))
 	for _, c := range want {

@@ -94,14 +94,19 @@ type Store interface {
 	// backend ids. OpenHybridStore(pool, meta) attaches a store to the same
 	// pages without replaying any history (meta.go).
 	MarshalMeta() []byte
-	// Pages returns the physical backend pages the store currently
-	// references, for checkpoint reachability and protection sets.
-	Pages() []pager.PageID
+	// AppendPages appends the logical pool pages the store currently
+	// references to dst, for checkpoint reachability and protection sets
+	// (BufferPool.ResolveAll turns them into backend pages).
+	AppendPages(dst []pager.PageID) []pager.PageID
 	// MarshalZones serialises the store's current zone-map catalog.
 	MarshalZones() []byte
 	// AttachZones replaces the store's zone catalog with a previously
-	// marshalled one. On any validation error the catalog is left empty and
-	// the error returned; the store remains fully usable without skipping.
+	// marshalled one, which it keeps undecoded — the caller must not modify
+	// data afterwards — until the first bounded read, page write, schema
+	// change, MarshalZones or ValidateZones. It returns an error, leaving the
+	// catalog empty, only for a payload without its tag; one that fails to
+	// decode on first use leaves the catalog empty too. Either way the store
+	// remains fully usable, without skipping.
 	AttachZones(data []byte) error
 	// ValidateZones re-decodes every summarised page and checks that its
 	// zone covers every stored value — the invariant that makes skipping

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/sheet"
+	"github.com/dataspread/dataspread/internal/storage/pager"
 )
 
 // valuesEqual compares two values bit-exactly: NaN equals NaN, -0 is
@@ -415,5 +416,82 @@ func TestIntervalMath(t *testing.T) {
 	// Kept runs touch pages 0, 4, 5, 7 and 8.
 	if got := overlapCount(kept, 10, 10); got != 5 {
 		t.Fatalf("overlapCount = %d, want 5", got)
+	}
+}
+
+// TestAttachZonesDecodesOnFirstUse: an attached zone payload stays undecoded
+// through a snapshot, a bare row count and an unbounded partitioning; the
+// first bounded consult decodes it and skips as the source store did; a
+// write adopts it into the store's own lists; and a tagged payload that
+// does not decode attaches, then skips nothing.
+func TestAttachZonesDecodesOnFirstUse(t *testing.T) {
+	backend := pager.NewStore()
+	pool := pager.NewBufferPool(backend, 64)
+	src := NewHybridStore(pool, 2)
+	for i := 0; i < 2000; i++ {
+		if _, err := src.Insert([]sheet.Value{sheet.Number(float64(i)), sheet.Number(float64(i % 7))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	zones := src.MarshalZones()
+	bounds := []ZoneBound{{Col: 0, Op: "<", Val: 300}}
+	open := func(payload []byte) *HybridStore {
+		t.Helper()
+		s, err := OpenHybridStore(pager.NewBufferPool(backend, 64), src.MarshalMeta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AttachZones(payload); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	s := open(zones)
+	snap := s.Snapshot()
+	defer snap.Release()
+	parts, _, _ := snap.Partitions(4, nil, nil)
+	if snap.RowCount() != 2000 || len(parts) == 0 || s.attached.groups != nil {
+		t.Fatal("a bare snapshot decoded the attached zones")
+	}
+	_, read, skipped := snap.Partitions(1, nil, bounds)
+	_, wantRead, wantSkipped := src.Snapshot().Partitions(1, nil, bounds)
+	if read != wantRead || skipped != wantSkipped || skipped == 0 {
+		t.Fatalf("attached zones read %d and skipped %d pages, source %d and %d", read, skipped, wantRead, wantSkipped)
+	}
+	if err := s.Update(1, []sheet.Value{sheet.Number(1), sheet.Number(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if s.attached != nil {
+		t.Fatal("a write left the attached zones pending")
+	}
+	if err := s.ValidateZones(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, after := snap.Partitions(1, nil, bounds); after != skipped {
+		t.Fatalf("a snapshot from before the write skipped %d pages, then %d", skipped, after)
+	}
+
+	bad := open(append([]byte{zoneBlobTag}, 0xFF, 0xFF))
+	if _, _, skipped := bad.Snapshot().Partitions(1, nil, bounds); skipped != 0 {
+		t.Fatalf("an undecodable payload skipped %d pages", skipped)
+	}
+	if err := bad.ValidateZones(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStringLengthPastBufferIsAnError: a string length near 2^64 in a zone
+// or page payload is refused, not turned into a negative slice bound.
+func TestStringLengthPastBufferIsAnError(t *testing.T) {
+	huge := binary.AppendUvarint(nil, math.MaxUint64-5)
+	if _, err := (&valueDecoder{buf: huge}).str(); err == nil {
+		t.Error("str accepted a length past the buffer")
+	}
+	if _, err := (&valueDecoder{buf: append([]byte{byte(sheet.KindString)}, huge...)}).value(); err == nil {
+		t.Error("value accepted a length past the buffer")
 	}
 }
