@@ -42,9 +42,12 @@ loc:
 # (internal/compute), and the index trees whose nodes and leaves readers
 # build and load on first use under the shared engine lock
 # (internal/index/btree) — so `verify` guards lock-freedom locally; CI (and
-# `make race`) runs it over every package.
+# `make race`) runs it over every package. It also runs internal/core's
+# transaction-ownership and background-checkpoint tests, because the owner
+# pointer is shared by Conns and the checkpointer goroutine.
 racecheck:
 	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr ./internal/compute ./internal/index/btree
+	$(GO) test -race ./internal/core -run 'TestUncommittedWriteNotCheckpointed|TestCheckpointInTransactionRefused|TestBackgroundCheckpointDefersToTransaction|TestConcurrentWriterConflicts|TestTableWritersConflictCellWritesProceed|TestConcurrentTransactionsSerialize|TestBackgroundCheckpoint'
 
 # lint runs go vet plus dslint, the project-specific analyzer suite
 # (internal/lint): lockcheck (engine-lock discipline, no parking under the

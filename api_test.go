@@ -520,8 +520,9 @@ func TestFastQueryAlwaysHasColumns(t *testing.T) {
 
 // TestTransactionWALScoping proves replay honours transaction boundaries
 // across connections: rolled-back and uncommitted work never reaches the
-// WAL, a concurrent autocommit insert between BEGIN and ROLLBACK survives,
-// and committed transactions recover whole.
+// WAL, another connection's autocommit insert between BEGIN and ROLLBACK
+// fails with ErrConflict (the transaction owns the tables) and leaves no
+// trace live or in the log, and committed transactions recover whole.
 func TestTransactionWALScoping(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wb.ds")
 	ctx := context.Background()
@@ -540,11 +541,14 @@ func TestTransactionWALScoping(t *testing.T) {
 	if _, err := a.Exec(ctx, "INSERT INTO t VALUES (?, ?)", 1, "rolled-back"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Exec(ctx, "INSERT INTO t VALUES (?, ?)", 2, "autocommit"); err != nil {
-		t.Fatal(err)
+	if _, err := b.Exec(ctx, "INSERT INTO t VALUES (?, ?)", 2, "autocommit"); !errors.Is(err, dataspread.ErrConflict) {
+		t.Fatalf("B's insert while A owns the tables = %v, want ErrConflict", err)
 	}
 	if err := a.Rollback(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if n, err := db.RowCount("t"); err != nil || n != 0 {
+		t.Fatalf("rows after ROLLBACK = %d, %v; want 0", n, err)
 	}
 	// A second transaction that commits.
 	if err := a.Begin(ctx); err != nil {
@@ -576,7 +580,7 @@ func TestTransactionWALScoping(t *testing.T) {
 	for _, row := range res.Rows {
 		got = append(got, fmt.Sprintf("%s=%s", row[0], row[1]))
 	}
-	want := []string{"2=autocommit", "3=committed"}
+	want := []string{"3=committed"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recovered rows %v, want %v", got, want)
 	}

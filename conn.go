@@ -75,6 +75,17 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...any) (*Rows, error
 // so they fail with ErrUnsupported without effect and the transaction stays
 // open. A statement that fails inside the transaction is undone by itself;
 // the transaction stays open with the earlier statements' changes.
+//
+// The transaction's first mutating statement makes it the owner of the
+// tables until Commit or Rollback (also when the rollback fails); a Conn
+// left inside a transaction owns them until it ends it (dataspreadd rolls
+// back the transaction of a client that goes away). Meanwhile every other
+// table writer fails at once with ErrConflict and changes nothing: another
+// Conn's INSERT, UPDATE, DELETE or DDL, an edit of a cell bound to a table
+// (SetCell), ExportRange, and DB.Checkpoint. Nothing waits, so retry after
+// the owner ends. Writes that touch no table proceed: plain cell edits,
+// SetValues and AddSheet. Other connections still read the transaction's
+// uncommitted changes.
 func (c *Conn) Begin(ctx context.Context) error {
 	_, err := c.Exec(ctx, "BEGIN")
 	return err

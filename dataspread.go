@@ -70,7 +70,7 @@ func OpenFile(path string, opts Options) (*DB, error) {
 
 func wrap(ds *core.DataSpread) *DB {
 	db := &DB{ds: ds}
-	db.conn = &Conn{db: db, c: ds.NewConn()}
+	db.conn = &Conn{db: db, c: ds.Conn()}
 	return db
 }
 
@@ -79,7 +79,10 @@ func wrap(ds *core.DataSpread) *DB {
 func (db *DB) Close() error { return db.ds.Close() }
 
 // Checkpoint writes a full checkpoint and compacts the WAL (durable
-// workbooks only).
+// workbooks only). While a Conn's transaction owns the tables (see
+// Conn.Begin) it fails with ErrConflict and writes nothing: the checkpoint
+// would hold uncommitted changes. Background checkpoints wait for the
+// transaction's end instead.
 func (db *DB) Checkpoint() error { return db.ds.Checkpoint() }
 
 // RecoveryErrors returns the per-command failures encountered while
@@ -101,7 +104,10 @@ func (db *DB) Health() error { return db.ds.Health() }
 func (db *DB) Degrade(cause error) { db.ds.Degrade(cause) }
 
 // Conn opens a new SQL connection: its own transaction state, concurrent
-// with other connections. A single Conn must not be used concurrently.
+// with other connections. A single Conn must not be used concurrently. Its
+// writes fail with ErrConflict while another connection's transaction owns
+// the tables (see Conn.Begin). The DB's own Exec, Query, Prepare and
+// QueryScript run on one default connection.
 func (db *DB) Conn() *Conn {
 	return &Conn{db: db, c: db.ds.NewConn()}
 }
@@ -122,8 +128,9 @@ func (db *DB) Query(ctx context.Context, sql string, args ...any) (*Rows, error)
 	return db.conn.Query(ctx, sql, args...)
 }
 
-// QueryScript executes a semicolon-separated SQL script (no placeholders),
-// returning the result of the last statement.
+// QueryScript executes a semicolon-separated SQL script (no placeholders)
+// on the default connection, returning the result of the last statement (a
+// zero Result for an empty script).
 func (db *DB) QueryScript(sql string) (Result, error) {
 	res, err := db.ds.QueryScript(sql)
 	return wrapResult(res), err

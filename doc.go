@@ -49,8 +49,13 @@
 // The context is polled at scan/join/sort batch boundaries: cancelling a
 // query mid-scan returns promptly with context.Canceled. Connections
 // (DB.Conn) give each goroutine its own session and explicit-transaction
-// state (BEGIN/COMMIT/ROLLBACK). Failures wrap a small sentinel taxonomy —
-// ErrTableNotFound, ErrUniqueViolation, ErrParamCount, … — for errors.Is.
+// state (BEGIN/COMMIT/ROLLBACK). From its first write until it ends, a
+// transaction owns the tables: other connections' writes, edits of
+// table-bound cells, ExportRange and Checkpoint fail at once with
+// ErrConflict (plain cell edits proceed), and other connections still read
+// its uncommitted changes (Conn.Begin). Failures wrap a small sentinel
+// taxonomy — ErrTableNotFound, ErrUniqueViolation, ErrParamCount, … — for
+// errors.Is.
 //
 // Reads are snapshot reads: every table scan — materialised or streamed,
 // serial or parallel — pins an immutable page epoch and runs the same

@@ -18,6 +18,9 @@
 // instance is closed when the sql.DB is closed. Opening the same workbook
 // file from two processes (or two sql.DB values) fails with
 // dataspread.ErrConflict: the engine enforces a single writer per file.
+// Within one, a transaction (BeginTx) owns the tables from its first write
+// until Commit or Rollback: another pooled connection's write fails at once
+// with dataspread.ErrConflict meanwhile, and nothing waits.
 //
 // Prepared statements use '?' placeholders; arguments bind per execution,
 // and point lookups keep their index access paths (the plan is cached by

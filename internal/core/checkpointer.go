@@ -30,11 +30,12 @@
 //	         above it survive.
 //
 // Writers keep running during write/flip/adopt; only capture excludes them,
-// and it performs no fsync. Close and Checkpoint drain the background
-// goroutine deterministically.
+// and it performs no fsync; it refuses while a transaction owns the tables.
+// Close and Checkpoint drain the background goroutine deterministically.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -116,6 +117,9 @@ func (ds *DataSpread) runCheckpointWithRetry(stop <-chan struct{}) {
 			}
 		}
 		err = ds.checkpointOnce()
+		if errors.Is(err, dberr.ErrConflict) {
+			return // a transaction owns the tables; the next logCommand nudges again
+		}
 		if err == nil || isSyncFault(err) || ds.isPoisoned() {
 			break
 		}
@@ -190,12 +194,17 @@ func (ds *DataSpread) checkpointOnce() error {
 // ckptCapture is the only stage that excludes writers: it flushes dirty index
 // leaves and the pool (copy-on-write keeps the durable image intact),
 // serializes the catalog and sheet snapshot, and records the watermark. No
-// fsync happens here.
+// fsync happens here. It refuses with dberr.ErrConflict while a transaction
+// owns the tables: the pages would hold its uncommitted changes, and its
+// COMMIT record, logged above the watermark, would replay onto them.
 func (ds *DataSpread) ckptCapture() (*ckptState, error) {
 	ds.cmdMu.Lock()
 	defer ds.cmdMu.Unlock()
 	if ds.wal == nil {
 		return nil, fmt.Errorf("core: checkpoint requires a durable workbook: %w", dberr.ErrUnsupported)
+	}
+	if err := ds.db.Busy(); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	st := &ckptState{root: rootInfo{gen: ds.root.gen + 1, watermark: ds.wal.LastLSN()}}
 	var err error

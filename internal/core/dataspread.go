@@ -23,7 +23,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -79,11 +78,7 @@ type DataSpread struct {
 	engine  *compute.Engine
 	windows *window.Manager
 	iface   *interfacemgr.Manager
-	session *sqlexec.Session
-	// pending buffers the default session's in-transaction mutating
-	// statements until COMMIT logs them as one WAL record (guarded by
-	// cmdMu; see logExecuted).
-	pending []txn.Op
+	conn    *Conn // the built-in connection (conn.go)
 
 	// RANGETABLE scan cache (accessor.go), validated by sheet versions.
 	rtMu    sync.Mutex
@@ -155,8 +150,8 @@ func newDataSpread(opts Options, backend pager.Backend) *DataSpread {
 		windows: windows,
 		iface:   iface,
 	}
-	ds.session = db.NewSession(&sheetAccessor{ds: ds})
-	iface.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return ds.session.Query(sql) }, &sheetAccessor{ds: ds})
+	ds.conn = ds.NewConn()
+	iface.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return ds.conn.sess.Query(sql) }, &sheetAccessor{ds: ds})
 	ds.book.AddSheet("Sheet1") // before any WAL exists; never logged
 	return ds
 }
@@ -255,7 +250,7 @@ func (ds *DataSpread) setCellDispatch(canonical string, a sheet.Address, input s
 	noop := func() {}
 	trimmed := strings.TrimSpace(input)
 	if strings.HasPrefix(trimmed, "=") {
-		if name, ok := formulaIsDB(trimmed); ok {
+		if name, ok := isDBFormula(trimmed); ok {
 			return noop, ds.setDBFormula(canonical, a, name, trimmed)
 		}
 		return ds.engine.SetFormula(canonical, a, trimmed)
@@ -351,36 +346,17 @@ func (ds *DataSpread) Wait() { ds.engine.Wait() }
 
 // --- SQL and window operations ---
 
-// Query executes a SQL statement with full access to sheet data through
-// RANGEVALUE/RANGETABLE.
+// Query executes a SQL statement on the built-in Conn, with full access to
+// sheet data through RANGEVALUE/RANGETABLE.
 func (ds *DataSpread) Query(sql string) (*sqlexec.Result, error) {
 	return ds.QueryContext(context.Background(), sql)
 }
 
-// QueryContext executes a SQL statement, binding args to its '?'
-// placeholders and honouring ctx cancellation at executor batch boundaries.
-// Whether the statement reaches the WAL is decided by the parsed statement
-// kind (sqlparser.Mutates), not by sniffing the text: leading comments,
-// whitespace or exotic spellings cannot misclassify a statement.
+// QueryContext executes a SQL statement on the built-in Conn (see
+// Conn.ExecutePrepared), binding args to its '?' placeholders and honouring
+// ctx cancellation at executor batch boundaries.
 func (ds *DataSpread) QueryContext(ctx context.Context, sql string, args ...sheet.Value) (*sqlexec.Result, error) {
-	ds.cmdMu.Lock()
-	defer ds.cmdMu.Unlock()
-	p, err := ds.db.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sqlparser.Mutates(p.Statement()) {
-		if err := ds.checkWritable(); err != nil {
-			return nil, err
-		}
-	}
-	res, err := ds.session.ExecutePreparedContext(ctx, p, args...)
-	if err == nil {
-		if lerr := ds.logExecuted(p.Statement(), ds.session, &ds.pending, sql, args); lerr != nil {
-			return res, fmt.Errorf("core: statement applied but not logged: %w", lerr)
-		}
-	}
-	return res, ds.notePoison(err)
+	return ds.conn.QueryContext(ctx, sql, args...)
 }
 
 // sqlOp encodes a (possibly parameterized) mutating statement as a WAL
@@ -395,56 +371,22 @@ func sqlOp(sql string, args []sheet.Value) txn.Op {
 	return op
 }
 
-// logExecuted routes WAL logging for one successfully executed statement of
-// a session. Autocommit mutations log immediately; mutations inside an
-// explicit transaction buffer into pending and reach the WAL only at
-// COMMIT, as one atomic record. Replay therefore never resurrects
-// rolled-back or uncommitted work, and transactions from concurrent
-// connections land in the log in commit order instead of interleaving
-// statement by statement. Caller holds cmdMu.
-func (ds *DataSpread) logExecuted(stmt sqlparser.Statement, sess *sqlexec.Session, pending *[]txn.Op, sql string, args []sheet.Value) error {
-	switch stmt.(type) {
-	case *sqlparser.BeginStmt, *sqlparser.RollbackStmt:
-		*pending = nil
-		return nil
-	case *sqlparser.CommitStmt:
-		ops := *pending
-		*pending = nil
-		return ds.logCommand(ops...)
-	}
-	if !sqlparser.Mutates(stmt) {
-		return nil
-	}
-	if sess.InTransaction() {
-		*pending = append(*pending, sqlOp(sql, args))
-		return nil
-	}
-	return ds.logCommand(sqlOp(sql, args))
-}
-
-// QueryScript executes a semicolon-separated SQL script. Each statement is
-// its own transaction, so a failing statement undoes only itself, not the
-// ones before it — a mutating script is therefore logged even on error, and
-// replay deterministically re-runs the same committed prefix. Scripts do not
-// accept placeholders.
+// QueryScript executes a semicolon-separated SQL script on the built-in Conn
+// and returns the last statement's result (nil for an empty script). Its
+// statements run and log as if sent one at a time — BEGIN, COMMIT, ROLLBACK
+// and an open transaction scope them alike — except that what the script
+// commits outside a transaction is one WAL record. The first statement that
+// fails ends the script. Scripts do not accept placeholders.
 func (ds *DataSpread) QueryScript(sql string) (*sqlexec.Result, error) {
-	ds.cmdMu.Lock()
-	defer ds.cmdMu.Unlock()
-	stmts, parseErr := sqlparser.ParseMulti(sql)
-	if parseErr == nil && sqlparser.AnyMutates(stmts) {
-		if err := ds.checkWritable(); err != nil {
-			return nil, err
-		}
+	stmts, texts, err := sqlparser.ParseMulti(sql)
+	if err != nil {
+		return nil, err
 	}
-	res, err := ds.session.QueryScript(sql)
-	err = ds.notePoison(err)
-	if parseErr == nil && sqlparser.AnyMutates(stmts) {
-		if lerr := ds.logCommand(txn.Op{Kind: txn.OpSQLScript, Detail: sql, Args: []string{sql}}); lerr != nil {
-			lerr = fmt.Errorf("core: script applied but not logged: %w", lerr)
-			return res, errors.Join(err, lerr)
-		}
+	ps := make([]*sqlexec.Prepared, len(stmts))
+	for i, stmt := range stmts {
+		ps[i] = sqlexec.PrepareParsed(texts[i], stmt)
 	}
-	return res, err
+	return ds.execute(context.Background(), ds.conn.sess, ps, nil)
 }
 
 // ScrollTo moves the visible window of a sheet and refreshes window-bound
@@ -597,11 +539,6 @@ func (ds *DataSpread) ImportTable(sheetName, anchor, tableName string) (*interfa
 }
 
 // --- DBSQL / DBTABLE cell formulas ---
-
-func formulaIsDB(src string) (string, bool) {
-	name, ok := isDBFormula(src)
-	return name, ok
-}
 
 // setDBFormula creates the binding for a DBSQL/DBTABLE formula entered at a
 // cell: the formula text is stored in the cell and the result is spilled

@@ -220,7 +220,8 @@ func (ds *DataSpread) ReplayedCommands() int { return ds.replayedOps }
 
 // Checkpoint writes a full shadow-paged checkpoint and compacts the WAL
 // through its watermark. It also drains the background checkpointer: when it
-// returns, no checkpoint is in flight. See checkpointer.go for the protocol.
+// returns, no checkpoint is in flight. While a transaction owns the tables
+// it fails with dberr.ErrConflict. See checkpointer.go for the protocol.
 func (ds *DataSpread) Checkpoint() error {
 	if ds.backend == nil {
 		return fmt.Errorf("core: Checkpoint requires a workbook opened with OpenFile: %w", dberr.ErrUnsupported)
@@ -291,14 +292,21 @@ func (ds *DataSpread) logCommand(ops ...txn.Op) error {
 }
 
 // applyRecords re-applies recovered commands in commit order, suppressing
-// WAL logging for the duration.
+// WAL logging for the duration. A record that leaves the built-in Conn in a
+// transaction (an older log's script of BEGIN and no COMMIT) was logged as
+// committed, so replay commits it.
 func (ds *DataSpread) applyRecords(recs []txn.Record) {
 	ds.replaying = true
 	defer func() { ds.replaying = false }()
 	for _, rec := range recs {
 		for _, op := range rec.Ops {
 			ds.replayedOps++
-			if err := ds.applyOp(op); err != nil {
+			err := ds.applyOp(op)
+			if ds.conn.InTransaction() {
+				_, cerr := ds.Query("COMMIT")
+				err = errors.Join(err, cerr)
+			}
+			if err != nil {
 				ds.recoveryErrs = append(ds.recoveryErrs,
 					fmt.Errorf("core: replay LSN %d %s: %w", rec.LSN, op.Kind, err))
 			}
@@ -373,7 +381,7 @@ func (ds *DataSpread) applyOp(op txn.Op) error {
 		}
 		_, err = ds.QueryContext(context.Background(), args[0], params...)
 		return err
-	case txn.OpSQLScript:
+	case txn.OpSQLScript: // written before scripts logged what they committed
 		args, err := opArgs(op, 1)
 		if err != nil {
 			return err

@@ -7,18 +7,20 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlexec"
+	"github.com/dataspread/dataspread/internal/storage/vfs"
 )
 
-// The tests in this file hold one invariant: for one session, a statement's
-// effects are live if and only if the statement reaches the WAL. They compare
-// the live instance against a crash copy (the heap and WAL as a crash at that
-// instant would leave them), reopened.
+// The tests in this file hold one invariant: once its transaction has
+// ended, a statement's effects are live if and only if the statement reaches
+// the WAL. They compare the live instance against a crash copy (the heap
+// and WAL as a crash at that instant would leave them), reopened.
 
 // dumpDB renders every table's schema, its secondary indexes and its rows
 // in scan order. Indexes are sorted: a rolled-back DROP INDEX re-creates the
@@ -165,7 +167,7 @@ func TestRollbackUndoesSchemaChanges(t *testing.T) {
 			t.Fatalf("%s inside a transaction = %v, want ErrUnsupported", sql, err)
 		}
 	}
-	if got := dumpDB(t, ds); got != want || !ds.session.InTransaction() {
+	if got := dumpDB(t, ds); got != want || !ds.conn.InTransaction() {
 		t.Fatal("a refused statement must change nothing and leave the transaction open")
 	}
 	for _, sql := range []string{
@@ -221,10 +223,12 @@ func TestRolledBackDeleteReplays(t *testing.T) {
 }
 
 // TestFailedUndoDegradesWorkbook: when a ROLLBACK cannot reverse a change,
-// live state matches no log, so the workbook degrades to read-only. A
-// second session makes the undo of A's DELETE fail: it re-inserts the key,
-// drops the table, or drops it and creates it again. The rollback must fail
-// with ErrUndo, neither crash nor write into the new table's indexes.
+// live state matches no log, so the workbook degrades to read-only. A second
+// session can no longer make the undo of A's DELETE fail: while A's
+// transaction owns the tables, B's write that would (re-insert the key, drop
+// the table, or drop and re-create it) fails with ErrConflict and changes
+// nothing, and A's ROLLBACK succeeds. A failed page write during the unwind
+// still can: the ROLLBACK fails with ErrUndo and later writes are refused.
 func TestFailedUndoDegradesWorkbook(t *testing.T) {
 	for name, meanwhile := range map[string][]string{
 		"key taken":  {"INSERT INTO t VALUES (2, 20)"},
@@ -232,7 +236,8 @@ func TestFailedUndoDegradesWorkbook(t *testing.T) {
 		"re-created": {"DROP TABLE t", "CREATE TABLE t (id INT PRIMARY KEY, v INT)"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			ds, _ := openLiveLog(t)
+			ds, path := openLiveLog(t)
+			want := liveMatchesLog(t, ds, path, "setup")
 			ctx := t.Context()
 			a, b := ds.NewConn(), ds.NewConn()
 			for _, sql := range []string{"BEGIN", "DELETE FROM t WHERE id = 2"} {
@@ -240,28 +245,45 @@ func TestFailedUndoDegradesWorkbook(t *testing.T) {
 					t.Fatalf("A %s: %v", sql, err)
 				}
 			}
+			during := dumpDB(t, ds)
 			for _, sql := range meanwhile {
-				if _, err := b.QueryContext(ctx, sql); err != nil {
-					t.Fatalf("B %s: %v", sql, err)
+				if _, err := b.QueryContext(ctx, sql); !errors.Is(err, dberr.ErrConflict) {
+					t.Fatalf("B %s while A owns the tables = %v, want ErrConflict", sql, err)
 				}
 			}
-			if _, err := a.QueryContext(ctx, "ROLLBACK"); !errors.Is(err, sqlexec.ErrUndo) {
-				t.Fatalf("ROLLBACK = %v, want ErrUndo", err)
+			if got := dumpDB(t, ds); got != during {
+				t.Fatalf("B's refused writes changed the state:\n%s\nwant:\n%s", got, during)
 			}
-			if err := ds.Health(); !errors.Is(err, dberr.ErrReadOnly) {
-				t.Fatalf("Health after a failed undo = %v, want ErrReadOnly", err)
+			if _, err := a.QueryContext(ctx, "ROLLBACK"); err != nil {
+				t.Fatalf("ROLLBACK = %v, want nil", err)
 			}
-			if _, err := b.QueryContext(ctx, "INSERT INTO u VALUES (4)"); !errors.Is(err, dberr.ErrReadOnly) {
-				t.Fatalf("write after a failed undo = %v, want ErrReadOnly", err)
-			}
-			if len(meanwhile) == 2 {
-				res, err := b.QueryContext(ctx, "SELECT id FROM t WHERE id = 2")
-				if err != nil || len(res.Rows) != 0 {
-					t.Fatalf("new t by key 2 = %v, %v; want no row", res, err)
-				}
+			if got := liveMatchesLog(t, ds, path, "ROLLBACK"); got != want || ds.Health() != nil {
+				t.Fatalf("after ROLLBACK (Health %v):\n%s\nwant:\n%s", ds.Health(), got, want)
 			}
 		})
 	}
+	t.Run("page write fails", func(t *testing.T) {
+		ffs := vfs.NewFaultFS(nil)
+		noCache := 0
+		ds, err := OpenFile(filepath.Join(t.TempDir(), "book.dsp"), Options{FS: ffs, BufferPoolPages: &noCache, CheckpointWALBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		for _, sql := range []string{"CREATE TABLE t (id INT PRIMARY KEY, v INT)", "INSERT INTO t VALUES (1, 1), (2, 2)", "BEGIN", "UPDATE t SET v = 20 WHERE id = 2"} {
+			mustQuery(t, ds, sql)
+		}
+		ffs.SetFault(vfs.Fault{Kind: vfs.OpWrite, PathSuffix: ".dsp", Err: syscall.EIO})
+		if _, err := ds.Query("ROLLBACK"); !errors.Is(err, sqlexec.ErrUndo) {
+			t.Fatalf("ROLLBACK = %v, want ErrUndo", err)
+		}
+		if err := ds.Health(); !errors.Is(err, dberr.ErrReadOnly) {
+			t.Fatalf("Health after a failed undo = %v, want ErrReadOnly", err)
+		}
+		if _, err := ds.Query("INSERT INTO t VALUES (3, 3)"); !errors.Is(err, dberr.ErrReadOnly) {
+			t.Fatalf("write after a failed undo = %v, want ErrReadOnly", err)
+		}
+	})
 }
 
 // liveLogGen draws single-session statements over table t, whose primary
@@ -388,15 +410,31 @@ func (g *liveLogGen) statement() string {
 	}
 }
 
-// TestLiveMatchesLogFuzz drives seeded single-session histories: autocommit
-// statements and BEGIN ... COMMIT/ROLLBACK runs, many of which fail part-way
-// or are refused, with checkpoints between them. After every autocommit
-// statement and every transaction the live state must equal a reopened
-// crash copy; inside a transaction a failed statement must leave the live
-// state as it was; at the end a clean reopen must equal it too.
-//
-// Out of scope: several sessions interleaving, and checkpoints while a
-// transaction is open.
+// script joins one to four drawn statements into a script. With control,
+// each part may instead be BEGIN, COMMIT or ROLLBACK.
+func (g *liveLogGen) script(control bool) string {
+	parts := make([]string, 1+g.rng.Intn(4))
+	for i := range parts {
+		if control && g.rng.Intn(3) == 0 {
+			parts[i] = g.pick([]string{"BEGIN", "COMMIT", "ROLLBACK"})
+		} else {
+			parts[i] = g.statement()
+		}
+	}
+	return strings.Join(parts, "; ")
+}
+
+// TestLiveMatchesLogFuzz drives seeded histories of the built-in Conn:
+// autocommit statements, scripts that may open, commit or roll back
+// transactions, and BEGIN ... COMMIT/ROLLBACK runs of statements and
+// scripts, many of which fail part-way or are refused, with checkpoints
+// between and inside them and a second Conn writing inside them. After every
+// step outside a transaction the live state must equal a reopened crash
+// copy. Inside one, a failed statement must leave the live state as it was;
+// once the transaction has written, a checkpoint must fail with ErrConflict
+// and leave the log holding only committed state, and the second Conn's
+// write must fail with ErrConflict and change nothing. At the end a clean
+// reopen must equal the live state too.
 func TestLiveMatchesLogFuzz(t *testing.T) {
 	seeds, steps := []int64{1, 2, 3, 4, 5, 6}, 100
 	if raceEnabled {
@@ -418,59 +456,108 @@ func TestLiveMatchesLogFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := &liveLogGen{rng: rand.New(rand.NewSource(seed)), ds: ds}
+			other := ds.NewConn()
 			var history []string
+			note := func(what string, err error) error {
+				history = append(history, fmt.Sprintf("%s -> %v", what, err))
+				return err
+			}
 			exec := func(sql string) error {
 				_, err := ds.Query(sql)
-				history = append(history, fmt.Sprintf("%s -> %v", sql, err))
-				return err
+				return note(sql, err)
+			}
+			script := func(sql string) error {
+				_, err := ds.QueryScript(sql)
+				return note("script "+sql, err)
+			}
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("after:\n%s\n"+format, append([]any{strings.Join(history, "\n")}, args...)...)
+			}
+			// checkpoint checkpoints inside a transaction that has written
+			// (owned) or outside one or inside one that has not.
+			checkpoint := func(owned bool) {
+				t.Helper()
+				err := note("checkpoint", ds.Checkpoint())
+				if owned && !errors.Is(err, dberr.ErrConflict) || !owned && err != nil {
+					fail("checkpoint = %v, want ErrConflict only inside a transaction that has written", err)
+				}
+			}
+			end := func() {
+				t.Helper()
+				sql := g.pick([]string{"COMMIT", "ROLLBACK"})
+				if err := exec(sql); err != nil {
+					fail("%s: %v", sql, err)
+				}
 			}
 			check := func() {
 				t.Helper()
-				live, logged := dumpDB(t, ds), crashDump(t, path)
-				if live != logged {
-					t.Fatalf("live state differs from the log after:\n%s\nlive:\n%s\nlog:\n%s",
-						strings.Join(history, "\n"), live, logged)
+				if live, logged := dumpDB(t, ds), crashDump(t, path); live != logged {
+					fail("live state differs from the log\nlive:\n%s\nlog:\n%s", live, logged)
 				}
 			}
 			for step := 0; step < steps; step++ {
-				switch r := g.rng.Intn(10); {
-				case r == 0:
-					if err := ds.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-					history = append(history, "checkpoint")
-				case r < 5:
+				switch r := g.rng.Intn(20); {
+				case r < 2:
+					checkpoint(false)
+				case r < 10:
 					_ = exec(g.statement())
+				case r < 12:
+					// A transaction the script leaves open ends here.
+					_ = script(g.script(true))
+					if ds.conn.InTransaction() {
+						end()
+					}
 				default:
+					committed := dumpDB(t, ds)
 					if err := exec("BEGIN"); err != nil {
 						t.Fatal(err)
 					}
+					wrote := false
 					for k := 1 + g.rng.Intn(5); k > 0; k-- {
 						before := dumpDB(t, ds)
-						if exec(g.statement()) != nil {
-							if after := dumpDB(t, ds); after != before {
-								t.Fatalf("a failed statement changed the live state:\n%s\nbefore:\n%s\nafter:\n%s",
-									strings.Join(history, "\n"), before, after)
+						switch r := g.rng.Intn(10); {
+						case r == 0:
+							checkpoint(wrote)
+							if logged := crashDump(t, path); logged != committed {
+								fail("the log differs from the committed state\nlog:\n%s\ncommitted:\n%s", logged, committed)
+							}
+						case r == 1:
+							sql := g.statement()
+							_, err := other.QueryContext(t.Context(), sql)
+							note("other Conn: "+sql, err)
+							if !wrote {
+								committed = dumpDB(t, ds)
+							} else if !errors.Is(err, dberr.ErrConflict) {
+								fail("another Conn's write inside a transaction that has written = %v, want ErrConflict", err)
+							} else if after := dumpDB(t, ds); after != before {
+								fail("a refused write changed the live state\nbefore:\n%s\nafter:\n%s", before, after)
+							}
+						case r == 2:
+							_ = script(g.script(false))
+							wrote = true
+						default:
+							err := exec(g.statement())
+							wrote = true
+							if after := dumpDB(t, ds); err != nil && after != before {
+								fail("a failed statement changed the live state\nbefore:\n%s\nafter:\n%s", before, after)
 							}
 						}
 					}
-					end := "COMMIT"
-					if g.rng.Intn(2) == 0 {
-						end = "ROLLBACK"
-					}
-					if err := exec(end); err != nil {
-						t.Fatalf("%s: %v", end, err)
-					}
+					end()
 				}
 				check()
 			}
-			failed := 0
+			failed, refused := 0, 0
 			for _, h := range history {
-				if !strings.HasSuffix(h, "-> <nil>") && h != "checkpoint" {
+				if !strings.HasSuffix(h, "-> <nil>") {
 					failed++
 				}
+				if strings.Contains(h, dberr.ErrConflict.Error()) {
+					refused++
+				}
 			}
-			t.Logf("%d statements, %d failed", len(history), failed)
+			t.Logf("%d steps, %d failed, %d of them with ErrConflict", len(history), failed, refused)
 			live := dumpDB(t, ds)
 			if err := ds.Close(); err != nil {
 				t.Fatal(err)
@@ -478,8 +565,7 @@ func TestLiveMatchesLogFuzz(t *testing.T) {
 			re := openDurable(t, path)
 			defer re.Close()
 			if got := dumpDB(t, re); got != live {
-				t.Fatalf("clean reopen differs from the live state:\n%s\nlive:\n%s\nreopen:\n%s",
-					strings.Join(history, "\n"), live, got)
+				fail("clean reopen differs from the live state\nlive:\n%s\nreopen:\n%s", live, got)
 			}
 		})
 	}

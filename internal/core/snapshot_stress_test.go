@@ -158,8 +158,13 @@ func TestSnapshotReadersUnderWriterAndCheckpointChurn(t *testing.T) {
 	go func() {
 		defer readers.Done()
 		sess := db.NewSession(nil)
+		scan, err := db.Prepare(`SELECT id, qty FROM t`)
+		if err != nil {
+			report(fmt.Errorf("stream reader: %w", err))
+			return
+		}
 		for pass := 0; pass < 8; pass++ {
-			it, err := sess.QueryStream(context.Background(), `SELECT id, qty FROM t`)
+			it, err := sess.StreamPrepared(context.Background(), scan)
 			if err != nil {
 				report(fmt.Errorf("stream reader: %w", err))
 				return

@@ -11,8 +11,6 @@
 package apistable
 
 import (
-	"go/ast"
-	"sort"
 	"strings"
 
 	"github.com/dataspread/dataspread/internal/lint"
@@ -106,18 +104,3 @@ func displayPath(rel string) string {
 	}
 	return rel
 }
-
-// Entries returns the blessed table as sorted "importer -> target" lines
-// for documentation and debugging output.
-func Entries(blessed map[string][]string) []string {
-	var out []string
-	for from, targets := range blessed {
-		for _, t := range targets {
-			out = append(out, displayPath(from)+" -> "+t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-var _ = ast.IsExported

@@ -100,6 +100,9 @@ type Database struct {
 
 	hint atomic.Pointer[PlanHint] // set by SetPlanHint; nil plans freely
 
+	// owner is the session whose transaction owns the tables (undo.go).
+	owner atomic.Pointer[Session]
+
 	// pagesRead / pagesSkipped count the physical pages pruned scans chose to
 	// read and proved skippable, across all queries since the last reset.
 	pagesRead    atomic.Int64
@@ -243,8 +246,12 @@ func (db *Database) newStore(columns int) tablestore.Store {
 }
 
 // autocommit runs an exported mutator as a statement of one change, which it
-// publishes when it returns.
+// publishes when it returns. It fails with dberr.ErrConflict while a
+// transaction owns the tables.
 func (db *Database) autocommit(change func(*undoLog) error) error {
+	if err := db.Busy(); err != nil {
+		return err
+	}
 	var log undoLog
 	err := change(&log)
 	db.publish(log)
@@ -614,25 +621,18 @@ func (db *Database) delete(table string, id tablestore.RowID, undo *undoLog) err
 }
 
 // restore undoes a DELETE in place: the row comes back at its own RowID, so
-// scan order stays what replaying the log rebuilds. Its keys are checked
-// again, since another session may have taken them meanwhile. The delete
-// counter advances as for a delete: a restore rewrites no page either, and
-// a memo that saw the row gone must see it come back (sketch.go). A table
-// that another session dropped, or dropped and created again, since the
-// delete has no slot to restore: the undo fails.
+// scan order stays what replaying the log rebuilds. The delete counter
+// advances as for a delete: a restore rewrites no page either, and a memo
+// that saw the row gone must see it come back (sketch.go). The transaction
+// that deleted the row owns the table until the restore, so its table and
+// its keys are as the delete left them.
 func (db *Database) restore(tbl *catalog.Table, s tablestore.Store, id tablestore.RowID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.stores[tkey(tbl.Name)] != s {
-		return catalog.ErrNoTable{Name: tbl.Name}
-	}
 	if err := s.Restore(id); err != nil {
 		return err
 	}
 	row, err := s.Get(id)
-	if err == nil {
-		err = db.checkKeysLocked(tbl, row)
-	}
 	if err == nil {
 		err = db.addKeysLocked(tbl, row, id)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dataspread/dataspread/internal/catalog"
@@ -23,11 +24,11 @@ type Result struct {
 
 // Session executes statements against a database, carrying per-caller state:
 // the spreadsheet accessor used to resolve positional constructs and the
-// undo log of the current explicit transaction (nil outside one; undo.go).
+// current explicit transaction (nil outside one; undo.go).
 type Session struct {
 	db     *Database
 	sheets SheetAccessor
-	tx     *undoLog
+	tx     *transaction
 }
 
 // NewSession creates a session. sheets may be nil when positional constructs
@@ -54,23 +55,27 @@ func (s *Session) QueryContext(ctx context.Context, sql string, args ...sheet.Va
 	return s.ExecutePreparedContext(ctx, p, args...)
 }
 
-// ExecutePrepared runs a prepared statement without parameters.
-func (s *Session) ExecutePrepared(p *Prepared) (*Result, error) {
-	return s.ExecutePreparedContext(context.Background(), p)
-}
-
 // ExecutePreparedContext runs a prepared statement with the given placeholder
 // arguments. The argument count must match the statement's placeholder
 // count exactly (dberr.ErrParamCount otherwise).
 func (s *Session) ExecutePreparedContext(ctx context.Context, p *Prepared, args ...sheet.Value) (*Result, error) {
+	res, _, err := s.Exec(ctx, p, args)
+	return res, err
+}
+
+// Exec runs a prepared statement like ExecutePreparedContext and returns
+// what it committed, for the command log: itself when it mutates outside a
+// transaction, the transaction's statements when it is COMMIT.
+func (s *Session) Exec(ctx context.Context, p *Prepared, args []sheet.Value) (*Result, []Redo, error) {
 	env, err := s.execEnv(ctx, p, args)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if sel, ok := p.stmt.(*sqlparser.SelectStmt); ok && p.sel != nil {
-		return s.db.runSelect(sel, p.sel, env)
+		res, err := s.db.runSelect(sel, p.sel, env)
+		return res, nil, err
 	}
-	return s.executeWith(p.stmt, env)
+	return s.executeWith(p.stmt, env, Redo{SQL: p.SQL, Args: args})
 }
 
 // execEnv validates the bound arguments against the prepared statement and
@@ -81,26 +86,6 @@ func (s *Session) execEnv(ctx context.Context, p *Prepared, args []sheet.Value) 
 			p.nparams, len(args), dberr.ErrParamCount)
 	}
 	return &execEnv{sheets: s.sheets, params: args, cancel: poller{ctx: ctx}}, nil
-}
-
-// QueryScript parses and executes a semicolon-separated script, returning the
-// result of the last statement. Scripts do not accept placeholders.
-func (s *Session) QueryScript(sql string) (*Result, error) {
-	stmts, err := sqlparser.ParseMulti(sql)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, stmt := range stmts {
-		last, err = s.Execute(stmt)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if last == nil {
-		last = &Result{}
-	}
-	return last, nil
 }
 
 // InTransaction reports whether an explicit transaction is open.
@@ -117,30 +102,58 @@ func tableSchema(tbl *catalog.Table) []colDesc {
 	return cols
 }
 
-// Execute runs one parsed statement without parameters.
-func (s *Session) Execute(stmt sqlparser.Statement) (*Result, error) {
-	return s.executeWith(stmt, &execEnv{sheets: s.sheets})
-}
-
 // executeWith runs one parsed statement under the given execution
 // environment, atomically: a statement that fails unwinds its own changes
 // before the error returns, one that succeeds inside an explicit transaction
-// hands its log to the transaction, and any other that succeeds publishes
-// its changes (undo.go).
-func (s *Session) executeWith(stmt sqlparser.Statement, env *execEnv) (*Result, error) {
+// hands its undo log and redo to the transaction, and any other that
+// succeeds publishes its changes (undo.go). A mutating statement first
+// claims the tables.
+func (s *Session) executeWith(stmt sqlparser.Statement, env *execEnv, redo Redo) (*Result, []Redo, error) {
+	switch stmt.(type) {
+	case *sqlparser.BeginStmt:
+		if s.tx != nil {
+			return nil, nil, fmt.Errorf("sqlexec: %w", dberr.ErrTxOpen)
+		}
+		s.tx = &transaction{}
+		return &Result{}, nil, nil
+	case *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
+		tx := s.tx
+		if tx == nil {
+			return nil, nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
+		}
+		s.tx = nil
+		s.db.owner.CompareAndSwap(s, nil)
+		if _, commit := stmt.(*sqlparser.CommitStmt); commit {
+			s.db.publish(tx.undo)
+			return &Result{}, tx.redo, nil
+		}
+		undone, err := tx.undo.unwind()
+		s.db.publish(undone)
+		return &Result{}, nil, err
+	}
+	mutates := sqlparser.Mutates(stmt)
+	if mutates {
+		if err := s.claim(); err != nil {
+			return nil, nil, err
+		}
+	}
 	res, err := s.execute(stmt, env)
 	if err != nil {
 		if _, uerr := env.undo.unwind(); uerr != nil {
 			err = errors.Join(err, uerr)
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	if s.tx != nil {
-		*s.tx = append(*s.tx, env.undo...)
-	} else {
-		s.db.publish(env.undo)
+	switch {
+	case !mutates:
+		return res, nil, nil
+	case s.tx != nil:
+		s.tx.undo = append(s.tx.undo, env.undo...)
+		s.tx.redo = append(s.tx.redo, Redo{SQL: redo.SQL, Args: slices.Clone(redo.Args)})
+		return res, nil, nil
 	}
-	return res, nil
+	s.db.publish(env.undo)
+	return res, []Redo{redo}, nil
 }
 
 func (s *Session) execute(stmt sqlparser.Statement, env *execEnv) (*Result, error) {
@@ -165,27 +178,6 @@ func (s *Session) execute(stmt sqlparser.Statement, env *execEnv) (*Result, erro
 		return &Result{}, s.db.dropIndex(st.Name, st.IfExists, &env.undo)
 	case *sqlparser.ExplainStmt:
 		return s.executeExplain(st, env)
-	case *sqlparser.BeginStmt:
-		if s.tx != nil {
-			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrTxOpen)
-		}
-		s.tx = &undoLog{}
-		return &Result{}, nil
-	case *sqlparser.CommitStmt:
-		if s.tx == nil {
-			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
-		}
-		// COMMIT's own statement publishes the transaction's changes.
-		env.undo, s.tx = *s.tx, nil
-		return &Result{}, nil
-	case *sqlparser.RollbackStmt:
-		if s.tx == nil {
-			return nil, fmt.Errorf("sqlexec: %w", dberr.ErrNoTx)
-		}
-		undone, err := s.tx.unwind()
-		s.tx = nil
-		s.db.publish(undone)
-		return &Result{}, err
 	default:
 		return nil, fmt.Errorf("sqlexec: unsupported statement %T: %w", stmt, dberr.ErrUnsupported)
 	}

@@ -225,10 +225,10 @@ func reopenDB(t *testing.T, db *Database) *Database {
 	return re
 }
 
-// streamResult drains QueryStream into a Result.
+// streamResult drains StreamPrepared into a Result.
 func streamResult(t *testing.T, s *Session, q string) *Result {
 	t.Helper()
-	rows, err := s.QueryStream(context.Background(), q)
+	rows, err := s.StreamPrepared(context.Background(), mustPrepare(t, s.db, q))
 	if err != nil {
 		t.Fatalf("stream %s: %v", q, err)
 	}

@@ -137,10 +137,8 @@ func (db *Database) Prepare(sql string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{SQL: sql, stmt: stmt, epoch: epoch, nparams: sqlparser.NumPlaceholders(stmt), pnames: sqlparser.ParamNames(stmt)}
-	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		p.sel = analyzeSelect(sel)
-	}
+	p := PrepareParsed(sql, stmt)
+	p.epoch = epoch
 
 	c.mu.Lock()
 	if el, ok := c.entries[sql]; ok {
@@ -161,6 +159,17 @@ func (db *Database) Prepare(sql string) (*Prepared, error) {
 	}
 	c.mu.Unlock()
 	return p, nil
+}
+
+// PrepareParsed analyzes stmt, parsed from sql, outside the plan cache: for
+// statements run once, such as a script's, which would only evict the plans
+// of statements that run again.
+func PrepareParsed(sql string, stmt sqlparser.Statement) *Prepared {
+	p := &Prepared{SQL: sql, stmt: stmt, nparams: sqlparser.NumPlaceholders(stmt), pnames: sqlparser.ParamNames(stmt)}
+	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
+		p.sel = analyzeSelect(sel)
+	}
+	return p
 }
 
 // PlanCacheStats returns plan cache counters.

@@ -96,15 +96,6 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// QueryStream prepares and streams a SELECT statement.
-func (s *Session) QueryStream(ctx context.Context, sql string, args ...sheet.Value) (*Rows, error) {
-	p, err := s.db.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.StreamPrepared(ctx, p, args...)
-}
-
 // StreamPrepared executes a prepared SELECT, returning a streaming row
 // iterator. Planning and binding errors — and every error of a statement
 // that materialises before its first row — surface here synchronously;

@@ -165,7 +165,7 @@ func TestExplicitTransactionsRetainNoMemory(t *testing.T) {
 	}
 	base := heap()
 	for n := 0; n < txns; n++ {
-		if _, err := s.ExecutePrepared(begin); err != nil {
+		if _, err := s.ExecutePreparedContext(t.Context(), begin); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
@@ -173,7 +173,7 @@ func TestExplicitTransactionsRetainNoMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.ExecutePrepared(commit); err != nil {
+		if _, err := s.ExecutePreparedContext(t.Context(), commit); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,16 +18,6 @@ func Mutates(stmt Statement) bool {
 	return true
 }
 
-// AnyMutates reports whether any statement of a script mutates.
-func AnyMutates(stmts []Statement) bool {
-	for _, s := range stmts {
-		if Mutates(s) {
-			return true
-		}
-	}
-	return false
-}
-
 // NumPlaceholders counts the parameter slots of a statement (in every
 // clause, including sub-selects and EXPLAIN-wrapped statements). Execution
 // must bind exactly this many argument values. Positional '?' placeholders

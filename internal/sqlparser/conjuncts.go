@@ -14,17 +14,3 @@ func SplitConjuncts(e Expr) []Expr {
 	}
 	return []Expr{e}
 }
-
-// CombineConjuncts rebuilds a left-deep AND tree from conjuncts, the inverse
-// of SplitConjuncts. It returns nil for an empty slice.
-func CombineConjuncts(parts []Expr) Expr {
-	var out Expr
-	for _, p := range parts {
-		if out == nil {
-			out = p
-			continue
-		}
-		out = &BinaryExpr{Op: "AND", Left: out, Right: p}
-	}
-	return out
-}

@@ -51,7 +51,7 @@ func TestMixedPlaceholderStylesRejected(t *testing.T) {
 }
 
 func TestNamedPlaceholdersResetAcrossScriptStatements(t *testing.T) {
-	stmts, err := ParseMulti("SELECT * FROM t WHERE a = :x; SELECT * FROM t WHERE b = :y")
+	stmts, _, err := ParseMulti("SELECT * FROM t WHERE a = :x; SELECT * FROM t WHERE b = :y")
 	if err != nil {
 		t.Fatal(err)
 	}

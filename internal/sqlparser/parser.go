@@ -42,30 +42,35 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseMulti parses a semicolon-separated script into statements.
-func ParseMulti(input string) ([]Statement, error) {
+// ParseMulti parses a semicolon-separated script into statements and the
+// source text of each: the input from its first token up to its ';' (or the
+// end), cut at the lexer's token positions, so a ';' inside a string literal
+// or a comment does not split it. Parsing a text alone yields its statement.
+func ParseMulti(input string) (stmts []Statement, texts []string, err error) {
 	toks, err := Lex(input)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &Parser{toks: toks}
-	var out []Statement
 	for !p.atEOF() {
 		if p.accept(TokPunct, ";") {
 			continue
 		}
 		p.params = 0
 		p.named = nil
+		start := p.peek().Pos
 		stmt, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, stmt)
+		end := p.peek().Pos // of the ';', or the end of the input
 		if !p.atEOF() && !p.accept(TokPunct, ";") {
-			return nil, p.errorf("expected ';' between statements, got %q", p.peek().Text)
+			return nil, nil, p.errorf("expected ';' between statements, got %q", p.peek().Text)
 		}
+		stmts = append(stmts, stmt)
+		texts = append(texts, strings.TrimSpace(input[start:end]))
 	}
-	return out, nil
+	return stmts, texts, nil
 }
 
 // ParseExpr parses a standalone expression (used by tests and the formula

@@ -1,6 +1,8 @@
 package sqlparser
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -352,9 +354,9 @@ func TestParseTransactionStatements(t *testing.T) {
 }
 
 func TestParseMultiStatements(t *testing.T) {
-	stmts, err := ParseMulti(`
+	stmts, texts, err := ParseMulti(`
 		CREATE TABLE t (a INT);
-		INSERT INTO t VALUES (1);
+		INSERT INTO t VALUES ('a;b'); -- c;d
 		SELECT * FROM t;
 	`)
 	if err != nil {
@@ -363,10 +365,19 @@ func TestParseMultiStatements(t *testing.T) {
 	if len(stmts) != 3 {
 		t.Fatalf("got %d statements", len(stmts))
 	}
-	if _, err := ParseMulti("SELECT 1 SELECT 2"); err == nil {
+	want := []string{"CREATE TABLE t (a INT)", "INSERT INTO t VALUES ('a;b')", "SELECT * FROM t"}
+	if !slices.Equal(texts, want) {
+		t.Fatalf("texts = %q, want %q", texts, want)
+	}
+	for i, text := range texts {
+		if stmt, err := Parse(text); err != nil || !reflect.DeepEqual(stmt, stmts[i]) {
+			t.Errorf("Parse(%q) = %#v, %v; want the script's statement %d", text, stmt, err, i)
+		}
+	}
+	if _, _, err := ParseMulti("SELECT 1 SELECT 2"); err == nil {
 		t.Error("missing semicolon should fail")
 	}
-	empty, err := ParseMulti(" ;; ")
+	empty, _, err := ParseMulti(" ;; ")
 	if err != nil || len(empty) != 0 {
 		t.Error("empty script should parse to no statements")
 	}

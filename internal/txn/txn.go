@@ -29,7 +29,7 @@ const (
 	OpCellSet     OpKind = "cell_set"     // cell input, parsed as typed
 	OpCellValue   OpKind = "cell_value"   // typed literal cell write
 	OpSQL         OpKind = "sql"          // single SQL statement
-	OpSQLScript   OpKind = "sql_script"   // semicolon-separated SQL script
+	OpSQLScript   OpKind = "sql_script"   // whole SQL script (older logs; replayed, no longer written)
 	OpAddSheet    OpKind = "add_sheet"    // create a sheet
 	OpImportTable OpKind = "import_table" // DBTABLE binding at an anchor
 	OpBindQuery   OpKind = "bind_query"   // DBSQL binding at an anchor
