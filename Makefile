@@ -44,10 +44,12 @@ loc:
 # (internal/index/btree) — so `verify` guards lock-freedom locally; CI (and
 # `make race`) runs it over every package. It also runs internal/core's
 # transaction-ownership and background-checkpoint tests, because the owner
-# pointer is shared by Conns and the checkpointer goroutine.
+# pointer is shared by Conns and the checkpointer goroutine, and its DBSQL
+# refreshes beside an open transaction, because the interface manager's
+# refresh session is shared by every refresh.
 racecheck:
 	$(GO) test -race ./internal/sqlexec ./internal/storage/tablestore ./internal/interfacemgr ./internal/compute ./internal/index/btree
-	$(GO) test -race ./internal/core -run 'TestUncommittedWriteNotCheckpointed|TestCheckpointInTransactionRefused|TestBackgroundCheckpointDefersToTransaction|TestConcurrentWriterConflicts|TestTableWritersConflictCellWritesProceed|TestConcurrentTransactionsSerialize|TestBackgroundCheckpoint'
+	$(GO) test -race ./internal/core -run 'TestUncommittedWriteNotCheckpointed|TestCheckpointInTransactionRefused|TestBackgroundCheckpointDefersToTransaction|TestConcurrentWriterConflicts|TestTableWritersConflictCellWritesProceed|TestConcurrentTransactionsSerialize|TestBackgroundCheckpoint|TestDBSQLRefreshesBesideTransaction'
 
 # lint runs go vet plus dslint, the project-specific analyzer suite
 # (internal/lint): lockcheck (engine-lock discipline, no parking under the
@@ -105,7 +107,9 @@ servecheck:
 # slot-map write included), heap-file corruption, the shadow-paged root-flip
 # kill points, the zone-map insert/update/delete/checkpoint/reopen
 # interleavings, and the live-versus-log oracle over failing statements,
-# rollbacks and schema changes — then the checked-in corpus of every native
+# rollbacks, schema changes, DBSQL cells (refused ones included), range
+# exports, bound-cell edits and SetValues, with a clean reopen after each
+# checkpoint — then the checked-in corpus of every native
 # fuzz target (testdata/fuzz): the checkpoint's slot map (FuzzSlotMapDecode)
 # and its page catalog (FuzzAttachPages). `go test -fuzz <target>` explores
 # further.

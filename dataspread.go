@@ -196,9 +196,10 @@ type ExportOptions struct {
 }
 
 // ExportRange exports a sheet range as a new relational table: the schema is
-// inferred from the header row and the data, the rows are inserted, and —
-// unless KeepRegion is set — the region is replaced by a binding that keeps
-// sheet and table in sync from then on.
+// inferred from the header row and the data, the table is created with its
+// rows as one unit — a row that fails leaves no table behind — and, unless
+// KeepRegion is set, the region is replaced by a binding that keeps sheet
+// and table in sync from then on.
 func (db *DB) ExportRange(sheetName, rng, tableName string, opts ExportOptions) error {
 	_, err := db.ds.CreateTableFromRange(sheetName, rng, tableName, core.ExportOptions{
 		PrimaryKey: opts.PrimaryKey,

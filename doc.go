@@ -92,8 +92,9 @@
 //
 // The same DB is a workbook. SetCell enters literals and formulas exactly
 // as typing into the grid — including the paper's DBSQL("...") formulas,
-// whose SQL may read sheet data positionally through RANGEVALUE(cell) and
-// RANGETABLE(range) and whose results spill into the sheet — ExportRange
+// whose SELECT may read sheet data positionally through RANGEVALUE(cell) and
+// RANGETABLE(range) and whose result spills into the sheet (any other
+// statement in a DBSQL cell fails with ErrUnsupported) — ExportRange
 // turns a sheet region into a relational table (schema inferred), and
 // ImportTable binds a table to a region with two-way sync and
 // fetch-on-demand windowing for large tables.

@@ -6,15 +6,8 @@ import (
 
 	"github.com/dataspread/dataspread/internal/catalog"
 	"github.com/dataspread/dataspread/internal/dberr"
-	"github.com/dataspread/dataspread/internal/formula"
 	"github.com/dataspread/dataspread/internal/sheet"
 )
-
-// isDBFormula and dbFormulaArgs delegate to the formula package; the thin
-// wrappers keep dataspread.go readable.
-func isDBFormula(src string) (string, bool) { return formula.IsDBFormula(src) }
-
-func dbFormulaArgs(src string) (string, []string, error) { return formula.DBArgs(src) }
 
 // sheetAccessor implements sqlexec.SheetAccessor over a DataSpread workbook,
 // resolving the paper's positional constructs against live sheet data.

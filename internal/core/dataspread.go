@@ -7,9 +7,9 @@
 // with it exactly as the paper describes:
 //
 //   - ordinary spreadsheet editing (SetCell with literals or formulas),
-//   - DBSQL("...") cell formulas that run arbitrary SQL — possibly
-//     referencing sheet data via RANGEVALUE/RANGETABLE — and spill their
-//     result into the sheet,
+//   - DBSQL("...") cell formulas that run a SELECT — possibly reading sheet
+//     data via RANGEVALUE/RANGETABLE — and spill its result into the sheet;
+//     any other statement in a DBSQL cell is refused,
 //   - DBTABLE("table") cell formulas that two-way bind a region to a
 //     relational table,
 //   - exporting a sheet range as a new relational table (Figure 2b),
@@ -31,6 +31,7 @@ import (
 	"github.com/dataspread/dataspread/internal/catalog"
 	"github.com/dataspread/dataspread/internal/compute"
 	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/formula"
 	"github.com/dataspread/dataspread/internal/interfacemgr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlexec"
@@ -139,19 +140,17 @@ func newDataSpread(opts Options, backend pager.Backend) *DataSpread {
 	engine := compute.New(book)
 	windows := window.NewManager(opts.WindowRows, opts.WindowCols)
 	engine.SetVisibleProvider(windows.Visible)
-	iface := interfacemgr.New(db, book, engine, windows)
-	if opts.MaterializeAllLimit > 0 {
-		iface.SetMaterializeAllLimit(opts.MaterializeAllLimit)
-	}
 	ds := &DataSpread{
 		book:    book,
 		db:      db,
 		engine:  engine,
 		windows: windows,
-		iface:   iface,
+	}
+	ds.iface = interfacemgr.New(db, book, engine, windows, &sheetAccessor{ds: ds})
+	if opts.MaterializeAllLimit > 0 {
+		ds.iface.SetMaterializeAllLimit(opts.MaterializeAllLimit)
 	}
 	ds.conn = ds.NewConn()
-	iface.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return ds.conn.sess.Query(sql) }, &sheetAccessor{ds: ds})
 	ds.book.AddSheet("Sheet1") // before any WAL exists; never logged
 	return ds
 }
@@ -250,7 +249,7 @@ func (ds *DataSpread) setCellDispatch(canonical string, a sheet.Address, input s
 	noop := func() {}
 	trimmed := strings.TrimSpace(input)
 	if strings.HasPrefix(trimmed, "=") {
-		if name, ok := isDBFormula(trimmed); ok {
+		if name, ok := formula.IsDBFormula(trimmed); ok {
 			return noop, ds.setDBFormula(canonical, a, name, trimmed)
 		}
 		return ds.engine.SetFormula(canonical, a, trimmed)
@@ -269,8 +268,10 @@ func (ds *DataSpread) setCellDispatch(canonical string, a sheet.Address, input s
 // SetValues bulk-loads a dense matrix of literal values with its top-left
 // corner at topLeft. It is the fast path for imports: values land on the
 // sheet directly (no per-cell input parsing, no edit routing to bound
-// regions) and are WAL-logged per non-empty cell so durable workbooks
-// recover them. Dependent formulas recalculate on their next trigger.
+// regions) and are WAL-logged as one record holding every cell of the
+// matrix — an empty value clears its cell, live and on replay — so durable
+// workbooks recover them. Dependent formulas recalculate on their next
+// trigger.
 func (ds *DataSpread) SetValues(sheetName, topLeft string, rows [][]sheet.Value) error {
 	a, err := sheet.ParseAddress(topLeft)
 	if err != nil {
@@ -286,20 +287,19 @@ func (ds *DataSpread) SetValues(sheetName, topLeft string, rows [][]sheet.Value)
 		return err
 	}
 	sh.SetValues(a, rows)
+	var ops []txn.Op
 	for r, row := range rows {
 		for c, v := range row {
-			if v.IsEmpty() {
-				continue
-			}
 			cell := sheet.Addr(a.Row+r, a.Col+c)
-			if lerr := ds.logCommand(txn.Op{
+			ops = append(ops, txn.Op{
 				Kind:   txn.OpCellValue,
 				Detail: canonical + "!" + cell.String(),
 				Args:   []string{canonical, cell.String(), encodeValue(v)},
-			}); lerr != nil {
-				return fmt.Errorf("core: values applied but not fully logged: %w", lerr)
-			}
+			})
 		}
+	}
+	if lerr := ds.logCommand(ops...); lerr != nil {
+		return fmt.Errorf("core: values applied but not logged: %w", lerr)
 	}
 	return nil
 }
@@ -426,8 +426,9 @@ type ExportOptions struct {
 
 // CreateTableFromRange exports a sheet range as a new relational table: the
 // schema is inferred from the header row and the data (paper Figure 2b), the
-// rows are inserted, and — unless KeepRegion is set — the region is replaced
-// by a DBTABLE binding so it stays in sync with the database from then on.
+// table is created with its rows as one unit — a row that fails leaves no
+// table behind — and, unless KeepRegion is set, the region is replaced by a
+// DBTABLE binding so it stays in sync with the database from then on.
 func (ds *DataSpread) CreateTableFromRange(sheetName, rng, tableName string, opts ExportOptions) (*interfacemgr.Binding, error) {
 	r, err := sheet.ParseRange(rng)
 	if err != nil {
@@ -466,15 +467,8 @@ func (ds *DataSpread) CreateTableFromRange(sheetName, rng, tableName string, opt
 			}
 		}
 	}
-	if err := ds.db.CreateTable(tableName, cols); err != nil {
-		return nil, ds.notePoison(err)
-	}
-	for _, row := range data {
-		if _, err := ds.db.Insert(tableName, row); err != nil {
-			// Leave the table in place with the rows inserted so far; the
-			// caller sees exactly which row failed.
-			return nil, ds.notePoison(fmt.Errorf("core: exporting range %s: %w", rng, err))
-		}
+	if err := ds.db.CreateTable(tableName, cols, data...); err != nil {
+		return nil, ds.notePoison(fmt.Errorf("core: exporting range %s: %w", rng, err))
 	}
 	logExport := func() error {
 		args := []string{canonical, rng, tableName, "0"}
@@ -544,7 +538,7 @@ func (ds *DataSpread) ImportTable(sheetName, anchor, tableName string) (*interfa
 // cell: the formula text is stored in the cell and the result is spilled
 // into the region below/right of it.
 func (ds *DataSpread) setDBFormula(sheetName string, a sheet.Address, name, src string) error {
-	_, args, err := dbFormulaArgs(src)
+	_, args, err := formula.DBArgs(src)
 	if err != nil {
 		return err
 	}

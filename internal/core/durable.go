@@ -29,6 +29,7 @@ import (
 	"strconv"
 
 	"github.com/dataspread/dataspread/internal/dberr"
+	"github.com/dataspread/dataspread/internal/formula"
 	"github.com/dataspread/dataspread/internal/interfacemgr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/storage/pager"
@@ -447,7 +448,7 @@ func (ds *DataSpread) snapshotOps() []txn.Op {
 			}
 			switch {
 			case c.IsFormula():
-				if _, ok := isDBFormula("=" + c.Formula); ok {
+				if _, ok := formula.IsDBFormula("=" + c.Formula); ok {
 					return // bindings are snapshotted explicitly
 				}
 				ops = append(ops, txn.Op{

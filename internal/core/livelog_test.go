@@ -23,10 +23,11 @@ import (
 // and WAL as a crash at that instant would leave them), reopened.
 
 // dumpDB renders every table's schema, its secondary indexes and its rows
-// in scan order. Indexes are sorted: a rolled-back DROP INDEX re-creates the
-// index last, so index order is not part of the state compared. It also
-// fails unless a bare COUNT(*), which answers from the store's row count
-// instead of scanning, equals the rows the scan returned.
+// in scan order, then, once background recalculation is done, every
+// non-empty cell of every sheet, sorted. Indexes are sorted: a rolled-back DROP
+// INDEX re-creates the index last, so index order is not part of the state
+// compared. It also fails unless a bare COUNT(*), which answers from the
+// store's row count instead of scanning, equals the rows the scan returned.
 func dumpDB(t *testing.T, ds *DataSpread) string {
 	t.Helper()
 	var b strings.Builder
@@ -57,7 +58,20 @@ func dumpDB(t *testing.T, ds *DataSpread) string {
 			t.Fatalf("%s: SELECT COUNT(*) = %v, the scan returned %d rows", tbl.Name, got, len(res.Rows))
 		}
 	}
-	return b.String()
+	ds.Wait()
+	var cells []string
+	for _, name := range ds.book.SheetNames() {
+		sh, _ := ds.book.Sheet(name)
+		if used, ok := sh.UsedRange(); ok {
+			sh.ForEachInRange(used, func(a sheet.Address, c sheet.Cell) {
+				if !c.Value.IsEmpty() || c.Formula != "" {
+					cells = append(cells, fmt.Sprintf("%s!%s %s %q\n", name, a, encodeValue(c.Value), c.Formula))
+				}
+			})
+		}
+	}
+	slices.Sort(cells)
+	return b.String() + strings.Join(cells, "")
 }
 
 // crashDump reopens a crash copy of the live workbook at path and dumps it,
@@ -219,6 +233,57 @@ func TestRolledBackDeleteReplays(t *testing.T) {
 	live := liveMatchesLog(t, ds, path, "key move after ROLLBACK")
 	if !strings.Contains(live, ")\n[1 1]\n[2 2]\ntable u") {
 		t.Fatalf("after the key move:\n%s\nwant t's rows [1 1] and [2 2] in scan order", live)
+	}
+}
+
+// TestRangeExportIsOneUnit: a range export whose rows break the declared
+// key fails whole: no table is live and nothing reaches the log. The same
+// range with distinct keys then exports.
+func TestRangeExportIsOneUnit(t *testing.T) {
+	ds, path := openLiveLog(t)
+	for addr, input := range map[string]string{"A1": "id", "B1": "w", "A2": "1", "B2": "10", "A3": "1", "B3": "20"} {
+		mustSet(t, ds, "Sheet1", addr, input)
+	}
+	want, lsn := liveMatchesLog(t, ds, path, "setup"), ds.wal.LastLSN()
+	opts := ExportOptions{PrimaryKey: []string{"id"}, KeepRegion: true}
+	if _, err := ds.CreateTableFromRange("Sheet1", "A1:B3", "x", opts); !errors.Is(err, dberr.ErrUniqueViolation) {
+		t.Fatalf("export with a duplicate key = %v, want ErrUniqueViolation", err)
+	}
+	if got := ds.wal.LastLSN(); got != lsn {
+		t.Fatalf("the failed export logged: LSN %d -> %d", lsn, got)
+	}
+	if got := liveMatchesLog(t, ds, path, "failed export"); got != want {
+		t.Fatalf("the failed export changed the state:\n%s\nwant:\n%s", got, want)
+	}
+	mustSet(t, ds, "Sheet1", "A3", "2")
+	if _, err := ds.CreateTableFromRange("Sheet1", "A1:B3", "x", opts); err != nil {
+		t.Fatal(err)
+	}
+	if live := liveMatchesLog(t, ds, path, "export"); !strings.Contains(live, "table x (") || !strings.Contains(live, "[1 10]\n[2 20]\n") {
+		t.Fatalf("after the export:\n%s\nwant table x holding [1 10] and [2 20]", live)
+	}
+}
+
+// TestSetValuesLogsOneRecord: a bulk load is one WAL record, whose replay
+// gives the sheet the live one shows — including the cells an empty value
+// cleared.
+func TestSetValuesLogsOneRecord(t *testing.T) {
+	ds, path := openLiveLog(t)
+	mustSet(t, ds, "Sheet1", "B3", "stale")
+	rows := make([][]sheet.Value, 100)
+	for r := range rows {
+		rows[r] = []sheet.Value{sheet.Number(float64(r)), sheet.String_(fmt.Sprint("row", r)), sheet.Bool_(r%2 == 0)}
+	}
+	rows[1][0] = sheet.Empty() // clears B3
+	lsn := ds.wal.LastLSN()
+	if err := ds.SetValues("Sheet1", "B2", rows); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.wal.LastLSN(); got != lsn+1 {
+		t.Fatalf("SetValues of 100x3 cells advanced the LSN %d -> %d, want one record", lsn, got)
+	}
+	if live := liveMatchesLog(t, ds, path, "SetValues"); strings.Contains(live, "stale") {
+		t.Fatalf("an empty value left the cell it covers:\n%s", live)
 	}
 }
 
@@ -424,17 +489,46 @@ func (g *liveLogGen) script(control bool) string {
 	return strings.Join(parts, "; ")
 }
 
-// TestLiveMatchesLogFuzz drives seeded histories of the built-in Conn:
-// autocommit statements, scripts that may open, commit or roll back
-// transactions, and BEGIN ... COMMIT/ROLLBACK runs of statements and
-// scripts, many of which fail part-way or are refused, with checkpoints
-// between and inside them and a second Conn writing inside them. After every
-// step outside a transaction the live state must equal a reopened crash
-// copy. Inside one, a failed statement must leave the live state as it was;
-// once the transaction has written, a checkpoint must fail with ErrConflict
-// and leave the log holding only committed state, and the second Conn's
-// write must fail with ErrConflict and change nothing. At the end a clean
-// reopen must equal the live state too.
+// refusedDBSQL draws a DBSQL cell formula that is not a SELECT.
+func (g *liveLogGen) refusedDBSQL() string {
+	sql := g.pick([]string{fmt.Sprintf("INSERT INTO t (id) VALUES (%d)", 100+g.n), "COMMIT", "EXPLAIN SELECT * FROM t"})
+	return `=DBSQL("` + sql + `")`
+}
+
+// values draws a small matrix of numbers, text and empty values.
+func (g *liveLogGen) values() [][]sheet.Value {
+	rows := make([][]sheet.Value, 1+g.rng.Intn(3))
+	for r := range rows {
+		rows[r] = make([]sheet.Value, 1+g.rng.Intn(3))
+		for c := range rows[r] {
+			switch g.rng.Intn(3) {
+			case 0:
+				rows[r][c] = sheet.Number(float64(g.rng.Intn(50)))
+			case 1:
+				rows[r][c] = sheet.String_(fmt.Sprint("s", g.rng.Intn(50)))
+			}
+		}
+	}
+	return rows
+}
+
+// TestLiveMatchesLogFuzz drives seeded histories of the built-in Conn and of
+// every table writer outside plain SQL: autocommit statements, scripts that
+// may open, commit or roll back transactions, BEGIN ... COMMIT/ROLLBACK runs
+// of statements and scripts, many of which fail part-way or are refused,
+// DBSQL cells (a SELECT over t reading a RANGEVALUE parameter, and refused
+// INSERT, COMMIT and EXPLAIN cells, outside and inside transactions), range
+// exports with and without a duplicate key, a DBTABLE import of t and edits
+// of its bound cells, and SetValues — with checkpoints between and inside
+// them, each outside a transaction followed by a clean reopen, and a second
+// Conn writing inside them. After every step outside a transaction the live
+// state, tables and sheets, must equal a reopened crash copy, and after
+// every checkpoint a clean reopen must equal it too. A refused DBSQL cell
+// must change nothing. Inside a transaction, a failed statement must leave
+// the live state as it was; once the transaction has written, a checkpoint
+// must fail with ErrConflict and leave the log holding only committed state,
+// and the second Conn's write must fail with ErrConflict and change nothing.
+// At the end a clean reopen must equal the live state too.
 func TestLiveMatchesLogFuzz(t *testing.T) {
 	seeds, steps := []int64{1, 2, 3, 4, 5, 6}, 100
 	if raceEnabled {
@@ -454,6 +548,11 @@ func TestLiveMatchesLogFuzz(t *testing.T) {
 				CREATE UNIQUE INDEX t_u ON t (u);
 				INSERT INTO t VALUES (1, 1, 1), (2, 2, 2), (3, 3, 3), (5, 5, 5), (8, 8, 8);`); err != nil {
 				t.Fatal(err)
+			}
+			for _, name := range []string{"Sheet2", "Sheet3"} {
+				if _, err := ds.AddSheet(name); err != nil {
+					t.Fatal(err)
+				}
 			}
 			g := &liveLogGen{rng: rand.New(rand.NewSource(seed)), ds: ds}
 			other := ds.NewConn()
@@ -496,10 +595,106 @@ func TestLiveMatchesLogFuzz(t *testing.T) {
 					fail("live state differs from the log\nlive:\n%s\nlog:\n%s", live, logged)
 				}
 			}
+			set := func(sheetName, addr, input string) error {
+				wait, err := ds.SetCell(sheetName, addr, input)
+				if wait != nil {
+					wait()
+				}
+				return note(fmt.Sprintf("set %s!%s %s", sheetName, addr, input), err)
+			}
+			// refuse enters a DBSQL cell that is not a SELECT: it must fail
+			// with ErrUnsupported, change nothing and leave a transaction
+			// open or closed as it was.
+			refuse := func() {
+				t.Helper()
+				before, inTx := dumpDB(t, ds), ds.conn.InTransaction()
+				if err := set("Sheet1", "H1", g.refusedDBSQL()); !errors.Is(err, dberr.ErrUnsupported) {
+					fail("a DBSQL cell that is not a SELECT = %v, want ErrUnsupported", err)
+				}
+				if after := dumpDB(t, ds); after != before || ds.conn.InTransaction() != inTx {
+					fail("a refused DBSQL cell changed the state\nbefore:\n%s\nafter:\n%s", before, after)
+				}
+			}
+			// unchanged fails when a step that failed changed the state.
+			unchanged := func(what string, err error, before string) {
+				t.Helper()
+				if after := dumpDB(t, ds); err != nil && after != before {
+					fail("a failed %s changed the live state\nbefore:\n%s\nafter:\n%s", what, before, after)
+				}
+			}
+			// sheetStep drives one table writer outside plain SQL.
+			imported := false
+			sheetStep := func() {
+				t.Helper()
+				switch g.rng.Intn(6) {
+				case 0:
+					if err := set("Sheet1", "E1", `=DBSQL("SELECT COUNT(*), MAX(id) FROM t WHERE id <= RANGEVALUE(Sheet1!A1)")`); err != nil {
+						fail("DBSQL SELECT cell: %v", err)
+					}
+				case 1: // the DBSQL cell's parameter
+					_ = set("Sheet1", "A1", fmt.Sprint(g.rng.Intn(12)))
+				case 2:
+					refuse()
+				case 3: // a fresh two-row region, exported with a duplicate key a third of the time
+					g.n++
+					dup := g.rng.Intn(3) == 0
+					second := 2.0
+					if dup {
+						second = 1
+					}
+					row := 4 * g.n
+					region := [][]sheet.Value{
+						{sheet.String_("id"), sheet.String_("w")},
+						{sheet.Number(1), sheet.Number(float64(g.rng.Intn(9)))},
+						{sheet.Number(second), sheet.Number(float64(g.rng.Intn(9)))},
+					}
+					if err := note("values Sheet3", ds.SetValues("Sheet3", sheet.Addr(row, 0).String(), region)); err != nil {
+						fail("SetValues: %v", err)
+					}
+					before := dumpDB(t, ds)
+					rng := fmt.Sprintf("A%d:B%d", row+1, row+3)
+					keep := g.rng.Intn(2) == 0
+					_, err := ds.CreateTableFromRange("Sheet3", rng, fmt.Sprint("x", g.n), ExportOptions{PrimaryKey: []string{"id"}, KeepRegion: keep})
+					note(fmt.Sprintf("export Sheet3!%s as x%d keep=%v", rng, g.n, keep), err)
+					if dup != errors.Is(err, dberr.ErrUniqueViolation) {
+						fail("export with duplicate key %v = %v", dup, err)
+					}
+					unchanged("export", err, before)
+				case 4: // import t once, then edit its bound cells, header included
+					if !imported {
+						_, err := ds.ImportTable("Sheet2", "A1", "t")
+						imported = note("import t at Sheet2!A1", err) == nil
+						return
+					}
+					before := dumpDB(t, ds)
+					tbl, _ := ds.db.Table("t")
+					addr := sheet.Addr(g.rng.Intn(7), g.rng.Intn(len(tbl.Columns))).String()
+					unchanged("bound-cell edit", set("Sheet2", addr, strings.Trim(g.value(), "'")), before)
+				default:
+					if err := note("values Sheet1!A20", ds.SetValues("Sheet1", "A20", g.values())); err != nil {
+						fail("SetValues: %v", err)
+					}
+				}
+			}
 			for step := 0; step < steps; step++ {
-				switch r := g.rng.Intn(20); {
+				switch r := g.rng.Intn(26); {
 				case r < 2:
 					checkpoint(false)
+					live := dumpDB(t, ds)
+					if err := ds.Close(); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if ds, err = OpenFile(path, Options{CheckpointWALBytes: -1}); err != nil {
+						t.Fatal(err)
+					}
+					if errs := ds.RecoveryErrors(); len(errs) != 0 {
+						fail("clean reopen after a checkpoint: recovery errors %v", errs)
+					}
+					g.ds, other = ds, ds.NewConn()
+					if got := dumpDB(t, ds); got != live {
+						fail("clean reopen after a checkpoint differs from the live state\nlive:\n%s\nreopen:\n%s", live, got)
+					}
 				case r < 10:
 					_ = exec(g.statement())
 				case r < 12:
@@ -508,6 +703,8 @@ func TestLiveMatchesLogFuzz(t *testing.T) {
 					if ds.conn.InTransaction() {
 						end()
 					}
+				case r < 18:
+					sheetStep()
 				default:
 					committed := dumpDB(t, ds)
 					if err := exec("BEGIN"); err != nil {
@@ -536,6 +733,8 @@ func TestLiveMatchesLogFuzz(t *testing.T) {
 						case r == 2:
 							_ = script(g.script(false))
 							wrote = true
+						case r == 3:
+							refuse()
 						default:
 							err := exec(g.statement())
 							wrote = true

@@ -11,18 +11,21 @@
 //   - Table bindings (DBTABLE): a sheet region two-way bound to a relational
 //     table. Large tables are materialised window-by-window as the user
 //     pans; small tables are materialised in full.
-//   - Query bindings (DBSQL): the read-only result of an arbitrary SQL query
-//     spilled into a region, re-executed when the database or the sheet
-//     cells it references change.
+//   - Query bindings (DBSQL): the result of one SELECT spilled into a
+//     region, re-executed when the database or the sheet cells it
+//     references change. Any other statement is refused: a cell shows data,
+//     it never writes it.
 package interfacemgr
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
 
 	"github.com/dataspread/dataspread/internal/compute"
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/formula"
 	"github.com/dataspread/dataspread/internal/index/positional"
 	"github.com/dataspread/dataspread/internal/sheet"
@@ -45,10 +48,6 @@ const (
 	KindQuery
 )
 
-// QueryRunner executes a SQL string against the engine with the spreadsheet
-// accessor attached (provided by the core package).
-type QueryRunner func(sql string) (*sqlexec.Result, error)
-
 // Binding is one bound region on a sheet.
 type Binding struct {
 	ID        int64
@@ -57,7 +56,7 @@ type Binding struct {
 	Anchor    sheet.Address
 	// Table is the bound table name (table bindings).
 	Table string
-	// SQL is the query text (query bindings).
+	// SQL is the query text (query bindings): always a SELECT.
 	SQL string
 	// Columns are the displayed column names (header row).
 	Columns []string
@@ -68,13 +67,14 @@ type Binding struct {
 	// positions maps display position (0-based data row) to RowID for
 	// table bindings.
 	positions *positional.Index
-	// isSelect, tables and refs are a query binding's SQL resolved once, at
-	// bind time: whether it is a SELECT, the lower-cased names of the tables
-	// it reads (sub-selects included; none for DML) and the sheet ranges its
-	// RANGEVALUE/RANGETABLE constructs read.
-	isSelect bool
-	tables   []string
-	refs     []formula.Reference
+	// query, tables and refs are a query binding's SQL resolved once, at
+	// bind time: the prepared SELECT every refresh runs and captures its
+	// sketch from, the lower-cased names of the tables it reads (sub-selects
+	// included) and the sheet ranges its RANGEVALUE/RANGETABLE constructs
+	// read.
+	query  *sqlexec.Prepared
+	tables []string
+	refs   []formula.Reference
 	// refreshMu serialises a query binding's refreshes: one requested while
 	// another runs waits for it, then checks the memo that one left.
 	refreshMu sync.Mutex
@@ -110,13 +110,16 @@ type Stats struct {
 
 // Manager owns all bindings of a workbook.
 type Manager struct {
-	mu       sync.Mutex
-	db       *sqlexec.Database
-	book     *sheet.Book
-	engine   *compute.Engine
-	windows  *window.Manager
-	runQuery QueryRunner
-	sheets   sqlexec.SheetAccessor // what runQuery resolves RANGEVALUE with
+	mu      sync.Mutex
+	db      *sqlexec.Database
+	book    *sheet.Book
+	engine  *compute.Engine
+	windows *window.Manager
+	sheets  sqlexec.SheetAccessor // what refreshes resolve RANGEVALUE with
+	// run executes a query binding's SELECT on the manager's own read
+	// session, which only refreshes use — concurrently, as a SELECT changes
+	// no session state; tests wrap it to act mid-refresh.
+	run      func(*sqlexec.Prepared) (*sqlexec.Result, error)
 	bindings map[int64]*Binding
 	nextID   int64
 	allLimit int
@@ -124,14 +127,20 @@ type Manager struct {
 	unlisten func() // cancels the database change subscription
 }
 
-// New creates an interface manager. SetQueryRunner must be called before
-// query bindings are used.
-func New(db *sqlexec.Database, book *sheet.Book, engine *compute.Engine, windows *window.Manager) *Manager {
+// New creates an interface manager. Query bindings resolve RANGEVALUE and
+// RANGETABLE through sheets (nil when no binding reads the sheet) and run
+// on a read session of the manager's own.
+func New(db *sqlexec.Database, book *sheet.Book, engine *compute.Engine, windows *window.Manager, sheets sqlexec.SheetAccessor) *Manager {
+	sess := db.NewSession(sheets)
 	m := &Manager{
-		db:       db,
-		book:     book,
-		engine:   engine,
-		windows:  windows,
+		db:      db,
+		book:    book,
+		engine:  engine,
+		windows: windows,
+		sheets:  sheets,
+		run: func(p *sqlexec.Prepared) (*sqlexec.Result, error) {
+			return sess.ExecutePreparedContext(context.Background(), p)
+		},
 		bindings: make(map[int64]*Binding),
 		nextID:   1,
 		allLimit: DefaultMaterializeAllLimit,
@@ -149,14 +158,6 @@ func (m *Manager) Close() {
 		m.unlisten()
 		m.unlisten = nil
 	}
-}
-
-// SetQueryRunner installs the SQL runner used by query bindings and the
-// sheet accessor it executes with, which the memo plans the SQL against.
-func (m *Manager) SetQueryRunner(fn QueryRunner, sheets sqlexec.SheetAccessor) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.runQuery, m.sheets = fn, sheets
 }
 
 // SetMaterializeAllLimit overrides the full-materialisation threshold.
@@ -268,25 +269,30 @@ func (m *Manager) BindTable(sheetName string, anchor sheet.Address, table string
 	return b, nil
 }
 
-// BindQuery creates a DBSQL binding: the query result is spilled at the
-// anchor and refreshed when its inputs change. Re-entering the same query
-// at the same anchor — the DBSQL recalculation pattern — reuses the
-// existing binding and only refreshes it; a different formula at the anchor
-// replaces the binding there.
+// BindQuery creates a DBSQL binding: the result of the SELECT sql is
+// spilled at the anchor and refreshed when its inputs change. Any other
+// statement — DML, DDL, transaction control, EXPLAIN — fails with
+// dberr.ErrUnsupported and changes nothing. Re-entering the same query at
+// the same anchor — the DBSQL recalculation pattern — reuses the existing
+// binding and only refreshes it; a different query at the anchor replaces
+// the binding there.
 func (m *Manager) BindQuery(sheetName string, anchor sheet.Address, sql string) (*Binding, error) {
-	m.mu.Lock()
-	runner := m.runQuery
-	m.mu.Unlock()
-	if runner == nil {
-		return nil, fmt.Errorf("interfacemgr: no query runner configured")
-	}
-	if prev := m.bindingAt(sheetName, anchor); prev != nil {
-		if prev.Kind == KindQuery && prev.SQL == sql {
-			if err := m.refreshQuery(prev); err != nil {
-				return nil, err
-			}
-			return prev, nil
+	prev := m.bindingAt(sheetName, anchor)
+	if prev != nil && prev.Kind == KindQuery && prev.SQL == sql {
+		if err := m.refreshQuery(prev); err != nil {
+			return nil, err
 		}
+		return prev, nil
+	}
+	p, err := m.db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := p.Statement().(*sqlparser.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("interfacemgr: DBSQL runs a SELECT only: %w", dberr.ErrUnsupported)
+	}
+	if prev != nil {
 		m.Unbind(prev.ID)
 	}
 	b := &Binding{
@@ -294,8 +300,9 @@ func (m *Manager) BindQuery(sheetName string, anchor sheet.Address, sql string) 
 		SheetName: sheetName,
 		Anchor:    anchor,
 		SQL:       sql,
+		query:     p,
 	}
-	b.refs, b.tables, b.isSelect = m.resolveQuery(sql)
+	b.resolve(sel)
 	m.mu.Lock()
 	b.ID = m.nextID
 	m.nextID++
@@ -329,108 +336,30 @@ func (m *Manager) bindingAt(sheetName string, anchor sheet.Address) *Binding {
 	return nil
 }
 
-// resolveQuery resolves a query binding's SQL once: the sheet ranges its
-// RANGEVALUE/RANGETABLE constructs read, the lower-cased names of the tables
-// a SELECT reads (sub-selects included), and whether it is a SELECT at all.
-// Parsing goes through the database's prepared-plan cache.
-func (m *Manager) resolveQuery(sql string) (refs []formula.Reference, tables []string, isSelect bool) {
-	p, err := m.db.Prepare(sql)
-	if err != nil {
-		return nil, nil, false
-	}
-	sel, ok := p.Statement().(*sqlparser.SelectStmt)
-	if !ok {
-		return nil, nil, false
-	}
+// resolve records what a query binding's SELECT reads: the lower-cased
+// names of its tables (sub-selects included) and the sheet ranges of its
+// RANGEVALUE/RANGETABLE constructs.
+func (b *Binding) resolve(sel *sqlparser.SelectStmt) {
 	addRef := func(refText string) {
 		sheetName, rangeText := splitSheetRef(refText)
-		r, err := sheet.ParseRange(rangeText)
-		if err != nil {
-			return
-		}
-		refs = append(refs, formula.Reference{Sheet: sheetName, Range: r})
-	}
-	var walkExpr func(e sqlparser.Expr)
-	walkExpr = func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.RangeValueExpr:
-			addRef(x.Ref)
-		case *sqlparser.BinaryExpr:
-			walkExpr(x.Left)
-			walkExpr(x.Right)
-		case *sqlparser.UnaryExpr:
-			walkExpr(x.X)
-		case *sqlparser.FuncCall:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		case *sqlparser.InExpr:
-			walkExpr(x.X)
-			for _, a := range x.List {
-				walkExpr(a)
-			}
-		case *sqlparser.BetweenExpr:
-			walkExpr(x.X)
-			walkExpr(x.Lo)
-			walkExpr(x.Hi)
-		case *sqlparser.LikeExpr:
-			walkExpr(x.X)
-			walkExpr(x.Pattern)
-		case *sqlparser.IsNullExpr:
-			walkExpr(x.X)
-		case *sqlparser.CaseExpr:
-			walkExpr(x.Operand)
-			for _, w := range x.Whens {
-				walkExpr(w.When)
-				walkExpr(w.Then)
-			}
-			walkExpr(x.Else)
+		if r, err := sheet.ParseRange(rangeText); err == nil {
+			b.refs = append(b.refs, formula.Reference{Sheet: sheetName, Range: r})
 		}
 	}
-	var walkTable func(t sqlparser.TableRef)
-	walkTable = func(t sqlparser.TableRef) {
+	sqlparser.Walk(sel, func(e sqlparser.Expr) {
+		if rv, ok := e.(*sqlparser.RangeValueExpr); ok {
+			addRef(rv.Ref)
+		}
+	}, func(t sqlparser.TableRef) {
 		switch x := t.(type) {
 		case *sqlparser.TableName:
-			if name := strings.ToLower(x.Name); !slices.Contains(tables, name) {
-				tables = append(tables, name)
+			if name := strings.ToLower(x.Name); !slices.Contains(b.tables, name) {
+				b.tables = append(b.tables, name)
 			}
 		case *sqlparser.RangeTableRef:
 			addRef(x.Ref)
-		case *sqlparser.SubSelect:
-			walkSelect(x.Select, walkExpr, walkTable)
 		}
-	}
-	walkSelect(sel, walkExpr, walkTable)
-	return refs, tables, true
-}
-
-func walkSelect(sel *sqlparser.SelectStmt, walkExpr func(sqlparser.Expr), walkTable func(sqlparser.TableRef)) {
-	for _, item := range sel.Columns {
-		if item.Expr != nil {
-			walkExpr(item.Expr)
-		}
-	}
-	if sel.From != nil {
-		walkTable(sel.From)
-	}
-	for _, j := range sel.Joins {
-		walkTable(j.Table)
-		if j.On != nil {
-			walkExpr(j.On)
-		}
-	}
-	if sel.Where != nil {
-		walkExpr(sel.Where)
-	}
-	for _, g := range sel.GroupBy {
-		walkExpr(g)
-	}
-	if sel.Having != nil {
-		walkExpr(sel.Having)
-	}
-	for _, o := range sel.OrderBy {
-		walkExpr(o.Expr)
-	}
+	})
 }
 
 // splitSheetRef splits "Sheet2!A1:B5" into its sheet and range parts.

@@ -1,18 +1,20 @@
 package interfacemgr
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/dataspread/dataspread/internal/catalog"
 	"github.com/dataspread/dataspread/internal/compute"
+	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlexec"
 	"github.com/dataspread/dataspread/internal/window"
 )
 
-// newFixture builds a manager over a small database and workbook. The query
-// runner executes SQL without a sheet accessor (sufficient for these tests;
-// the core package tests cover RANGEVALUE/RANGETABLE-dependent queries).
+// newFixture builds a manager over a small database and workbook whose
+// query bindings resolve RANGEVALUE against the workbook (bookAccessor; the
+// core package tests cover RANGETABLE-dependent queries).
 func newFixture(t *testing.T) (*Manager, *sqlexec.Database, *sheet.Book) {
 	t.Helper()
 	db := sqlexec.NewDatabase(sqlexec.Config{})
@@ -21,9 +23,7 @@ func newFixture(t *testing.T) (*Manager, *sqlexec.Database, *sheet.Book) {
 	engine := compute.New(book)
 	windows := window.NewManager(20, 6)
 	engine.SetVisibleProvider(windows.Visible)
-	m := New(db, book, engine, windows)
-	session := db.NewSession(nil)
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) }, nil)
+	m := New(db, book, engine, windows, &bookAccessor{book: book})
 
 	if err := db.CreateTable("people", []catalog.Column{
 		{Name: "id", Type: catalog.TypeNumber, PrimaryKey: true},
@@ -221,13 +221,9 @@ func TestQueryBindingRefreshOnDataChange(t *testing.T) {
 	if !val(t, book, "F1").IsEmpty() {
 		t.Error("unbind should clear cells")
 	}
-	// Errors: bad SQL, no runner.
+	// Errors: bad SQL.
 	if _, err := m.BindQuery("Sheet1", sheet.Addr(20, 0), "SELECT * FROM missing"); err == nil {
 		t.Error("query binding with bad SQL should fail")
-	}
-	m.SetQueryRunner(nil, nil)
-	if _, err := m.BindQuery("Sheet1", sheet.Addr(20, 0), "SELECT 1"); err == nil {
-		t.Error("query binding without a runner should fail")
 	}
 }
 
@@ -266,5 +262,75 @@ func TestWindowOnlyBindingScrolling(t *testing.T) {
 	}
 	if sh.CellCount() > 120 {
 		t.Errorf("after scroll still only a window should be materialised, got %d cells", sh.CellCount())
+	}
+}
+
+// TestBindQueryRefusesAllButSelect: a DBSQL binding shows data and never
+// writes it. DML, DDL, transaction control and EXPLAIN fail with
+// ErrUnsupported before any binding exists: nothing runs, and the binding
+// already at the anchor stays.
+func TestBindQueryRefusesAllButSelect(t *testing.T) {
+	m, db, book := newFixture(t)
+	at := sheet.Addr(0, 5)
+	b, err := m.BindQuery("Sheet1", at, "SELECT COUNT(*) FROM people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"INSERT INTO people VALUES (9, 'zed', 1)",
+		"UPDATE people SET age = 0",
+		"DELETE FROM people",
+		"CREATE TABLE x (a INT)",
+		"DROP TABLE people",
+		"BEGIN",
+		"COMMIT",
+		"ROLLBACK",
+		"EXPLAIN SELECT * FROM people",
+	} {
+		if _, err := m.BindQuery("Sheet1", at, sql); !errors.Is(err, dberr.ErrUnsupported) {
+			t.Errorf("BindQuery(%q) = %v, want ErrUnsupported", sql, err)
+		}
+		if _, err := m.BindQuery("Sheet1", sheet.Addr(30, 0), sql); !errors.Is(err, dberr.ErrUnsupported) {
+			t.Errorf("BindQuery(%q) on a free anchor = %v, want ErrUnsupported", sql, err)
+		}
+	}
+	if n, err := db.RowCount("people"); err != nil || n != 3 || len(db.Tables()) != 1 {
+		t.Fatalf("refused statements changed the database: %d rows, %d tables, %v", n, len(db.Tables()), err)
+	}
+	if bs := m.Bindings(); len(bs) != 1 || bs[0] != b {
+		t.Fatalf("bindings after refusals = %v, want only the SELECT's", bs)
+	}
+	if got := val(t, book, "F2"); got.Num != 3 {
+		t.Fatalf("the SELECT's spill = %v, want 3", got)
+	}
+}
+
+// TestQueryRefreshSkipsPlanCache: a binding prepares its SELECT once, at
+// bind time; its refreshes, executed or memoized, look nothing up in the
+// plan cache.
+func TestQueryRefreshSkipsPlanCache(t *testing.T) {
+	m, db, book := newFixture(t)
+	b, err := m.BindQuery("Sheet1", sheet.Addr(0, 5), "SELECT COUNT(*) FROM people WHERE age > 26")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, stats := db.PlanCacheStats(), m.Stats()
+	for i := 0; i < 5; i++ {
+		if _, err := db.Insert("people", []sheet.Value{sheet.Number(float64(10 + i)), sheet.String_("x"), sheet.Number(40)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RefreshBinding(b.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, s := db.PlanCacheStats(), m.Stats()
+	if after.Hits+after.Misses != plans.Hits+plans.Misses {
+		t.Fatalf("refreshes looked up the plan cache: %+v -> %+v", plans, after)
+	}
+	if s.Refreshes-stats.Refreshes != 5 || s.MemoHits-stats.MemoHits != 5 {
+		t.Fatalf("want 5 executed and 5 memoized refreshes: %+v -> %+v", stats, s)
+	}
+	if got := val(t, book, "F2"); got.Num != 7 {
+		t.Fatalf("COUNT(*) = %v, want 7", got)
 	}
 }

@@ -18,8 +18,7 @@ import (
 // their versions, and the table's delete count. An UPDATE of a row the
 // binding's bounds exclude rewrites a page outside the sketch and leaves the
 // memo valid. Statements the sketch cannot describe — sub-select or
-// RANGETABLE sources — fall back to one data version per table read; DML
-// through DBSQL is never memoized.
+// RANGETABLE sources — fall back to one data version per table read.
 
 // queryFingerprint is the captured input state of one query execution.
 // tables holds the data version of every table the SQL reads: the memo
@@ -55,14 +54,9 @@ func sameVersions(a, b map[string]uint64) bool {
 }
 
 // fingerprintQuery captures the current versions of every input of a query
-// binding's SQL — sheet versions before the sketch, whose bounds may read
-// those sheets. ok is false when the statement is not a memoizable SELECT
-// (DML/DDL through DBSQL always re-executes) or when a referenced sheet does
-// not exist.
+// binding's SELECT — sheet versions before the sketch, whose bounds may read
+// those sheets. ok is false when a referenced sheet does not exist.
 func (m *Manager) fingerprintQuery(b *Binding) (fp *queryFingerprint, ok bool) {
-	if !b.isSelect {
-		return nil, false
-	}
 	fp = &queryFingerprint{
 		schemaEpoch: m.db.SchemaEpoch(),
 		tables:      m.tableVersions(b),
@@ -75,10 +69,7 @@ func (m *Manager) fingerprintQuery(b *Binding) (fp *queryFingerprint, ok bool) {
 		}
 		fp.sheets[sh.Name()] = sh.Version()
 	}
-	m.mu.Lock()
-	sheets := m.sheets
-	m.mu.Unlock()
-	fp.sketch = m.db.CaptureSketch(b.SQL, sheets)
+	fp.sketch = m.db.CaptureSketch(b.query, m.sheets)
 	return fp, true
 }
 

@@ -106,10 +106,7 @@ func TestQueryBindingMemoization(t *testing.T) {
 // re-executes when those cells change, and memoizes otherwise — even though
 // its own spill bumps the version of the sheet it reads from.
 func TestQueryBindingMemoSheetInputs(t *testing.T) {
-	m, db, book := newFixture(t)
-	acc := &bookAccessor{book: book}
-	session := db.NewSession(acc)
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) }, acc)
+	m, _, book := newFixture(t)
 	sh, _ := book.Sheet("Sheet1")
 	sh.SetCell(sheet.MustParseAddress("A10"), sheet.Cell{Value: sheet.Number(30)})
 
@@ -143,10 +140,7 @@ func TestQueryBindingMemoSheetInputs(t *testing.T) {
 // memoizing it would pin the result computed from the pre-overwrite cells,
 // so such bindings must re-execute on every refresh.
 func TestQueryBindingSelfOverwritingSpillNeverMemoizes(t *testing.T) {
-	m, db, book := newFixture(t)
-	acc := &bookAccessor{book: book}
-	session := db.NewSession(acc)
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return session.Query(sql) }, acc)
+	m, _, book := newFixture(t)
 	sh, _ := book.Sheet("Sheet1")
 	sh.SetCell(sheet.MustParseAddress("A2"), sheet.Cell{Value: sheet.Number(20)})
 
@@ -187,18 +181,18 @@ func TestQueryBindingParameterEditDuringRefresh(t *testing.T) {
 		t.Run(target, func(t *testing.T) {
 			m, db, book := newFixture(t)
 			book.AddSheet("Sheet2")
-			acc := &bookAccessor{book: book}
-			session := db.NewSession(acc)
+			session := db.NewSession(&bookAccessor{book: book})
 			a10 := sheet.MustParseAddress("A10")
 			edit := false
-			m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) {
-				res, err := session.Query(sql)
+			run := m.run
+			m.run = func(p *sqlexec.Prepared) (*sqlexec.Result, error) {
+				res, err := run(p)
 				if edit {
 					edit = false
 					m.engine.SetValue("Sheet1", a10, sheet.Number(20)) // its refresh waits for this one
 				}
 				return res, err
-			}, acc)
+			}
 			sh, _ := book.Sheet("Sheet1")
 			sh.SetCell(a10, sheet.Cell{Value: sheet.Number(10)})
 			b, err := m.BindQuery(target, sheet.Addr(0, 5), "SELECT id + RANGEVALUE(Sheet1!A10) FROM people ORDER BY id")

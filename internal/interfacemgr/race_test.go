@@ -35,15 +35,8 @@ func TestRefreshPathConcurrency(t *testing.T) {
 	book := sheet.NewBook()
 	book.AddSheet("Sheet1")
 	engine := compute.New(book)
-	m := New(db, book, engine, window.NewManager(20, 6))
+	m := New(db, book, engine, window.NewManager(20, 6), nil)
 	defer m.Close()
-	var runMu sync.Mutex // a Session is not for concurrent use; the runner is shared
-	runner := db.NewSession(nil)
-	m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) {
-		runMu.Lock()
-		defer runMu.Unlock()
-		return runner.Query(sql)
-	}, nil)
 	sqls := []string{
 		"SELECT COUNT(*), SUM(b) FROM items WHERE id >= 100 AND id <= 600",
 		"SELECT COUNT(*), SUM(b) FROM items",

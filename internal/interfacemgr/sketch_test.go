@@ -70,7 +70,7 @@ type oracle struct {
 	book   *sheet.Book
 	engine *compute.Engine
 	m      *Manager
-	sess   *sqlexec.Session // runs the bindings and the reference executions
+	sess   *sqlexec.Session // runs the reference executions
 	writer *sqlexec.Session // issues the stream's SQL writes
 	table  *Binding
 	binds  []*Binding
@@ -143,29 +143,30 @@ func (o *oracle) attach(params []sheet.Value) {
 	o.engine = compute.New(o.book)
 	windows := window.NewManager(20, 6)
 	o.engine.SetVisibleProvider(windows.Visible)
-	o.m = New(o.db, o.book, o.engine, windows)
-	o.m.SetMaterializeAllLimit(100)
 	acc := &bookAccessor{book: o.book}
+	o.m = New(o.db, o.book, o.engine, windows, acc)
+	o.m.SetMaterializeAllLimit(100)
 	o.sess = o.db.NewSession(acc)
 	o.writer = o.db.NewSession(nil)
-	o.m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) {
+	run := o.m.run
+	o.m.run = func(p *sqlexec.Prepared) (*sqlexec.Result, error) {
 		o.runMu.Lock()
 		defer o.runMu.Unlock()
-		o.runs[sql]++
+		o.runs[p.SQL]++
 		inj := o.inject
-		if inj == nil || inj.sql != sql {
-			return o.sess.Query(sql)
+		if inj == nil || inj.sql != p.SQL {
+			return run(p)
 		}
 		o.inject = nil
 		if inj.pre != nil {
 			inj.pre()
 		}
-		res, err := o.sess.Query(sql)
+		res, err := run(p)
 		if inj.post != nil {
 			inj.post()
 		}
 		return res, err
-	}, acc)
+	}
 	var err error
 	if o.table, err = o.m.BindTable("Sheet1", sheet.Addr(0, 0), "t"); err != nil {
 		o.t.Fatal(err)
@@ -569,9 +570,8 @@ func TestSketchSkipsWritesOutsideBounds(t *testing.T) {
 			db := sqlexec.NewDatabase(sqlexec.Config{GroupSize: shape.GroupSize})
 			book := sheet.NewBook()
 			book.AddSheet("Sheet1")
-			m := New(db, book, compute.New(book), window.NewManager(20, 6))
+			m := New(db, book, compute.New(book), window.NewManager(20, 6), nil)
 			sess := db.NewSession(nil)
-			m.SetQueryRunner(func(sql string) (*sqlexec.Result, error) { return sess.Query(sql) }, nil)
 			if err := db.CreateTable("t", []catalog.Column{
 				{Name: "id", Type: catalog.TypeNumber, PrimaryKey: true},
 				{Name: "b", Type: catalog.TypeNumber},

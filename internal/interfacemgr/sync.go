@@ -103,12 +103,6 @@ func (m *Manager) refreshQuery(b *Binding) error {
 // table or sheet it reads changed meanwhile: a write that lands mid-run is
 // then never mistaken for one the result saw.
 func (m *Manager) refreshQueryLocked(b *Binding) ([]compute.CellID, error) {
-	m.mu.Lock()
-	runner := m.runQuery
-	m.mu.Unlock()
-	if runner == nil {
-		return nil, fmt.Errorf("interfacemgr: no query runner configured")
-	}
 	fp, memoable := m.fingerprintQuery(b)
 	if memoable && b.hasExt && b.memo.equal(fp) {
 		m.mu.Lock()
@@ -117,7 +111,7 @@ func (m *Manager) refreshQueryLocked(b *Binding) ([]compute.CellID, error) {
 		return nil, nil
 	}
 	b.memo = nil
-	res, err := runner(b.SQL)
+	res, err := m.run(b.query)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -245,22 +246,37 @@ func (db *Database) newStore(columns int) tablestore.Store {
 	return tablestore.NewHybridStore(db.pool, columns, tablestore.WithGroupSize(db.cfg.GroupSize))
 }
 
-// autocommit runs an exported mutator as a statement of one change, which it
-// publishes when it returns. It fails with dberr.ErrConflict while a
-// transaction owns the tables.
+// autocommit runs an exported mutator as one statement: when it fails, its
+// changes are unwound and nobody hears of them; when it succeeds, they are
+// published. It fails with dberr.ErrConflict while a transaction owns the
+// tables.
 func (db *Database) autocommit(change func(*undoLog) error) error {
 	if err := db.Busy(); err != nil {
 		return err
 	}
 	var log undoLog
-	err := change(&log)
+	if err := change(&log); err != nil {
+		_, uerr := log.unwind()
+		return errors.Join(err, uerr)
+	}
 	db.publish(log)
-	return err
+	return nil
 }
 
-// CreateTable registers a table and its storage.
-func (db *Database) CreateTable(name string, cols []catalog.Column) error {
-	return db.autocommit(func(u *undoLog) error { return db.createTable(name, cols, u) })
+// CreateTable registers a table and its storage and inserts rows into it, as
+// one statement: when a row fails, the table is gone again.
+func (db *Database) CreateTable(name string, cols []catalog.Column, rows ...[]sheet.Value) error {
+	return db.autocommit(func(u *undoLog) error {
+		if err := db.createTable(name, cols, u); err != nil {
+			return err
+		}
+		for _, row := range rows {
+			if _, err := db.insert(name, row, u); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 func (db *Database) createTable(name string, cols []catalog.Column, undo *undoLog) error {

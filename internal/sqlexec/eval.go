@@ -73,7 +73,7 @@ func isAggregateFunc(name string) bool {
 // exprHasAggregate reports whether the expression contains an aggregate call.
 func exprHasAggregate(e sqlparser.Expr) bool {
 	found := false
-	walkExpr(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		if f, ok := x.(*sqlparser.FuncCall); ok && isAggregateFunc(f.Name) {
 			found = true
 		}
@@ -81,52 +81,12 @@ func exprHasAggregate(e sqlparser.Expr) bool {
 	return found
 }
 
-// walkExpr visits every node of an expression tree.
-func walkExpr(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		walkExpr(x.Left, fn)
-		walkExpr(x.Right, fn)
-	case *sqlparser.UnaryExpr:
-		walkExpr(x.X, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	case *sqlparser.InExpr:
-		walkExpr(x.X, fn)
-		for _, a := range x.List {
-			walkExpr(a, fn)
-		}
-	case *sqlparser.IsNullExpr:
-		walkExpr(x.X, fn)
-	case *sqlparser.BetweenExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
-	case *sqlparser.LikeExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Pattern, fn)
-	case *sqlparser.CaseExpr:
-		walkExpr(x.Operand, fn)
-		for _, w := range x.Whens {
-			walkExpr(w.When, fn)
-			walkExpr(w.Then, fn)
-		}
-		walkExpr(x.Else, fn)
-	}
-}
-
 // exprColumnFree reports whether the expression references no columns and no
 // aggregates — i.e. it is row-independent and can be evaluated once per
 // execution (RANGEVALUE parameters are per-execution constants).
 func exprColumnFree(e sqlparser.Expr) bool {
 	free := true
-	walkExpr(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		switch f := x.(type) {
 		case *sqlparser.ColumnRef:
 			free = false
@@ -151,7 +111,7 @@ func exprColumnFree(e sqlparser.Expr) bool {
 // error-free over every value.
 func exprCanError(e sqlparser.Expr) bool {
 	can := false
-	walkExpr(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		switch f := x.(type) {
 		case *sqlparser.UnaryExpr:
 			if f.Op == "-" {

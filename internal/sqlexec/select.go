@@ -405,7 +405,7 @@ type srcCol struct {
 // mark all candidates, so pruning preserves the ambiguity for the binding
 // stage to report; unknown names are left for binding to report too.
 func markRefs(e sqlparser.Expr, accum []colDesc, origin []srcCol, srcs []*srcState) {
-	walkExpr(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		cr, ok := x.(*sqlparser.ColumnRef)
 		if !ok {
 			return
@@ -425,7 +425,7 @@ func markRefs(e sqlparser.Expr, accum []colDesc, origin []srcCol, srcs []*srcSta
 // references span sources.
 func conjunctSource(e sqlparser.Expr, accum []colDesc, origin []srcCol) (int, bool) {
 	src, ok := -1, true
-	walkExpr(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		cr, isRef := x.(*sqlparser.ColumnRef)
 		if !isRef || !ok {
 			return

@@ -35,15 +35,14 @@ type sourceSketch struct {
 	pages   []tablestore.PageVersion
 }
 
-// CaptureSketch plans sql against the current database — folding RANGEVALUE
+// CaptureSketch plans p against the current database — folding RANGEVALUE
 // through sheets — and captures its sketch. It returns nil for a statement
 // the sketch cannot describe: anything but a parameterless SELECT whose every
 // FROM source is a named table (a sub-select or RANGETABLE source
 // materialises during planning). Capture pins and releases one snapshot per
 // bounded source and reads no row.
-func (db *Database) CaptureSketch(sql string, sheets SheetAccessor) *Sketch {
-	p, err := db.Prepare(sql)
-	if err != nil || p.sel == nil || p.nparams > 0 {
+func (db *Database) CaptureSketch(p *Prepared, sheets SheetAccessor) *Sketch {
+	if p.sel == nil || p.nparams > 0 {
 		return nil
 	}
 	stmt := p.stmt.(*sqlparser.SelectStmt)

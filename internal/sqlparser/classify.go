@@ -25,11 +25,11 @@ func Mutates(stmt Statement) bool {
 // distinct name.
 func NumPlaceholders(stmt Statement) int {
 	n := 0
-	WalkStatementExprs(stmt, func(e Expr) {
+	Walk(stmt, func(e Expr) {
 		if p, ok := e.(*Placeholder); ok && p.Index+1 > n {
 			n = p.Index + 1
 		}
-	})
+	}, nil)
 	return n
 }
 
@@ -39,118 +39,134 @@ func NumPlaceholders(stmt Statement) int {
 // absent). len(ParamNames(stmt)) == NumPlaceholders(stmt).
 func ParamNames(stmt Statement) []string {
 	names := make([]string, NumPlaceholders(stmt))
-	WalkStatementExprs(stmt, func(e Expr) {
+	Walk(stmt, func(e Expr) {
 		if p, ok := e.(*Placeholder); ok && p.Name != "" {
 			names[p.Index] = p.Name
 		}
-	})
+	}, nil)
 	return names
 }
 
-// WalkStatementExprs visits every expression node reachable from a
-// statement: projections, FROM sources (recursing into sub-selects), join
-// conditions, WHERE/GROUP BY/HAVING/ORDER BY, DML values and assignments,
-// and column DEFAULT expressions.
-func WalkStatementExprs(stmt Statement, fn func(Expr)) {
-	walkAll := func(e Expr) { walkExprTree(e, fn) }
+// Walk visits, pre-order, every expression node reachable from a statement:
+// projections, join conditions, WHERE/GROUP BY/HAVING/ORDER BY, DML values
+// and assignments, column DEFAULT expressions, and an EXPLAIN's statement.
+// tables, when non-nil, hears of every FROM and JOIN source — a named table,
+// a RANGETABLE reference or a sub-select, whose own sources and expressions
+// follow it. It is the one walker of the SQL tree: the executor's analysis
+// and the interface manager's binding resolution use it too.
+func Walk(stmt Statement, exprs func(Expr), tables func(TableRef)) {
+	walker{exprs, tables}.stmt(stmt)
+}
+
+type walker struct {
+	exprs  func(Expr)
+	tables func(TableRef)
+}
+
+func (w walker) stmt(stmt Statement) {
 	switch st := stmt.(type) {
 	case *SelectStmt:
-		walkSelectExprs(st, fn)
+		w.sel(st)
 	case *InsertStmt:
 		for _, row := range st.Rows {
 			for _, e := range row {
-				walkAll(e)
+				WalkExpr(e, w.exprs)
 			}
 		}
 		if st.Select != nil {
-			walkSelectExprs(st.Select, fn)
+			w.sel(st.Select)
 		}
 	case *UpdateStmt:
 		for _, a := range st.Set {
-			walkAll(a.Value)
+			WalkExpr(a.Value, w.exprs)
 		}
-		walkAll(st.Where)
+		WalkExpr(st.Where, w.exprs)
 	case *DeleteStmt:
-		walkAll(st.Where)
+		WalkExpr(st.Where, w.exprs)
 	case *CreateTableStmt:
 		for _, col := range st.Columns {
-			walkAll(col.Default)
+			WalkExpr(col.Default, w.exprs)
 		}
 		if st.AsSelect != nil {
-			walkSelectExprs(st.AsSelect, fn)
+			w.sel(st.AsSelect)
 		}
 	case *AlterTableStmt:
 		if st.AddColumn != nil {
-			walkAll(st.AddColumn.Default)
+			WalkExpr(st.AddColumn.Default, w.exprs)
 		}
 	case *ExplainStmt:
-		WalkStatementExprs(st.Stmt, fn)
+		w.stmt(st.Stmt)
 	}
 }
 
-func walkSelectExprs(st *SelectStmt, fn func(Expr)) {
+func (w walker) sel(st *SelectStmt) {
 	for _, item := range st.Columns {
-		walkExprTree(item.Expr, fn)
+		WalkExpr(item.Expr, w.exprs)
 	}
-	walkTableRefExprs(st.From, fn)
+	w.table(st.From)
 	for _, j := range st.Joins {
-		walkTableRefExprs(j.Table, fn)
-		walkExprTree(j.On, fn)
+		w.table(j.Table)
+		WalkExpr(j.On, w.exprs)
 	}
-	walkExprTree(st.Where, fn)
+	WalkExpr(st.Where, w.exprs)
 	for _, g := range st.GroupBy {
-		walkExprTree(g, fn)
+		WalkExpr(g, w.exprs)
 	}
-	walkExprTree(st.Having, fn)
+	WalkExpr(st.Having, w.exprs)
 	for _, o := range st.OrderBy {
-		walkExprTree(o.Expr, fn)
+		WalkExpr(o.Expr, w.exprs)
 	}
 }
 
-func walkTableRefExprs(ref TableRef, fn func(Expr)) {
+func (w walker) table(ref TableRef) {
+	if ref == nil {
+		return
+	}
+	if w.tables != nil {
+		w.tables(ref)
+	}
 	if sub, ok := ref.(*SubSelect); ok && sub.Select != nil {
-		walkSelectExprs(sub.Select, fn)
+		w.sel(sub.Select)
 	}
 }
 
-// walkExprTree visits every node of an expression tree (nil-safe). It is the
-// parser-side twin of the executor's walker, kept here so statement-level
-// tools (placeholder counting, classification) need no executor import.
-func walkExprTree(e Expr, fn func(Expr)) {
-	if e == nil {
+// WalkExpr visits every node of an expression tree, pre-order. A nil tree or
+// a nil fn visits nothing.
+func WalkExpr(e Expr, fn func(Expr)) {
+	if e == nil || fn == nil {
 		return
 	}
 	fn(e)
 	switch x := e.(type) {
 	case *BinaryExpr:
-		walkExprTree(x.Left, fn)
-		walkExprTree(x.Right, fn)
+		WalkExpr(x.Left, fn)
+		WalkExpr(x.Right, fn)
 	case *UnaryExpr:
-		walkExprTree(x.X, fn)
+		WalkExpr(x.X, fn)
 	case *FuncCall:
 		for _, a := range x.Args {
-			walkExprTree(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *InExpr:
-		walkExprTree(x.X, fn)
+		WalkExpr(x.X, fn)
 		for _, a := range x.List {
-			walkExprTree(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *IsNullExpr:
-		walkExprTree(x.X, fn)
+		WalkExpr(x.X, fn)
 	case *BetweenExpr:
-		walkExprTree(x.X, fn)
-		walkExprTree(x.Lo, fn)
-		walkExprTree(x.Hi, fn)
+		WalkExpr(x.X, fn)
+		WalkExpr(x.Lo, fn)
+		WalkExpr(x.Hi, fn)
 	case *LikeExpr:
-		walkExprTree(x.X, fn)
-		walkExprTree(x.Pattern, fn)
+		WalkExpr(x.X, fn)
+		WalkExpr(x.Pattern, fn)
 	case *CaseExpr:
-		walkExprTree(x.Operand, fn)
+		WalkExpr(x.Operand, fn)
 		for _, w := range x.Whens {
-			walkExprTree(w.When, fn)
-			walkExprTree(w.Then, fn)
+			WalkExpr(w.When, fn)
+			WalkExpr(w.Then, fn)
 		}
-		walkExprTree(x.Else, fn)
+		WalkExpr(x.Else, fn)
 	}
 }

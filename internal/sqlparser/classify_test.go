@@ -1,6 +1,9 @@
 package sqlparser
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestPlaceholderParsing(t *testing.T) {
 	stmt, err := Parse("SELECT a FROM t WHERE id = ? AND g IN (?, ?) AND v BETWEEN ? AND ?")
@@ -12,11 +15,11 @@ func TestPlaceholderParsing(t *testing.T) {
 	}
 	// Indexes are assigned in lexical order.
 	var idxs []int
-	WalkStatementExprs(stmt, func(e Expr) {
+	Walk(stmt, func(e Expr) {
 		if p, ok := e.(*Placeholder); ok {
 			idxs = append(idxs, p.Index)
 		}
-	})
+	}, nil)
 	for i, idx := range idxs {
 		if idx != i {
 			t.Fatalf("placeholder %d has index %d (order %v)", i, idx, idxs)
@@ -51,11 +54,11 @@ func TestParseMultiResetsPlaceholderIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, stmt := range stmts {
-		WalkStatementExprs(stmt, func(e Expr) {
+		Walk(stmt, func(e Expr) {
 			if p, ok := e.(*Placeholder); ok && p.Index != 0 {
 				t.Errorf("statement %d placeholder index = %d, want 0", i, p.Index)
 			}
-		})
+		}, nil)
 	}
 }
 
@@ -84,5 +87,37 @@ func TestMutatesClassification(t *testing.T) {
 		if got := Mutates(stmt); got != want {
 			t.Errorf("Mutates(%q) = %v, want %v", sql, got, want)
 		}
+	}
+}
+
+// TestWalkReportsSources: Walk hears of every FROM and JOIN source, a
+// sub-select before the sources inside it, and of the expressions inside
+// sub-selects as well.
+func TestWalkReportsSources(t *testing.T) {
+	stmt, err := Parse(`SELECT a FROM t JOIN (SELECT b FROM u JOIN RANGETABLE(Sheet2!A1:B3) r ON r.x = RANGEVALUE(C1)) s ON s.b = t.a
+		WHERE a > RANGEVALUE(B1)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sources, cells []string
+	Walk(stmt, func(e Expr) {
+		if rv, ok := e.(*RangeValueExpr); ok {
+			cells = append(cells, rv.Ref)
+		}
+	}, func(ref TableRef) {
+		switch x := ref.(type) {
+		case *TableName:
+			sources = append(sources, x.Name)
+		case *RangeTableRef:
+			sources = append(sources, x.Ref)
+		case *SubSelect:
+			sources = append(sources, "("+x.Alias+")")
+		}
+	})
+	if got, want := strings.Join(sources, " "), "t (s) u Sheet2!A1:B3"; got != want {
+		t.Errorf("sources = %q, want %q", got, want)
+	}
+	if got, want := strings.Join(cells, " "), "C1 B1"; got != want {
+		t.Errorf("RANGEVALUE cells = %q, want %q", got, want)
 	}
 }

@@ -19,11 +19,11 @@ func TestNamedPlaceholders(t *testing.T) {
 	}
 	// Repeated names resolve to the same slot index.
 	idx := map[string][]int{}
-	WalkStatementExprs(stmt, func(e Expr) {
+	Walk(stmt, func(e Expr) {
 		if p, ok := e.(*Placeholder); ok {
 			idx[p.Name] = append(idx[p.Name], p.Index)
 		}
-	})
+	}, nil)
 	if !reflect.DeepEqual(idx["lo"], []int{0, 0}) || !reflect.DeepEqual(idx["hi"], []int{1}) {
 		t.Fatalf("slot indexes = %v", idx)
 	}
